@@ -114,9 +114,9 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
         "electric_rate": ("frequency", "100 kHz"),
     },
     "sim": {
-        "trajectories": ("none", "500"),
+        "trajectories": ("int", "500"),
         "dt": ("time", "10 ns"),
-        "seed": ("none", "1"),
+        "seed": ("int", "1"),
         "near_bm": ("bool", "false"),
         "delta_b": ("field", "0 T"),
         "shared_field": ("bool", "false"),
@@ -126,14 +126,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
         "variable": ("str", ""),
         "start": ("raw", ""),
         "stop": ("raw", ""),
-        "count": ("none", "0"),
+        "count": ("int", "0"),
         "spacing": ("str", "linear"),  # linear | log
         "values": ("raw", ""),
         "tau_start": ("time", "1 us"),
         "tau_stop": ("time", "240 us"),
-        "tau_count": ("none", "22"),
+        "tau_count": ("int", "22"),
         "tau_spacing": ("str", "log"),
-        "theta": ("none", "0"),
         "delta_temp": ("temperature", "0 K"),
         "window": ("time", ""),
     },
@@ -143,14 +142,14 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
     },
 }
 
-_VARIABLE_DIMENSION = {
-    "b_field": "field",
-    "delta_b": "field",
-    "tau": "time",
-    "tau_tilde": "time",
-    "xi": "none",
-    "eps_rms": "efield",
-    "theta": "none",
+# sweepable variable -> (dimension, lowest and highest value the model accepts)
+_SWEEP_VARIABLES = {
+    "b_field": ("field", -math.inf, math.inf),
+    "delta_b": ("field", -math.inf, math.inf),
+    "tau": ("time", -math.inf, math.inf),
+    "tau_tilde": ("time", -math.inf, math.inf),
+    "xi": ("none", 0.0, 1.0),
+    "eps_rms": ("efield", 0.0, math.inf),
 }
 
 
@@ -171,6 +170,14 @@ class ExperimentConfig:
         expect = None if dim in ("raw", "str", "bool") else dim
         return parse_quantity(self.text(section, key), expect, key=f"{section}.{key}")
 
+    def integer(self, section: str, key: str) -> int:
+        """An integer key, parsed exactly (no float round trip)."""
+        text = self.text(section, key)
+        try:
+            return int(text)
+        except ValueError as exc:
+            raise ConfigError(f"key {section}.{key}: expected an integer, got {text!r}") from exc
+
     def flag(self, section: str, key: str) -> bool:
         val = self.text(section, key).strip().lower()
         if val in ("true", "yes", "1", "on"):
@@ -185,10 +192,16 @@ class ExperimentConfig:
     def sweep_values(self) -> list[float]:
         """Materialize the sweep axis from values= or start/stop/count."""
         variable = self.text("sweep", "variable")
-        dim = _VARIABLE_DIMENSION.get(variable)
-        if dim is None:
+        if variable not in _SWEEP_VARIABLES:
             raise ConfigError(f"sweep.variable {variable!r} is not sweepable")
-        expect = None if dim == "none" else dim
+        dim, lo, hi = _SWEEP_VARIABLES[variable]
+        values = self._sweep_axis(None if dim == "none" else dim)
+        outside = [v for v in values if not lo <= v <= hi]
+        if outside:
+            raise ConfigError(f"sweep {variable} value {outside[0]:g} is outside [{lo:g}, {hi:g}]")
+        return values
+
+    def _sweep_axis(self, expect: Optional[str]) -> list[float]:
         values_text = self.text("sweep", "values")
         if values_text:
             return [
@@ -198,7 +211,7 @@ class ExperimentConfig:
             ]
         start_text = self.text("sweep", "start")
         stop_text = self.text("sweep", "stop")
-        count = int(self.number("sweep", "count"))
+        count = self.integer("sweep", "count")
         if not start_text or not stop_text or count < 1:
             raise ConfigError("sweep needs either values= or start/stop/count")
         start = parse_quantity(start_text, expect, key="sweep.start")
@@ -275,6 +288,8 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 continue
             if dim == "bool":
                 cfg.flag(sec, key)
+            elif dim == "int":
+                cfg.integer(sec, key)
             else:
                 cfg.number(sec, key)
     return cfg

@@ -84,7 +84,6 @@ class SimConfig:
     master_seed: int = 1
     near_bm: bool = False
     delta_b: float = 0.0
-    frame: str = "doubly-rotating"
     validate: bool = True
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class SimConfig:
             raise ValueError("n_trajectories must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
-        if self.frame != "doubly-rotating":
-            raise ValueError("only the doubly-rotating frame is supported")
         if self.near_bm and abs(self.delta_b) > 100e-6:
             warnings.warn(
                 f"near_bm with |delta_b| = {abs(self.delta_b):.3g} T exceeds the "

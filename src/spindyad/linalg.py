@@ -41,13 +41,11 @@ __all__ = [
     "full_operators",
     "tensor",
     "eye",
-    "is_hermitian",
     "require_hermitian",
     "expm_hermitian",
     "expectation",
     "assert_unitary",
     "assert_density_matrix",
-    "dagger",
 ]
 
 HERMITIAN_TOL = 1e-12
@@ -69,18 +67,12 @@ class SpinKind(enum.Enum):
 
     SPIN_ONE = "spin1"
     SPIN_HALF = "spin_half"
-    FICTITIOUS_HALF = "fictitious_half"
 
 
 def _frozen(a: NDArray) -> NDArray:
     a = np.ascontiguousarray(a, dtype=complex)
     a.setflags(write=False)
     return a
-
-
-def dagger(m: NDArray) -> NDArray:
-    """Conjugate transpose."""
-    return m.conj().T
 
 
 @dataclass(frozen=True)
@@ -121,8 +113,7 @@ def spin_operators(kind: SpinKind = SpinKind.SPIN_HALF) -> SpinOperators:
     """Return the operator set {Sx, Sy, Sz, S+, S-} for a spin species.
 
     The fictitious spin-1/2 (the two-level reduction of the spin-1) uses
-    the same matrices as an ordinary spin-1/2; the distinction is purely
-    semantic and kept for call-site clarity.
+    the ordinary spin-1/2 matrices.
     """
     if kind is SpinKind.SPIN_ONE:
         return _make_spin(1.0)
@@ -260,10 +251,6 @@ def full_operators() -> FullOperators:
         p_minus=_frozen(np.kron(i3, sh.minus)),
         identity=eye(6),
     )
-
-
-def is_hermitian(m: NDArray, tol: float = HERMITIAN_TOL) -> bool:
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
 
 
 def require_hermitian(m: NDArray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> None:

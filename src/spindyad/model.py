@@ -15,7 +15,7 @@ survives inside the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -142,9 +142,6 @@ class DyadParams:
                 object.__setattr__(self, "j_par", 0.0)
             if self.j_perp is None:
                 object.__setattr__(self, "j_perp", 0.0)
-
-    def with_field(self, b_field: float) -> "DyadParams":
-        return replace(self, b_field=b_field)
 
 
 def full_hamiltonian(p: DyadParams, b_field: Optional[float] = None) -> NDArray:

@@ -1,17 +1,20 @@
 """Named experiment presets: one per supported measurement protocol.
 
-Each preset turns a parsed config into engine runs and writes its
-artifacts (CSV traces, optional SVG plot, and a summary text file) into
-the output directory. The CSV files are the data contract; every file
+Each preset reads its model objects from the config once, turns them
+into engine runs and hands what to write to one artifact writer, which
+owns the output format: CSV traces and tables, an optional SVG plot and
+a summary text file. The CSV files are the data contract; every file
 starts with a '#'-prefixed echo of the resolved configuration and seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Optional
+from typing import IO, Callable, Iterator, Optional
 
 import numpy as np
 
@@ -39,7 +42,31 @@ def _snap(t: float, dt: float) -> float:
     return max(0, int(round(t / dt))) * dt
 
 
-def _build_params(cfg: ExperimentConfig) -> model.DyadParams:
+@dataclass(frozen=True)
+class _Inputs:
+    """The model objects of one preset run, read once from its config."""
+
+    params: model.DyadParams
+    noise: FluctuatorConfig
+    electric: Optional[ElectricNoiseConfig]
+    sim: SimConfig
+
+    def experiment(self, builder, times, label: str, delta_temp: float = 0.0) -> Experiment:
+        return Experiment(
+            self.params, self.noise, self.sim, builder, times,
+            electric=self.electric, delta_temp=delta_temp, label=label,
+        )
+
+
+def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
+    """Build the dyad, noise and simulation settings of ``cfg``.
+
+    Seed and trajectory count come from ``cfg.resolved``, where
+    :func:`run_preset` has applied any override. Values the model classes
+    reject (``xi = 2``, ``dt = 0 ns``, no trajectories) are config errors.
+    Noise streams get stream seed 0: the engine folds the master seed
+    into every stream.
+    """
     two_pi = 2.0 * math.pi
     kwargs = dict(
         delta=two_pi * cfg.number("params", "delta"),
@@ -52,48 +79,114 @@ def _build_params(cfg: ExperimentConfig) -> model.DyadParams:
     if cfg.has("params", "j") and cfg.has("params", "theta"):
         kwargs["j_coupling"] = cfg.number("params", "j")
         kwargs["theta"] = cfg.number("params", "theta")
-    if cfg.has("params", "j_par"):
-        kwargs["j_par"] = cfg.number("params", "j_par")
-    if cfg.has("params", "j_perp"):
-        kwargs["j_perp"] = cfg.number("params", "j_perp")
-    if cfg.has("params", "distance"):
-        kwargs["distance"] = cfg.number("params", "distance")
-    return model.DyadParams(**kwargs)
-
-
-def _build_noise(cfg: ExperimentConfig) -> FluctuatorConfig:
-    # stream seed 0: the engine folds the master seed into every stream
-    return FluctuatorConfig(
-        beta_rms=cfg.number("noise", "beta_rms"),
-        xi=cfg.number("noise", "xi"),
-        switch_rate=cfg.number("noise", "switch_rate"),
-        seed=0,
-    )
-
-
-def _build_electric(cfg: ExperimentConfig) -> Optional[ElectricNoiseConfig]:
+    for key in ("j_par", "j_perp", "distance"):
+        if cfg.has("params", key):
+            kwargs[key] = cfg.number("params", key)
+    seed = cfg.integer("sim", "seed")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"sim.seed must be in [0, 2**64), got {seed}")
     eps = cfg.number("noise", "eps_rms")
-    if eps == 0.0:
-        return None
-    return ElectricNoiseConfig(
-        eps_rms=eps, switch_rate=cfg.number("noise", "electric_rate"), seed=0
-    )
+    try:
+        return _Inputs(
+            params=model.DyadParams(**kwargs),
+            noise=FluctuatorConfig(
+                beta_rms=cfg.number("noise", "beta_rms"),
+                xi=cfg.number("noise", "xi"),
+                switch_rate=cfg.number("noise", "switch_rate"),
+                seed=0,
+            ),
+            electric=None
+            if eps == 0.0
+            else ElectricNoiseConfig(
+                eps_rms=eps, switch_rate=cfg.number("noise", "electric_rate"), seed=0
+            ),
+            sim=SimConfig(
+                n_trajectories=cfg.integer("sim", "trajectories"),
+                dt=cfg.number("sim", "dt"),
+                master_seed=seed,
+                near_bm=cfg.flag("sim", "near_bm"),
+                delta_b=cfg.number("sim", "delta_b"),
+            ),
+        )
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
-def _build_sim(cfg: ExperimentConfig, seed: int, trajectories: Optional[int]) -> SimConfig:
-    return SimConfig(
-        n_trajectories=trajectories or int(cfg.number("sim", "trajectories")),
-        dt=cfg.number("sim", "dt"),
-        master_seed=seed,
-        near_bm=cfg.flag("sim", "near_bm"),
-        delta_b=cfg.number("sim", "delta_b"),
-    )
+def _text(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+class _Writer:
+    """The one owner of the artifact format.
+
+    Files are named ``<label><suffix>`` in the output directory. Every CSV
+    and summary starts with the echo of the resolved configuration, one
+    ``# config <section.key> = <value>`` line per key in sorted order,
+    which makes each file reproducible on its own. Floats are written
+    with ``.17g``, so they read back bit-exactly.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, out: Path, label: str, plot: bool):
+        self.out = out
+        self.label = label
+        self.plots = plot
+        self.echo = "".join(f"# config {k} = {cfg.resolved[k]}\n" for k in sorted(cfg.resolved))
+
+    @contextmanager
+    def _open(self, suffix: str) -> Iterator[IO[str]]:
+        with (self.out / f"{self.label}{suffix}").open("w") as fh:
+            fh.write(self.echo)
+            yield fh
+
+    def trace(self, trace: TimeTrace, suffix: str = "", sweep_value=None, fit=None) -> None:
+        """A trace CSV in the :func:`engine.trace_to_csv` format."""
+        with self._open(f"{suffix}.csv") as fh:
+            engine.trace_to_csv(trace, fh, sweep_value=sweep_value, fit=fit)
+
+    def table(self, columns: list[str], rows, notes: Optional[dict] = None) -> Path:
+        """The preset's own ``<label>.csv``: ``# key = value`` notes, a
+        header line and one line of numbers per row."""
+        path = self.out / f"{self.label}.csv"
+        with self._open(".csv") as fh:
+            for key, value in (notes or {}).items():
+                fh.write(f"# {key} = {_text(value)}\n")
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        return path
+
+    def summary(self, items: dict) -> None:
+        """``<label>_summary.txt``: one ``key = value`` line per item."""
+        with self._open("_summary.txt") as fh:
+            for key, value in items.items():
+                fh.write(f"{key} = {_text(value)}\n")
+
+    def plot(self, xs, series, title: str, xlabel: str, ylabel: str) -> None:
+        """``<label>.svg``, unless plots are switched off."""
+        if self.plots:
+            path = self.out / f"{self.label}.svg"
+            svg.line_plot(path, xs, series, title=title, xlabel=xlabel, ylabel=ylabel)
+
+    def plot_signal(self, trace: TimeTrace, xlabel: str, time_factor: float = 1.0) -> None:
+        """The readout signal against time_factor * the trace's times, in us."""
+        xs = [time_factor * t * 1e6 for t in trace.times]
+        self.plot(xs, [("signal", trace.signal_mean)], trace.label, xlabel, "P(m_S = 0)")
+
+    def plot_lifetimes(self, points, name: str, title: str, xlabel: str, x_scale=1.0) -> None:
+        """T2 in us against the sweep value, over the points with a finite
+        T2; no plot when there are none."""
+        finite = [(x, t2) for x, t2 in points if math.isfinite(t2)]
+        if finite:
+            xs = [x * x_scale for x, _ in finite]
+            self.plot(xs, [(name, [t2 * 1e6 for _, t2 in finite])], title, xlabel, "T2 (us)")
 
 
 def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
     start = cfg.number("sweep", "tau_start")
     stop = cfg.number("sweep", "tau_stop")
-    count = int(cfg.number("sweep", "tau_count"))
+    count = cfg.integer("sweep", "tau_count")
     if count < 2 or stop <= start:
         raise ConfigError("tau grid needs tau_start < tau_stop and tau_count >= 2")
     if cfg.text("sweep", "tau_spacing") == "log":
@@ -139,29 +232,6 @@ def fit_resolved_t2(trace, time_factor: float = 1.0, weighted: bool = True) -> f
     if floor > 0 and abs(fit.amplitude) < floor:
         return math.inf
     return fit.t2
-
-
-def _write_trace(
-    path: Path,
-    trace: TimeTrace,
-    cfg: ExperimentConfig,
-    sweep_value: float | None = None,
-    fit: Optional[analysis.FitResult] = None,
-    mode: str = "w",
-) -> None:
-    with path.open(mode) as fh:
-        if mode == "w":
-            for key in sorted(cfg.resolved):
-                fh.write(f"# config {key} = {cfg.resolved[key]}\n")
-        engine.trace_to_csv(trace, fh, sweep_value=sweep_value, fit=fit)
-
-
-def _write_summary(path: Path, cfg: ExperimentConfig, items: dict) -> None:
-    with path.open("w") as fh:
-        for key in sorted(cfg.resolved):
-            fh.write(f"# config {key} = {cfg.resolved[key]}\n")
-        for k, v in items.items():
-            fh.write(f"{k} = {v}\n")
 
 
 def _echo_program_builder(
@@ -213,16 +283,27 @@ def echo_coherence_time(
     else:
         f_fast = abs(p.j_par)
     scan = 0.6 / f_fast if f_fast > 0 else 0.0
-    quiet = replace(exp.noise, beta_rms=0.0)
-    sim1 = replace(exp.sim, n_trajectories=1)
-    clean_exp = replace(exp, noise=quiet, sim=sim1, electric=None)
+    windows = [sorted({snap(t) for t in np.linspace(a, a + scan, 12)}) for a in anchors]
+    # one noise-free single-trajectory run over the delays of every window:
+    # each delay's program is propagated on its own, and a shorter noise
+    # path is a bit-exact prefix of a longer one, so a delay's signal does
+    # not depend on which other delays share the run
+    clean = engine.run(
+        replace(
+            exp,
+            noise=replace(exp.noise, beta_rms=0.0),
+            sim=replace(exp.sim, n_trajectories=1),
+            electric=None,
+            times=sorted(set().union(*windows)),
+        )
+    )
+    reference = dict(zip(clean.times.tolist(), clean.signal_mean.tolist()))
     selected: dict[float, float] = {}
-    for a in anchors:
-        cand = sorted({snap(t) for t in np.linspace(a, a + scan, 12)})
-        trace_c = engine.run(replace(clean_exp, times=cand))
-        k = int(np.argmax(np.abs(trace_c.signal_mean - 0.5)))
-        if abs(trace_c.signal_mean[k] - 0.5) >= 0.3:
-            selected[cand[k]] = float(trace_c.signal_mean[k])
+    for cand in windows:
+        signal = np.array([reference[t] for t in cand])
+        k = int(np.argmax(np.abs(signal - 0.5)))
+        if abs(signal[k] - 0.5) >= 0.3:
+            selected[cand[k]] = float(signal[k])
     times = sorted(selected)
     contrast = np.array([selected[t] for t in times])
     if len(times) < 8:
@@ -254,13 +335,20 @@ def echo_coherence_time(
     return fit.t2, env
 
 
+def _tau_zq(cfg: ExperimentConfig, inp: _Inputs) -> float:
+    """The zero-quantum conversion delay 1/(4 J_par), on the dt grid."""
+    j_par = inp.params.j_par
+    tau_zq = _snap(1.0 / (4.0 * j_par), inp.sim.dt) if j_par else 0.0
+    if tau_zq == 0.0:
+        raise ConfigError(f"{cfg.preset} needs j_par > 0 with 1/(4 j_par) of at least dt/2")
+    return tau_zq
+
+
 def _zq_program_builder(
-    cfg: ExperimentConfig,
-    tau_zq: float,
-    echo: bool,
-    theta: float,
-    j_par: float,
+    cfg: ExperimentConfig, inp: _Inputs, echo: bool, theta: float = 0.0
 ) -> Callable[[float], protocol.PulseProgram]:
+    tau_zq = _tau_zq(cfg, inp)
+    j_par = inp.params.j_par
     scope = cfg.text("sim", "noise_during")
 
     def build(tau_tilde: float) -> protocol.PulseProgram:
@@ -271,101 +359,22 @@ def _zq_program_builder(
     return build
 
 
-def _base_experiment(
-    cfg: ExperimentConfig,
-    seed: int,
-    trajectories: Optional[int],
-    builder: Callable[[float], protocol.PulseProgram],
-    times,
-    label: str,
-    delta_temp: float = 0.0,
-) -> Experiment:
-    return Experiment(
-        params=_build_params(cfg),
-        noise=_build_noise(cfg),
-        sim=_build_sim(cfg, seed, trajectories),
-        program_builder=builder,
-        times=times,
-        electric=_build_electric(cfg),
-        delta_temp=delta_temp,
-        label=label,
-    )
-
-
-# ---------------------------------------------------------------------------
-# preset implementations
-# ---------------------------------------------------------------------------
-
-
-def _preset_levels(cfg, out, label, seed, trajectories, threads, plot):
-    params = _build_params(cfg)
-    values = cfg.sweep_values() if cfg.text("sweep", "variable") == "b_field" else None
-    if values is None or len(values) < 2:
-        b_m = model.anticrossing_field(params)
-        values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
-    diagram = model.level_diagram(params, values, apply_shift=False)
-    shifted = model.level_diagram(params, values, apply_shift=True)
-    csv_path = out / f"{label}.csv"
-    with csv_path.open("w") as fh:
-        for key in sorted(cfg.resolved):
-            fh.write(f"# config {key} = {cfg.resolved[key]}\n")
-        fh.write(f"# master_seed = {seed}\n")
-        cols = [f"branch{i}_rad_s" for i in range(6)] + [f"branch{i}_shifted_rad_s" for i in range(6)]
-        fh.write("b_tesla," + ",".join(cols) + "\n")
-        for k, b in enumerate(diagram.b_values):
-            row = [f"{b:.17g}"]
-            row += [f"{v:.17g}" for v in diagram.branches[k]]
-            row += [f"{v:.17g}" for v in shifted.branches[k]]
-            fh.write(",".join(row) + "\n")
-    if plot:
-        svg.line_plot(
-            out / f"{label}.svg",
-            diagram.b_values * 1e3,
-            [(f"level {i}", shifted.branches[:, i] / (2 * math.pi * 1e9)) for i in range(6)],
-            title="Energy levels vs field (shifted)",
-            xlabel="B (mT)",
-            ylabel="E / 2pi (GHz)",
-        )
-    _write_summary(
-        out / f"{label}_summary.txt",
-        cfg,
-        {"anticrossing_field_T": f"{model.anticrossing_field(params):.17g}"},
-    )
-    return {"csv": str(csv_path)}
-
-
-def _preset_echo(cfg, out, label, seed, trajectories, threads, plot, deer_mode=False):
-    sim = _build_sim(cfg, seed, trajectories)
-    taus = _tau_grid(cfg, sim.dt)
-    exp = _base_experiment(
-        cfg, seed, trajectories, _echo_program_builder(cfg, deer_mode), taus, label
-    )
-    trace = engine.run(exp, threads=threads)
-    t2, env = echo_coherence_time(exp, tau_max=max(taus), tau_min=min(taus), threads=threads)
-    _write_trace(out / f"{label}.csv", trace, cfg)
-    _write_trace(out / f"{label}_envelope.csv", env, cfg)
-    if plot:
-        svg.line_plot(
-            out / f"{label}.svg",
-            [2 * t * 1e6 for t in trace.times],
-            [("signal", trace.signal_mean)],
-            title=trace.label,
-            xlabel="total evolution time 2 tau (us)",
-            ylabel="P(m_S = 0)",
-        )
-    summary = {"protocol": "deer" if deer_mode else "hahn_echo"}
-    if not math.isfinite(t2):
-        summary["t2"] = "no decay resolvable"
+def _zq_times(cfg: ExperimentConfig, dt: float) -> list[float]:
+    if cfg.text("sweep", "variable") == "tau_tilde" and (
+        cfg.text("sweep", "values") or cfg.text("sweep", "start")
+    ):
+        raw = cfg.sweep_values()
+        grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
     else:
-        summary["t2_s"] = f"{t2:.17g}"
-    _write_summary(out / f"{label}_summary.txt", cfg, summary)
-    return summary
+        grid = _tau_grid(cfg, dt)
+    if len(grid) < 8:
+        raise ConfigError("zero-quantum time grid needs at least 8 distinct points")
+    return grid
 
 
-def _fit_t2_of_tau_trace(trace: TimeTrace, time_factor: float = 2.0) -> float:
-    """T2 versus total evolution time (time_factor * the sweep axis);
-    inf for flat or unresolved traces (the protected-state outcome)."""
-    return fit_resolved_t2(trace, time_factor=time_factor)
+def _zq_experiment(cfg: ExperimentConfig, inp: _Inputs, label: str, echo: bool) -> Experiment:
+    builder = _zq_program_builder(cfg, inp, echo)
+    return inp.experiment(builder, _zq_times(cfg, inp.sim.dt), label)
 
 
 def half_excess_detuning(values: list[float], etas: list[float]) -> float:
@@ -393,25 +402,70 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
     return math.inf
 
 
-def _preset_field_sweep(cfg, out, label, seed, trajectories, threads, plot):
+# ---------------------------------------------------------------------------
+# preset implementations: each computes its results from the config and the
+# inputs read from it, and hands them to the writer
+# ---------------------------------------------------------------------------
+
+
+def _preset_levels(cfg, inp, w, threads):
+    params = inp.params
+    values = cfg.sweep_values() if cfg.text("sweep", "variable") == "b_field" else None
+    if values is None or len(values) < 2:
+        b_m = model.anticrossing_field(params)
+        values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
+    diagram = model.level_diagram(params, values, apply_shift=False)
+    shifted = model.level_diagram(params, values, apply_shift=True)
+    cols = [f"branch{i}_rad_s" for i in range(6)] + [f"branch{i}_shifted_rad_s" for i in range(6)]
+    csv_path = w.table(
+        ["b_tesla", *cols],
+        ((b, *diagram.branches[k], *shifted.branches[k]) for k, b in enumerate(diagram.b_values)),
+        notes={"master_seed": inp.sim.master_seed},
+    )
+    w.plot(
+        diagram.b_values * 1e3,
+        [(f"level {i}", shifted.branches[:, i] / (2 * math.pi * 1e9)) for i in range(6)],
+        "Energy levels vs field (shifted)",
+        "B (mT)",
+        "E / 2pi (GHz)",
+    )
+    w.summary({"anticrossing_field_T": model.anticrossing_field(params)})
+    return {"csv": str(csv_path)}
+
+
+def _preset_echo(cfg, inp, w, threads, deer_mode=False):
+    taus = _tau_grid(cfg, inp.sim.dt)
+    exp = inp.experiment(_echo_program_builder(cfg, deer_mode), taus, w.label)
+    trace = engine.run(exp, threads=threads)
+    t2, env = echo_coherence_time(exp, tau_max=max(taus), tau_min=min(taus), threads=threads)
+    w.trace(trace)
+    w.trace(env, "_envelope")
+    w.plot_signal(trace, "total evolution time 2 tau (us)", time_factor=2.0)
+    summary = {"protocol": "deer" if deer_mode else "hahn_echo"}
+    if not math.isfinite(t2):
+        summary["t2"] = "no decay resolvable"
+    else:
+        summary["t2_s"] = f"{t2:.17g}"
+    w.summary(summary)
+    return summary
+
+
+def _preset_field_sweep(cfg, inp, w, threads):
     if cfg.text("sweep", "variable") != "delta_b":
         raise ConfigError("field_sweep preset needs sweep.variable = delta_b")
-    sim = _build_sim(cfg, seed, trajectories)
-    taus = _tau_grid(cfg, sim.dt)
+    taus = _tau_grid(cfg, inp.sim.dt)
     values = cfg.sweep_values()
-    exp = _base_experiment(
-        cfg, seed, trajectories, _echo_program_builder(cfg, deer_mode=False), taus, label
-    )
-    if not exp.sim.near_bm:
+    if not inp.sim.near_bm:
         raise ConfigError("field_sweep expects sim.near_bm = true")
+    exp = inp.experiment(_echo_program_builder(cfg, deer_mode=False), taus, w.label)
     # far-from-anti-crossing reference: same noise, double-quantum term off
     far_exp = replace(
         exp,
         sim=replace(exp.sim, near_bm=False, delta_b=0.0),
         program_builder=protocol.hahn_echo,
-        label=label + "_far_reference",
+        label=w.label + "_far_reference",
     )
-    t2_far, far_env = echo_coherence_time(
+    t2_far, _ = echo_coherence_time(
         far_exp, tau_max=min(max(taus), 60e-6), tau_min=min(taus), threads=threads
     )
     rows = []
@@ -420,183 +474,100 @@ def _preset_field_sweep(cfg, out, label, seed, trajectories, threads, plot):
         t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus), threads=threads)
         eta = analysis.enhancement_ratio(t2, t2_far) if math.isfinite(t2) else math.inf
         rows.append((float(db), t2, eta))
-        _write_trace(out / f"{label}_db_{db * 1e6:+.3f}uT.csv", env, cfg, sweep_value=float(db))
-    csv_path = out / f"{label}.csv"
-    with csv_path.open("w") as fh:
-        for key in sorted(cfg.resolved):
-            fh.write(f"# config {key} = {cfg.resolved[key]}\n")
-        fh.write(f"# t2_far_s = {t2_far:.17g}\n")
-        fh.write("delta_b_T,t2_s,eta\n")
-        for db, t2, eta in rows:
-            fh.write(f"{db:.17g},{t2:.17g},{eta:.17g}\n")
-    if plot:
-        finite = [(db, t2) for db, t2, _ in rows if math.isfinite(t2)]
-        if finite:
-            svg.line_plot(
-                out / f"{label}.svg",
-                [v * 1e6 for v, _ in finite],
-                [("T2", [t * 1e6 for _, t in finite])],
-                title="Echo coherence time vs detuning",
-                xlabel="delta B (uT)",
-                ylabel="T2 (us)",
-            )
-    summary = {"t2_far_s": f"{t2_far:.17g}", "points": len(rows)}
+        w.trace(env, f"_db_{db * 1e6:+.3f}uT", sweep_value=float(db))
+    w.table(["delta_b_T", "t2_s", "eta"], rows, notes={"t2_far_s": t2_far})
+    w.plot_lifetimes(
+        [(db, t2) for db, t2, _ in rows],
+        "T2",
+        "Echo coherence time vs detuning",
+        "delta B (uT)",
+        x_scale=1e6,
+    )
+    summary = {"t2_far_s": t2_far, "points": len(rows)}
     try:
-        summary["half_excess_detuning_T"] = f"{half_excess_detuning([r[0] for r in rows], [r[2] for r in rows]):.17g}"
+        summary["half_excess_detuning_T"] = half_excess_detuning(
+            [r[0] for r in rows], [r[2] for r in rows]
+        )
     except ValueError:
         pass
-    _write_summary(out / f"{label}_summary.txt", cfg, summary)
+    w.summary(summary)
     return {"t2_far": t2_far, "results": rows}
 
 
-def _preset_pol_transfer(cfg, out, label, seed, trajectories, threads, plot):
-    params = _build_params(cfg)
-    sim = _build_sim(cfg, seed, trajectories)
-    if not params.j_par:
-        raise ConfigError("pol_transfer needs a nonzero j_par")
-    tau_zq = _snap(1.0 / (4.0 * params.j_par), sim.dt)
-    prog = protocol.polarization_transfer(tau_zq, params.j_par)
-    quiet = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5, seed=seed)
-    traj = sample_magnetic_trajectory(quiet, prog.total_duration, sim.dt, stream_id=0)
-    rho = engine.propagate(engine.initial_state(), prog, params, traj, sim)
+def _preset_pol_transfer(cfg, inp, w, threads):
+    tau_zq = _tau_zq(cfg, inp)
+    prog = protocol.polarization_transfer(tau_zq, inp.params.j_par)
+    quiet = FluctuatorConfig(beta_rms=0.0)
+    traj = sample_magnetic_trajectory(quiet, prog.total_duration, inp.sim.dt, stream_id=0)
+    rho = engine.propagate(engine.initial_state(), prog, inp.params, traj, inp.sim)
     target = np.zeros((4, 4), dtype=complex)
     target[2, 2] = 1.0  # |0,-1/2>
     fidelity = float(np.real(np.trace(rho @ target)))
-    _write_summary(
-        out / f"{label}_summary.txt",
-        cfg,
-        {"tau_zq_s": f"{tau_zq:.17g}", "noise_free_fidelity": f"{fidelity:.17g}"},
-    )
+    w.summary({"tau_zq_s": tau_zq, "noise_free_fidelity": fidelity})
     return {"fidelity": fidelity}
 
 
-def _zq_times(cfg: ExperimentConfig, dt: float) -> list[float]:
-    if cfg.text("sweep", "variable") == "tau_tilde" and (
-        cfg.text("sweep", "values") or cfg.text("sweep", "start")
-    ):
-        raw = cfg.sweep_values()
-        grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
-    else:
-        grid = _tau_grid(cfg, dt)
-    if len(grid) < 8:
-        raise ConfigError("zero-quantum time grid needs at least 8 distinct points")
-    return grid
-
-
-def _zq_experiment(cfg, seed, trajectories, echo, theta, label, delta_temp=0.0):
-    params = _build_params(cfg)
-    sim = _build_sim(cfg, seed, trajectories)
-    if not params.j_par:
-        raise ConfigError("zero-quantum presets need a nonzero j_par")
-    tau_zq = _snap(1.0 / (4.0 * params.j_par), sim.dt)
-    builder = _zq_program_builder(cfg, tau_zq, echo, theta, params.j_par)
-    times = _zq_times(cfg, sim.dt)
-    return _base_experiment(cfg, seed, trajectories, builder, times, label, delta_temp)
-
-
-def _preset_zq_decay(cfg, out, label, seed, trajectories, threads, plot):
-    exp = _zq_experiment(cfg, seed, trajectories, echo=True, theta=0.0, label=label)
+def _preset_zq_decay(cfg, inp, w, threads):
+    exp = _zq_experiment(cfg, inp, w.label, echo=True)
     trace = engine.run(exp, threads=threads)
     fit = _fit_or_none(trace)
-    _write_trace(out / f"{label}.csv", trace, cfg, fit=fit)
-    if plot:
-        svg.line_plot(
-            out / f"{label}.svg",
-            [2 * t * 1e6 for t in trace.times],
-            [("signal", trace.signal_mean)],
-            title=trace.label,
-            xlabel="zero-quantum evolution time 2 tau~ (us)",
-            ylabel="P(m_S = 0)",
-        )
+    w.trace(trace, fit=fit)
+    w.plot_signal(trace, "zero-quantum evolution time 2 tau~ (us)", time_factor=2.0)
     summary = {}
     if fit is None:
         summary["t2_zq"] = "no decay resolvable"
     else:
         summary["t2_zq_s"] = f"{2.0 * fit.t2:.17g}"  # trace axis is tau~, decay vs 2 tau~
         summary["stretch_n"] = f"{fit.stretch_n:.17g}"
-    _write_summary(out / f"{label}_summary.txt", cfg, summary)
+    w.summary(summary)
     return summary
 
 
-def _preset_xi_sweep(cfg, out, label, seed, trajectories, threads, plot):
+def _preset_xi_sweep(cfg, inp, w, threads):
     if cfg.text("sweep", "variable") != "xi":
         raise ConfigError("xi_sweep preset needs sweep.variable = xi")
     values = cfg.sweep_values()
-    exp = _zq_experiment(cfg, seed, trajectories, echo=True, theta=0.0, label=label)
-    results = engine.sweep("xi", values, exp, threads=threads, reduce=_fit_t2_of_tau_trace)
+    exp = _zq_experiment(cfg, inp, w.label, echo=True)
+    # the decay runs over the total evolution time 2 tau~
+    fit = partial(fit_resolved_t2, time_factor=2.0)
+    results = engine.sweep("xi", values, exp, threads=threads, reduce=fit)
     far_exp = replace(
         exp,
         program_builder=protocol.hahn_echo,
         sim=replace(exp.sim, near_bm=False),
         noise=replace(exp.noise, xi=0.0),
-        label=label + "_sq_reference",
+        label=w.label + "_sq_reference",
     )
     t2_sq, _ = echo_coherence_time(far_exp, tau_max=60e-6, threads=threads)
-    csv_path = out / f"{label}.csv"
-    with csv_path.open("w") as fh:
-        for key in sorted(cfg.resolved):
-            fh.write(f"# config {key} = {cfg.resolved[key]}\n")
-        fh.write(f"# t2_sq_reference_s = {t2_sq:.17g}\n")
-        fh.write("xi,t2_zq_s\n")
-        for r in results:
-            fh.write(f"{r.value:.17g},{r.summary:.17g}\n")
-    if plot:
-        finite = [(r.value, r.summary) for r in results if math.isfinite(r.summary)]
-        if finite:
-            svg.line_plot(
-                out / f"{label}.svg",
-                [v for v, _ in finite],
-                [("T2_ZQ", [t * 1e6 for _, t in finite])],
-                title="Zero-quantum lifetime vs noise imbalance",
-                xlabel="xi",
-                ylabel="T2 (us)",
-            )
-    _write_summary(out / f"{label}_summary.txt", cfg, {"t2_sq_reference_s": f"{t2_sq:.17g}"})
-    return {"t2_sq": t2_sq, "results": [(r.value, r.summary) for r in results]}
+    points = [(r.value, r.summary) for r in results]
+    w.table(["xi", "t2_zq_s"], points, notes={"t2_sq_reference_s": t2_sq})
+    w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs noise imbalance", "xi")
+    w.summary({"t2_sq_reference_s": t2_sq})
+    return {"t2_sq": t2_sq, "results": points}
 
 
-def _preset_electrometry(cfg, out, label, seed, trajectories, threads, plot):
+def _preset_electrometry(cfg, inp, w, threads):
     if cfg.text("sweep", "variable") != "eps_rms":
         raise ConfigError("electrometry preset needs sweep.variable = eps_rms")
     values = cfg.sweep_values()
-    exp = _zq_experiment(cfg, seed, trajectories, echo=False, theta=0.0, label=label)
+    exp = _zq_experiment(cfg, inp, w.label, echo=False)
     if exp.electric is None:
-        exp = replace(
-            exp,
-            electric=ElectricNoiseConfig(
-                eps_rms=values[0] or 1.0,
-                switch_rate=cfg.number("noise", "electric_rate"),
-                seed=seed,
-            ),
+        # the swept channel, with stream seed 0 like every other stream
+        electric = ElectricNoiseConfig(
+            eps_rms=values[0] or 1.0, switch_rate=cfg.number("noise", "electric_rate"), seed=0
         )
+        exp = replace(exp, electric=electric)
     # no inversion pulse in this variant: evolution time equals the sweep axis
-    fit_single = lambda trace: _fit_t2_of_tau_trace(trace, time_factor=1.0)
-    results = engine.sweep("eps_rms", values, exp, threads=threads, reduce=fit_single)
-    csv_path = out / f"{label}.csv"
-    with csv_path.open("w") as fh:
-        for key in sorted(cfg.resolved):
-            fh.write(f"# config {key} = {cfg.resolved[key]}\n")
-        fh.write("eps_rms_V_per_m,t2_zq_s\n")
-        for r in results:
-            fh.write(f"{r.value:.17g},{r.summary:.17g}\n")
-    if plot:
-        finite = [(r.value, r.summary) for r in results if math.isfinite(r.summary)]
-        if finite:
-            svg.line_plot(
-                out / f"{label}.svg",
-                [v for v, _ in finite],
-                [("T2_ZQ", [t * 1e6 for _, t in finite])],
-                title="Zero-quantum lifetime vs electric noise",
-                xlabel="eps_rms (V/m)",
-                ylabel="T2 (us)",
-            )
-    _write_summary(out / f"{label}_summary.txt", cfg, {"points": len(results)})
-    return {"results": [(r.value, r.summary) for r in results]}
+    results = engine.sweep("eps_rms", values, exp, threads=threads, reduce=fit_resolved_t2)
+    points = [(r.value, r.summary) for r in results]
+    w.table(["eps_rms_V_per_m", "t2_zq_s"], points)
+    w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs electric noise", "eps_rms (V/m)")
+    w.summary({"points": len(results)})
+    return {"results": points}
 
 
-def _preset_thermometry(cfg, out, label, seed, trajectories, threads, plot):
-    params = _build_params(cfg)
-    sim = _build_sim(cfg, seed, trajectories)
+def _preset_thermometry(cfg, inp, w, threads):
+    params, dt = inp.params, inp.sim.dt
     delta_temp = cfg.number("sweep", "delta_temp")
     delta_omega_true = params.ddelta_dT * delta_temp
     if cfg.has("sweep", "window"):
@@ -605,41 +576,28 @@ def _preset_thermometry(cfg, out, label, seed, trajectories, threads, plot):
         window = 0.25 / abs(delta_omega_true)
     else:
         window = 5e-6
-    times = sorted({_snap(t, sim.dt) for t in np.linspace(window / 12, window, 12)})
+    times = sorted({_snap(t, dt) for t in np.linspace(window / 12, window, 12)})
     if len(times) < 4:
         raise ConfigError("thermometry window too short for the dt grid")
-    tau_zq = _snap(1.0 / (4.0 * params.j_par), sim.dt) if params.j_par else 0.0
-    if tau_zq == 0.0:
-        raise ConfigError("thermometry needs a nonzero j_par")
-    builder = _zq_program_builder(cfg, tau_zq, echo=False, theta=math.pi / 2, j_par=params.j_par)
-    exp = _base_experiment(cfg, seed, trajectories, builder, times, label, delta_temp=delta_temp)
+    builder = _zq_program_builder(cfg, inp, echo=False, theta=math.pi / 2)
+    exp = inp.experiment(builder, times, w.label, delta_temp=delta_temp)
     trace = engine.run(exp, threads=threads)
-    _write_trace(out / f"{label}.csv", trace, cfg)
+    w.trace(trace)
     delta_omega_est = analysis.slope_frequency(trace, window)
     delta_temp_est = analysis.temperature_shift(delta_omega_est, params)
-    if plot:
-        svg.line_plot(
-            out / f"{label}.svg",
-            [t * 1e6 for t in trace.times],
-            [("signal", trace.signal_mean)],
-            title=trace.label,
-            xlabel="tau~ (us)",
-            ylabel="P(m_S = 0)",
-        )
-    _write_summary(
-        out / f"{label}_summary.txt",
-        cfg,
+    w.plot_signal(trace, "tau~ (us)")
+    w.summary(
         {
-            "delta_omega_true_rad_s": f"{delta_omega_true:.17g}",
-            "delta_omega_est_rad_s": f"{delta_omega_est:.17g}",
-            "delta_temp_true_K": f"{delta_temp:.17g}",
-            "delta_temp_est_K": f"{delta_temp_est:.17g}",
-        },
+            "delta_omega_true_rad_s": delta_omega_true,
+            "delta_omega_est_rad_s": delta_omega_est,
+            "delta_temp_true_K": delta_temp,
+            "delta_temp_est_K": delta_temp_est,
+        }
     )
     return {"delta_omega_est": delta_omega_est, "delta_temp_est": delta_temp_est}
 
 
-def _preset_custom(cfg, out, label, seed, trajectories, threads, plot):
+def _preset_custom(cfg, inp, w, threads):
     path = cfg.text("experiment", "program")
     if not path:
         raise ConfigError("custom preset needs experiment.program = <file>")
@@ -647,23 +605,18 @@ def _preset_custom(cfg, out, label, seed, trajectories, threads, plot):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read program file {path}: {exc}") from exc
-    prog = protocol.program_from_text(text, label=label)
+    prog = protocol.program_from_text(text, label=w.label)
     # the program is fixed: a single averaged point on a dummy sweep axis
-    exp = _base_experiment(cfg, seed, trajectories, lambda _t: prog, [0.0], label)
-    trace = engine.run(exp, threads=threads)
-    _write_trace(out / f"{label}.csv", trace, cfg)
-    _write_summary(
-        out / f"{label}_summary.txt",
-        cfg,
-        {"signal_mean": f"{trace.signal_mean[0]:.17g}", "signal_sem": f"{trace.signal_sem[0]:.17g}"},
-    )
+    trace = engine.run(inp.experiment(lambda _t: prog, [0.0], w.label), threads=threads)
+    w.trace(trace)
+    w.summary({"signal_mean": trace.signal_mean[0], "signal_sem": trace.signal_sem[0]})
     return {"signal": float(trace.signal_mean[0])}
 
 
 _PRESET_FUNCS = {
     "levels": _preset_levels,
     "echo": _preset_echo,
-    "deer": lambda *a, **k: _preset_echo(*a, **k, deer_mode=True),
+    "deer": partial(_preset_echo, deer_mode=True),
     "field_sweep": _preset_field_sweep,
     "pol_transfer": _preset_pol_transfer,
     "zq_decay": _preset_zq_decay,
@@ -682,13 +635,16 @@ def run_preset(
     threads: int = 1,
     plot: bool = True,
 ) -> dict:
-    """Execute a preset and write its artifacts under ``out_dir``."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    label = cfg.text("experiment", "label") or cfg.preset
-    seed = int(cfg.number("sim", "seed")) if seed is None else seed
-    cfg.resolved["sim.seed"] = str(seed)
+    """Execute a preset and write its artifacts under ``out_dir``.
+
+    ``seed`` and ``trajectories`` override the config; they are written
+    into ``cfg.resolved`` first, so the config echo records them.
+    """
+    cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:
         cfg.resolved["sim.trajectories"] = str(trajectories)
-    func = _PRESET_FUNCS[cfg.preset]
-    return func(cfg, out, label, seed, trajectories, threads, plot)
+    inp = _read_inputs(cfg)
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    writer = _Writer(cfg, out, cfg.text("experiment", "label") or cfg.preset, plot)
+    return _PRESET_FUNCS[cfg.preset](cfg, inp, writer, threads)

@@ -1,6 +1,7 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
 import numpy as np
+import pytest
 
 from spindyad.cli import EXIT_CONFIG, EXIT_OK, main
 
@@ -92,6 +93,49 @@ class TestExitCodes:
 
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "edit,flags",
+        [
+            (("trajectories = 12", "trajectories = 0"), []),
+            (("trajectories = 12", "trajectories = 10.7"), []),
+            (None, ["--trajectories", "0"]),
+            (None, ["--trajectories", "-3"]),
+            (("seed = 3", "seed = 1.5"), []),
+            (("seed = 3", "seed = -1"), []),
+            (("seed = 3", "seed = 18446744073709551616"), []),
+            (("seed = 3", "seed = 3\ndt = 0 ns"), []),
+            (("xi = 1.0", "xi = 2"), []),
+            (("tau_count = 9", "tau_count = 9.5"), []),
+            (("tau_count = 9", "tau_count = 9\ntheta = 0"), []),
+        ],
+        ids=[
+            "trajectories-0",
+            "trajectories-fraction",
+            "flag-trajectories-0",
+            "flag-trajectories-negative",
+            "seed-fraction",
+            "seed-negative",
+            "seed-2**64",
+            "dt-0",
+            "xi-2",
+            "tau_count-fraction",
+            "sweep-theta",
+        ],
+    )
+    def test_bad_value_is_2(self, tmp_path, capsys, edit, flags):
+        body = FAST_ZQ if edit is None else FAST_ZQ.replace(*edit)
+        path = write(tmp_path, body)
+        assert main(["--config", path, "--out", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config: ")
+
+    def test_seed_beyond_float_precision_is_kept(self, tmp_path):
+        path = write(tmp_path, FAST_LEVELS + "\n[sim]\nseed = 9007199254740993\n")
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out), "--no-plot"]) == EXIT_OK
+        header = (out / "levels.csv").read_text().splitlines()
+        assert "# config sim.seed = 9007199254740993" in header
+        assert "# master_seed = 9007199254740993" in header
 
     def test_levels_ok(self, tmp_path):
         import xml.etree.ElementTree as ET

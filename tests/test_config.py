@@ -115,6 +115,29 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, MINIMAL + "\n[sim]\nnear_bm = yes\n"))
         assert cfg.flag("sim", "near_bm") is True
 
+    @pytest.mark.parametrize("seed", [9007199254740993, 18446744073709551615])
+    def test_integer_keys_parse_exactly(self, tmp_path, seed):
+        # a float round trip would map these seeds onto 2**53 and 2**64
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL + f"\n[sim]\nseed = {seed}\n"))
+        assert cfg.integer("sim", "seed") == seed
+
+    @pytest.mark.parametrize(
+        "section,line",
+        [
+            ("sim", "trajectories = 10.7"),
+            ("sim", "seed = 1e3"),
+            ("sweep", "count = 2.5"),
+            ("sweep", "tau_count = 9.0"),
+        ],
+    )
+    def test_non_integer_count_is_an_error(self, tmp_path, section, line):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse_config(write_cfg(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n"))
+
+    def test_sweep_theta_is_not_a_key(self, tmp_path):
+        with pytest.raises(ConfigError, match="unknown key 'theta'"):
+            parse_config(write_cfg(tmp_path, MINIMAL + "\n[sweep]\ntheta = 0\n"))
+
 
 class TestSweepAxis:
     def test_values_list_with_units(self, tmp_path):
@@ -144,6 +167,19 @@ class TestSweepAxis:
 
     def test_unsweepable_variable(self, tmp_path):
         body = MINIMAL + "\n[sweep]\nvariable = seed\nvalues = 1\n"
+        cfg = parse_config(write_cfg(tmp_path, body))
+        with pytest.raises(ConfigError, match="not sweepable"):
+            cfg.sweep_values()
+
+    @pytest.mark.parametrize("variable,values", [("xi", "0.5, 2"), ("eps_rms", "-1 V_per_m")])
+    def test_values_outside_model_range(self, tmp_path, variable, values):
+        body = MINIMAL + f"\n[sweep]\nvariable = {variable}\nvalues = {values}\n"
+        cfg = parse_config(write_cfg(tmp_path, body))
+        with pytest.raises(ConfigError, match="outside"):
+            cfg.sweep_values()
+
+    def test_theta_is_not_a_config_sweep_variable(self, tmp_path):
+        body = MINIMAL + "\n[sweep]\nvariable = theta\nvalues = 1\n"
         cfg = parse_config(write_cfg(tmp_path, body))
         with pytest.raises(ConfigError, match="not sweepable"):
             cfg.sweep_values()

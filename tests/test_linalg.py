@@ -49,7 +49,7 @@ class TestSpinOperators:
         assert np.max(np.abs(s.x @ s.y + s.y @ s.x)) < 1e-15
 
     @pytest.mark.parametrize(
-        "kind", [SpinKind.SPIN_ONE, SpinKind.SPIN_HALF, SpinKind.FICTITIOUS_HALF]
+        "kind", [SpinKind.SPIN_ONE, SpinKind.SPIN_HALF]
     )
     def test_commutation_relations(self, kind):
         s = spin_operators(kind)

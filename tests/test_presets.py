@@ -133,6 +133,34 @@ class TestZeroQuantumPresets:
         )
         assert est == pytest.approx(2 * math.pi * 1e4, rel=0.05)
 
+    def test_electrometry_electric_stream_follows_master_seed(self, tmp_path, monkeypatch):
+        # without [noise] eps_rms the preset adds the swept electric channel
+        # itself; the engine folds the master seed into its stream seed
+        from spindyad import engine
+
+        seen = []
+        real_sample = engine.sample_electric_trajectory
+
+        def recording_sample(cfg, duration, dt, stream_id):
+            seen.append(cfg.seed)
+            return real_sample(cfg, duration, dt, stream_id)
+
+        monkeypatch.setattr(engine, "sample_electric_trajectory", recording_sample)
+        body = (
+            "schema = 1\n[experiment]\npreset = electrometry\nlabel = el\n"
+            + COMMON.format(j=50, traj=2, sim_extra="noise_during = evolution", plot="false")
+            + "\n[sweep]\nvariable = eps_rms\nvalues = 10000000 V_per_m\n"
+            + "tau_start = 1 us\ntau_stop = 40 us\ntau_count = 9\n"
+        )
+        streams = {}
+        for seed in (5, 6):
+            seen.clear()
+            code, _ = run_cfg(tmp_path, body, extra_args=["--seed", str(seed)])
+            assert code == EXIT_OK
+            streams[seed] = set(seen)
+        assert len(streams[5]) == len(streams[6]) == 1
+        assert streams[5] != streams[6]
+
     def test_zq_decay_trajectory_override(self, tmp_path):
         body = (
             "[experiment]\npreset = zq_decay\nlabel = zq\n"
@@ -175,6 +203,36 @@ class TestEchoCoherenceTime:
             t2[name], env = echo_coherence_time(exp, tau_max=40e-6)
             assert np.all(np.isfinite(env.signal_mean))
         assert t2["deer"] == pytest.approx(t2["hahn"], rel=0.25)
+
+    def test_anchor_scan_is_one_noise_free_run(self, monkeypatch):
+        from spindyad import engine
+        from spindyad.engine import Experiment, SimConfig
+        from spindyad.model import DyadParams
+        from spindyad.noise import FluctuatorConfig
+        from spindyad.presets import echo_coherence_time
+        from spindyad.protocol import Target, hahn_echo
+
+        calls = []
+        real_run = engine.run
+
+        def counting_run(exp, threads=1):
+            calls.append(exp)
+            return real_run(exp, threads=threads)
+
+        monkeypatch.setattr(engine, "run", counting_run)
+        exp = Experiment(
+            params=DyadParams(j_par=0.75e6, j_perp=0.75e6),
+            noise=FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5, seed=0),
+            sim=SimConfig(n_trajectories=4, dt=1e-8, master_seed=3, near_bm=True),
+            program_builder=lambda tau: hahn_echo(tau, target=Target.BOTH),
+            times=[0.0],
+        )
+        echo_coherence_time(exp, tau_max=20e-6)
+        assert len(calls) == 2
+        scan, noisy = calls
+        assert scan.sim.n_trajectories == 1 and scan.noise.beta_rms == 0.0
+        assert scan.electric is None and len(scan.times) > 22
+        assert noisy.sim.n_trajectories == 4 and noisy.noise.beta_rms == 1e-6
 
 
 class TestHalfExcessDetuning:

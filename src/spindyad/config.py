@@ -85,8 +85,9 @@ def parse_quantity(text: str, expect: Optional[str] = None, key: str = "") -> fl
     return value * scale
 
 
-# key registry: section -> key -> (dimension, default-as-text or None=required-by-presets)
-_SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
+# key registry: section -> key -> (dimension, default-as-text or None=required-by-presets);
+# the dimension of an enumerated key is the tuple of its allowed values
+_SCHEMA: dict[str, dict[str, tuple[str | tuple[str, ...], Optional[str]]]] = {
     "": {"schema": ("none", str(SCHEMA_VERSION))},
     "experiment": {
         "preset": ("str", None),
@@ -120,19 +121,19 @@ _SCHEMA: dict[str, dict[str, tuple[str, Optional[str]]]] = {
         "near_bm": ("bool", "false"),
         "delta_b": ("field", "0 T"),
         "shared_field": ("bool", "false"),
-        "noise_during": ("str", "all"),  # all | evolution
+        "noise_during": (("all", "evolution"), "all"),
     },
     "sweep": {
         "variable": ("str", ""),
         "start": ("raw", ""),
         "stop": ("raw", ""),
         "count": ("int", "0"),
-        "spacing": ("str", "linear"),  # linear | log
+        "spacing": (("linear", "log"), "linear"),
         "values": ("raw", ""),
         "tau_start": ("time", "1 us"),
         "tau_stop": ("time", "240 us"),
         "tau_count": ("int", "22"),
-        "tau_spacing": ("str", "log"),
+        "tau_spacing": (("linear", "log"), "log"),
         "delta_temp": ("temperature", "0 K"),
         "window": ("time", ""),
     },
@@ -282,11 +283,13 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     for sec, keys in _SCHEMA.items():
         for key, (dim, _default) in keys.items():
             full = f"{sec}.{key}"
-            if full not in resolved or resolved[full] == "":
+            value = resolved.get(full, "")
+            if isinstance(dim, tuple):
+                if value not in dim:
+                    raise ConfigError(f"key {full}: expected one of {dim}, got {value!r}")
+            elif value == "" or dim in ("str", "raw"):
                 continue
-            if dim in ("str", "raw"):
-                continue
-            if dim == "bool":
+            elif dim == "bool":
                 cfg.flag(sec, key)
             elif dim == "int":
                 cfg.integer(sec, key)

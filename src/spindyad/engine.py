@@ -1,11 +1,12 @@
 """Piecewise-constant propagation and trajectory-averaged experiments.
 
 The engine works in the doubly rotating frame resonant with both spins,
-where the static generator is the one built by
-:func:`spindyad.model.sim_frame_hamiltonian`; the only surviving terms
-are the detuning from the operating point, the sampled noise fields, the
-secular dipolar coupling and, near the level anti-crossing, the static
-double-quantum term.
+under the generator of :func:`spindyad.model.sim_frame_hamiltonian`: the
+detuning from the operating point, the sampled magnetic and axial
+electric noise fields, the thermal shift, the secular dipolar coupling
+and, near the level anti-crossing, the static double-quantum term. Its
+coefficients come from :func:`spindyad.model.frame_coefficients`, once
+per propagated program; this module only propagates.
 
 During a delay the noise is piecewise constant on the trajectory's step
 grid, so the exact propagator factorizes over constant-noise segments:
@@ -36,9 +37,10 @@ from typing import IO, Callable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from . import model
 from .analysis import FitResult
 from .linalg import assert_density_matrix, reduced_operators
-from .model import DyadParams
+from .model import DyadParams, FrameCoefficients
 from .noise import (
     ElectricNoiseConfig,
     FluctuatorConfig,
@@ -145,23 +147,18 @@ def _repump_state(rho: NDArray) -> NDArray:
 
 
 def _max_eigenfrequency(
-    params: DyadParams,
-    sim: SimConfig,
-    noise: FluctuatorConfig,
-    electric: Optional[ElectricNoiseConfig],
-    thermal_shift: float,
+    c: FrameCoefficients, noise: FluctuatorConfig, electric: Optional[ElectricNoiseConfig]
 ) -> float:
-    """Conservative bound on |eigenvalue| of the frame generator (rad/s)."""
-    sig_g, sig_l = partition(noise.xi, noise.beta_rms)
-    beta_max = _SQRT3 * (sig_g + sig_l)
-    a_max = params.gamma_e * (abs(sim.delta_b) + beta_max) + abs(thermal_shift)
-    if electric is not None:
-        a_max += abs(params.d_par) * _SQRT3 * electric.eps_rms
-    b_max = params.gamma_e * (abs(sim.delta_b) + beta_max)
-    bound = 0.5 * (a_max + b_max) + 0.5 * math.pi * abs(params.j_par)
-    if sim.near_bm:
-        bound += 2.0 * math.pi * abs(params.j_perp) * math.sqrt(2.0)
-    return bound
+    """Bound on |eigenvalue| of the frame generator over the noise support (rad/s).
+
+    Every eigenvalue is a diagonal energy a mt + b mp + j mt mp or, in the
+    double-quantum block, j/4 +- hypot((a + b)/2, g).
+    """
+    beta_max = _SQRT3 * sum(partition(noise.xi, noise.beta_rms))
+    eps_max = 0.0 if electric is None else _SQRT3 * electric.eps_rms
+    a_max = abs(c.a0) + abs(c.k_beta) * beta_max + abs(c.k_eps) * eps_max
+    b_max = abs(c.b0) + abs(c.k_beta) * beta_max
+    return 0.5 * (a_max + b_max) + 0.25 * abs(c.j) + abs(c.g)
 
 
 def _check_dt_bound(dt: float, omega_max: float) -> None:
@@ -206,85 +203,61 @@ def _dq_segment_unitaries(
     return u
 
 
-class _Propagator:
-    """Reusable per-run propagation context."""
+# diagonals of Tz, Pz and TzPz in the reduced basis
+_Z_TILDE, _Z_PRIME, _Z_ZZ = (
+    np.real(np.diag(getattr(reduced_operators(), op))) for op in ("tilde_z", "prime_z", "zz")
+)
 
-    def __init__(
-        self,
-        params: DyadParams,
-        sim: SimConfig,
-        thermal_shift: float = 0.0,
-    ):
-        ops = reduced_operators()
-        self.params = params
-        self.sim = sim
-        self.thermal_shift = thermal_shift
-        self.z_tilde = np.real(np.diag(ops.tilde_z)).copy()
-        self.z_prime = np.real(np.diag(ops.prime_z)).copy()
-        self.z_zz = np.real(np.diag(ops.zz)).copy()
-        self.jpar_w = 2.0 * math.pi * params.j_par
-        self.g_dq = 2.0 * math.pi * params.j_perp * math.sqrt(2.0) if sim.near_bm else 0.0
-        # static contributions to the Tz / Pz coefficients
-        self.a_base = params.gamma_e * sim.delta_b + thermal_shift
-        self.b_base = params.gamma_e * sim.delta_b
 
-    def delay(self, rho: NDArray, elem: Delay, traj: NoiseTrajectory, k0: int) -> tuple[NDArray, int]:
-        dt = traj.dt
-        n = int(round(elem.duration / dt))
-        if abs(n * dt - elem.duration) > 1e-6 * dt:
-            raise SimulationError(
-                f"delay {elem.duration:.6g} s is not a multiple of dt = {dt:.3g} s"
-            )
-        k1 = k0 + n
-        if k1 > traj.n_steps:
-            raise SimulationError(
-                f"noise trajectory ({traj.n_steps} steps) shorter than program "
-                f"(needs {k1})"
-            )
-        if n == 0:
-            return rho, k0
-        if elem.noisy:
-            sum_beta = traj.cumulative("beta_s")[k1] - traj.cumulative("beta_s")[k0]
-            sum_beta_p = traj.cumulative("beta_s_prime")[k1] - traj.cumulative("beta_s_prime")[k0]
-            sum_eps_z = traj.cumulative("eps_z")[k1] - traj.cumulative("eps_z")[k0]
-        else:
-            sum_beta = sum_beta_p = sum_eps_z = 0.0
-        if self.g_dq == 0.0:
-            # diagonal generator: integrate the phases over the whole delay
-            a_int = dt * (n * self.a_base) + dt * (
-                self.params.gamma_e * sum_beta - self.params.d_par * sum_eps_z
-            )
-            b_int = dt * (n * self.b_base) + dt * self.params.gamma_e * sum_beta_p
-            phases = (
-                a_int * self.z_tilde + b_int * self.z_prime + self.jpar_w * n * dt * self.z_zz
-            )
-            u_diag = np.exp(-1j * phases)
-            rho = (u_diag[:, None] * rho) * u_diag.conj()[None, :]
-            return rho, k1
-        # active double-quantum block: exponentiate per constant-noise segment
-        if elem.noisy:
-            beta = traj.beta_s[k0:k1]
-            beta_p = traj.beta_s_prime[k0:k1]
-            eps_z = traj.eps[k0:k1, 2] if traj.eps is not None else None
-            change = (np.diff(beta) != 0) | (np.diff(beta_p) != 0)
-            if eps_z is not None:
-                change |= np.diff(eps_z) != 0
-            starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-            lengths = np.diff(np.concatenate((starts, [n])))
-            a = self.a_base + self.params.gamma_e * beta[starts]
-            if eps_z is not None:
-                a = a - self.params.d_par * eps_z[starts]
-            b = self.b_base + self.params.gamma_e * beta_p[starts]
-        else:
-            a = np.array([self.a_base])
-            b = np.array([self.b_base])
-            lengths = np.array([n])
-        units = _dq_segment_unitaries(a, b, self.jpar_w, self.g_dq, lengths * dt)
-        u_total = units[0]
-        for i in range(1, units.shape[0]):
-            u_total = units[i] @ u_total
-        rho = u_total @ rho @ u_total.conj().T
+def _delay(
+    rho: NDArray, elem: Delay, traj: NoiseTrajectory, k0: int, c: FrameCoefficients
+) -> tuple[NDArray, int]:
+    dt = traj.dt
+    n = int(round(elem.duration / dt))
+    if abs(n * dt - elem.duration) > 1e-6 * dt:
+        raise SimulationError(f"delay {elem.duration:.6g} s is not a multiple of dt = {dt:.3g} s")
+    k1 = k0 + n
+    if k1 > traj.n_steps:
+        raise SimulationError(
+            f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {k1})"
+        )
+    if n == 0:
+        return rho, k0
+    if elem.noisy:
+        sum_beta = traj.cumulative("beta_s")[k1] - traj.cumulative("beta_s")[k0]
+        sum_beta_p = traj.cumulative("beta_s_prime")[k1] - traj.cumulative("beta_s_prime")[k0]
+        sum_eps_z = traj.cumulative("eps_z")[k1] - traj.cumulative("eps_z")[k0]
+    else:
+        sum_beta = sum_beta_p = sum_eps_z = 0.0
+    if c.g == 0.0:
+        # diagonal generator: integrate the phases over the whole delay
+        a_int = dt * (n * c.a0) + dt * (c.k_beta * sum_beta + c.k_eps * sum_eps_z)
+        b_int = dt * (n * c.b0) + dt * c.k_beta * sum_beta_p
+        phases = a_int * _Z_TILDE + b_int * _Z_PRIME + c.j * n * dt * _Z_ZZ
+        u_diag = np.exp(-1j * phases)
+        rho = (u_diag[:, None] * rho) * u_diag.conj()[None, :]
         return rho, k1
+    # active double-quantum block: exponentiate per constant-noise segment
+    if elem.noisy:
+        beta = traj.beta_s[k0:k1]
+        beta_p = traj.beta_s_prime[k0:k1]
+        eps_z = traj.eps[k0:k1, 2] if traj.eps is not None else None
+        change = (np.diff(beta) != 0) | (np.diff(beta_p) != 0)
+        if eps_z is not None:
+            change |= np.diff(eps_z) != 0
+        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+        lengths = np.diff(np.concatenate((starts, [n])))
+        a = c.a0 + c.k_beta * beta[starts]
+        if eps_z is not None:
+            a = a + c.k_eps * eps_z[starts]
+        b = c.b0 + c.k_beta * beta_p[starts]
+    else:
+        a, b, lengths = np.array([c.a0]), np.array([c.b0]), np.array([n])
+    units = _dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
+    u_total = units[0]
+    for i in range(1, units.shape[0]):
+        u_total = units[i] @ u_total
+    return u_total @ rho @ u_total.conj().T, k1
 
 
 def propagate(
@@ -306,12 +279,12 @@ def propagate(
     validate = sim.validate if validate is None else validate
     if validate:
         assert_density_matrix(rho0)
-    ctx = _Propagator(params, sim, thermal_shift)
+    coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     rho = np.array(rho0, dtype=complex)
     k = start_step
     for elem in program.elements:
         if isinstance(elem, Delay):
-            rho, k = ctx.delay(rho, elem, traj, k)
+            rho, k = _delay(rho, elem, traj, k, coeffs)
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
             rho = u @ rho @ u.conj().T
@@ -351,7 +324,7 @@ class Experiment:
 
     @property
     def thermal_shift(self) -> float:
-        return self.params.ddelta_dT * self.delta_temp
+        return model.thermal_shift(self.delta_temp, self.params)
 
 
 def run(exp: Experiment, threads: int = 1) -> TimeTrace:
@@ -374,10 +347,8 @@ def run(exp: Experiment, threads: int = 1) -> TimeTrace:
                 f"program {prog.label!r} duration {d:.6g} s is off the dt grid"
             )
     max_steps = max(n_steps)
-    omega_max = _max_eigenfrequency(
-        exp.params, exp.sim, exp.noise, exp.electric, exp.thermal_shift
-    )
-    _check_dt_bound(dt, omega_max)
+    coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
+    _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise, exp.electric))
     rho0 = initial_state() if exp.rho0 is None else exp.rho0
     ops = reduced_operators()
     proj0 = ops.proj_ms0
@@ -449,9 +420,6 @@ class SweepResult:
     summary: Optional[object] = None
 
 
-_SWEEPABLE = ("delta_b", "xi", "eps_rms", "tau", "tau_tilde", "theta")
-
-
 def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
     if variable == "delta_b":
         return replace(exp, sim=replace(exp.sim, delta_b=value))
@@ -463,7 +431,8 @@ def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
         return replace(exp, electric=replace(exp.electric, eps_rms=value))
     if variable in ("tau", "tau_tilde"):
         return replace(exp, times=[value])
-    raise ValueError(f"no default applier for sweep variable {variable!r}")
+    raise ValueError(f"unknown sweep variable {variable!r} without an applier; the default "
+                     "appliers cover delta_b, xi, eps_rms, tau and tau_tilde")
 
 
 def sweep(
@@ -476,13 +445,11 @@ def sweep(
 ) -> list[SweepResult]:
     """Run one experiment per sweep value.
 
-    ``variable`` is one of delta_b, xi, eps_rms, tau, tau_tilde, theta;
-    theta (and any custom variable) needs an explicit ``apply`` callable
-    since it reshapes the program family. ``reduce`` optionally maps each
-    trace to a scalar summary (e.g. a coherence-time fit).
+    ``variable`` is one of delta_b, xi, eps_rms, tau, tau_tilde, or any
+    custom variable (theta, say) with an explicit ``apply`` callable that
+    reshapes the experiment. ``reduce`` optionally maps each trace to a
+    scalar summary (e.g. a coherence-time fit).
     """
-    if variable not in _SWEEPABLE:
-        raise ValueError(f"unknown sweep variable {variable!r}; expected one of {_SWEEPABLE}")
     if apply is None:
         apply = lambda e, v: _apply_variable(e, variable, v)
     results = []

@@ -40,12 +40,15 @@ __all__ = [
     "j_perp_from_geometry",
     "full_hamiltonian",
     "reduced_hamiltonian",
+    "FrameCoefficients",
+    "frame_coefficients",
     "sim_frame_hamiltonian",
     "coupling_from_distance",
     "distance_from_coupling",
     "anticrossing_field",
     "level_diagram",
     "electric_term",
+    "thermal_shift",
     "thermal_term",
 ]
 
@@ -208,37 +211,64 @@ def reduced_hamiltonian(
     return h
 
 
+@dataclass(frozen=True)
+class FrameCoefficients:
+    """The numbers (rad/s) of the frame generator H = a Tz + b Pz + j TzPz
+    + g (T+P+ + T-P-), with a = a0 + k_beta beta + k_eps eps_z, b = b0 + k_beta beta'."""
+
+    a0: float  # static Tz coefficient: |g| dB + thermal shift
+    b0: float  # static Pz coefficient: |g| dB
+    j: float  # 2 pi J_par
+    g: float  # 2 pi J_perp sqrt(2) when near the anti-crossing, else 0
+    k_beta: float  # coupling of the noise fields beta, beta' (rad/s per tesla)
+    k_eps: float  # coupling of the axial electric field eps_z (rad/s per V/m)
+
+
+def frame_coefficients(
+    p: DyadParams, delta_b: float = 0.0, near_bm: bool = False, thermal_shift: float = 0.0
+) -> FrameCoefficients:
+    """Coefficients of :func:`sim_frame_hamiltonian`, the engine's generator."""
+    return FrameCoefficients(
+        a0=p.gamma_e * delta_b + thermal_shift,
+        b0=p.gamma_e * delta_b,
+        j=2 * math.pi * p.j_par,
+        g=2 * math.pi * p.j_perp * math.sqrt(2.0) if near_bm else 0.0,
+        k_beta=p.gamma_e,
+        k_eps=-p.d_par,
+    )
+
+
 def sim_frame_hamiltonian(
     p: DyadParams,
     delta_b: float = 0.0,
     beta: float = 0.0,
     beta_prime: float = 0.0,
     near_bm: bool = False,
+    eps_z: float = 0.0,
+    thermal_shift: float = 0.0,
 ) -> NDArray:
     """Generator used by the engine in the doubly rotating frame.
 
     In the frame resonant with both spins the large static splittings
     drop out and only the detuning from the operating point, the noise
-    fields, and the dipolar terms remain:
+    fields, the axial electric field, the thermal crystal-field shift and
+    the dipolar terms remain:
 
-    H = |g|(dB + beta) Tz + |g|(dB + beta') Pz + 2 pi J_par Tz Pz
-        [+ 2 pi J_perp sqrt(2) (T+P+ + T-P-) when near_bm]
+    H = (|g|(dB + beta) - d_par eps_z + d_omega) Tz + |g|(dB + beta') Pz
+        + 2 pi J_par Tz Pz [+ 2 pi J_perp sqrt(2) (T+P+ + T-P-) when near_bm]
 
     ``delta_b`` is the detuning from resonance (B - B_m for runs near the
-    anti-crossing, zero otherwise).
+    anti-crossing, zero otherwise) and ``thermal_shift`` is d_omega, see
+    :func:`thermal_shift`.
     """
+    c = frame_coefficients(p, delta_b, near_bm, thermal_shift)
     ops = reduced_operators()
-    h = (
-        p.gamma_e * (delta_b + beta) * ops.tilde_z
-        + p.gamma_e * (delta_b + beta_prime) * ops.prime_z
-        + 2 * math.pi * p.j_par * ops.zz
+    return (
+        (c.a0 + c.k_beta * beta + c.k_eps * eps_z) * ops.tilde_z
+        + (c.b0 + c.k_beta * beta_prime) * ops.prime_z
+        + c.j * ops.zz
+        + c.g * (ops.tilde_plus @ ops.prime_plus + ops.tilde_minus @ ops.prime_minus)
     )
-    if near_bm:
-        g = 2 * math.pi * p.j_perp * math.sqrt(2.0)
-        h = h + g * (
-            ops.tilde_plus @ ops.prime_plus + ops.tilde_minus @ ops.prime_minus
-        )
-    return h
 
 
 def coupling_from_distance(distance: float, gamma_e: float = DEFAULT_GAMMA_E) -> float:
@@ -349,19 +379,15 @@ def electric_term(eps: Sequence[float], p: DyadParams, basis: Basis = Basis.REDU
             ex * (s1.x @ s1.y + s1.y @ s1.x) + ey * (s1.x @ s1.x - s1.y @ s1.y)
         )
         return tensor(h1, eye(2))
-    ops = reduced_operators()
-    tx, ty = ops.tilde_x, ops.tilde_y
-    h = -p.d_par * ez * ops.tilde_z - 2.0 * p.d_perp * (
-        ex * (tx @ ty + ty @ tx) + ey * (tx @ tx - ty @ ty)
-    )
-    return h
+    return -p.d_par * ez * reduced_operators().tilde_z
+
+
+def thermal_shift(delta_temp: float, p: DyadParams) -> float:
+    """Thermal shift of the crystal field d_omega = (dDelta/dT) dT (rad/s)."""
+    return p.ddelta_dT * delta_temp
 
 
 def thermal_term(delta_T: float, p: DyadParams) -> NDArray:
-    """Thermal frequency shift d_omega Tz with d_omega = (dDelta/dT) dT.
-
-    Only the shift itself is returned; the static dipolar part lives in
-    :func:`sim_frame_hamiltonian`.
-    """
-    ops = reduced_operators()
-    return (p.ddelta_dT * delta_T) * ops.tilde_z
+    """Thermal frequency shift d_omega Tz; the frame generator carries it
+    as the ``thermal_shift`` of :func:`sim_frame_hamiltonian`."""
+    return thermal_shift(delta_T, p) * reduced_operators().tilde_z

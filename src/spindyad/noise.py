@@ -180,22 +180,25 @@ def _stream_rng(seed: int, stream_id: int, domain: int) -> np.random.Generator:
 
 
 def _fluctuator_channels(
-    rng: np.random.Generator, n_steps: int, p_switch: float, sigmas: NDArray
+    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, sigmas: NDArray
 ) -> NDArray:
     """Sample ``len(sigmas)`` independent hold/redraw channels.
 
     One (n_steps, 2c) uniform block is drawn row by row (step-major), so
     a longer trajectory extends a shorter one bit-exactly and channel
-    amplitudes only scale the redraw values.
+    amplitudes only scale the redraw values. When every amplitude is zero
+    the paths are zero and nothing is drawn.
     """
     c = len(sigmas)
-    u = rng.random((n_steps, 2 * c))
+    if not np.any(sigmas):
+        return np.zeros((n_steps, c))
+    u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
     switch = u[:, :c] < p_switch
     switch[0, :] = True  # stationary start: draw the initial value
     draws = (2.0 * u[:, c:] - 1.0) * (_SQRT3 * np.asarray(sigmas))[None, :]
-    steps = np.arange(n_steps)[:, None]
+    steps = np.arange(len(u))[:, None]
     hold_idx = np.maximum.accumulate(np.where(switch, steps, 0), axis=0)
-    return np.take_along_axis(draws, hold_idx, axis=0)
+    return np.take_along_axis(draws, hold_idx, axis=0)[:n_steps]
 
 
 def _check_step(switch_rate: float, dt: float) -> float:
@@ -222,9 +225,8 @@ def sample_magnetic_trajectory(
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
     sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
-    rng = _stream_rng(cfg.seed, stream_id, _DOMAIN_MAGNETIC)
-    vals = _fluctuator_channels(rng, max(n_steps, 1), p, np.array([sig_g, sig_l, sig_l]))
-    vals = vals[:n_steps]
+    sigmas = np.array([sig_g, sig_l, sig_l])
+    vals = _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, sigmas)
     beta = vals[:, 0] + vals[:, 1]
     beta_prime = vals[:, 0] + vals[:, 2]
     return NoiseTrajectory(dt=dt, beta_s=beta, beta_s_prime=beta_prime)
@@ -236,9 +238,8 @@ def sample_electric_trajectory(
     """Sample an (n_steps, 3) electric field path, one fluctuator per axis."""
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
-    rng = _stream_rng(cfg.seed, stream_id, _DOMAIN_ELECTRIC)
-    vals = _fluctuator_channels(rng, max(n_steps, 1), p, np.full(3, cfg.eps_rms))
-    return vals[:n_steps]
+    sigmas = np.full(3, cfg.eps_rms)
+    return _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas)
 
 
 def empirical_xi(traj: NoiseTrajectory) -> float:

@@ -569,7 +569,7 @@ def _preset_electrometry(cfg, inp, w, threads):
 def _preset_thermometry(cfg, inp, w, threads):
     params, dt = inp.params, inp.sim.dt
     delta_temp = cfg.number("sweep", "delta_temp")
-    delta_omega_true = params.ddelta_dT * delta_temp
+    delta_omega_true = model.thermal_shift(delta_temp, params)
     if cfg.has("sweep", "window"):
         window = cfg.number("sweep", "window")
     elif delta_omega_true != 0.0:

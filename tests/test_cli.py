@@ -108,6 +108,9 @@ class TestExitCodes:
             (("xi = 1.0", "xi = 2"), []),
             (("tau_count = 9", "tau_count = 9.5"), []),
             (("tau_count = 9", "tau_count = 9\ntheta = 0"), []),
+            (("seed = 3", "seed = 3\nnoise_during = evolutoin"), []),
+            (("tau_count = 9", "tau_count = 9\nspacing = logarithmic"), []),
+            (("tau_spacing = log", "tau_spacing = logarithmic"), []),
         ],
         ids=[
             "trajectories-0",
@@ -121,6 +124,9 @@ class TestExitCodes:
             "xi-2",
             "tau_count-fraction",
             "sweep-theta",
+            "noise_during-unknown",
+            "spacing-unknown",
+            "tau_spacing-unknown",
         ],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, edit, flags):

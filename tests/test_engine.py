@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -312,6 +313,16 @@ class TestSweep:
 
         res = sweep("theta", [0.0, math.pi / 2], exp, apply=apply)
         assert len(res) == 2
+
+    def test_custom_variable_with_applier(self):
+        exp = self._zq_experiment()
+        res = sweep(
+            "j_perp",
+            [40e3, 60e3],
+            exp,
+            apply=lambda e, v: replace(e, params=replace(e.params, j_perp=v)),
+        )
+        assert [r.trace.metadata["j_perp"] for r in res] == [40e3, 60e3]
 
 
 class TestTraceCsv:

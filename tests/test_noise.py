@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from spindyad import noise
 from spindyad.noise import (
     ElectricNoiseConfig,
     FluctuatorConfig,
@@ -203,3 +204,18 @@ class TestTrajectoryUtilities:
             FluctuatorConfig(switch_rate=0.0)
         with pytest.raises(ValueError):
             ElectricNoiseConfig(eps_rms=-1.0)
+
+
+class TestZeroAmplitude:
+    def test_zero_rms_draws_nothing(self, monkeypatch):
+        def no_stream(*args):
+            raise AssertionError("a zero-amplitude channel built a random stream")
+
+        monkeypatch.setattr(noise, "_stream_rng", no_stream)
+        traj = sample_magnetic_trajectory(FluctuatorConfig(beta_rms=0.0, xi=0.4), 3e-6, 1e-8, 5)
+        assert traj.n_steps == 300
+        assert not np.any(traj.beta_s) and not np.any(traj.beta_s_prime)
+        eps = sample_electric_trajectory(ElectricNoiseConfig(eps_rms=0.0), 3e-6, 1e-8, 5)
+        assert eps.shape == (300, 3) and not np.any(eps)
+        with pytest.raises(AssertionError, match="zero-amplitude"):
+            sample_magnetic_trajectory(FluctuatorConfig(beta_rms=1e-6), 3e-6, 1e-8, 5)

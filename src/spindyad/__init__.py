@@ -12,7 +12,7 @@ from .analysis import (
     FitError,
     FitResult,
     FlatTraceError,
-    beat_envelope,
+    coherence_time,
     enhancement_ratio,
     fit_envelope_decay,
     fit_stretched_exponential,

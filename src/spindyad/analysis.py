@@ -15,13 +15,15 @@ A trace whose total signal range stays below the resolution floor (three
 times the median standard error, or an absolute 1e-6 for deterministic
 traces) is a protected-state outcome, not a fit failure; it raises
 :class:`FlatTraceError` with the message "no decay resolvable".
+:func:`coherence_time` is the one rule that turns a fit into a lifetime,
+or into inf when the decay is not resolvable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Callable, Optional, Protocol
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,7 +35,7 @@ __all__ = [
     "FitError",
     "fit_stretched_exponential",
     "fit_envelope_decay",
-    "beat_envelope",
+    "coherence_time",
     "enhancement_ratio",
     "slope_frequency",
     "temperature_shift",
@@ -43,6 +45,10 @@ STRETCH_BOUNDS = (0.5, 3.0)
 FLAT_FLOOR = 1e-6
 _MAX_ITER = 500
 _TOL = 1e-10
+# slow-time bound of a fit, and the T2 from which a fit counts as pushed
+# to it, both in units of the observation window
+_T2_MAX = 50.0
+_T2_RESOLVED = 49.0
 
 
 class FitError(RuntimeError):
@@ -109,24 +115,59 @@ def _linear_subfit(
     return offset, amp, float(np.sum(w * resid * resid))
 
 
-def _initial_t2(t: NDArray, y: NDArray, offset: float, amp: float) -> float:
-    """First crossing of the 1/e level by linear interpolation."""
-    if amp == 0.0:
-        return float(t[-1]) / 2.0
-    target = offset + amp / math.e
-    # normalized decay from 1 toward 0 regardless of amplitude sign
-    resid = (y - offset) / amp
-    level = (target - offset) / amp  # = 1/e
-    below = np.flatnonzero(resid <= level)
+def _initial_t2(t: NDArray, y: NDArray) -> float:
+    """First crossing of the 1/e level of a decay normalized from one
+    toward zero, by linear interpolation."""
+    level = 1.0 / math.e
+    below = np.flatnonzero(y <= level)
     below = below[below > 0]
     if below.size == 0:
         return float(t[-1])
     k = int(below[0])
-    y0, y1 = resid[k - 1], resid[k]
+    y0, y1 = y[k - 1], y[k]
     if y1 == y0:
         return float(t[k])
     frac = (level - y0) / (y1 - y0)
     return float(t[k - 1] + frac * (t[k] - t[k - 1]))
+
+
+def _prepare(
+    trace: _TraceLike, decay: Callable[[NDArray], float]
+) -> tuple[NDArray, NDArray, NDArray, float]:
+    """Checks shared by both fitters; returns (t / t_last, signal, sem, t_last).
+
+    Raises :class:`FitError` for fewer than 8 points or times that do not
+    extend past zero, and :class:`FlatTraceError` when ``decay(signal)``
+    stays below the resolution floor.
+    """
+    t = np.asarray(trace.times, dtype=float)
+    y = np.asarray(trace.signal_mean, dtype=float)
+    sem = np.asarray(trace.signal_sem, dtype=float)
+    if t.size < 8:
+        raise FitError(f"need at least 8 time points, got {t.size}")
+    if decay(y) < max(3.0 * float(np.median(sem)), FLAT_FLOOR):
+        raise FlatTraceError("no decay resolvable")
+    t_scale = float(t[-1])
+    if not t_scale > 0:
+        raise FitError("times must extend past zero")
+    return t / t_scale, y, sem, t_scale
+
+
+def _minimize(objective: Callable[[NDArray], float], t2_0: float) -> tuple[float, float, bool]:
+    """Bounded simplex over (T2 / t_last, n); returns (t2, n, converged).
+
+    T2 is bounded to (1e-3 .. 50) x the observation window: a fit pushed
+    to the upper bound means "slower than resolvable here".
+    """
+    res = minimize(
+        objective,
+        x0=np.array([min(max(t2_0, 1e-3), _T2_MAX), 1.0]),
+        method="Nelder-Mead",
+        bounds=[(1e-3, _T2_MAX), STRETCH_BOUNDS],
+        options={"maxiter": _MAX_ITER, "xatol": _TOL, "fatol": _TOL},
+    )
+    t2_hat, n_hat = res.x
+    return t2_hat, n_hat, bool(res.success)
 
 
 def fit_stretched_exponential(trace: _TraceLike) -> FitResult:
@@ -137,25 +178,12 @@ def fit_stretched_exponential(trace: _TraceLike) -> FitResult:
     total signal range is below the resolution floor and
     :class:`FitError` for fewer than 8 points.
     """
-    t = np.asarray(trace.times, dtype=float)
-    y = np.asarray(trace.signal_mean, dtype=float)
-    sem = np.asarray(trace.signal_sem, dtype=float)
-    if t.size < 8:
-        raise FitError(f"need at least 8 time points, got {t.size}")
-    span = float(np.max(y) - np.min(y))
-    floor = max(3.0 * float(np.median(sem)), FLAT_FLOOR)
-    if span < floor:
-        raise FlatTraceError("no decay resolvable")
-
-    # normalize: time by the last sample, signal by its endpoint span
-    t_scale = float(t[-1])
-    if not t_scale > 0:
-        raise FitError("times must extend past zero")
-    ts = t / t_scale
+    ts, y, sem, t_scale = _prepare(trace, lambda y: float(np.max(y) - np.min(y)))
+    # normalize the signal by its endpoint span
     y_off = float(y[-1])
     y_span = float(y[0] - y[-1])
     if y_span == 0.0:
-        y_span = span if span != 0.0 else 1.0
+        y_span = float(np.max(y) - np.min(y))
     ys = (y - y_off) / y_span
     if np.all(sem > 0):
         w = (y_span / sem) ** 2
@@ -163,25 +191,13 @@ def fit_stretched_exponential(trace: _TraceLike) -> FitResult:
     else:
         w = np.ones_like(ys)
 
-    t2_0 = _initial_t2(ts, ys, 0.0, 1.0)
-    t2_0 = min(max(t2_0, 1e-3), 50.0)
-
     def objective(x: NDArray) -> float:
         t2, n = x
         basis = np.exp(-np.power(ts / t2, n))
         _, _, rss = _linear_subfit(basis, ys, w)
         return rss
 
-    # T2 bounded to (1e-3 .. 50) x the observation window: a fit pushed
-    # to the upper bound means "slower than resolvable here"
-    res = minimize(
-        objective,
-        x0=np.array([t2_0, 1.0]),
-        method="Nelder-Mead",
-        bounds=[(1e-3, 50.0), STRETCH_BOUNDS],
-        options={"maxiter": _MAX_ITER, "xatol": _TOL, "fatol": _TOL},
-    )
-    t2_hat, n_hat = res.x
+    t2_hat, n_hat, converged = _minimize(objective, _initial_t2(ts, ys))
     basis = np.exp(-np.power(ts / t2_hat, n_hat))
     off_hat, amp_hat, _ = _linear_subfit(basis, ys, w)
     resid = ys - off_hat - amp_hat * basis
@@ -191,57 +207,28 @@ def fit_stretched_exponential(trace: _TraceLike) -> FitResult:
         amplitude=float(amp_hat * y_span),
         offset=float(off_hat * y_span + y_off),
         residual_rms=float(np.sqrt(np.mean(resid**2)) * abs(y_span)),
-        converged=bool(res.success),
+        converged=converged,
     )
 
 
-def fit_envelope_decay(trace: _TraceLike, weighted: bool = False) -> FitResult:
+def fit_envelope_decay(trace: _TraceLike) -> FitResult:
     """Fit exp(-(t/T2)^n) to a normalized contrast envelope.
 
     The envelope starts at one and decays toward zero by construction,
     so amplitude and offset are pinned rather than fitted; this removes
     the degenerate scaled-power-law family that a free-amplitude
-    stretched fit slides into on flat-then-falling data. Unweighted by
-    default: envelope points carry systematic reference-tracking error
-    that per-point standard errors do not represent.
-
-    A fit driven to the slow-time bound (50x the observation window)
-    means the decay is not resolvable within the window; callers treat
-    that as a protected-state outcome.
+    stretched fit slides into on flat-then-falling data. Unweighted:
+    envelope points carry systematic reference-tracking error that
+    per-point standard errors do not represent.
     """
-    t = np.asarray(trace.times, dtype=float)
-    y = np.asarray(trace.signal_mean, dtype=float)
-    sem = np.asarray(trace.signal_sem, dtype=float)
-    if t.size < 8:
-        raise FitError(f"need at least 8 time points, got {t.size}")
-    drop = 1.0 - float(np.min(y))
-    floor = max(3.0 * float(np.median(sem)), FLAT_FLOOR)
-    if drop < floor:
-        raise FlatTraceError("no decay resolvable")
-    t_scale = float(t[-1])
-    if not t_scale > 0:
-        raise FitError("times must extend past zero")
-    ts = t / t_scale
-    if weighted and np.all(sem > 0):
-        w = (1.0 / sem) ** 2
-        w = w / np.max(w)
-    else:
-        w = np.ones_like(ts)
+    ts, y, _, t_scale = _prepare(trace, lambda y: 1.0 - float(np.min(y)))
 
     def objective(x: NDArray) -> float:
         t2, n = x
         resid = y - np.exp(-np.power(ts / t2, n))
-        return float(np.sum(w * resid * resid))
+        return float(np.sum(resid * resid))
 
-    t2_0 = min(max(_initial_t2(ts, y, 0.0, 1.0), 1e-3), 50.0)
-    res = minimize(
-        objective,
-        x0=np.array([t2_0, 1.0]),
-        method="Nelder-Mead",
-        bounds=[(1e-3, 50.0), STRETCH_BOUNDS],
-        options={"maxiter": _MAX_ITER, "xatol": _TOL, "fatol": _TOL},
-    )
-    t2_hat, n_hat = res.x
+    t2_hat, n_hat, converged = _minimize(objective, _initial_t2(ts, y))
     resid = y - np.exp(-np.power(ts / t2_hat, n_hat))
     return FitResult(
         t2=float(t2_hat * t_scale),
@@ -249,31 +236,32 @@ def fit_envelope_decay(trace: _TraceLike, weighted: bool = False) -> FitResult:
         amplitude=1.0,
         offset=0.0,
         residual_rms=float(np.sqrt(np.mean(resid**2))),
-        converged=bool(res.success),
+        converged=converged,
     )
 
 
-@dataclass(frozen=True)
-class _ArrayTrace:
-    times: NDArray
-    signal_mean: NDArray
-    signal_sem: NDArray
+def coherence_time(trace: _TraceLike, envelope: bool = False) -> tuple[float, Optional[FitResult]]:
+    """The coherence time of a trace, and the fit it was read from.
 
+    Fits with :func:`fit_envelope_decay` when ``envelope`` is set and
+    with :func:`fit_stretched_exponential` otherwise. The lifetime is
+    inf, meaning "no decay resolvable", when
 
-def beat_envelope(trace: _TraceLike, baseline: float = 0.5) -> _ArrayTrace:
-    """Rectified coherence magnitude |signal - baseline| of a trace.
-
-    Near the level anti-crossing the averaged readout oscillates at the
-    double-quantum gap on top of its decay; a stretched-exponential fit
-    of the rectified deviation tracks the decay of the beat envelope
-    instead of the beat itself. For monotone traces the transform leaves
-    the fitted coherence time unchanged, so it is safe to apply uniformly
-    when comparing protected and reference lifetimes.
+    * the trace is flat (no fit: ``(inf, None)``);
+    * the decay amplitude is below three times the median standard
+      error, a noise artifact of a nearly flat trace; or
+    * the fit ran to the slow-time bound, a decay slower than the
+      observation window resolves.
     """
-    t = np.asarray(trace.times, dtype=float)
-    y = np.abs(np.asarray(trace.signal_mean, dtype=float) - baseline)
-    sem = np.asarray(trace.signal_sem, dtype=float)
-    return _ArrayTrace(times=t, signal_mean=y, signal_sem=sem)
+    fitter = fit_envelope_decay if envelope else fit_stretched_exponential
+    try:
+        fit = fitter(trace)
+    except FlatTraceError:
+        return math.inf, None
+    amp_floor = 3.0 * float(np.median(np.asarray(trace.signal_sem, dtype=float)))
+    if abs(fit.amplitude) < amp_floor or fit.t2 >= _T2_RESOLVED * float(trace.times[-1]):
+        return math.inf, fit
+    return fit.t2, fit
 
 
 def enhancement_ratio(t2_m: float, t2_sq: float) -> float:

@@ -11,7 +11,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from .analysis import FitError, FlatTraceError
+from .analysis import FitError
 from .config import ConfigError, parse_config
 from .engine import SimulationError
 from .presets import PresetError, run_preset
@@ -63,10 +63,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FlatTraceError:
-        # protected-state outcome, reported as data rather than failure
-        print("result: no decay resolvable (protected state)", file=sys.stderr)
-        return EXIT_OK
     except FitError as exc:
         print(f"error: fit: {exc}", file=sys.stderr)
         return EXIT_FIT

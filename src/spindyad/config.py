@@ -156,11 +156,10 @@ _SWEEP_VARIABLES = {
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved configuration: raw strings by (section, key) plus
-    typed accessors. ``resolved`` echoes every default for metadata."""
+    """Fully resolved configuration: value strings by "section.key",
+    defaults included, plus typed accessors."""
 
     preset: str
-    raw: dict[str, str] = field(default_factory=dict)
     resolved: dict[str, str] = field(default_factory=dict)
 
     def text(self, section: str, key: str) -> str:
@@ -278,7 +277,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     preset = resolved["experiment.preset"].strip().lower()
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; expected one of {PRESETS}")
-    cfg = ExperimentConfig(preset=preset, raw=raw, resolved=resolved)
+    cfg = ExperimentConfig(preset=preset, resolved=resolved)
     # eager validation of every typed value so bad units fail at parse time
     for sec, keys in _SCHEMA.items():
         for key, (dim, _default) in keys.items():

@@ -86,7 +86,6 @@ class SimConfig:
     master_seed: int = 1
     near_bm: bool = False
     delta_b: float = 0.0
-    validate: bool = True
 
     def __post_init__(self):
         if self.n_trajectories < 1:
@@ -267,8 +266,7 @@ def propagate(
     traj: NoiseTrajectory,
     sim: SimConfig,
     thermal_shift: float = 0.0,
-    start_step: int = 0,
-    validate: Optional[bool] = None,
+    validate: bool = True,
 ) -> NDArray:
     """Propagate a state through a pulse program under one noise path.
 
@@ -276,12 +274,11 @@ def propagate(
     for noise-free delays but time still elapsing); rotations and repump
     events apply instantaneously between steps. Returns the final state.
     """
-    validate = sim.validate if validate is None else validate
     if validate:
         assert_density_matrix(rho0)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     rho = np.array(rho0, dtype=complex)
-    k = start_step
+    k = 0
     for elem in program.elements:
         if isinstance(elem, Delay):
             rho, k = _delay(rho, elem, traj, k, coeffs)
@@ -376,7 +373,7 @@ def run(exp: Experiment, threads: int = 1) -> TimeTrace:
                     traj,
                     exp.sim,
                     thermal_shift=exp.thermal_shift,
-                    validate=exp.sim.validate and i == 0,
+                    validate=(i == 0),
                 )
                 signals[k, i] = float(np.real(np.trace(rho @ proj0)))
         except Exception as exc:  # annotate with the failing stream

@@ -300,14 +300,11 @@ class LevelDiagram:
     """Adiabatically-continued eigenvalue branches versus field.
 
     ``branches[k, i]`` is the energy (rad/s) of branch ``i`` at
-    ``b_values[k]``. When ``shift_applied`` every branch carries an extra
-    +|g|B/2 so that, near the anti-crossing, the four branches of the
-    lower manifold are flat (see :func:`level_diagram`).
+    ``b_values[k]``.
     """
 
     b_values: NDArray
     branches: NDArray
-    shift_applied: bool
 
     def __post_init__(self):
         if self.branches.shape[0] != len(self.b_values):
@@ -353,7 +350,7 @@ def level_diagram(
         prev_vecs = vecs
     if apply_shift:
         branches = branches + 0.5 * p.gamma_e * b_values[:, None]
-    return LevelDiagram(b_values=b_values, branches=branches, shift_applied=apply_shift)
+    return LevelDiagram(b_values=b_values, branches=branches)
 
 
 def electric_term(eps: Sequence[float], p: DyadParams, basis: Basis = Basis.REDUCED4) -> NDArray:

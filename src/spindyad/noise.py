@@ -57,7 +57,6 @@ _DOMAIN_MAGNETIC = 0
 _DOMAIN_ELECTRIC = 1
 
 DEFAULT_SWITCH_RATE = 1e5  # Hz; comparable to |g| beta_rms at 1 uT
-DEFAULT_DT = 1e-8  # s
 
 
 @dataclass(frozen=True)

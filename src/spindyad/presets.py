@@ -28,7 +28,6 @@ __all__ = [
     "run_preset",
     "PresetError",
     "echo_coherence_time",
-    "fit_resolved_t2",
     "half_excess_detuning",
 ]
 
@@ -201,39 +200,6 @@ def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
     return grid
 
 
-def _fit_or_none(trace: TimeTrace) -> Optional[analysis.FitResult]:
-    try:
-        return analysis.fit_stretched_exponential(trace)
-    except analysis.FlatTraceError:
-        return None
-
-
-def fit_resolved_t2(trace, time_factor: float = 1.0, weighted: bool = True) -> float:
-    """Coherence time versus time_factor * the trace's sweep axis, with
-    unresolvable decays reported as inf.
-
-    A fit whose decay amplitude does not clear three times the median
-    standard error is a noise artifact of a nearly flat trace (the
-    protected-state signature at finite trajectory counts), not a
-    lifetime. ``weighted=False`` fits all points equally; contrast-ratio
-    envelopes need this because their per-point standard errors do not
-    include the systematic reference-tracking wobble.
-    """
-    sem = np.asarray(trace.signal_sem, dtype=float)
-    scaled = TimeTrace(
-        times=time_factor * np.asarray(trace.times, dtype=float),
-        signal_mean=trace.signal_mean,
-        signal_sem=sem if weighted else np.zeros_like(sem),
-    )
-    fit = _fit_or_none(scaled)
-    if fit is None:
-        return math.inf
-    floor = 3.0 * float(np.median(sem))
-    if floor > 0 and abs(fit.amplitude) < floor:
-        return math.inf
-    return fit.t2
-
-
 def _echo_program_builder(
     cfg: ExperimentConfig, deer_mode: bool
 ) -> Callable[[float], protocol.PulseProgram]:
@@ -265,7 +231,8 @@ def echo_coherence_time(
     decay envelope. Away from the anti-crossing the reference is flat at
     one and the procedure reduces to a plain stretched-exponential fit.
 
-    Returns (t2, envelope_trace); t2 is inf for an unresolvable decay.
+    Returns (t2, envelope_trace); t2 is inf when
+    :func:`analysis.coherence_time` finds the decay unresolvable.
     The envelope trace's time axis is the total evolution time 2 tau.
     """
     dt = exp.sim.dt
@@ -325,14 +292,8 @@ def echo_coherence_time(
         label=trace.label + " envelope",
         metadata=trace.metadata,
     )
-    try:
-        fit = analysis.fit_envelope_decay(env)
-    except analysis.FlatTraceError:
-        return math.inf, env
-    if fit.t2 >= 49.0 * float(env.times[-1]):
-        # driven to the slow-time bound: not resolvable in this window
-        return math.inf, env
-    return fit.t2, env
+    t2, _ = analysis.coherence_time(env, envelope=True)
+    return t2, env
 
 
 def _tau_zq(cfg: ExperimentConfig, inp: _Inputs) -> float:
@@ -510,7 +471,12 @@ def _preset_pol_transfer(cfg, inp, w, threads):
 def _preset_zq_decay(cfg, inp, w, threads):
     exp = _zq_experiment(cfg, inp, w.label, echo=True)
     trace = engine.run(exp, threads=threads)
-    fit = _fit_or_none(trace)
+    # the raw fit is reported as it is: at small trajectory counts its
+    # amplitude can sit below the SEM floor of analysis.coherence_time
+    try:
+        fit = analysis.fit_stretched_exponential(trace)
+    except analysis.FlatTraceError:
+        fit = None
     w.trace(trace, fit=fit)
     w.plot_signal(trace, "zero-quantum evolution time 2 tau~ (us)", time_factor=2.0)
     summary = {}
@@ -529,8 +495,9 @@ def _preset_xi_sweep(cfg, inp, w, threads):
     values = cfg.sweep_values()
     exp = _zq_experiment(cfg, inp, w.label, echo=True)
     # the decay runs over the total evolution time 2 tau~
-    fit = partial(fit_resolved_t2, time_factor=2.0)
-    results = engine.sweep("xi", values, exp, threads=threads, reduce=fit)
+    results = engine.sweep(
+        "xi", values, exp, threads=threads, reduce=lambda tr: 2.0 * analysis.coherence_time(tr)[0]
+    )
     far_exp = replace(
         exp,
         program_builder=protocol.hahn_echo,
@@ -558,7 +525,9 @@ def _preset_electrometry(cfg, inp, w, threads):
         )
         exp = replace(exp, electric=electric)
     # no inversion pulse in this variant: evolution time equals the sweep axis
-    results = engine.sweep("eps_rms", values, exp, threads=threads, reduce=fit_resolved_t2)
+    results = engine.sweep(
+        "eps_rms", values, exp, threads=threads, reduce=lambda tr: analysis.coherence_time(tr)[0]
+    )
     points = [(r.value, r.summary) for r in results]
     w.table(["eps_rms_V_per_m", "t2_zq_s"], points)
     w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs electric noise", "eps_rms (V/m)")

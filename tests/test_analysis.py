@@ -8,7 +8,7 @@ import pytest
 from spindyad.analysis import (
     FitError,
     FlatTraceError,
-    beat_envelope,
+    coherence_time,
     enhancement_ratio,
     fit_envelope_decay,
     fit_stretched_exponential,
@@ -150,21 +150,45 @@ class TestEnvelopeDecayFit:
             fit_envelope_decay(make_trace(t, np.exp(-t / 5e-6)))
 
 
-class TestBeatEnvelope:
-    def test_monotone_trace_t2_unchanged(self):
-        t = np.linspace(1e-6, 60e-6, 30)
-        y = stretched(t, 12e-6, 1.4)
-        direct = fit_stretched_exponential(make_trace(t, y))
-        env = beat_envelope(make_trace(t, y))
-        via_env = fit_stretched_exponential(env)
-        assert via_env.t2 == pytest.approx(direct.t2, rel=1e-9)
+class TestCoherenceTime:
+    def test_flat_trace_has_no_fit(self):
+        t = np.linspace(1e-6, 100e-6, 20)
+        assert coherence_time(make_trace(t, np.full(t.size, 0.75))) == (math.inf, None)
 
-    def test_rectifies_oscillation(self):
-        t = np.linspace(0, 1, 11)
-        y = 0.5 + 0.4 * np.cos(2 * np.pi * 5 * t)
-        env = beat_envelope(make_trace(t, y))
-        assert np.all(env.signal_mean >= 0)
-        assert env.signal_mean[0] == pytest.approx(0.4)
+    def test_fit_at_slow_time_bound_is_inf(self):
+        # a shallow linear slope: the free fit runs to 50x the window,
+        # which a plain fit would report as a 12.5 ms lifetime
+        t = np.geomspace(1e-6, 250e-6, 20)
+        trace = make_trace(t, 0.9 - 0.03 * t / t[-1], np.full(t.size, 1e-3))
+        t2, fit = coherence_time(trace)
+        assert t2 == math.inf
+        assert fit.t2 == 50 * t[-1]
+
+    def test_amplitude_below_sem_floor_is_inf(self):
+        # the range clears the flat floor on one outlier, the fitted
+        # decay amplitude does not clear three standard errors
+        rng = np.random.default_rng(2)
+        t = np.linspace(1e-6, 100e-6, 20)
+        y = stretched(t, 20e-6, 1.0, amp=0.01) + rng.normal(0.0, 0.01, t.size)
+        y[7] += 0.1
+        trace = make_trace(t, y, np.full(t.size, 0.01))
+        t2, fit = coherence_time(trace)
+        assert abs(fit.amplitude) < 0.03
+        assert fit.t2 < 49 * t[-1]
+        assert t2 == math.inf
+
+    def test_resolved_decay_gives_fit_t2(self):
+        t = np.linspace(1e-6, 100e-6, 30)
+        trace = make_trace(t, stretched(t, 20e-6, 1.5), np.full(t.size, 1e-3))
+        t2, fit = coherence_time(trace)
+        assert t2 == fit.t2
+        assert t2 == pytest.approx(20e-6, rel=1e-6)
+
+    def test_envelope_fit(self):
+        t = np.linspace(1e-6, 100e-6, 30)
+        t2, fit = coherence_time(make_trace(t, np.exp(-t / 25e-6)), envelope=True)
+        assert fit.amplitude == 1.0
+        assert t2 == pytest.approx(25e-6, rel=1e-6)
 
 
 class TestEnhancementRatio:

@@ -213,6 +213,13 @@ class TestArtifacts:
         assert main(["--config", path, "--out", str(out), "--no-plot"]) == EXIT_OK
         assert not (out / "levels.svg").exists()
 
+    def test_zq_decay_without_noise_reports_no_decay(self, tmp_path):
+        path = write(tmp_path, FAST_ZQ.replace("beta_rms = 1 uT", "beta_rms = 0 uT"))
+        out = tmp_path / "quiet"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_OK
+        assert "t2_zq = no decay resolvable" in (out / "zq_summary.txt").read_text()
+        assert "# fit:" not in (out / "zq.csv").read_text()
+
     def test_custom_program(self, tmp_path):
         program = tmp_path / "prog.txt"
         program.write_text(

@@ -1,6 +1,7 @@
 """Preset orchestration: artifact generation at smoke scale."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -160,6 +161,24 @@ class TestZeroQuantumPresets:
             streams[seed] = set(seen)
         assert len(streams[5]) == len(streams[6]) == 1
         assert streams[5] != streams[6]
+
+    def test_electrometry_reports_no_lifetime_at_slow_time_bound(self, tmp_path):
+        # at 8 trajectories the weakest field's fit runs to the slow-time
+        # bound, 50 x 400 us; that is an unresolved decay, not a lifetime
+        config = Path(__file__).resolve().parent.parent / "configs" / "electrometry.cfg"
+        out = tmp_path / "out"
+        argv = ["--config", str(config), "--out", str(out), "--seed", "3",
+                "--trajectories", "8", "--no-plot"]
+        assert main(argv) == EXIT_OK
+        rows = [
+            l
+            for l in (out / "electrometry.csv").read_text().splitlines()
+            if l and not l.startswith(("#", "eps_rms"))
+        ]
+        t2s = [float(r.split(",")[1]) for r in rows]
+        assert len(t2s) == 3
+        assert math.inf in t2s
+        assert not any(math.isfinite(t2) and t2 >= 49 * 400e-6 for t2 in t2s)
 
     def test_zq_decay_trajectory_override(self, tmp_path):
         body = (

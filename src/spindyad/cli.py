@@ -1,8 +1,8 @@
 """Config-driven batch experiment runner.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error,
-4 fit error. Flags override config values; the thread count affects
-wall time only, never output bytes.
+4 fit error. Flags override config values; ``--threads`` is accepted
+for existing scripts and has no effect.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--no-plot", action="store_true", help="skip SVG plot emission")
     parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads (wall time only, same output)"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for existing scripts; no effect (trajectories run as one batch)",
     )
     return parser
 

@@ -12,27 +12,32 @@ During a delay the noise is piecewise constant on the trajectory's step
 grid, so the exact propagator factorizes over constant-noise segments:
 
 * away from the anti-crossing the generator is diagonal and the whole
-  delay reduces to integrated phases, evaluated in O(1) from cached
-  prefix sums of the noise path;
+  delay reduces to integrated phases, evaluated in O(1) from prefix sums
+  of the noise path at the delay's first and end step;
 * near the anti-crossing the generator has one 2x2 block coupling the
   outer pair of states, exponentiated in closed form per segment.
 
 Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
 
+:func:`run` samples one trajectory's noise path at a time, keeps only
+those prefix sums (and, near the anti-crossing, each noisy delay's
+propagator) and drops the path; :func:`propagate` then walks each program
+once over the (trajectories, 4, 4) stack of states.
+
 Determinism: per-trajectory noise streams are keyed by the trajectory
-index, per-trajectory signals land in a preallocated array indexed the
-same way, and the mean/standard-error reduction runs over that fixed
-ordering, so results are bit-identical for any worker count.
+index, and the stack and the mean/standard-error reduction keep that
+order, so results are a pure function of the seed. The ``threads``
+argument of :func:`run`, :func:`sweep` and the presets is kept for
+existing callers and has no effect.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import IO, Callable, Optional, Sequence
+from typing import IO, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -138,9 +143,10 @@ def zq_state() -> NDArray:
 
 
 def _repump_state(rho: NDArray) -> NDArray:
-    """rho -> |0><0|_S (x) Tr_S(rho) in the reduced ordering (partner slow)."""
-    r = rho.reshape(2, 2, 2, 2)  # indices (p1, t1, p2, t2)
-    rho_p = np.einsum("iaja->ij", r)  # trace over the fictitious spin
+    """rho -> |0><0|_S (x) Tr_S(rho) in the reduced ordering (partner slow),
+    for every state of a (..., 4, 4) stack."""
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))  # indices (..., p1, t1, p2, t2)
+    rho_p = np.einsum("...iaja->...ij", r)  # trace over the fictitious spin
     proj0 = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     return np.kron(rho_p, proj0)
 
@@ -207,81 +213,181 @@ _Z_TILDE, _Z_PRIME, _Z_ZZ = (
     np.real(np.diag(getattr(reduced_operators(), op))) for op in ("tilde_z", "prime_z", "zz")
 )
 
+# The three fields of one noise path that the engine reads (beta_s,
+# beta_s', eps_z): per-step arrays, or None for a field that is zero.
+_Fields = tuple[Optional[NDArray], Optional[NDArray], Optional[NDArray]]
 
-def _delay(
-    rho: NDArray, elem: Delay, traj: NoiseTrajectory, k0: int, c: FrameCoefficients
-) -> tuple[NDArray, int]:
-    dt = traj.dt
+
+def _dagger(u: NDArray) -> NDArray:
+    return u.conj().swapaxes(-1, -2)
+
+
+def _delay_steps(elem: Delay, dt: float) -> int:
     n = int(round(elem.duration / dt))
     if abs(n * dt - elem.duration) > 1e-6 * dt:
         raise SimulationError(f"delay {elem.duration:.6g} s is not a multiple of dt = {dt:.3g} s")
-    k1 = k0 + n
-    if k1 > traj.n_steps:
-        raise SimulationError(
-            f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {k1})"
-        )
-    if n == 0:
-        return rho, k0
-    if elem.noisy:
-        sum_beta = traj.cumulative("beta_s")[k1] - traj.cumulative("beta_s")[k0]
-        sum_beta_p = traj.cumulative("beta_s_prime")[k1] - traj.cumulative("beta_s_prime")[k0]
-        sum_eps_z = traj.cumulative("eps_z")[k1] - traj.cumulative("eps_z")[k0]
-    else:
-        sum_beta = sum_beta_p = sum_eps_z = 0.0
-    if c.g == 0.0:
-        # diagonal generator: integrate the phases over the whole delay
-        a_int = dt * (n * c.a0) + dt * (c.k_beta * sum_beta + c.k_eps * sum_eps_z)
-        b_int = dt * (n * c.b0) + dt * c.k_beta * sum_beta_p
-        phases = a_int * _Z_TILDE + b_int * _Z_PRIME + c.j * n * dt * _Z_ZZ
-        u_diag = np.exp(-1j * phases)
-        rho = (u_diag[:, None] * rho) * u_diag.conj()[None, :]
-        return rho, k1
-    # active double-quantum block: exponentiate per constant-noise segment
-    if elem.noisy:
-        beta = traj.beta_s[k0:k1]
-        beta_p = traj.beta_s_prime[k0:k1]
-        eps_z = traj.eps[k0:k1, 2] if traj.eps is not None else None
-        change = (np.diff(beta) != 0) | (np.diff(beta_p) != 0)
-        if eps_z is not None:
-            change |= np.diff(eps_z) != 0
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-        lengths = np.diff(np.concatenate((starts, [n])))
-        a = c.a0 + c.k_beta * beta[starts]
-        if eps_z is not None:
-            a = a + c.k_eps * eps_z[starts]
-        b = c.b0 + c.k_beta * beta_p[starts]
-    else:
-        a, b, lengths = np.array([c.a0]), np.array([c.b0]), np.array([n])
+    return n
+
+
+def _noisy_spans(programs: Sequence[PulseProgram], dt: float) -> list[tuple[int, int]]:
+    """Sorted (first step, end step) of every nonempty noisy delay."""
+    spans = set()
+    for prog in programs:
+        k = 0
+        for elem in prog.elements:
+            if isinstance(elem, Delay):
+                n = _delay_steps(elem, dt)
+                if elem.noisy and n:
+                    spans.add((k, k + n))
+                k += n
+    return sorted(spans)
+
+
+def _dq_propagator(path: _Fields, k0: int, k1: int, c: FrameCoefficients, dt: float) -> NDArray:
+    """exp(-i H t) over steps [k0, k1) of one path with the double-quantum
+    block active: the product of its constant-noise segment unitaries."""
+    beta, beta_p, eps_z = (None if x is None else x[k0:k1] for x in path)
+    change = np.zeros(k1 - k0 - 1, dtype=bool)
+    for x in (beta, beta_p, eps_z):
+        if x is not None:
+            change |= np.diff(x) != 0
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    lengths = np.diff(np.concatenate((starts, [k1 - k0])))
+    zero = np.zeros(starts.size)
+    a = c.a0 + c.k_beta * (zero if beta is None else beta[starts])
+    if eps_z is not None:
+        a = a + c.k_eps * eps_z[starts]
+    b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p[starts])
     units = _dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
     u_total = units[0]
     for i in range(1, units.shape[0]):
         u_total = units[i] @ u_total
-    return u_total @ rho @ u_total.conj().T, k1
+    return u_total
+
+
+@dataclass(frozen=True)
+class _NoiseBatch:
+    """What the noisy delays of a set of programs read of ``n`` noise paths.
+
+    ``prefix[k]`` is the (n, 3) array of each path's field sums (beta_s,
+    beta_s', eps_z) over its first k steps, for every step k a noisy delay
+    starts or ends on. With the double-quantum block active,
+    ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of each path's propagator
+    over the noisy delay from step k0 to k1, built under ``coeffs``.
+    """
+
+    n: int
+    dt: float
+    n_steps: int
+    coeffs: FrameCoefficients
+    prefix: dict
+    blocks: dict
+
+
+def _reduce(
+    paths: Iterable[_Fields],
+    n: int,
+    n_steps: int,
+    dt: float,
+    spans: Sequence[tuple[int, int]],
+    c: FrameCoefficients,
+) -> _NoiseBatch:
+    """Reduce ``n`` noise paths of ``n_steps`` steps, one at a time, to what
+    the noisy delays ``spans`` read of them."""
+    spans = [s for s in spans if s[1] <= n_steps]
+    steps = np.array(sorted({k for s in spans for k in s}), dtype=int)
+    pos = steps > 0
+    sums = np.zeros((n, 3, steps.size))
+    blocks = {} if c.g == 0.0 else {s: np.empty((n, 4, 4), dtype=complex) for s in spans}
+    for i, path in enumerate(paths):
+        for q, x in enumerate(path):
+            if x is not None and pos.any():
+                sums[i, q, pos] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
+        for (k0, k1), u in blocks.items():
+            u[i] = _dq_propagator(path, k0, k1, c, dt)
+        del path  # no dense path outlives its reduction
+    prefix = {int(k): sums[:, :, m] for m, k in enumerate(steps)}
+    return _NoiseBatch(n, dt, n_steps, c, prefix, blocks)
+
+
+def _delay(
+    rho: NDArray, elem: Delay, batch: _NoiseBatch, k0: int, c: FrameCoefficients
+) -> tuple[NDArray, int]:
+    dt = batch.dt
+    n = _delay_steps(elem, dt)
+    k1 = k0 + n
+    if k1 > batch.n_steps:
+        raise SimulationError(
+            f"noise trajectory ({batch.n_steps} steps) shorter than program (needs {k1})"
+        )
+    if n == 0:
+        return rho, k0
+    if c.g == 0.0:
+        # diagonal generator: integrate the phases over the whole delay
+        if elem.noisy:  # each sum an (n, 1) column
+            sum_beta, sum_beta_p, sum_eps_z = (batch.prefix[k1] - batch.prefix[k0]).T[..., None]
+        else:
+            sum_beta = sum_beta_p = sum_eps_z = 0.0
+        a_int = dt * (n * c.a0) + dt * (c.k_beta * sum_beta + c.k_eps * sum_eps_z)
+        b_int = dt * (n * c.b0) + dt * c.k_beta * sum_beta_p
+        phases = a_int * _Z_TILDE + b_int * _Z_PRIME + c.j * n * dt * _Z_ZZ
+        u_diag = np.exp(-1j * phases)
+        return (u_diag[..., :, None] * rho) * u_diag.conj()[..., None, :], k1
+    # active double-quantum block: exponentiated per constant-noise segment
+    if elem.noisy:
+        u = batch.blocks[(k0, k1)]
+    else:
+        a, b = np.array([c.a0]), np.array([c.b0])
+        u = _dq_segment_unitaries(a, b, c.j, c.g, np.array([n * dt]))[0]
+    return u @ rho @ _dagger(u), k1
+
+
+def _check_invariants(rho: NDArray, elem) -> None:
+    """Unit trace and Hermiticity of every state of the stack."""
+    tr = rho.trace(axis1=-2, axis2=-1)
+    ok = (abs(tr - 1.0) <= 1e-9) & (np.abs(rho - _dagger(rho)).max(axis=(-2, -1)) <= 1e-9)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise SimulationError(
+            f"trajectory {i}: state invariants violated after element {elem!r}: trace={tr[i]}"
+        )
 
 
 def propagate(
     rho0: NDArray,
     program: PulseProgram,
     params: DyadParams,
-    traj: NoiseTrajectory,
+    traj: NoiseTrajectory | _NoiseBatch,
     sim: SimConfig,
     thermal_shift: float = 0.0,
     validate: bool = True,
 ) -> NDArray:
-    """Propagate a state through a pulse program under one noise path.
+    """Propagate a state through a pulse program under sampled noise.
 
-    Delays advance through the trajectory's step grid (noise suppressed
-    for noise-free delays but time still elapsing); rotations and repump
-    events apply instantaneously between steps. Returns the final state.
+    ``traj`` is one noise path, which gives the final 4x4 state, or the
+    batch :func:`run` reduces its trajectories to, which gives the
+    (n, 4, 4) stack of final states. Either way the program is walked once
+    over the whole stack. Delays advance through the step grid (noise
+    suppressed for noise-free delays but time still elapsing); rotations
+    and repump events apply instantaneously between steps. With
+    ``validate`` every state of the stack is checked after every element.
     """
     if validate:
         assert_density_matrix(rho0)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
-    rho = np.array(rho0, dtype=complex)
+    single = isinstance(traj, NoiseTrajectory)
+    if single:
+        path = (traj.beta_s, traj.beta_s_prime, None if traj.eps is None else traj.eps[:, 2])
+        batch = _reduce([path], 1, traj.n_steps, traj.dt, _noisy_spans([program], traj.dt), coeffs)
+    else:
+        batch = traj
+        if batch.coeffs != coeffs:
+            raise SimulationError("noise batch was reduced under other frame coefficients")
+    rho = np.repeat(np.asarray(rho0, dtype=complex)[None], batch.n, axis=0)
     k = 0
     for elem in program.elements:
         if isinstance(elem, Delay):
-            rho, k = _delay(rho, elem, traj, k, coeffs)
+            rho, k = _delay(rho, elem, batch, k, coeffs)
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
             rho = u @ rho @ u.conj().T
@@ -290,14 +396,10 @@ def propagate(
         else:
             raise SimulationError(f"unknown program element {elem!r}")
         if validate:
-            tr = complex(np.trace(rho))
-            if abs(tr - 1.0) > 1e-9 or np.max(np.abs(rho - rho.conj().T)) > 1e-9:
-                raise SimulationError(
-                    f"state invariants violated after element {elem!r}: trace={tr}"
-                )
+            _check_invariants(rho, elem)
     if validate:
         assert_density_matrix(rho)
-    return rho
+    return rho[0] if single else rho
 
 
 @dataclass(frozen=True)
@@ -324,12 +426,14 @@ class Experiment:
         return model.thermal_shift(self.delta_temp, self.params)
 
 
-def run(exp: Experiment, threads: int = 1) -> TimeTrace:
-    """Execute an experiment and average the readout over trajectories.
+def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
+    """The sweep times and the readout of every trajectory at each of them,
+    shaped (times, trajectories).
 
-    The readout observable is the fractional population of m_S = 0,
-    Tr(rho P0). The reported uncertainty is the standard error of the
-    per-trajectory signals (zero for a single trajectory).
+    Trajectory i's noise path is sampled from stream i, reduced at once to
+    what the programs' noisy delays read of it, and dropped; a field with
+    zero amplitude is not sampled. Each program is then walked once over
+    the stack of all trajectories.
     """
     times = np.asarray(list(exp.times), dtype=float)
     if times.size == 0:
@@ -347,46 +451,45 @@ def run(exp: Experiment, threads: int = 1) -> TimeTrace:
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
     _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise, exp.electric))
     rho0 = initial_state() if exp.rho0 is None else exp.rho0
-    ops = reduced_operators()
-    proj0 = ops.proj_ms0
     n_traj = exp.sim.n_trajectories
-    noise_cfg = replace(exp.noise, seed=exp.noise.seed ^ exp.sim.master_seed)
-    electric_cfg = (
-        None
-        if exp.electric is None
-        else replace(exp.electric, seed=exp.electric.seed ^ exp.sim.master_seed)
-    )
-    signals = np.empty((times.size, n_traj))
+    magnetic = replace(exp.noise, seed=exp.noise.seed ^ exp.sim.master_seed)
+    electric = exp.electric
+    if electric is not None:
+        electric = replace(electric, seed=electric.seed ^ exp.sim.master_seed)
 
-    def worker(i: int) -> None:
-        try:
-            traj = sample_magnetic_trajectory(noise_cfg, max_steps * dt, dt, stream_id=i)
-            if electric_cfg is not None:
-                traj.eps = sample_electric_trajectory(
-                    electric_cfg, max_steps * dt, dt, stream_id=i
-                )
-            for k, prog in enumerate(programs):
-                rho = propagate(
-                    rho0,
-                    prog,
-                    exp.params,
-                    traj,
-                    exp.sim,
-                    thermal_shift=exp.thermal_shift,
-                    validate=(i == 0),
-                )
-                signals[k, i] = float(np.real(np.trace(rho @ proj0)))
-        except Exception as exc:  # annotate with the failing stream
-            raise SimulationError(f"trajectory {i}: {exc}") from exc
+    def fields(i: int) -> _Fields:
+        beta = beta_p = eps_z = None
+        if magnetic.beta_rms > 0:
+            traj = sample_magnetic_trajectory(magnetic, max_steps * dt, dt, stream_id=i)
+            beta, beta_p = traj.beta_s, traj.beta_s_prime
+        if electric is not None and electric.eps_rms > 0:
+            eps_z = sample_electric_trajectory(electric, max_steps * dt, dt, stream_id=i)[:, 2]
+        return beta, beta_p, eps_z
 
-    if threads <= 1:
-        for i in range(n_traj):
-            worker(i)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # consume results to surface worker exceptions
-            list(pool.map(worker, range(n_traj)))
+    try:
+        paths = (fields(i) for i in range(n_traj))
+        batch = _reduce(paths, n_traj, max_steps, dt, _noisy_spans(programs, dt), coeffs)
+        signals = np.empty((times.size, n_traj))
+        proj0 = reduced_operators().proj_ms0
+        for k, prog in enumerate(programs):
+            rho = propagate(rho0, prog, exp.params, batch, exp.sim, thermal_shift=exp.thermal_shift)
+            signals[k] = np.real(np.trace(rho @ proj0, axis1=-2, axis2=-1))
+    except (ValueError, AssertionError) as exc:  # an under-resolved switch rate, a bad state
+        raise SimulationError(str(exc)) from exc
+    return times, signals
 
+
+def run(exp: Experiment, threads: int = 1) -> TimeTrace:
+    """Execute an experiment and average the readout over trajectories.
+
+    The readout observable is the fractional population of m_S = 0,
+    Tr(rho P0). The reported uncertainty is the standard error of the
+    per-trajectory signals (zero for a single trajectory). ``threads`` is
+    accepted for existing callers and has no effect: all trajectories run
+    as one batch.
+    """
+    times, signals = _signals(exp)
+    n_traj = exp.sim.n_trajectories
     mean = signals.mean(axis=1)
     if n_traj > 1:
         sem = signals.std(axis=1, ddof=1) / math.sqrt(n_traj)
@@ -396,7 +499,7 @@ def run(exp: Experiment, threads: int = 1) -> TimeTrace:
         "label": exp.label,
         "master_seed": exp.sim.master_seed,
         "n_trajectories": n_traj,
-        "dt": dt,
+        "dt": exp.sim.dt,
         "near_bm": exp.sim.near_bm,
         "delta_b": exp.sim.delta_b,
         "beta_rms": exp.noise.beta_rms,

@@ -303,13 +303,21 @@ def assert_density_matrix(
     trace_tol: float = DENSITY_TRACE_TOL,
     psd_tol: float = DENSITY_PSD_TOL,
 ) -> None:
-    """Check Hermiticity, unit trace, and positive semidefiniteness."""
-    dev = float(np.max(np.abs(rho - rho.conj().T)))
-    if dev > herm_tol:
-        raise AssertionError(f"density matrix not Hermitian: {dev:.3e}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise AssertionError(f"density matrix trace {tr} deviates from 1")
-    lo = float(np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)))
-    if lo < -psd_tol:
-        raise AssertionError(f"density matrix has negative eigenvalue {lo:.3e}")
+    """Check Hermiticity, unit trace, and positive semidefiniteness of a
+    density matrix or of every matrix of a (..., n, n) stack, whose first
+    failing entry the error names. NaN entries fail."""
+    rho = np.asarray(rho)
+    dag = np.swapaxes(rho.conj(), -1, -2)
+    dev = np.abs(rho - dag).max(axis=(-2, -1))
+    _require(dev <= herm_tol, dev, "not Hermitian: {:.3e}")
+    tr = rho.trace(axis1=-2, axis2=-1)
+    _require(abs(tr - 1.0) <= trace_tol, tr, "trace {} deviates from 1")
+    lo = np.linalg.eigvalsh((rho + dag) / 2).min(axis=-1)
+    _require(lo >= -psd_tol, lo, "has negative eigenvalue {:.3e}")
+
+
+def _require(ok: NDArray, values: NDArray, what: str) -> None:
+    if not ok.all():
+        i = np.unravel_index(np.argmin(ok), np.shape(ok))
+        where = "".join(f"[{int(k)}]" for k in i)
+        raise AssertionError(f"density matrix{where} {what.format(values[i])}")

@@ -32,7 +32,7 @@ one with the same key (draws are consumed strictly in step order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Optional
 
 import numpy as np
@@ -106,15 +106,13 @@ class NoiseTrajectory:
 
     ``beta_s`` and ``beta_s_prime`` are per-step fields (tesla) at the
     two spin sites; ``eps`` is an optional (n_steps, 3) array of electric
-    field samples (V/m). Cumulative sums are cached lazily so the engine
-    can integrate diagonal phases over any step range in O(1).
+    field samples (V/m).
     """
 
     dt: float
     beta_s: NDArray
     beta_s_prime: NDArray
     eps: Optional[NDArray] = None
-    _cum: dict = field(default_factory=dict, repr=False)
 
     @property
     def n_steps(self) -> int:
@@ -129,19 +127,6 @@ class NoiseTrajectory:
             raise ValueError("beta_s and beta_s_prime must have equal length")
         if self.eps is not None and self.eps.shape != (self.n_steps, 3):
             raise ValueError(f"eps must have shape ({self.n_steps}, 3)")
-
-    def cumulative(self, key: str) -> NDArray:
-        """Prefix sums with a leading zero: cumulative('beta_s')[k] is the
-        sum of the first k samples."""
-        cached = self._cum.get(key)
-        if cached is None:
-            if key == "eps_z":
-                src = self.eps[:, 2] if self.eps is not None else np.zeros(self.n_steps)
-            else:
-                src = getattr(self, key)
-            cached = np.concatenate(([0.0], np.cumsum(src)))
-            self._cum[key] = cached
-        return cached
 
     def refined(self, factor: int) -> "NoiseTrajectory":
         """Same physical noise path represented on a grid dt/factor.
@@ -185,19 +170,23 @@ def _fluctuator_channels(
 
     One (n_steps, 2c) uniform block is drawn row by row (step-major), so
     a longer trajectory extends a shorter one bit-exactly and channel
-    amplitudes only scale the redraw values. When every amplitude is zero
-    the paths are zero and nothing is drawn.
+    amplitudes only scale the redraw values. Channel j redraws at step 0
+    (stationary start) and at every later step where column j is below
+    ``p_switch``, taking its value from column c + j, and holds it until
+    the next redraw. When every amplitude is zero the paths are zero and
+    nothing is drawn.
     """
     c = len(sigmas)
     if not np.any(sigmas):
         return np.zeros((n_steps, c))
     u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
-    switch = u[:, :c] < p_switch
-    switch[0, :] = True  # stationary start: draw the initial value
-    draws = (2.0 * u[:, c:] - 1.0) * (_SQRT3 * np.asarray(sigmas))[None, :]
-    steps = np.arange(len(u))[:, None]
-    hold_idx = np.maximum.accumulate(np.where(switch, steps, 0), axis=0)
-    return np.take_along_axis(draws, hold_idx, axis=0)[:n_steps]
+    amp = _SQRT3 * np.asarray(sigmas)
+    paths = np.empty((c, n_steps))
+    for j in range(c):
+        starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
+        held = np.diff(starts, append=n_steps)
+        paths[j] = np.repeat((2.0 * u[starts, c + j] - 1.0) * amp[j], held)
+    return paths.T
 
 
 def _check_step(switch_rate: float, dt: float) -> float:

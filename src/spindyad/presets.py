@@ -608,6 +608,7 @@ def run_preset(
 
     ``seed`` and ``trajectories`` override the config; they are written
     into ``cfg.resolved`` first, so the config echo records them.
+    ``threads`` reaches :func:`engine.run`, where it has no effect.
     """
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:

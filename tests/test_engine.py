@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from spindyad import engine, model
 from spindyad.analysis import FitResult
 from spindyad.engine import (
     Experiment,
@@ -169,6 +170,47 @@ class TestRun:
         exp = self._experiment(noise=noise, n_traj=1)
         with pytest.raises(SimulationError, match="eigenfrequency"):
             run(exp)
+
+    def test_zero_amplitude_samples_nothing(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("a zero-amplitude channel was sampled")
+
+        monkeypatch.setattr(engine, "sample_magnetic_trajectory", no_sampling)
+        monkeypatch.setattr(engine, "sample_electric_trajectory", no_sampling)
+        quiet_electric = ElectricNoiseConfig(eps_rms=0.0, switch_rate=1e5, seed=0)
+        for near_bm in (False, True):
+            exp = self._experiment(noise=QUIET, n_traj=3, electric=quiet_electric)
+            _, signals = engine._signals(replace(exp, sim=replace(exp.sim, near_bm=near_bm)))
+            assert np.all(signals == signals[:, :1])
+        with pytest.raises(SimulationError, match="zero-amplitude"):
+            run(self._experiment(n_traj=3))
+
+    def test_one_propagate_call_per_program(self, monkeypatch):
+        calls = []
+        real = engine.propagate
+
+        def counting(rho0, program, *args, **kwargs):
+            rho = real(rho0, program, *args, **kwargs)
+            calls.append(rho.shape)
+            return rho
+
+        monkeypatch.setattr(engine, "propagate", counting)
+        run(self._experiment(n_traj=20))
+        assert calls == [(20, 4, 4)] * 3
+
+    @pytest.mark.parametrize("near_bm", [False, True])
+    def test_walk_checks_every_trajectory(self, near_bm):
+        sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
+        prog = PulseProgram((Delay(100 * DT),))
+        coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
+        spans = engine._noisy_spans([prog], DT)
+        batch = engine._reduce([(None, None, None)] * 5, 5, 100, DT, spans, coeffs)
+        if near_bm:
+            batch.blocks[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
+        else:
+            batch.prefix[100][3, 0] = np.nan  # a NaN field sum for trajectory 3
+        with pytest.raises(SimulationError, match="trajectory 3: state invariants"):
+            propagate(initial_state(), prog, PARAMS, batch, sim)
 
     def test_metadata_echoes_settings(self):
         exp = self._experiment(n_traj=4)

@@ -142,6 +142,20 @@ class TestExpmHermitian:
         u = expm_hermitian(h, rng.uniform(0, 1e-3))
         assert_density_matrix(u @ rho @ u.conj().T)
 
+    def test_stack_names_its_first_bad_entry(self):
+        stack = np.repeat(np.eye(4, dtype=complex)[None] / 4.0, 6, axis=0)
+        assert_density_matrix(stack)
+        stack[3, 0, 1] = 0.1  # only entry 3 is not Hermitian
+        with pytest.raises(AssertionError, match=r"density matrix\[3\] not Hermitian"):
+            assert_density_matrix(stack)
+        stack[3, 0, 1] = 0.0
+        stack[4] *= 2.0
+        stack[5, 0, 0] = np.nan
+        with pytest.raises(AssertionError, match=r"density matrix\[5\] not Hermitian: nan"):
+            assert_density_matrix(stack)
+        with pytest.raises(AssertionError, match=r"density matrix\[4\] trace"):
+            assert_density_matrix(stack[:5])
+
 
 class TestExpectation:
     def test_maximally_mixed_tilde_z(self):

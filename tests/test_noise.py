@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindyad import noise
 from spindyad.noise import (
@@ -186,15 +188,6 @@ class TestTrajectoryUtilities:
         assert np.array_equal(fine.beta_s[::4], traj.beta_s)
         assert np.array_equal(fine.beta_s[1::4], traj.beta_s)
 
-    def test_cumulative_prefix_sums(self):
-        traj = NoiseTrajectory(
-            dt=1e-8,
-            beta_s=np.array([1.0, 2.0, 3.0]),
-            beta_s_prime=np.zeros(3),
-        )
-        cum = traj.cumulative("beta_s")
-        assert np.allclose(cum, [0.0, 1.0, 3.0, 6.0])
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FluctuatorConfig(beta_rms=-1e-6)
@@ -219,3 +212,35 @@ class TestZeroAmplitude:
         assert eps.shape == (300, 3) and not np.any(eps)
         with pytest.raises(AssertionError, match="zero-amplitude"):
             sample_magnetic_trajectory(FluctuatorConfig(beta_rms=1e-6), 3e-6, 1e-8, 5)
+
+
+def frozen_fluctuator_channels(seed, stream_id, domain, n_steps, p_switch, sigmas):
+    """The hold/redraw sampler as first written (strided maximum.accumulate
+    and take_along_axis), kept verbatim to pin the random stream."""
+    c = len(sigmas)
+    if not np.any(sigmas):
+        return np.zeros((n_steps, c))
+    u = noise._stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
+    switch = u[:, :c] < p_switch
+    switch[0, :] = True  # stationary start: draw the initial value
+    draws = (2.0 * u[:, c:] - 1.0) * (math.sqrt(3.0) * np.asarray(sigmas))[None, :]
+    steps = np.arange(len(u))[:, None]
+    hold_idx = np.maximum.accumulate(np.where(switch, steps, 0), axis=0)
+    return np.take_along_axis(draws, hold_idx, axis=0)[:n_steps]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**63),
+    domain=st.sampled_from([0, 1]),
+    n_steps=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)),
+    p_switch=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    sigmas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), min_size=1, max_size=6),
+)
+def test_sampler_keeps_the_frozen_stream(seed, stream_id, domain, n_steps, p_switch, sigmas):
+    sigmas = np.array(sigmas)
+    new = noise._fluctuator_channels(seed, stream_id, domain, n_steps, p_switch, sigmas)
+    old = frozen_fluctuator_channels(seed, stream_id, domain, n_steps, p_switch, sigmas)
+    assert new.shape == old.shape == (n_steps, sigmas.size)
+    assert np.array_equal(new, old)

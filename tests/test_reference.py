@@ -10,17 +10,36 @@ paths rather than the engine against itself.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spindyad import engine
 from spindyad.engine import Experiment, SimConfig, _max_eigenfrequency, propagate, run
-from spindyad.linalg import expm_hermitian
+from spindyad.linalg import expm_hermitian, reduced_operators
 from spindyad.model import DyadParams, frame_coefficients, sim_frame_hamiltonian
-from spindyad.noise import ElectricNoiseConfig, FluctuatorConfig, NoiseTrajectory, partition
-from spindyad.protocol import Axis, Delay, PulseProgram, Repump, Rotation, Target, rotation_unitary
+from spindyad.noise import (
+    ElectricNoiseConfig,
+    FluctuatorConfig,
+    NoiseTrajectory,
+    partition,
+    sample_electric_trajectory,
+    sample_magnetic_trajectory,
+)
+from spindyad.protocol import (
+    Axis,
+    Delay,
+    PulseProgram,
+    Repump,
+    Rotation,
+    Target,
+    hahn_echo,
+    rotation_unitary,
+    zq_chain,
+)
 
 DT = 5e-8
 SQRT3 = math.sqrt(3.0)
@@ -174,3 +193,58 @@ def test_quasi_static_free_induction_decay(xi):
     expected = 0.5 * (1.0 - sinc(sig_g) * sinc(sig_l))
     z = (trace.signal_mean - expected) / trace.signal_sem
     assert np.max(np.abs(z)) <= 4.0
+
+
+def resampled_signals(exp):
+    """Per-trajectory readout from ``propagate`` on each trajectory's own
+    noise path, sampled again from the streams ``run`` keys it to."""
+    programs = [exp.program_builder(t) for t in exp.times]
+    dt = exp.sim.dt
+    duration = max(int(round(p.total_duration / dt)) for p in programs) * dt
+    magnetic = replace(exp.noise, seed=exp.noise.seed ^ exp.sim.master_seed)
+    electric = replace(exp.electric, seed=exp.electric.seed ^ exp.sim.master_seed)
+    proj0 = reduced_operators().proj_ms0
+    out = np.empty((len(programs), exp.sim.n_trajectories))
+    for i in range(exp.sim.n_trajectories):
+        traj = sample_magnetic_trajectory(magnetic, duration, dt, i)
+        traj.eps = sample_electric_trajectory(electric, duration, dt, i)
+        for k, prog in enumerate(programs):
+            rho = propagate(
+                engine.initial_state(), prog, exp.params, traj, exp.sim, thermal_shift=exp.thermal_shift
+            )
+            out[k, i] = np.real(np.trace(rho @ proj0))
+    return out
+
+
+@pytest.mark.parametrize("near_bm", [False, True])
+def test_run_is_propagate_per_trajectory(near_bm):
+    """``run`` walks all trajectories as one stack; its per-trajectory
+    signals equal ``propagate`` on each trajectory's own path, the unit the
+    reference test checks. Bit for bit on the diagonal path; the
+    double-quantum path multiplies the same matrices in a stack."""
+    j_par = 0.75e6 if near_bm else 50e3
+    params = DyadParams(j_par=j_par, j_perp=j_par)
+    if near_bm:
+        builder = lambda t: hahn_echo(t, Target.BOTH)
+        times = [1e-6, 2.5e-6, 4e-6]
+    else:
+        tau_zq = round(1.0 / (4 * j_par) / 1e-8) * 1e-8
+        builder = lambda t: zq_chain(tau_zq, t, echo=True, j_par=j_par)
+        times = [1e-6, 3e-6, 8e-6]
+    exp = Experiment(
+        params,
+        FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=2e5, seed=3),
+        SimConfig(n_trajectories=6, dt=1e-8, master_seed=11, near_bm=near_bm, delta_b=2e-6),
+        builder,
+        times,
+        electric=ElectricNoiseConfig(eps_rms=3e6, switch_rate=2e5, seed=4),
+        delta_temp=0.0 if near_bm else 0.5,
+    )
+    _, batched = engine._signals(exp)
+    single = resampled_signals(exp)
+    if near_bm:
+        assert np.max(np.abs(batched - single)) <= 1e-14
+    else:
+        assert exp.thermal_shift != 0.0
+        assert np.array_equal(batched, single)
+    assert np.ptp(batched, axis=1).max() > 1e-3  # the trajectories differ

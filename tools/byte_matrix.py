@@ -1,0 +1,116 @@
+"""Seed-7 byte matrix: run every shipped preset and hash what it writes.
+
+    python3 tools/byte_matrix.py OUT
+
+runs the 9 ``configs/*.cfg`` plus a ``deer`` and a ``custom`` config
+through ``spindyad.cli.main`` at seed 7, with 120 trajectories for
+zq_decay, 10 for field_sweep, 50 for electrometry and 8 for the rest.
+Each run writes its artifacts to ``OUT/<name>/`` and its exit code and
+stderr to ``OUT/<name>.log``; ``OUT/SHA256SUMS`` lists the SHA-256 of
+every one of those files. Runs read the package from the ``src/`` next to
+this script and work inside ``OUT`` with relative paths, so two checkouts
+compare with one ``diff`` of their ``SHA256SUMS``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from spindyad.cli import main  # noqa: E402
+
+SEED = 7
+TRAJECTORIES = {"zq_decay": 120, "field_sweep": 10, "electrometry": 50}
+DEFAULT_TRAJECTORIES = 8
+
+# the deer and custom configs of the preset and CLI smoke tests
+EXTRA_CONFIGS = {
+    "deer": """schema = 1
+[experiment]
+preset = deer
+label = deer_far
+[params]
+j_par = 150 kHz
+j_perp = 150 kHz
+[noise]
+beta_rms = 1 uT
+xi = 0
+[sim]
+trajectories = 24
+seed = 11
+[output]
+plot = true
+[sweep]
+tau_start = 0.5 us
+tau_stop = 30 us
+tau_count = 10
+""",
+    "custom": """schema = 1
+[experiment]
+preset = custom
+label = custom
+program = custom_program.txt
+[params]
+j_par = 50 kHz
+j_perp = 50 kHz
+[noise]
+beta_rms = 1 uT
+xi = 0.5
+[sim]
+trajectories = 6
+[output]
+plot = false
+""",
+}
+CUSTOM_PROGRAM = (
+    "rotation both x 1.5707963267948966\n"
+    "delay 5e-06\n"
+    "rotation both x 3.141592653589793\n"
+    "delay 5e-06\n"
+    "rotation both x 1.5707963267948966\n"
+)
+
+
+def _configs(inputs: Path) -> dict[str, Path]:
+    configs = {p.stem: p for p in sorted((ROOT / "configs").glob("*.cfg"))}
+    inputs.mkdir(exist_ok=True)
+    for name, body in EXTRA_CONFIGS.items():
+        path = inputs / f"{name}.cfg"
+        path.write_text(body)
+        configs[name] = path
+    (Path.cwd() / "custom_program.txt").write_text(CUSTOM_PROGRAM)
+    return configs
+
+
+def main_matrix(out: Path) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    os.chdir(out)
+    names = []
+    for name, cfg in _configs(Path("inputs")).items():
+        n = TRAJECTORIES.get(name, DEFAULT_TRAJECTORIES)
+        argv = ["--config", str(cfg), "--out", name, "--seed", str(SEED), "--trajectories", str(n)]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv)
+        Path(f"{name}.log").write_text(f"exit = {code}\n{err.getvalue()}")
+        print(f"{name}: exit {code}", flush=True)
+        names.append(name)
+    files = sorted(
+        p for name in names for p in [Path(f"{name}.log"), *Path(name).rglob("*")] if p.is_file()
+    )
+    lines = [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.as_posix()}\n" for p in files]
+    Path("SHA256SUMS").write_text("".join(lines))
+
+
+if __name__ == "__main__":
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out", type=Path, help="directory for artifacts, logs and SHA256SUMS")
+    main_matrix(ap.parse_args().out.resolve())

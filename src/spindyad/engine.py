@@ -20,10 +20,16 @@ grid, so the exact propagator factorizes over constant-noise segments:
 Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
 
-:func:`run` samples one trajectory's noise path at a time, keeps only
-those prefix sums (and, near the anti-crossing, each noisy delay's
-propagator) and drops the path; :func:`propagate` then walks each program
-once over the (trajectories, 4, 4) stack of states.
+:func:`run` checks the initial state once, then samples one trajectory's
+noise path at a time, keeps only those prefix sums (and, near the
+anti-crossing, the path's constant-noise segments over each noisy delay)
+and drops the path; :func:`propagate` then walks each program once over
+the (trajectories, 4, 4) stack of states. Near the anti-crossing the
+noisy-delay propagators of the whole run are built in one pass (a large
+run in chunks of paths): every segment of every path and delay is
+exponentiated at once, and each delay's ordered product is formed in
+lockstep over the segment index, one stacked matmul per index over the
+delays still open.
 
 Determinism: per-trajectory noise streams are keyed by the trajectory
 index, and the stack and the mean/standard-error reduction keep that
@@ -243,26 +249,54 @@ def _noisy_spans(programs: Sequence[PulseProgram], dt: float) -> list[tuple[int,
     return sorted(spans)
 
 
-def _dq_propagator(path: _Fields, k0: int, k1: int, c: FrameCoefficients, dt: float) -> NDArray:
-    """exp(-i H t) over steps [k0, k1) of one path with the double-quantum
-    block active: the product of its constant-noise segment unitaries."""
-    beta, beta_p, eps_z = (None if x is None else x[k0:k1] for x in path)
-    change = np.zeros(k1 - k0 - 1, dtype=bool)
-    for x in (beta, beta_p, eps_z):
+def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) -> tuple:
+    """The constant-noise segments of one path over the noisy spans
+    [k0, k1), span by span: per-segment Tz / Pz coefficients (rad/s) and
+    lengths (steps), and each span's segment count."""
+    end = int(k1.max())
+    change = np.zeros(end - 1, dtype=bool)
+    for x in path:
         if x is not None:
-            change |= np.diff(x) != 0
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-    lengths = np.diff(np.concatenate((starts, [k1 - k0])))
+            change |= np.diff(x[:end]) != 0
+    points = np.flatnonzero(change) + 1  # steps on which a new value starts
+    lo = np.searchsorted(points, k0, side="right")
+    counts = np.searchsorted(points, k1, side="left") - lo + 1
+    first = np.cumsum(counts) - counts  # each span's first segment
+    j = np.arange(counts.sum()) - np.repeat(first, counts)  # index within its span
+    starts = np.repeat(k0, counts)
+    inner = j > 0
+    starts[inner] = points[(np.repeat(lo, counts) + j - 1)[inner]]
+    ends = np.append(starts[1:], 0)
+    ends[first + counts - 1] = k1
+    beta, beta_p, eps_z = path
     zero = np.zeros(starts.size)
     a = c.a0 + c.k_beta * (zero if beta is None else beta[starts])
     if eps_z is not None:
         a = a + c.k_eps * eps_z[starts]
     b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p[starts])
+    return a, b, ends - starts, counts
+
+
+def _dq_blocks(segments: Sequence[tuple], c: FrameCoefficients, dt: float) -> NDArray:
+    """exp(-i H t) over every span of :func:`_dq_segments`' output, one
+    entry per path: a (paths, spans, 4, 4) array.
+
+    All segments are exponentiated at once. Each span's ordered product,
+    last segment leftmost, is formed in lockstep over the segment index,
+    one stacked matmul over the spans with a segment left at that index.
+    """
+    a, b, lengths, counts = (np.concatenate(x) for x in zip(*segments))
     units = _dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
-    u_total = units[0]
-    for i in range(1, units.shape[0]):
-        u_total = units[i] @ u_total
-    return u_total
+    order = np.argsort(-counts, kind="stable")  # open spans form a prefix
+    first = (np.cumsum(counts) - counts)[order]
+    left = -counts[order]
+    total = units[first]
+    for i in range(1, counts.max()):
+        m = np.searchsorted(left, -i)  # spans with more than i segments
+        total[:m] = units[first[:m] + i] @ total[:m]
+    out = np.empty_like(total)
+    out[order] = total
+    return out.reshape(len(segments), -1, 4, 4)
 
 
 @dataclass(frozen=True)
@@ -273,7 +307,11 @@ class _NoiseBatch:
     beta_s', eps_z) over its first k steps, for every step k a noisy delay
     starts or ends on. With the double-quantum block active,
     ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of each path's propagator
-    over the noisy delay from step k0 to k1, built under ``coeffs``.
+    over the noisy delay from step k0 to k1, built under ``coeffs``: the
+    blocks of all paths and spans come from one exponentiation of every
+    constant-noise segment and one lockstep product (:func:`_dq_blocks`),
+    in chunks of about ``_SEGMENT_CHUNK`` segments. The initial state is
+    not part of the batch; :func:`run` checks it once, before sampling.
     """
 
     n: int
@@ -282,6 +320,11 @@ class _NoiseBatch:
     coeffs: FrameCoefficients
     prefix: dict
     blocks: dict
+
+
+# segments whose unitaries are held at once: a 500-trajectory field_sweep run
+# then peaks no higher than with one path at a time (1 << 16 added 18 MB)
+_SEGMENT_CHUNK = 1 << 14
 
 
 def _reduce(
@@ -298,15 +341,23 @@ def _reduce(
     steps = np.array(sorted({k for s in spans for k in s}), dtype=int)
     pos = steps > 0
     sums = np.zeros((n, 3, steps.size))
-    blocks = {} if c.g == 0.0 else {s: np.empty((n, 4, 4), dtype=complex) for s in spans}
+    dq = c.g != 0.0 and bool(spans)
+    k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
+    stack = np.empty((len(spans), n, 4, 4), dtype=complex) if dq else None
+    pending, held, done = [], 0, 0
     for i, path in enumerate(paths):
         for q, x in enumerate(path):
             if x is not None and pos.any():
                 sums[i, q, pos] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
-        for (k0, k1), u in blocks.items():
-            u[i] = _dq_propagator(path, k0, k1, c, dt)
+        if dq:
+            pending.append(_dq_segments(path, k0, k1, c))
+            held += pending[-1][0].size
+            if held >= _SEGMENT_CHUNK or i + 1 == n:
+                stack[:, done : i + 1] = _dq_blocks(pending, c, dt).swapaxes(0, 1)
+                pending, held, done = [], 0, i + 1
         del path  # no dense path outlives its reduction
     prefix = {int(k): sums[:, :, m] for m, k in enumerate(steps)}
+    blocks = dict(zip(spans, stack)) if dq else {}
     return _NoiseBatch(n, dt, n_steps, c, prefix, blocks)
 
 
@@ -370,12 +421,14 @@ def propagate(
     over the whole stack. Delays advance through the step grid (noise
     suppressed for noise-free delays but time still elapsing); rotations
     and repump events apply instantaneously between steps. With
-    ``validate`` every state of the stack is checked after every element.
+    ``validate`` every state of the stack is checked after every element
+    and at the end, and the initial state of a single path before the
+    walk; :func:`run` checks a batch's initial state once per run.
     """
-    if validate:
+    single = isinstance(traj, NoiseTrajectory)
+    if validate and single:
         assert_density_matrix(rho0)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
-    single = isinstance(traj, NoiseTrajectory)
     if single:
         path = (traj.beta_s, traj.beta_s_prime, None if traj.eps is None else traj.eps[:, 2])
         batch = _reduce([path], 1, traj.n_steps, traj.dt, _noisy_spans([program], traj.dt), coeffs)
@@ -430,6 +483,7 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     """The sweep times and the readout of every trajectory at each of them,
     shaped (times, trajectories).
 
+    The initial state is checked once, before any noise is sampled.
     Trajectory i's noise path is sampled from stream i, reduced at once to
     what the programs' noisy delays read of it, and dropped; a field with
     zero amplitude is not sampled. Each program is then walked once over
@@ -467,6 +521,7 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
         return beta, beta_p, eps_z
 
     try:
+        assert_density_matrix(rho0)
         paths = (fields(i) for i in range(n_traj))
         batch = _reduce(paths, n_traj, max_steps, dt, _noisy_spans(programs, dt), coeffs)
         signals = np.empty((times.size, n_traj))

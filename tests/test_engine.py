@@ -3,9 +3,12 @@
 import io
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spindyad import engine, model
 from spindyad.analysis import FitResult
@@ -212,12 +215,110 @@ class TestRun:
         with pytest.raises(SimulationError, match="trajectory 3: state invariants"):
             propagate(initial_state(), prog, PARAMS, batch, sim)
 
+    def test_bad_initial_state_fails_before_sampling(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise RuntimeError("noise was sampled")
+
+        monkeypatch.setattr(engine, "sample_magnetic_trajectory", no_sampling)
+        monkeypatch.setattr(engine, "sample_electric_trajectory", no_sampling)
+        rho0 = initial_state().astype(complex)
+        rho0[0, 1] = 0.1j  # not Hermitian
+        with pytest.raises(SimulationError, match="density matrix not Hermitian"):
+            run(self._experiment(n_traj=3, rho0=rho0))
+
+    def test_dq_work_does_not_grow_with_trajectories_and_spans(self, monkeypatch):
+        counts = {}
+
+        def counting(name):
+            real = getattr(engine, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        counting("_dq_segment_unitaries")
+        counting("assert_density_matrix")
+        for n_traj, n_times in ((8, 22), (2, 8)):
+            counts.clear()
+            exp = self._experiment(n_traj=n_traj, times=np.arange(1, n_times + 1) * 0.25e-6)
+            run(replace(exp, sim=replace(exp.sim, near_bm=True)))
+            assert counts == {"_dq_segment_unitaries": 1, "assert_density_matrix": n_times + 1}
+
     def test_metadata_echoes_settings(self):
         exp = self._experiment(n_traj=4)
         trace = run(exp)
         assert trace.metadata["n_trajectories"] == 4
         assert trace.metadata["xi"] == NOISY.xi
         assert trace.metadata["master_seed"] == 5
+
+
+def frozen_dq_propagator(path, k0, k1, c, dt):
+    """The per-(path, span) double-quantum propagator as first written,
+    kept verbatim to pin the bits of the batched builder."""
+    beta, beta_p, eps_z = (None if x is None else x[k0:k1] for x in path)
+    change = np.zeros(k1 - k0 - 1, dtype=bool)
+    for x in (beta, beta_p, eps_z):
+        if x is not None:
+            change |= np.diff(x) != 0
+    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    lengths = np.diff(np.concatenate((starts, [k1 - k0])))
+    zero = np.zeros(starts.size)
+    a = c.a0 + c.k_beta * (zero if beta is None else beta[starts])
+    if eps_z is not None:
+        a = a + c.k_eps * eps_z[starts]
+    b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p[starts])
+    units = engine._dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
+    u_total = units[0]
+    for i in range(1, units.shape[0]):
+        u_total = units[i] @ u_total
+    return u_total
+
+
+@st.composite
+def dq_batches(draw):
+    """Random piecewise-constant paths and noisy spans over a few shared
+    boundaries: overlapping spans, one-step spans, spans ending on the last
+    step, and switches on span boundaries."""
+    n_steps = draw(st.integers(1, 80))
+    cuts = sorted(draw(st.sets(st.integers(0, n_steps - 1), min_size=1, max_size=5)) | {n_steps})
+    pairs = st.tuples(st.sampled_from(cuts), st.sampled_from(cuts)).filter(lambda s: s[0] < s[1])
+    one_step = st.integers(0, n_steps - 1).map(lambda k: (k, k + 1))
+    spans = draw(st.lists(st.one_of(pairs, one_step), min_size=1, max_size=8, unique=True))
+    switch = st.one_of(st.sampled_from(cuts), st.integers(1, n_steps))
+    level = st.one_of(st.sampled_from([0.0, 1e-6, -1e-6]), st.floats(-3e-6, 3e-6))
+
+    def field():
+        steps = sorted(draw(st.sets(switch, max_size=12)) - {0, n_steps})
+        values = draw(st.lists(level, min_size=len(steps) + 1, max_size=len(steps) + 1))
+        return np.repeat(values, np.diff([0, *steps, n_steps]))
+
+    paths = [
+        tuple(None if draw(st.booleans()) else field() for _ in range(3))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return n_steps, sorted(spans), paths
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    batch=dq_batches(),
+    delta_b=st.sampled_from([0.0, 2e-6, -7e-6]),
+    thermal=st.sampled_from([0.0, 3e4]),
+    chunk=st.sampled_from([1, 5, engine._SEGMENT_CHUNK]),
+)
+def test_dq_blocks_keep_the_frozen_bits(batch, delta_b, thermal, chunk):
+    n_steps, spans, paths = batch
+    params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
+    c = model.frame_coefficients(params, delta_b, True, thermal)
+    with mock.patch.object(engine, "_SEGMENT_CHUNK", chunk):
+        reduced = engine._reduce(iter(paths), len(paths), n_steps, DT, spans, c)
+    assert sorted(reduced.blocks) == spans
+    for (k0, k1), u in reduced.blocks.items():
+        assert u.shape == (len(paths), 4, 4)
+        for i, path in enumerate(paths):
+            assert np.array_equal(u[i], frozen_dq_propagator(path, k0, k1, c, DT))
 
 
 class TestAnticrossingBeating:

@@ -1,6 +1,7 @@
 """Seed-7 byte matrix: run every shipped preset and hash what it writes.
 
     python3 tools/byte_matrix.py OUT
+    python3 tools/byte_matrix.py OUT --against REV
 
 runs the 9 ``configs/*.cfg`` plus a ``deer`` and a ``custom`` config
 through ``spindyad.cli.main`` at seed 7, with 120 trajectories for
@@ -10,16 +11,25 @@ stderr to ``OUT/<name>.log``; ``OUT/SHA256SUMS`` lists the SHA-256 of
 every one of those files. Runs read the package from the ``src/`` next to
 this script and work inside ``OUT`` with relative paths, so two checkouts
 compare with one ``diff`` of their ``SHA256SUMS``.
+
+``--against REV`` does that comparison: it extracts a ``git archive`` of
+REV to ``OUT/REV/tree``, runs that tree's own ``tools/byte_matrix.py``
+into ``OUT/REV/out`` in a subprocess, prints every line in which the two
+``SHA256SUMS`` differ, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import os
+import shutil
+import subprocess
 import sys
+import tarfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -110,7 +120,30 @@ def main_matrix(out: Path) -> None:
     Path("SHA256SUMS").write_text("".join(lines))
 
 
+def against(out: Path, rev: str) -> int:
+    """Run REV's own matrix under ``OUT/REV`` and print the lines in which
+    its ``SHA256SUMS`` and OUT's differ; 1 if any does, else 0."""
+    dest = out / rev.replace("/", "_")
+    shutil.rmtree(dest, ignore_errors=True)
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev], check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    script = dest / "tree" / "tools" / "byte_matrix.py"
+    subprocess.run([sys.executable, str(script), str(dest / "out")], check=True)
+    theirs = (dest / "out" / "SHA256SUMS").read_text().splitlines()
+    ours = (out / "SHA256SUMS").read_text().splitlines()
+    diff = list(difflib.unified_diff(theirs, ours, f"{rev}/SHA256SUMS", "SHA256SUMS", n=0, lineterm=""))
+    print("\n".join(diff) if diff else f"SHA256SUMS identical to {rev}'s")
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="directory for artifacts, logs and SHA256SUMS")
-    main_matrix(ap.parse_args().out.resolve())
+    ap.add_argument("--against", metavar="REV", help="git revision whose matrix to compare with")
+    args = ap.parse_args()
+    out = args.out.resolve()
+    main_matrix(out)
+    sys.exit(against(out, args.against) if args.against else 0)

@@ -31,19 +31,17 @@ from .engine import (
     trace_to_csv,
     zq_state,
 )
-from .linalg import Basis, SpinKind, expectation, expm_hermitian, reduced_operators, spin_operators, tensor
+from .linalg import SpinKind, expectation, expm_hermitian, reduced_operators, spin_operators, tensor
 from .model import (
     DyadParams,
     LevelDiagram,
     anticrossing_field,
     coupling_from_distance,
     distance_from_coupling,
-    electric_term,
     full_hamiltonian,
     level_diagram,
     reduced_hamiltonian,
     sim_frame_hamiltonian,
-    thermal_term,
 )
 from .noise import (
     ElectricNoiseConfig,

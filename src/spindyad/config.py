@@ -220,9 +220,15 @@ class ExperimentConfig:
             raise ConfigError("sweep bounds must be finite")
         if count == 1:
             return [start]
-        if self.text("sweep", "spacing") == "log":
+        return self.axis(start, stop, count)
+
+    def axis(self, start: float, stop: float, count: int, prefix: str = "") -> list[float]:
+        """``count >= 2`` points from ``start`` to ``stop`` spaced as
+        ``sweep.<prefix>spacing`` says: in equal steps, or for ``log`` in a
+        constant ratio, which needs positive bounds."""
+        if self.text("sweep", f"{prefix}spacing") == "log":
             if start <= 0 or stop <= 0:
-                raise ConfigError("log spacing needs positive bounds")
+                raise ConfigError(f"sweep.{prefix}spacing = log needs positive bounds")
             ratio = (stop / start) ** (1.0 / (count - 1))
             return [start * ratio**i for i in range(count)]
         step = (stop - start) / (count - 1)

@@ -33,9 +33,7 @@ delays still open.
 
 Determinism: per-trajectory noise streams are keyed by the trajectory
 index, and the stack and the mean/standard-error reduction keep that
-order, so results are a pure function of the seed. The ``threads``
-argument of :func:`run`, :func:`sweep` and the presets is kept for
-existing callers and has no effect.
+order, so results are a pure function of the seed.
 """
 
 from __future__ import annotations
@@ -534,14 +532,13 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     return times, signals
 
 
-def run(exp: Experiment, threads: int = 1) -> TimeTrace:
+def run(exp: Experiment) -> TimeTrace:
     """Execute an experiment and average the readout over trajectories.
 
     The readout observable is the fractional population of m_S = 0,
     Tr(rho P0). The reported uncertainty is the standard error of the
-    per-trajectory signals (zero for a single trajectory). ``threads`` is
-    accepted for existing callers and has no effect: all trajectories run
-    as one batch.
+    per-trajectory signals (zero for a single trajectory). All
+    trajectories run as one batch.
     """
     times, signals = _signals(exp)
     n_traj = exp.sim.n_trajectories
@@ -594,7 +591,6 @@ def sweep(
     variable: str,
     values: Sequence[float],
     exp: Experiment,
-    threads: int = 1,
     reduce: Optional[Callable[[TimeTrace], object]] = None,
     apply: Optional[Callable[[Experiment, float], Experiment]] = None,
 ) -> list[SweepResult]:
@@ -609,7 +605,7 @@ def sweep(
         apply = lambda e, v: _apply_variable(e, variable, v)
     results = []
     for v in values:
-        trace = run(apply(exp, float(v)), threads=threads)
+        trace = run(apply(exp, float(v)))
         summary = reduce(trace) if reduce is not None else None
         results.append(SweepResult(value=float(v), trace=trace, summary=summary))
     return results

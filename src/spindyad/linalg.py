@@ -31,7 +31,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 __all__ = [
-    "Basis",
     "SpinKind",
     "SpinOperators",
     "ReducedOperators",
@@ -53,13 +52,6 @@ DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
 UNITARY_TOL = 1e-10
-
-
-class Basis(enum.Enum):
-    """Hilbert-space basis of a state or operator."""
-
-    FULL6 = "full6"
-    REDUCED4 = "reduced4"
 
 
 class SpinKind(enum.Enum):
@@ -84,10 +76,6 @@ class SpinOperators:
     z: NDArray
     plus: NDArray
     minus: NDArray
-
-    @property
-    def dim(self) -> int:
-        return self.z.shape[0]
 
 
 def _make_spin(j: float) -> SpinOperators:
@@ -166,8 +154,6 @@ class ReducedOperators:
     zz: NDArray
     proj_ms0: NDArray
     identity: NDArray
-
-    labels = ("|0,+1/2>", "|-1,+1/2>", "|0,-1/2>", "|-1,-1/2>")
 
 
 @lru_cache(maxsize=None)

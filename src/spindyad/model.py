@@ -22,12 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy.optimize import linear_sum_assignment
 
-from .linalg import (
-    Basis,
-    full_operators,
-    reduced_operators,
-    require_hermitian,
-)
+from .linalg import full_operators, reduced_operators, require_hermitian
 
 __all__ = [
     "MU0",
@@ -47,9 +42,7 @@ __all__ = [
     "distance_from_coupling",
     "anticrossing_field",
     "level_diagram",
-    "electric_term",
     "thermal_shift",
-    "thermal_term",
 ]
 
 MU0 = 1.25663706212e-6  # vacuum permeability, T^2 m^3 / J
@@ -353,38 +346,6 @@ def level_diagram(
     return LevelDiagram(b_values=b_values, branches=branches)
 
 
-def electric_term(eps: Sequence[float], p: DyadParams, basis: Basis = Basis.REDUCED4) -> NDArray:
-    """Coupling of the spin-1 to a static electric field (rad/s).
-
-    Full 6-dim form:
-        H = d_par eps_z (Sz^2 - 2/3) - d_perp [eps_x (SxSy + SySx)
-            + eps_y (Sx^2 - Sy^2)]
-    acting on the spin-1 factor only (the spin-1/2 partner is electric
-    field insensitive).
-
-    In the reduced basis the mapping S_{x,y} -> sqrt(2) T_{x,y} applies;
-    the transverse products then vanish identically for a spin-1/2, and
-    the axial term reduces to -d_par eps_z Tz after dropping the
-    identity-proportional part.
-    """
-    ex, ey, ez = (float(v) for v in eps)
-    if basis is Basis.FULL6:
-        from .linalg import spin_operators, SpinKind, tensor, eye
-
-        s1 = spin_operators(SpinKind.SPIN_ONE)
-        h1 = p.d_par * ez * (s1.z @ s1.z - (2.0 / 3.0) * np.eye(3)) - p.d_perp * (
-            ex * (s1.x @ s1.y + s1.y @ s1.x) + ey * (s1.x @ s1.x - s1.y @ s1.y)
-        )
-        return tensor(h1, eye(2))
-    return -p.d_par * ez * reduced_operators().tilde_z
-
-
 def thermal_shift(delta_temp: float, p: DyadParams) -> float:
     """Thermal shift of the crystal field d_omega = (dDelta/dT) dT (rad/s)."""
     return p.ddelta_dT * delta_temp
-
-
-def thermal_term(delta_T: float, p: DyadParams) -> NDArray:
-    """Thermal frequency shift d_omega Tz; the frame generator carries it
-    as the ``thermal_shift`` of :func:`sim_frame_hamiltonian`."""
-    return thermal_shift(delta_T, p) * reduced_operators().tilde_z

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Optional
+from typing import Optional
 
 import numpy as np
 from numpy.typing import NDArray
@@ -46,7 +46,6 @@ __all__ = [
     "sample_magnetic_trajectory",
     "sample_electric_trajectory",
     "empirical_xi",
-    "trajectory_to_csv",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -117,10 +116,6 @@ class NoiseTrajectory:
     @property
     def n_steps(self) -> int:
         return self.beta_s.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
 
     def __post_init__(self):
         if self.beta_s.shape != self.beta_s_prime.shape:
@@ -240,14 +235,3 @@ def empirical_xi(traj: NoiseTrajectory) -> float:
     if den == 0.0:
         return 0.0
     return num / den
-
-
-def trajectory_to_csv(traj: NoiseTrajectory, stream: IO[str]) -> None:
-    """Debug export: one row per step with magnetic and electric samples."""
-    stream.write("step,beta_s,beta_s_prime,eps_x,eps_y,eps_z\n")
-    eps = traj.eps if traj.eps is not None else np.zeros((traj.n_steps, 3))
-    for k in range(traj.n_steps):
-        stream.write(
-            f"{k},{traj.beta_s[k]:.17g},{traj.beta_s_prime[k]:.17g},"
-            f"{eps[k, 0]:.17g},{eps[k, 1]:.17g},{eps[k, 2]:.17g}\n"
-        )

@@ -188,12 +188,7 @@ def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
     count = cfg.integer("sweep", "tau_count")
     if count < 2 or stop <= start:
         raise ConfigError("tau grid needs tau_start < tau_stop and tau_count >= 2")
-    if cfg.text("sweep", "tau_spacing") == "log":
-        ratio = (stop / start) ** (1.0 / (count - 1))
-        raw = [start * ratio**i for i in range(count)]
-    else:
-        step = (stop - start) / (count - 1)
-        raw = [start + i * step for i in range(count)]
+    raw = cfg.axis(start, stop, count, "tau_")
     grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
     if len(grid) < 8:
         raise ConfigError("tau grid collapses below 8 distinct on-grid points; refine dt or bounds")
@@ -220,7 +215,6 @@ def echo_coherence_time(
     tau_max: float,
     tau_min: float = 0.3e-6,
     n_points: int = 22,
-    threads: int = 1,
 ) -> tuple[float, TimeTrace]:
     """Echo coherence time via a beat-anchored contrast envelope.
 
@@ -275,7 +269,7 @@ def echo_coherence_time(
     contrast = np.array([selected[t] for t in times])
     if len(times) < 8:
         raise PresetError("fewer than 8 usable echo delays; extend the tau range")
-    trace = engine.run(replace(exp, times=times), threads=threads)
+    trace = engine.run(replace(exp, times=times))
     ratio = (trace.signal_mean - 0.5) / (contrast - 0.5)
     sem = trace.signal_sem / np.abs(contrast - 0.5)
     # the quadratic mean frequency shift slowly slips the averaged beat
@@ -369,13 +363,16 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _preset_levels(cfg, inp, w, threads):
+def _preset_levels(cfg, inp, w):
     params = inp.params
     values = cfg.sweep_values() if cfg.text("sweep", "variable") == "b_field" else None
     if values is None or len(values) < 2:
         b_m = model.anticrossing_field(params)
         values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
-    diagram = model.level_diagram(params, values, apply_shift=False)
+    try:  # fields not ascending, or couplings given without j and theta
+        diagram = model.level_diagram(params, values, apply_shift=False)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     shifted = model.level_diagram(params, values, apply_shift=True)
     cols = [f"branch{i}_rad_s" for i in range(6)] + [f"branch{i}_shifted_rad_s" for i in range(6)]
     csv_path = w.table(
@@ -394,11 +391,11 @@ def _preset_levels(cfg, inp, w, threads):
     return {"csv": str(csv_path)}
 
 
-def _preset_echo(cfg, inp, w, threads, deer_mode=False):
+def _preset_echo(cfg, inp, w, deer_mode=False):
     taus = _tau_grid(cfg, inp.sim.dt)
     exp = inp.experiment(_echo_program_builder(cfg, deer_mode), taus, w.label)
-    trace = engine.run(exp, threads=threads)
-    t2, env = echo_coherence_time(exp, tau_max=max(taus), tau_min=min(taus), threads=threads)
+    trace = engine.run(exp)
+    t2, env = echo_coherence_time(exp, tau_max=max(taus), tau_min=min(taus))
     w.trace(trace)
     w.trace(env, "_envelope")
     w.plot_signal(trace, "total evolution time 2 tau (us)", time_factor=2.0)
@@ -411,9 +408,7 @@ def _preset_echo(cfg, inp, w, threads, deer_mode=False):
     return summary
 
 
-def _preset_field_sweep(cfg, inp, w, threads):
-    if cfg.text("sweep", "variable") != "delta_b":
-        raise ConfigError("field_sweep preset needs sweep.variable = delta_b")
+def _preset_field_sweep(cfg, inp, w):
     taus = _tau_grid(cfg, inp.sim.dt)
     values = cfg.sweep_values()
     if not inp.sim.near_bm:
@@ -426,13 +421,11 @@ def _preset_field_sweep(cfg, inp, w, threads):
         program_builder=protocol.hahn_echo,
         label=w.label + "_far_reference",
     )
-    t2_far, _ = echo_coherence_time(
-        far_exp, tau_max=min(max(taus), 60e-6), tau_min=min(taus), threads=threads
-    )
+    t2_far, _ = echo_coherence_time(far_exp, tau_max=min(max(taus), 60e-6), tau_min=min(taus))
     rows = []
     for db in values:
         point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
-        t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus), threads=threads)
+        t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus))
         eta = analysis.enhancement_ratio(t2, t2_far) if math.isfinite(t2) else math.inf
         rows.append((float(db), t2, eta))
         w.trace(env, f"_db_{db * 1e6:+.3f}uT", sweep_value=float(db))
@@ -455,7 +448,7 @@ def _preset_field_sweep(cfg, inp, w, threads):
     return {"t2_far": t2_far, "results": rows}
 
 
-def _preset_pol_transfer(cfg, inp, w, threads):
+def _preset_pol_transfer(cfg, inp, w):
     tau_zq = _tau_zq(cfg, inp)
     prog = protocol.polarization_transfer(tau_zq, inp.params.j_par)
     quiet = FluctuatorConfig(beta_rms=0.0)
@@ -468,9 +461,9 @@ def _preset_pol_transfer(cfg, inp, w, threads):
     return {"fidelity": fidelity}
 
 
-def _preset_zq_decay(cfg, inp, w, threads):
+def _preset_zq_decay(cfg, inp, w):
     exp = _zq_experiment(cfg, inp, w.label, echo=True)
-    trace = engine.run(exp, threads=threads)
+    trace = engine.run(exp)
     # the raw fit is reported as it is: at small trajectory counts its
     # amplitude can sit below the SEM floor of analysis.coherence_time
     try:
@@ -489,14 +482,12 @@ def _preset_zq_decay(cfg, inp, w, threads):
     return summary
 
 
-def _preset_xi_sweep(cfg, inp, w, threads):
-    if cfg.text("sweep", "variable") != "xi":
-        raise ConfigError("xi_sweep preset needs sweep.variable = xi")
+def _preset_xi_sweep(cfg, inp, w):
     values = cfg.sweep_values()
     exp = _zq_experiment(cfg, inp, w.label, echo=True)
     # the decay runs over the total evolution time 2 tau~
     results = engine.sweep(
-        "xi", values, exp, threads=threads, reduce=lambda tr: 2.0 * analysis.coherence_time(tr)[0]
+        "xi", values, exp, reduce=lambda tr: 2.0 * analysis.coherence_time(tr)[0]
     )
     far_exp = replace(
         exp,
@@ -505,7 +496,7 @@ def _preset_xi_sweep(cfg, inp, w, threads):
         noise=replace(exp.noise, xi=0.0),
         label=w.label + "_sq_reference",
     )
-    t2_sq, _ = echo_coherence_time(far_exp, tau_max=60e-6, threads=threads)
+    t2_sq, _ = echo_coherence_time(far_exp, tau_max=60e-6)
     points = [(r.value, r.summary) for r in results]
     w.table(["xi", "t2_zq_s"], points, notes={"t2_sq_reference_s": t2_sq})
     w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs noise imbalance", "xi")
@@ -513,9 +504,7 @@ def _preset_xi_sweep(cfg, inp, w, threads):
     return {"t2_sq": t2_sq, "results": points}
 
 
-def _preset_electrometry(cfg, inp, w, threads):
-    if cfg.text("sweep", "variable") != "eps_rms":
-        raise ConfigError("electrometry preset needs sweep.variable = eps_rms")
+def _preset_electrometry(cfg, inp, w):
     values = cfg.sweep_values()
     exp = _zq_experiment(cfg, inp, w.label, echo=False)
     if exp.electric is None:
@@ -526,7 +515,7 @@ def _preset_electrometry(cfg, inp, w, threads):
         exp = replace(exp, electric=electric)
     # no inversion pulse in this variant: evolution time equals the sweep axis
     results = engine.sweep(
-        "eps_rms", values, exp, threads=threads, reduce=lambda tr: analysis.coherence_time(tr)[0]
+        "eps_rms", values, exp, reduce=lambda tr: analysis.coherence_time(tr)[0]
     )
     points = [(r.value, r.summary) for r in results]
     w.table(["eps_rms_V_per_m", "t2_zq_s"], points)
@@ -535,7 +524,7 @@ def _preset_electrometry(cfg, inp, w, threads):
     return {"results": points}
 
 
-def _preset_thermometry(cfg, inp, w, threads):
+def _preset_thermometry(cfg, inp, w):
     params, dt = inp.params, inp.sim.dt
     delta_temp = cfg.number("sweep", "delta_temp")
     delta_omega_true = model.thermal_shift(delta_temp, params)
@@ -550,10 +539,13 @@ def _preset_thermometry(cfg, inp, w, threads):
         raise ConfigError("thermometry window too short for the dt grid")
     builder = _zq_program_builder(cfg, inp, echo=False, theta=math.pi / 2)
     exp = inp.experiment(builder, times, w.label, delta_temp=delta_temp)
-    trace = engine.run(exp, threads=threads)
-    w.trace(trace)
+    trace = engine.run(exp)
     delta_omega_est = analysis.slope_frequency(trace, window)
-    delta_temp_est = analysis.temperature_shift(delta_omega_est, params)
+    try:  # ddelta_dt = 0: no temperature follows from a shift
+        delta_temp_est = analysis.temperature_shift(delta_omega_est, params)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    w.trace(trace)
     w.plot_signal(trace, "tau~ (us)")
     w.summary(
         {
@@ -566,7 +558,7 @@ def _preset_thermometry(cfg, inp, w, threads):
     return {"delta_omega_est": delta_omega_est, "delta_temp_est": delta_temp_est}
 
 
-def _preset_custom(cfg, inp, w, threads):
+def _preset_custom(cfg, inp, w):
     path = cfg.text("experiment", "program")
     if not path:
         raise ConfigError("custom preset needs experiment.program = <file>")
@@ -576,7 +568,7 @@ def _preset_custom(cfg, inp, w, threads):
         raise ConfigError(f"cannot read program file {path}: {exc}") from exc
     prog = protocol.program_from_text(text, label=w.label)
     # the program is fixed: a single averaged point on a dummy sweep axis
-    trace = engine.run(inp.experiment(lambda _t: prog, [0.0], w.label), threads=threads)
+    trace = engine.run(inp.experiment(lambda _t: prog, [0.0], w.label))
     w.trace(trace)
     w.summary({"signal_mean": trace.signal_mean[0], "signal_sem": trace.signal_sem[0]})
     return {"signal": float(trace.signal_mean[0])}
@@ -595,6 +587,9 @@ _PRESET_FUNCS = {
     "custom": _preset_custom,
 }
 
+# the presets that sweep a config variable, and the variable each sweeps
+_SWEPT_VARIABLE = {"field_sweep": "delta_b", "xi_sweep": "xi", "electrometry": "eps_rms"}
+
 
 def run_preset(
     cfg: ExperimentConfig,
@@ -608,7 +603,8 @@ def run_preset(
 
     ``seed`` and ``trajectories`` override the config; they are written
     into ``cfg.resolved`` first, so the config echo records them.
-    ``threads`` reaches :func:`engine.run`, where it has no effect.
+    ``threads`` is accepted for existing callers and ignored: all
+    trajectories of a run are propagated as one batch.
     """
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:
@@ -617,4 +613,7 @@ def run_preset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = _Writer(cfg, out, cfg.text("experiment", "label") or cfg.preset, plot)
-    return _PRESET_FUNCS[cfg.preset](cfg, inp, writer, threads)
+    variable = _SWEPT_VARIABLE.get(cfg.preset)
+    if variable is not None and cfg.text("sweep", "variable") != variable:
+        raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {variable}")
+    return _PRESET_FUNCS[cfg.preset](cfg, inp, writer)

@@ -135,6 +135,31 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: config: ")
 
+    @pytest.mark.parametrize("start", ["0 us", "-1 us"])
+    def test_log_tau_axis_needs_positive_bounds(self, tmp_path, capsys, start):
+        path = write(tmp_path, FAST_ZQ.replace("tau_start = 1 us", f"tau_start = {start}"))
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == "error: config: sweep.tau_spacing = log needs positive bounds\n"
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            FAST_LEVELS.replace("start = 50 mT\nstop = 53 mT", "start = 53 mT\nstop = 50 mT"),
+            FAST_LEVELS.replace(
+                "j = 0.2 MHz\ntheta = 1.5707963267948966", "j_par = 50 kHz\nj_perp = 50 kHz"
+            ),
+            FAST_ZQ.replace("preset = zq_decay", "preset = thermometry").replace(
+                "j_perp = 50 kHz", "j_perp = 50 kHz\nddelta_dt = 0 Hz"
+            ),
+        ],
+        ids=["levels-descending-field", "levels-couplings-without-geometry", "thermometry-ddelta_dt-0"],
+    )
+    def test_value_the_model_rejects_is_2(self, tmp_path, capsys, body):
+        path = write(tmp_path, body)
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: config: ")
+
     def test_seed_beyond_float_precision_is_kept(self, tmp_path):
         path = write(tmp_path, FAST_LEVELS + "\n[sim]\nseed = 9007199254740993\n")
         out = tmp_path / "out"

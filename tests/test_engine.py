@@ -128,13 +128,6 @@ class TestRun:
             assert s == pytest.approx(float(np.real(np.trace(rho @ ops.proj_ms0))), abs=1e-12)
         assert np.all(trace.signal_sem == 0.0)
 
-    def test_deterministic_across_thread_counts(self):
-        exp = self._experiment(n_traj=16)
-        t1 = run(exp, threads=1)
-        t4 = run(exp, threads=4)
-        assert np.array_equal(t1.signal_mean, t4.signal_mean)
-        assert np.array_equal(t1.signal_sem, t4.signal_sem)
-
     def test_seed_changes_trace(self):
         exp = self._experiment(n_traj=8)
         other = Experiment(**{**exp.__dict__, "sim": SimConfig(n_trajectories=8, dt=DT, master_seed=6)})

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from spindyad.linalg import Basis, reduced_operators
+from spindyad.linalg import FullOperators, SpinKind, reduced_operators, spin_operators
 from spindyad.model import (
     DEFAULT_DELTA,
     DEFAULT_GAMMA_E,
@@ -13,14 +13,12 @@ from spindyad.model import (
     anticrossing_field,
     coupling_from_distance,
     distance_from_coupling,
-    electric_term,
     full_hamiltonian,
     j_par_from_geometry,
     j_perp_from_geometry,
     level_diagram,
     reduced_hamiltonian,
     sim_frame_hamiltonian,
-    thermal_term,
 )
 
 GAMMA = DEFAULT_GAMMA_E
@@ -180,14 +178,6 @@ class TestSimFrame:
             comm = h @ ops.zq_antisym - ops.zq_antisym @ h
             assert np.max(np.abs(comm)) < 1e-9 * np.max(np.abs(h))
 
-    def test_electric_and_thermal_terms(self):
-        p = DyadParams(j_par=50e3, j_perp=50e3)
-        ops = reduced_operators()
-        e, w = 2.5e6, -3e5
-        h = sim_frame_hamiltonian(p, eps_z=e, thermal_shift=w) - sim_frame_hamiltonian(p)
-        expected = electric_term((0.0, 0.0, e), p) + w * ops.tilde_z
-        assert np.max(np.abs(h - expected)) < 1e-12 * np.max(np.abs(expected))
-
     def test_near_anticrossing_gap(self):
         jperp = 0.75e6
         p = DyadParams(j_par=0.75e6, j_perp=jperp)
@@ -311,39 +301,47 @@ class TestLevelDiagram:
             level_diagram(p, [2e-3, 1e-3], apply_shift=False)
 
 
-class TestElectricThermal:
-    def test_zero_field_zero_matrix(self):
-        p = DyadParams()
-        assert np.max(np.abs(electric_term((0, 0, 0), p))) == 0.0
+def projected_electric_term(p, ex, ey, ez):
+    """The spin-1 electric coupling d_par ez (Sz^2 - 2/3) - d_perp [ex (SxSy
+    + SySx) + ey (Sx^2 - Sy^2)] in the 6-level space, restricted to the
+    reduced {m_S = 0, -1} manifold in reduced order."""
+    s = spin_operators(SpinKind.SPIN_ONE)
+    h1 = p.d_par * ez * (s.z @ s.z - (2.0 / 3.0) * np.eye(3)) - p.d_perp * (
+        ex * (s.x @ s.y + s.y @ s.x) + ey * (s.x @ s.x - s.y @ s.y)
+    )
+    idx = FullOperators.reduced_indices
+    return np.kron(h1, np.eye(2))[np.ix_(idx, idx)]
 
-    def test_reduced_transverse_vanishes(self):
-        # the fictitious-spin images of the transverse quadratic forms are
-        # identically zero for a spin-1/2
-        p = DyadParams()
-        h = electric_term((3e6, -7e6, 0.0), p, basis=Basis.REDUCED4)
-        assert np.max(np.abs(h)) < 1e-12
+
+class TestElectricThermal:
+    """The electric and thermal terms of the frame generator, which takes
+    the axial field eps_z and the thermal shift d_omega."""
+
+    P = DyadParams(j_par=50e3, j_perp=50e3)
+    FIELDS = np.random.default_rng(2).uniform(-5e6, 5e6, size=(10, 3))  # V/m
+
+    def frame(self, **kwargs):
+        return sim_frame_hamiltonian(self.P, 3e-6, near_bm=True, **kwargs)
 
     def test_reduced_axial_term(self):
-        p = DyadParams()
-        ez = 2.5e6
-        ops = reduced_operators()
-        h = electric_term((0.0, 0.0, ez), p, basis=Basis.REDUCED4)
-        assert np.allclose(h, -p.d_par * ez * ops.tilde_z)
+        # the generator's eps_z term is the projected 6-level coupling, up
+        # to a multiple of the identity
+        for ex, ey, ez in self.FIELDS:
+            diff = self.frame(eps_z=ez) - self.frame() - projected_electric_term(self.P, ex, ey, ez)
+            scale = self.P.d_par * abs(ez)
+            assert np.max(np.abs(diff - diff[0, 0] * np.eye(4))) < 1e-9 * scale
 
-    def test_full_basis_hermitian_and_traceless_axial(self):
-        p = DyadParams()
-        h = electric_term((1e6, 2e6, 3e6), p, basis=Basis.FULL6)
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12 * np.max(np.abs(h))
-
-    def test_thermal_zero(self):
-        p = DyadParams()
-        assert np.max(np.abs(thermal_term(0.0, p))) == 0.0
+    def test_reduced_transverse_vanishes(self):
+        # the transverse terms connect m_S = +1 and -1 only, so the reduced
+        # manifold sees none of them
+        for ex, ey, _ in self.FIELDS:
+            assert np.max(np.abs(projected_electric_term(self.P, ex, ey, 0.0))) == 0.0
 
     def test_thermal_definition(self):
-        p = DyadParams()
         ops = reduced_operators()
-        h = thermal_term(1.0, p)
-        assert np.allclose(h, p.ddelta_dT * ops.tilde_z)
+        for w in (-3e5, 1.0, 7e4):
+            diff = self.frame(thermal_shift=w) - self.frame()
+            assert np.max(np.abs(diff - w * ops.tilde_z)) < 1e-9 * abs(w)
 
 
 class TestGeometry:

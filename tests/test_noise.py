@@ -1,6 +1,5 @@
 """Fluctuator statistics, reproducibility, and the local/global split."""
 
-import io
 import math
 
 import numpy as np
@@ -17,7 +16,6 @@ from spindyad.noise import (
     partition,
     sample_electric_trajectory,
     sample_magnetic_trajectory,
-    trajectory_to_csv,
 )
 
 
@@ -167,18 +165,6 @@ class TestEmpiricalXi:
 
 
 class TestTrajectoryUtilities:
-    def test_csv_columns(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=2)
-        traj = sample_magnetic_trajectory(cfg, 1e-7, 1e-8, 0)
-        buf = io.StringIO()
-        trajectory_to_csv(traj, buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "step,beta_s,beta_s_prime,eps_x,eps_y,eps_z"
-        assert len(lines) == 1 + traj.n_steps
-        first = lines[1].split(",")
-        assert first[0] == "0"
-        assert float(first[1]) == traj.beta_s[0]
-
     def test_refined_preserves_path(self):
         cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=2)
         traj = sample_magnetic_trajectory(cfg, 1e-6, 1e-8, 0)

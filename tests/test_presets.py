@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from spindyad.cli import EXIT_OK, main
+from spindyad.cli import EXIT_CONFIG, EXIT_OK, main
 from spindyad.presets import half_excess_detuning
 
 COMMON = """
@@ -234,9 +234,9 @@ class TestEchoCoherenceTime:
         calls = []
         real_run = engine.run
 
-        def counting_run(exp, threads=1):
+        def counting_run(exp):
             calls.append(exp)
-            return real_run(exp, threads=threads)
+            return real_run(exp)
 
         monkeypatch.setattr(engine, "run", counting_run)
         exp = Experiment(
@@ -252,6 +252,29 @@ class TestEchoCoherenceTime:
         assert scan.sim.n_trajectories == 1 and scan.noise.beta_rms == 0.0
         assert scan.electric is None and len(scan.times) > 22
         assert noisy.sim.n_trajectories == 4 and noisy.noise.beta_rms == 1e-6
+
+
+class TestRegistry:
+    def test_config_and_dispatch_name_the_same_presets(self):
+        from spindyad.config import PRESETS
+        from spindyad.presets import _PRESET_FUNCS, _SWEPT_VARIABLE
+
+        assert sorted(_PRESET_FUNCS) == sorted(PRESETS)
+        assert set(_SWEPT_VARIABLE) <= set(PRESETS)
+
+    @pytest.mark.parametrize(
+        "preset,variable", [("field_sweep", "delta_b"), ("xi_sweep", "xi"), ("electrometry", "eps_rms")]
+    )
+    def test_wrong_sweep_variable_is_2(self, tmp_path, capsys, preset, variable):
+        body = (
+            f"[experiment]\npreset = {preset}\nlabel = w\n"
+            + COMMON.format(j=50, traj=4, sim_extra="near_bm = true", plot="false")
+            + "\n[sweep]\nvariable = tau\nvalues = 1 us\n"
+        )
+        code, _ = run_cfg(tmp_path, "schema = 1\n" + body)
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config: {preset} preset needs sweep.variable = {variable}\n"
 
 
 class TestHalfExcessDetuning:

@@ -178,6 +178,16 @@ class TestSimFrame:
             comm = h @ ops.zq_antisym - ops.zq_antisym @ h
             assert np.max(np.abs(comm)) < 1e-9 * np.max(np.abs(h))
 
+    def test_electric_and_thermal_terms(self):
+        # the axial field enters as -d_par eps_z Tz (the identity part of
+        # the projected coupling dropped), the thermal shift as d_omega Tz
+        p = DyadParams(j_par=50e3, j_perp=50e3)
+        ops = reduced_operators()
+        e, w = 2.5e6, -3e5
+        h = sim_frame_hamiltonian(p, eps_z=e, thermal_shift=w) - sim_frame_hamiltonian(p)
+        expected = (-p.d_par * e + w) * ops.tilde_z
+        assert np.max(np.abs(h - expected)) < 1e-12 * np.max(np.abs(expected))
+
     def test_near_anticrossing_gap(self):
         jperp = 0.75e6
         p = DyadParams(j_par=0.75e6, j_perp=jperp)

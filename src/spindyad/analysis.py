@@ -6,7 +6,9 @@ Coherence times are defined through a stretched-exponential envelope
 
 fitted by variable projection: for a trial (T2, n) the offset and
 amplitude follow from a closed-form weighted linear solve, and a bounded
-derivative-free simplex refines (T2, n) only. Times are normalized to
+derivative-free simplex refines (T2, n) only. The simplex is an in-house
+Nelder-Mead (:func:`_minimize`) that reproduces SciPy 1.17's bounded
+``minimize(method="Nelder-Mead")`` bit for bit. Times are normalized to
 the last sample and the signal to its endpoint span before fitting, so
 the fit is exactly equivariant under time rescaling and affine signal
 transforms.
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.median imports it on first call; load it with the package
 from numpy.typing import NDArray
-from scipy.optimize import minimize
 
 __all__ = [
     "FitResult",
@@ -49,6 +51,8 @@ _TOL = 1e-10
 # to it, both in units of the observation window
 _T2_MAX = 50.0
 _T2_RESOLVED = 49.0
+_LOWER = np.array([1e-3, STRETCH_BOUNDS[0]])
+_UPPER = np.array([_T2_MAX, STRETCH_BOUNDS[1]])
 
 
 class FitError(RuntimeError):
@@ -157,17 +161,58 @@ def _minimize(objective: Callable[[NDArray], float], t2_0: float) -> tuple[float
     """Bounded simplex over (T2 / t_last, n); returns (t2, n, converged).
 
     T2 is bounded to (1e-3 .. 50) x the observation window: a fit pushed
-    to the upper bound means "slower than resolvable here".
+    to the upper bound means "slower than resolvable here". The simplex
+    is Nelder & Mead, Comput. J. 7, 308 (1965), step for step as SciPy
+    1.17's ``_minimize_neldermead`` runs it with bounds and fixed
+    coefficients (reflection 1, expansion 2, contraction and shrink 1/2),
+    so fits are bit-identical to SciPy's ``optimize.minimize(...,
+    method="Nelder-Mead")``. ``converged`` means the ``xatol``/``fatol``
+    test stopped it before ``_MAX_ITER`` iterations.
     """
-    res = minimize(
-        objective,
-        x0=np.array([min(max(t2_0, 1e-3), _T2_MAX), 1.0]),
-        method="Nelder-Mead",
-        bounds=[(1e-3, _T2_MAX), STRETCH_BOUNDS],
-        options={"maxiter": _MAX_ITER, "xatol": _TOL, "fatol": _TOL},
-    )
-    t2_hat, n_hat = res.x
-    return t2_hat, n_hat, bool(res.success)
+    lo, hi = _LOWER, _UPPER
+    x0 = np.array([min(max(t2_0, 1e-3), _T2_MAX), 1.0])
+    # default initial simplex: each coordinate in turn scaled by 1 + 0.05
+    # (no coordinate can be 0), reflected into the box where it overshoots
+    sim = np.array([x0, x0, x0])
+    sim[1, 0] *= 1 + 0.05
+    sim[2, 1] *= 1 + 0.05
+    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
+    fsim = np.array([objective(v) for v in sim])
+    ind = np.argsort(fsim)
+    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < _MAX_ITER:
+        if np.max(np.abs(sim[1:] - sim[0])) <= _TOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _TOL:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / 2
+        xr = np.clip(2 * xbar - sim[-1], lo, hi)
+        fxr = objective(xr)
+        if fxr < fsim[0]:  # expand
+            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
+            fxe = objective(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:  # reflect
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # contract outside
+                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
+                fxc = objective(xc)
+                accept = fxc <= fxr
+            else:  # contract inside
+                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
+                fxc = objective(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in (1, 2):
+                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
+                    fsim[j] = objective(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    t2_hat, n_hat = sim[0]
+    return t2_hat, n_hat, iterations < _MAX_ITER
 
 
 def fit_stretched_exponential(trace: _TraceLike) -> FitResult:

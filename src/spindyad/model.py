@@ -14,13 +14,14 @@ survives inside the package.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.optimize import linear_sum_assignment
 
 from .linalg import full_operators, reduced_operators, require_hermitian
 
@@ -304,6 +305,24 @@ class LevelDiagram:
             raise ValueError("branch rows must match b_values")
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> tuple[NDArray, NDArray]:
+    """All orderings of range(n) in ``itertools`` order, and each as the
+    flat indices (row, column) it selects from an n x n matrix."""
+    perms = np.array(list(itertools.permutations(range(n))))
+    perms.setflags(write=False)  # rows are handed out, and the table is shared
+    return perms, np.arange(n) * n + perms
+
+
+def _best_assignment(cost: NDArray) -> NDArray:
+    """The column of each row in the cheapest one-to-one assignment of a
+    square cost matrix: the best of all n! orderings, the first on a tie.
+    For the 6x6 level overlaps it picks what SciPy 1.17's
+    ``linear_sum_assignment`` picks."""
+    perms, flat = _permutations(len(cost))
+    return perms[np.argmin(cost.ravel()[flat].sum(axis=1))]
+
+
 def level_diagram(
     p: DyadParams, b_values: Sequence[float], apply_shift: bool = False
 ) -> LevelDiagram:
@@ -311,7 +330,10 @@ def level_diagram(
 
     Branches are continued adiabatically by maximal eigenvector overlap
     between adjacent field steps; raw sorted eigenvalues would swap
-    branches at crossings and corrupt the diagram.
+    branches at crossings and corrupt the diagram. Levels go to branches
+    by a search over all 720 orderings of the six levels
+    (:func:`_best_assignment`), which matches SciPy 1.17's
+    ``linear_sum_assignment``.
 
     The optional energy shift is +|g|B/2 per level. This is the uniform
     shift that makes all four lower branches field-independent near the
@@ -332,11 +354,9 @@ def level_diagram(
     for k, b in enumerate(b_values):
         evals, vecs = np.linalg.eigh(full_hamiltonian(p, b_field=b))
         if prev_vecs is not None:
-            overlap = np.abs(prev_vecs.conj().T @ vecs)
+            cost = -np.abs(prev_vecs.conj().T @ vecs)
             # maximize total overlap with the previous step's branches
-            rows, cols = linear_sum_assignment(-overlap)
-            perm = np.empty(dim, dtype=int)
-            perm[rows] = cols
+            perm = _best_assignment(cost)
             evals = evals[perm]
             vecs = vecs[:, perm]
         branches[k] = evals

@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.random import Generator, Philox
 from numpy.typing import NDArray
 
 __all__ = [
@@ -152,10 +153,10 @@ def partition(xi: float, beta_rms: float) -> tuple[float, float]:
     return beta_rms * math.sqrt(1.0 - xi), beta_rms * math.sqrt(xi)
 
 
-def _stream_rng(seed: int, stream_id: int, domain: int) -> np.random.Generator:
+def _stream_rng(seed: int, stream_id: int, domain: int) -> Generator:
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream_id)], dtype=np.uint64)
     counter = np.array([0, 0, 0, domain], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    return Generator(Philox(counter=counter, key=key))
 
 
 def _fluctuator_channels(

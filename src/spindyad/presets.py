@@ -365,10 +365,16 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
 
 def _preset_levels(cfg, inp, w):
     params = inp.params
-    values = cfg.sweep_values() if cfg.text("sweep", "variable") == "b_field" else None
-    if values is None or len(values) < 2:
+    variable = cfg.text("sweep", "variable")
+    if not variable:  # no sweep given: 0.8 .. 1.2 B_m
         b_m = model.anticrossing_field(params)
         values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
+    elif variable != "b_field":
+        raise ConfigError(f"levels preset sweeps b_field, not sweep.variable = {variable}")
+    else:
+        values = cfg.sweep_values()
+        if len(values) < 2:
+            raise ConfigError(f"levels preset needs at least 2 b_field values, got {len(values)}")
     try:  # fields not ascending, or couplings given without j and theta
         diagram = model.level_diagram(params, values, apply_shift=False)
     except ValueError as exc:

@@ -1,12 +1,19 @@
 """Stretched-exponential fitting and sensing-signal extraction."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spindyad import analysis
 from spindyad.analysis import (
+    FLAT_FLOOR,
+    STRETCH_BOUNDS,
     FitError,
+    FitResult,
     FlatTraceError,
     coherence_time,
     enhancement_ratio,
@@ -267,3 +274,101 @@ class TestTemperatureShift:
 
     def test_accepts_plain_number(self):
         assert temperature_shift(4e4, 2e4) == pytest.approx(2.0)
+
+
+@pytest.fixture(scope="module")
+def scipy_optimize():
+    return pytest.importorskip("scipy.optimize")
+
+
+def scipy_simplex(optimize):
+    """The reference: ``scipy.optimize.minimize`` with the bounds, start and
+    options that ``analysis._minimize`` reproduces."""
+
+    def minimize(objective, t2_0):
+        res = optimize.minimize(
+            objective,
+            x0=np.array([min(max(t2_0, 1e-3), analysis._T2_MAX), 1.0]),
+            method="Nelder-Mead",
+            bounds=[(1e-3, analysis._T2_MAX), STRETCH_BOUNDS],
+            options={"maxiter": analysis._MAX_ITER, "xatol": analysis._TOL, "fatol": analysis._TOL},
+        )
+        t2_hat, n_hat = res.x
+        return t2_hat, n_hat, bool(res.success)
+
+    return minimize
+
+
+def outcome(fitter, trace):
+    """repr of the fit, or of the error the fitter raised."""
+    try:
+        return repr(fitter(trace))
+    except FitError as exc:
+        return repr(exc)
+
+
+def assert_fits_match_scipy(optimize, trace):
+    """Both fitters give repr-identical results with the in-house simplex
+    and with scipy's; returns the in-house fits."""
+    fits = []
+    for fitter in (fit_stretched_exponential, fit_envelope_decay):
+        ours = outcome(fitter, trace)
+        with mock.patch.object(analysis, "_minimize", scipy_simplex(optimize)):
+            assert outcome(fitter, trace) == ours
+        fits.append(ours)
+    return fits
+
+
+class TestSimplexMatchesScipy:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        n=st.integers(8, 40),
+        t_last=st.floats(1e-7, 1e-2),
+        t2_ratio=st.floats(-2.0, 2.0),
+        stretch=st.floats(0.3, 3.5),
+        amplitude=st.floats(-1.0, 1.0),
+        noise=st.floats(0.0, 0.05),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_traces(self, scipy_optimize, n, t_last, t2_ratio, stretch, amplitude, noise, weighted, seed):
+        rng = np.random.default_rng(seed)
+        t = np.sort(rng.uniform(0.0, t_last, n))
+        t[-1] = t_last
+        y = 0.5 + amplitude * np.exp(-((t / (t_last * 10**t2_ratio)) ** stretch))
+        y = y + noise * rng.normal(size=n)
+        sem = np.full(n, noise) if weighted else None
+        assert_fits_match_scipy(scipy_optimize, make_trace(t, y, sem))
+
+    def test_initial_t2_above_slow_bound(self, scipy_optimize):
+        # the 1/e crossing, extrapolated from two nearly equal points below
+        # 1/e, lies far beyond the window: x0 is clipped to the bound and
+        # the simplex vertex stepped past it is reflected back inside
+        t = np.linspace(1e-6, 10e-6, 10)
+        y = np.array([0.3, 0.3001, 0.28, 0.25, 0.22, 0.2, 0.17, 0.15, 0.12, 0.1])
+        assert analysis._initial_t2(t / t[-1], y) > analysis._T2_MAX
+        fits = assert_fits_match_scipy(scipy_optimize, make_trace(t, y))
+        assert all(f.startswith("FitResult(") for f in fits)
+
+    def test_iteration_cap(self, scipy_optimize):
+        # the decay falls between samples, so (T2, n) is not identifiable
+        # and the simplex is still moving at the iteration cap
+        rng = np.random.default_rng(0)
+        t = np.sort(rng.uniform(0.0, 1.0, 10))
+        t[-1] = 1.0
+        y = 0.5 + 0.5 * np.exp(-((t / 0.05) ** 2.5)) + 1e-3 * rng.normal(size=t.size)
+        trace = make_trace(1e-4 * t, y)
+        assert not fit_stretched_exponential(trace).converged
+        assert_fits_match_scipy(scipy_optimize, trace)
+
+    def test_flat_floor_edge(self, scipy_optimize):
+        # deterministic traces whose decay clears FLAT_FLOOR by one part in 1e6
+        t = np.linspace(1e-6, 100e-6, 20)
+        d = np.exp(-t / 30e-6)
+        edge = FLAT_FLOOR * (1 + 1e-6)
+        stretched_trace = make_trace(t, 0.5 + edge * (d - d[-1]) / (d[0] - d[-1]))
+        envelope_trace = make_trace(t, 1.0 - edge * (1.0 - d) / (1.0 - d[-1]))
+        assert isinstance(fit_stretched_exponential(stretched_trace), FitResult)
+        assert isinstance(fit_envelope_decay(envelope_trace), FitResult)
+        assert_fits_match_scipy(scipy_optimize, stretched_trace)
+        assert_fits_match_scipy(scipy_optimize, envelope_trace)

@@ -1,5 +1,10 @@
 """End-to-end CLI runs: artifacts, determinism, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,6 +165,35 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: config: ")
 
+    @pytest.mark.parametrize(
+        "sweep,message",
+        [
+            ("variable = b_field\nvalues = 51 mT", "levels preset needs at least 2 b_field values, got 1"),
+            ("variable = b_field\nstart = 51 mT\nstop = 53 mT\ncount = 1", "levels preset needs at least 2 b_field values, got 1"),
+            ("variable = delta_b\nvalues = 1 uT, 2 uT", "levels preset sweeps b_field, not sweep.variable = delta_b"),
+        ],
+        ids=["one-value", "count-1", "other-variable"],
+    )
+    def test_levels_sweep_it_cannot_use_is_2(self, tmp_path, capsys, sweep, message):
+        body = FAST_LEVELS.replace("variable = b_field\nstart = 50 mT\nstop = 53 mT\ncount = 31", sweep)
+        path = write(tmp_path, body)
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not (out / "levels.csv").exists()
+
+    def test_levels_without_sweep_uses_default_window(self, tmp_path):
+        body = FAST_LEVELS.replace("[sweep]\nvariable = b_field\nstart = 50 mT\nstop = 53 mT\ncount = 31\n", "")
+        assert "[sweep]" not in body
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out), "--no-plot"]) == EXIT_OK
+        rows = [l for l in (out / "levels.csv").read_text().splitlines() if l[0].isdigit()]
+        b = [float(r.split(",")[0]) for r in rows]
+        b_m = float((out / "levels_summary.txt").read_text().split("anticrossing_field_T = ")[1])
+        assert len(b) == 401
+        assert b[0] == pytest.approx(0.8 * b_m, rel=1e-15)
+        assert b[-1] == pytest.approx(1.2 * b_m, rel=1e-15)
+
     def test_seed_beyond_float_precision_is_kept(self, tmp_path):
         path = write(tmp_path, FAST_LEVELS + "\n[sim]\nseed = 9007199254740993\n")
         out = tmp_path / "out"
@@ -303,3 +337,42 @@ class TestLevelsContent:
 
         recovered = rows[:, 7:] - 0.5 * DEFAULT_GAMMA_E * rows[:, [0]]
         assert np.max(np.abs(recovered - rows[:, 1:7])) < 1e-3
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(code, cwd):
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p)
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
+class TestWithoutScipy:
+    def test_import_loads_no_scipy(self, tmp_path):
+        proc = run_python(
+            "import sys, spindyad\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_presets_run_with_scipy_blocked(self, tmp_path):
+        # sys.modules[name] = None makes every import of scipy fail
+        proc = run_python(
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from spindyad.cli import main\n"
+            f"assert main(['--config', {str(ROOT / 'configs' / 'levels.cfg')!r}, '--out', 'lv']) == 0\n"
+            f"assert main(['--config', {str(ROOT / 'configs' / 'zq_decay.cfg')!r}, '--out', 'zq',"
+            " '--trajectories', '2', '--seed', '7']) == 0\n",
+            tmp_path,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "lv" / "levels.csv").exists()
+        # seed 7 resolves a decay, so the fit ran
+        assert "# fit:" in (tmp_path / "zq" / "zq_decay.csv").read_text()

@@ -1,10 +1,14 @@
 """Hamiltonian construction, anti-crossing location, level diagrams."""
 
 import math
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from spindyad import model
+from spindyad.config import parse_config
 from spindyad.linalg import FullOperators, SpinKind, reduced_operators, spin_operators
 from spindyad.model import (
     DEFAULT_DELTA,
@@ -309,6 +313,30 @@ class TestLevelDiagram:
         p = DyadParams(j_coupling=0.0, theta=0.0)
         with pytest.raises(ValueError):
             level_diagram(p, [2e-3, 1e-3], apply_shift=False)
+
+
+class TestAssignmentMatchesScipy:
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_random_cost_matrices(self, size):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(size)
+        for k in range(500):
+            # overlaps in [0, 1] as level_diagram makes them, and signed costs
+            cost = -rng.uniform(size=(size, size)) if k % 2 else rng.normal(size=(size, size))
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert np.array_equal(rows, np.arange(size))
+            assert np.array_equal(model._best_assignment(cost), cols)
+
+    def test_levels_config_window(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "levels.cfg")
+        p = DyadParams(j_coupling=cfg.number("params", "j"), theta=cfg.number("params", "theta"))
+        b_vals = cfg.sweep_values()
+        ours = level_diagram(p, b_vals, apply_shift=True)
+        assert np.any(np.diff(ours.branches, axis=1) < 0)  # branches cross here
+        with mock.patch.object(model, "_best_assignment", lambda c: optimize.linear_sum_assignment(c)[1]):
+            theirs = level_diagram(p, b_vals, apply_shift=True)
+        assert np.array_equal(ours.branches, theirs.branches)
 
 
 def projected_electric_term(p, ex, ey, ez):

@@ -103,9 +103,7 @@ _SCHEMA: dict[str, dict[str, tuple[str | tuple[str, ...], Optional[str]]]] = {
         "j_par": ("frequency", ""),
         "j_perp": ("frequency", ""),
         "d_par": ("frequency", "0.0035 Hz"),  # per (V/m)
-        "d_perp": ("frequency", "0.17 Hz"),  # per (V/m)
         "ddelta_dt": ("frequency", "-74.2 kHz"),  # per kelvin
-        "distance": ("none", ""),  # meters
     },
     "noise": {
         "beta_rms": ("field", "1 uT"),
@@ -147,7 +145,6 @@ _SCHEMA: dict[str, dict[str, tuple[str | tuple[str, ...], Optional[str]]]] = {
 _SWEEP_VARIABLES = {
     "b_field": ("field", -math.inf, math.inf),
     "delta_b": ("field", -math.inf, math.inf),
-    "tau": ("time", -math.inf, math.inf),
     "tau_tilde": ("time", -math.inf, math.inf),
     "xi": ("none", 0.0, 1.0),
     "eps_rms": ("efield", 0.0, math.inf),

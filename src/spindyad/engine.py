@@ -428,7 +428,7 @@ def propagate(
         assert_density_matrix(rho0)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     if single:
-        path = (traj.beta_s, traj.beta_s_prime, None if traj.eps is None else traj.eps[:, 2])
+        path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
         batch = _reduce([path], 1, traj.n_steps, traj.dt, _noisy_spans([program], traj.dt), coeffs)
     else:
         batch = traj
@@ -515,7 +515,7 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
             traj = sample_magnetic_trajectory(magnetic, max_steps * dt, dt, stream_id=i)
             beta, beta_p = traj.beta_s, traj.beta_s_prime
         if electric is not None and electric.eps_rms > 0:
-            eps_z = sample_electric_trajectory(electric, max_steps * dt, dt, stream_id=i)[:, 2]
+            eps_z = sample_electric_trajectory(electric, max_steps * dt, dt, stream_id=i)
         return beta, beta_p, eps_z
 
     try:

@@ -56,12 +56,12 @@ DEFAULT_DELTA = 2 * math.pi * 2.87e9  # rad/s
 DEFAULT_GAMMA_E = 2 * math.pi * 28.025e9  # rad/s per tesla
 
 # Electric and thermal susceptibilities of the spin-1 ground state.
-# These are externally sourced, literature-typical NV numbers (axial and
-# transverse electric couplings, thermal shift of the crystal field at
-# room temperature); no quantitative result in this package depends on
-# their absolute values and they are plain config inputs.
+# These are externally sourced, literature-typical NV numbers (axial
+# electric coupling, thermal shift of the crystal field at room
+# temperature); no quantitative result in this package depends on their
+# absolute values and they are plain config inputs. The transverse
+# electric terms vanish on the simulated {m_S = 0, -1} manifold.
 DEFAULT_D_PAR = 2 * math.pi * 3.5e-3  # rad/s per (V/m)
-DEFAULT_D_PERP = 2 * math.pi * 0.17  # rad/s per (V/m)
 DEFAULT_DDELTA_DT = -2 * math.pi * 74.2e3  # rad/s per kelvin
 
 
@@ -91,10 +91,8 @@ class DyadParams:
         j_coupling: bare dipolar amplitude J (Hz), optional.
         theta: angle between the inter-spin vector and the field (rad),
             optional.
-        d_par, d_perp: axial / transverse electric couplings of the
-            spin-1 (rad/s per V/m).
+        d_par: axial electric coupling of the spin-1 (rad/s per V/m).
         ddelta_dT: thermal shift of the crystal field (rad/s per kelvin).
-        distance: inter-spin separation (m), optional bookkeeping field.
 
     When both the projections and (j_coupling, theta) are supplied they
     must agree; figure-style parameter sets that pin J_par and J_perp
@@ -109,9 +107,7 @@ class DyadParams:
     j_coupling: Optional[float] = None
     theta: Optional[float] = None
     d_par: float = DEFAULT_D_PAR
-    d_perp: float = DEFAULT_D_PERP
     ddelta_dT: float = DEFAULT_DDELTA_DT
-    distance: Optional[float] = None
 
     def __post_init__(self):
         if not self.delta > 0:
@@ -294,11 +290,13 @@ class LevelDiagram:
     """Adiabatically-continued eigenvalue branches versus field.
 
     ``branches[k, i]`` is the energy (rad/s) of branch ``i`` at
-    ``b_values[k]``.
+    ``b_values[k]``; ``shifted`` is the same branches plus |g|B/2, see
+    :func:`level_diagram`.
     """
 
     b_values: NDArray
     branches: NDArray
+    shifted: NDArray
 
     def __post_init__(self):
         if self.branches.shape[0] != len(self.b_values):
@@ -323,9 +321,7 @@ def _best_assignment(cost: NDArray) -> NDArray:
     return perms[np.argmin(cost.ravel()[flat].sum(axis=1))]
 
 
-def level_diagram(
-    p: DyadParams, b_values: Sequence[float], apply_shift: bool = False
-) -> LevelDiagram:
+def level_diagram(p: DyadParams, b_values: Sequence[float]) -> LevelDiagram:
     """Eigenvalues of the full Hamiltonian over a field sweep.
 
     Branches are continued adiabatically by maximal eigenvector overlap
@@ -335,7 +331,7 @@ def level_diagram(
     (:func:`_best_assignment`), which matches SciPy 1.17's
     ``linear_sum_assignment``.
 
-    The optional energy shift is +|g|B/2 per level. This is the uniform
+    The shifted branches add +|g|B/2 to every level. This is the uniform
     shift that makes all four lower branches field-independent near the
     anti-crossing (the two zero-quantum-pair branches exactly, the two
     hybridized branches at the anti-crossing point): the lower-manifold
@@ -361,9 +357,8 @@ def level_diagram(
             vecs = vecs[:, perm]
         branches[k] = evals
         prev_vecs = vecs
-    if apply_shift:
-        branches = branches + 0.5 * p.gamma_e * b_values[:, None]
-    return LevelDiagram(b_values=b_values, branches=branches)
+    shifted = branches + 0.5 * p.gamma_e * b_values[:, None]
+    return LevelDiagram(b_values=b_values, branches=branches, shifted=shifted)
 
 
 def thermal_shift(delta_temp: float, p: DyadParams) -> float:

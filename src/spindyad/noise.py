@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -86,8 +86,9 @@ class FluctuatorConfig:
 
 @dataclass(frozen=True)
 class ElectricNoiseConfig:
-    """Electric fluctuator settings: three independent axes with a
-    common per-axis rms (V/m) and a common redraw rate (Hz)."""
+    """Electric fluctuator settings: one fluctuator on the axial field
+    eps_z, the only component the {m_S = 0, -1} manifold feels, with rms
+    ``eps_rms`` (V/m) and redraw rate ``switch_rate`` (Hz)."""
 
     eps_rms: float = 0.0
     switch_rate: float = DEFAULT_SWITCH_RATE
@@ -105,14 +106,14 @@ class NoiseTrajectory:
     """Piecewise-constant sampled noise over a protocol's duration.
 
     ``beta_s`` and ``beta_s_prime`` are per-step fields (tesla) at the
-    two spin sites; ``eps`` is an optional (n_steps, 3) array of electric
-    field samples (V/m).
+    two spin sites; ``eps_z`` is an optional per-step axial electric
+    field (V/m).
     """
 
     dt: float
     beta_s: NDArray
     beta_s_prime: NDArray
-    eps: Optional[NDArray] = None
+    eps_z: Optional[NDArray] = None
 
     @property
     def n_steps(self) -> int:
@@ -121,8 +122,8 @@ class NoiseTrajectory:
     def __post_init__(self):
         if self.beta_s.shape != self.beta_s_prime.shape:
             raise ValueError("beta_s and beta_s_prime must have equal length")
-        if self.eps is not None and self.eps.shape != (self.n_steps, 3):
-            raise ValueError(f"eps must have shape ({self.n_steps}, 3)")
+        if self.eps_z is not None and self.eps_z.shape != self.beta_s.shape:
+            raise ValueError(f"eps_z must have shape ({self.n_steps},)")
 
     def refined(self, factor: int) -> "NoiseTrajectory":
         """Same physical noise path represented on a grid dt/factor.
@@ -138,7 +139,7 @@ class NoiseTrajectory:
             dt=self.dt / factor,
             beta_s=rep(self.beta_s),
             beta_s_prime=rep(self.beta_s_prime),
-            eps=None if self.eps is None else rep(self.eps),
+            eps_z=None if self.eps_z is None else rep(self.eps_z),
         )
 
 
@@ -160,29 +161,32 @@ def _stream_rng(seed: int, stream_id: int, domain: int) -> Generator:
 
 
 def _fluctuator_channels(
-    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, sigmas: NDArray
-) -> NDArray:
-    """Sample ``len(sigmas)`` independent hold/redraw channels.
+    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, sigmas: Sequence[float]
+) -> list[NDArray]:
+    """Sample ``len(sigmas)`` independent hold/redraw channels, one
+    (n_steps,) path each.
 
     One (n_steps, 2c) uniform block is drawn row by row (step-major), so
     a longer trajectory extends a shorter one bit-exactly and channel
     amplitudes only scale the redraw values. Channel j redraws at step 0
     (stationary start) and at every later step where column j is below
     ``p_switch``, taking its value from column c + j, and holds it until
-    the next redraw. When every amplitude is zero the paths are zero and
+    the next redraw. A channel with zero amplitude is all zeros (one
+    shared array) and builds no path; when no channel has amplitude,
     nothing is drawn.
     """
     c = len(sigmas)
-    if not np.any(sigmas):
-        return np.zeros((n_steps, c))
-    u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
-    amp = _SQRT3 * np.asarray(sigmas)
-    paths = np.empty((c, n_steps))
-    for j in range(c):
-        starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
-        held = np.diff(starts, append=n_steps)
-        paths[j] = np.repeat((2.0 * u[starts, c + j] - 1.0) * amp[j], held)
-    return paths.T
+    live = [j for j in range(c) if sigmas[j]]
+    paths = [None] * c
+    if live:
+        u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
+        for j in live:
+            starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
+            held = np.diff(starts, append=n_steps)
+            paths[j] = np.repeat((2.0 * u[starts, c + j] - 1.0) * (_SQRT3 * sigmas[j]), held)
+        del u  # the zero path can take its memory (a lower peak RSS)
+    zero = np.zeros(n_steps) if len(live) < c else None
+    return [zero if path is None else path for path in paths]
 
 
 def _check_step(switch_rate: float, dt: float) -> float:
@@ -209,21 +213,22 @@ def sample_magnetic_trajectory(
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
     sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
-    sigmas = np.array([sig_g, sig_l, sig_l])
-    vals = _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, sigmas)
-    beta = vals[:, 0] + vals[:, 1]
-    beta_prime = vals[:, 0] + vals[:, 2]
-    return NoiseTrajectory(dt=dt, beta_s=beta, beta_s_prime=beta_prime)
+    glob, loc, loc_prime = _fluctuator_channels(
+        cfg.seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, [sig_g, sig_l, sig_l]
+    )
+    return NoiseTrajectory(dt=dt, beta_s=glob + loc, beta_s_prime=glob + loc_prime)
 
 
 def sample_electric_trajectory(
     cfg: ElectricNoiseConfig, duration: float, dt: float, stream_id: int
 ) -> NDArray:
-    """Sample an (n_steps, 3) electric field path, one fluctuator per axis."""
+    """Sample the (n_steps,) axial electric field path eps_z: channel 2 of a
+    three-channel stream (switches in uniform column 2, values in column
+    5) whose other two channels have zero amplitude and build no path."""
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
-    sigmas = np.full(3, cfg.eps_rms)
-    return _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas)
+    sigmas = [0.0, 0.0, cfg.eps_rms]
+    return _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas)[2]
 
 
 def empirical_xi(traj: NoiseTrajectory) -> float:

@@ -72,13 +72,12 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
         gamma_e=two_pi * cfg.number("params", "gamma_e"),
         b_field=cfg.number("params", "b_field"),
         d_par=two_pi * cfg.number("params", "d_par"),
-        d_perp=two_pi * cfg.number("params", "d_perp"),
         ddelta_dT=two_pi * cfg.number("params", "ddelta_dt"),
     )
     if cfg.has("params", "j") and cfg.has("params", "theta"):
         kwargs["j_coupling"] = cfg.number("params", "j")
         kwargs["theta"] = cfg.number("params", "theta")
-    for key in ("j_par", "j_perp", "distance"):
+    for key in ("j_par", "j_perp"):
         if cfg.has("params", key):
             kwargs[key] = cfg.number("params", key)
     seed = cfg.integer("sim", "seed")
@@ -365,30 +364,26 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
 
 def _preset_levels(cfg, inp, w):
     params = inp.params
-    variable = cfg.text("sweep", "variable")
-    if not variable:  # no sweep given: 0.8 .. 1.2 B_m
+    if not cfg.text("sweep", "variable"):  # no sweep given: 0.8 .. 1.2 B_m
         b_m = model.anticrossing_field(params)
         values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
-    elif variable != "b_field":
-        raise ConfigError(f"levels preset sweeps b_field, not sweep.variable = {variable}")
     else:
         values = cfg.sweep_values()
         if len(values) < 2:
             raise ConfigError(f"levels preset needs at least 2 b_field values, got {len(values)}")
     try:  # fields not ascending, or couplings given without j and theta
-        diagram = model.level_diagram(params, values, apply_shift=False)
+        diagram = model.level_diagram(params, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    shifted = model.level_diagram(params, values, apply_shift=True)
     cols = [f"branch{i}_rad_s" for i in range(6)] + [f"branch{i}_shifted_rad_s" for i in range(6)]
     csv_path = w.table(
         ["b_tesla", *cols],
-        ((b, *diagram.branches[k], *shifted.branches[k]) for k, b in enumerate(diagram.b_values)),
+        ((b, *diagram.branches[k], *diagram.shifted[k]) for k, b in enumerate(diagram.b_values)),
         notes={"master_seed": inp.sim.master_seed},
     )
     w.plot(
         diagram.b_values * 1e3,
-        [(f"level {i}", shifted.branches[:, i] / (2 * math.pi * 1e9)) for i in range(6)],
+        [(f"level {i}", diagram.shifted[:, i] / (2 * math.pi * 1e9)) for i in range(6)],
         "Energy levels vs field (shifted)",
         "B (mT)",
         "E / 2pi (GHz)",
@@ -593,8 +588,12 @@ _PRESET_FUNCS = {
     "custom": _preset_custom,
 }
 
-# the presets that sweep a config variable, and the variable each sweeps
-_SWEPT_VARIABLE = {"field_sweep": "delta_b", "xi_sweep": "xi", "electrometry": "eps_rms"}
+# the sweep.variable values each preset accepts, "" for leaving it unset;
+# a preset not listed reads none
+_SWEPT_VARIABLE = {
+    "levels": ("", "b_field"), "zq_decay": ("", "tau_tilde"),
+    "field_sweep": ("delta_b",), "xi_sweep": ("xi",), "electrometry": ("eps_rms",),
+}
 
 
 def run_preset(
@@ -612,6 +611,12 @@ def run_preset(
     ``threads`` is accepted for existing callers and ignored: all
     trajectories of a run are propagated as one batch.
     """
+    variable, accepted = cfg.text("sweep", "variable"), _SWEPT_VARIABLE.get(cfg.preset, ("",))
+    if variable not in accepted:
+        if "" not in accepted:
+            raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {accepted[0]}")
+        swept = accepted[-1] or "no variable"
+        raise ConfigError(f"{cfg.preset} preset sweeps {swept}, not sweep.variable = {variable}")
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:
         cfg.resolved["sim.trajectories"] = str(trajectories)
@@ -619,7 +624,4 @@ def run_preset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = _Writer(cfg, out, cfg.text("experiment", "label") or cfg.preset, plot)
-    variable = _SWEPT_VARIABLE.get(cfg.preset)
-    if variable is not None and cfg.text("sweep", "variable") != variable:
-        raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {variable}")
     return _PRESET_FUNCS[cfg.preset](cfg, inp, writer)

@@ -238,10 +238,10 @@ class TestCriterion3Anticrossing:
         loc_ok = abs(b_min - b_m) <= step
 
         h = 1e-3
-        diag = level_diagram(p, np.linspace(b_m - h, b_m + h, 41), apply_shift=True)
-        mid = diag.branches[len(diag.b_values) // 2]
+        shifted = level_diagram(p, np.linspace(b_m - h, b_m + h, 41)).shifted
+        mid = shifted[len(shifted) // 2]
         lower = np.argsort(mid)[:4]
-        slopes = (diag.branches[-1, lower] - diag.branches[0, lower]) / (2 * h)
+        slopes = (shifted[-1, lower] - shifted[0, lower]) / (2 * h)
         slope_max = float(np.max(np.abs(slopes)))
         slope_ok = slope_max < 1e-6 * DEFAULT_DELTA
         ok = loc_ok and slope_ok

@@ -182,6 +182,32 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not (out / "levels.csv").exists()
 
+    @pytest.mark.parametrize(
+        "preset,sweep,message",
+        [
+            ("echo", "variable = xi\nvalues = 0, 0.5", "echo preset sweeps no variable, not sweep.variable = xi"),
+            ("zq_decay", "variable = xi\nvalues = 0.1, 0.9", "zq_decay preset sweeps tau_tilde, not sweep.variable = xi"),
+            ("thermometry", "variable = tau_tilde\nvalues = 1 us", "thermometry preset sweeps no variable, not sweep.variable = tau_tilde"),
+        ],
+        ids=["echo", "zq_decay", "thermometry"],
+    )
+    def test_sweep_variable_the_preset_does_not_read_is_2(self, tmp_path, capsys, preset, sweep, message):
+        body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,line", [("d_perp", "d_perp = 0.17 Hz"), ("distance", "distance = 4e-9")], ids=["d_perp", "distance"]
+    )
+    def test_removed_params_key_is_2(self, tmp_path, capsys, key, line):
+        body = FAST_ZQ.replace("j_perp = 50 kHz", f"j_perp = 50 kHz\n{line}")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.endswith(f"unknown key {key!r} in section [params]\n")
+        assert not out.exists()
+
     def test_levels_without_sweep_uses_default_window(self, tmp_path):
         body = FAST_LEVELS.replace("[sweep]\nvariable = b_field\nstart = 50 mT\nstop = 53 mT\ncount = 31\n", "")
         assert "[sweep]" not in body

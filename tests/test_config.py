@@ -154,7 +154,7 @@ class TestSweepAxis:
         assert len(vals) == 5
 
     def test_log_range(self, tmp_path):
-        body = MINIMAL + "\n[sweep]\nvariable = tau\nstart = 1us\nstop = 100us\ncount = 3\nspacing = log\n"
+        body = MINIMAL + "\n[sweep]\nvariable = tau_tilde\nstart = 1us\nstop = 100us\ncount = 3\nspacing = log\n"
         cfg = parse_config(write_cfg(tmp_path, body))
         vals = cfg.sweep_values()
         assert vals[1] == pytest.approx(1e-5, rel=1e-9)

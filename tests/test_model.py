@@ -252,18 +252,17 @@ class TestLevelDiagram:
     def test_shift_is_half_gamma_b(self):
         p = DyadParams(j_coupling=0.2e6, theta=math.pi / 2)
         b_vals = np.linspace(45e-3, 58e-3, 7)
-        plain = level_diagram(p, b_vals, apply_shift=False)
-        shifted = level_diagram(p, b_vals, apply_shift=True)
-        recovered = shifted.branches - 0.5 * GAMMA * b_vals[:, None]
-        scale = np.max(np.abs(plain.branches))
-        assert np.max(np.abs(recovered - plain.branches)) < 1e-12 * scale
+        d = level_diagram(p, b_vals)
+        recovered = d.shifted - 0.5 * GAMMA * b_vals[:, None]
+        scale = np.max(np.abs(d.branches))
+        assert np.max(np.abs(recovered - d.branches)) < 1e-12 * scale
 
     def test_uncoupled_branches_cross_at_bm(self):
         p = DyadParams(j_coupling=0.0, theta=0.0)
         b_m = anticrossing_field(p)
         step = 1e-5
         b_vals = b_m + step * np.arange(-5, 6)
-        d = level_diagram(p, b_vals, apply_shift=False)
+        d = level_diagram(p, b_vals)
         # two branches degenerate exactly at the crossing field
         mid = d.branches[5]
         pairgap = np.min(np.abs(np.subtract.outer(mid, mid) + np.eye(6)))
@@ -273,7 +272,7 @@ class TestLevelDiagram:
         p = DyadParams(j_coupling=0.2e6, theta=math.pi / 2)  # j_perp = -0.15 MHz
         b_m = anticrossing_field(p)
         b_vals = np.linspace(b_m - 1e-3, b_m + 1e-3, 201)
-        d = level_diagram(p, b_vals, apply_shift=False)
+        d = level_diagram(p, b_vals)
         sorted_e = np.sort(d.branches, axis=1)
         gaps = sorted_e[:, 2] - sorted_e[:, 1]
         assert np.min(gaps) > 0.5 * 2 * abs(2 * math.pi * p.j_perp * math.sqrt(2))
@@ -287,14 +286,14 @@ class TestLevelDiagram:
         b_m = anticrossing_field(p)
         h = 1e-3
         b_vals = np.linspace(b_m - h, b_m + h, 41)
-        d = level_diagram(p, b_vals, apply_shift=True)
+        shifted = level_diagram(p, b_vals).shifted
         mid = len(b_vals) // 2
-        order = np.argsort(d.branches[mid])
+        order = np.argsort(shifted[mid])
         lower = order[:4]
-        slopes = (d.branches[-1, lower] - d.branches[0, lower]) / (2 * h)
+        slopes = (shifted[-1, lower] - shifted[0, lower]) / (2 * h)
         assert np.max(np.abs(slopes)) < 1e-6 * DELTA
         upper = order[4:]
-        up_slopes = (d.branches[-1, upper] - d.branches[0, upper]) / (2 * h)
+        up_slopes = (shifted[-1, upper] - shifted[0, upper]) / (2 * h)
         assert np.min(np.abs(up_slopes)) > 1e3 * 1e-6 * DELTA
 
     def test_uncoupled_sorted_envelopes_flat_at_bm(self):
@@ -304,15 +303,14 @@ class TestLevelDiagram:
         b_m = anticrossing_field(p)
         h = 5e-6
         b_vals = np.array([b_m - h, b_m, b_m + h])
-        d = level_diagram(p, b_vals, apply_shift=True)
-        sorted_e = np.sort(d.branches, axis=1)
+        sorted_e = np.sort(level_diagram(p, b_vals).shifted, axis=1)
         slopes = (sorted_e[2, :4] - sorted_e[0, :4]) / (2 * h)
         assert np.max(np.abs(slopes)) < 1e-6 * DELTA
 
     def test_rejects_unsorted_fields(self):
         p = DyadParams(j_coupling=0.0, theta=0.0)
         with pytest.raises(ValueError):
-            level_diagram(p, [2e-3, 1e-3], apply_shift=False)
+            level_diagram(p, [2e-3, 1e-3])
 
 
 class TestAssignmentMatchesScipy:
@@ -332,11 +330,16 @@ class TestAssignmentMatchesScipy:
         cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "levels.cfg")
         p = DyadParams(j_coupling=cfg.number("params", "j"), theta=cfg.number("params", "theta"))
         b_vals = cfg.sweep_values()
-        ours = level_diagram(p, b_vals, apply_shift=True)
-        assert np.any(np.diff(ours.branches, axis=1) < 0)  # branches cross here
+        ours = level_diagram(p, b_vals)
+        assert np.any(np.diff(ours.shifted, axis=1) < 0)  # branches cross here
         with mock.patch.object(model, "_best_assignment", lambda c: optimize.linear_sum_assignment(c)[1]):
-            theirs = level_diagram(p, b_vals, apply_shift=True)
+            theirs = level_diagram(p, b_vals)
         assert np.array_equal(ours.branches, theirs.branches)
+        assert np.array_equal(ours.shifted, theirs.shifted)
+
+
+# the literature-typical transverse electric coupling of an NV spin-1 (rad/s per V/m)
+D_PERP = 2 * math.pi * 0.17
 
 
 def projected_electric_term(p, ex, ey, ez):
@@ -344,7 +347,7 @@ def projected_electric_term(p, ex, ey, ez):
     + SySx) + ey (Sx^2 - Sy^2)] in the 6-level space, restricted to the
     reduced {m_S = 0, -1} manifold in reduced order."""
     s = spin_operators(SpinKind.SPIN_ONE)
-    h1 = p.d_par * ez * (s.z @ s.z - (2.0 / 3.0) * np.eye(3)) - p.d_perp * (
+    h1 = p.d_par * ez * (s.z @ s.z - (2.0 / 3.0) * np.eye(3)) - D_PERP * (
         ex * (s.x @ s.y + s.y @ s.x) + ey * (s.x @ s.x - s.y @ s.y)
     )
     idx = FullOperators.reduced_indices

@@ -58,7 +58,7 @@ def reference_repump(rho):
 
 
 def reference_propagate(rho0, program, params, traj, sim, thermal_shift):
-    eps_z = np.zeros(traj.n_steps) if traj.eps is None else traj.eps[:, 2]
+    eps_z = np.zeros(traj.n_steps) if traj.eps_z is None else traj.eps_z
     rho = np.array(rho0, dtype=complex)
     k = 0
     for elem in program.elements:
@@ -122,7 +122,7 @@ def test_engine_matches_reference(
         dt=DT,
         beta_s=held_path(rng, n, 3e-6),
         beta_s_prime=held_path(rng, n, 3e-6),
-        eps=np.stack([held_path(rng, n, 1e7) for _ in range(3)], axis=1) if electric else None,
+        eps_z=held_path(rng, n, 1e7) if electric else None,
     )
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rho0 = a @ a.conj().T
@@ -207,7 +207,7 @@ def resampled_signals(exp):
     out = np.empty((len(programs), exp.sim.n_trajectories))
     for i in range(exp.sim.n_trajectories):
         traj = sample_magnetic_trajectory(magnetic, duration, dt, i)
-        traj.eps = sample_electric_trajectory(electric, duration, dt, i)
+        traj.eps_z = sample_electric_trajectory(electric, duration, dt, i)
         for k, prog in enumerate(programs):
             rho = propagate(
                 engine.initial_state(), prog, exp.params, traj, exp.sim, thermal_shift=exp.thermal_shift

@@ -15,7 +15,9 @@ compare with one ``diff`` of their ``SHA256SUMS``.
 ``--against REV`` does that comparison: it extracts a ``git archive`` of
 REV to ``OUT/REV/tree``, runs that tree's own ``tools/byte_matrix.py``
 into ``OUT/REV/out`` in a subprocess, prints every line in which the two
-``SHA256SUMS`` differ, and exits 1 if any does.
+``SHA256SUMS`` differ, then a unified diff (no context) of each file whose
+hash differs, at most ``DIFF_LINES`` lines per file, and exits 1 if any
+does.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from spindyad.cli import main  # noqa: E402
 SEED = 7
 TRAJECTORIES = {"zq_decay": 120, "field_sweep": 10, "electrometry": 50}
 DEFAULT_TRAJECTORIES = 8
+DIFF_LINES = 40
 
 # the deer and custom configs of the preset and CLI smoke tests
 EXTRA_CONFIGS = {
@@ -120,9 +123,14 @@ def main_matrix(out: Path) -> None:
     Path("SHA256SUMS").write_text("".join(lines))
 
 
+def _lines(path: Path) -> list[str]:
+    return path.read_text(errors="replace").splitlines() if path.is_file() else []
+
+
 def against(out: Path, rev: str) -> int:
     """Run REV's own matrix under ``OUT/REV`` and print the lines in which
-    its ``SHA256SUMS`` and OUT's differ; 1 if any does, else 0."""
+    its ``SHA256SUMS`` and OUT's differ, then the diff of each file they
+    name; 1 if any differs, else 0."""
     dest = out / rev.replace("/", "_")
     shutil.rmtree(dest, ignore_errors=True)
     archive = subprocess.run(
@@ -136,6 +144,16 @@ def against(out: Path, rev: str) -> int:
     ours = (out / "SHA256SUMS").read_text().splitlines()
     diff = list(difflib.unified_diff(theirs, ours, f"{rev}/SHA256SUMS", "SHA256SUMS", n=0, lineterm=""))
     print("\n".join(diff) if diff else f"SHA256SUMS identical to {rev}'s")
+    changed = sorted({line[1:].split("  ", 1)[1] for line in diff[2:] if not line.startswith("@@")})
+    for name in changed:
+        body = list(
+            difflib.unified_diff(
+                _lines(dest / "out" / name), _lines(out / name), f"{rev}/{name}", name, n=0, lineterm=""
+            )
+        )
+        print("\n".join(body[:DIFF_LINES]))
+        if len(body) > DIFF_LINES:
+            print(f"... {len(body) - DIFF_LINES} more lines of {name}'s diff")
     return 1 if diff else 0
 
 

@@ -31,7 +31,7 @@ from .engine import (
     trace_to_csv,
     zq_state,
 )
-from .linalg import SpinKind, expectation, expm_hermitian, reduced_operators, spin_operators, tensor
+from .linalg import SpinKind, expm_hermitian, reduced_operators, spin_operators
 from .model import (
     DyadParams,
     LevelDiagram,

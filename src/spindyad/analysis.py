@@ -342,15 +342,9 @@ def slope_frequency(trace: _TraceLike, window: float) -> float:
         w = w / np.max(w)
     else:
         w = np.ones_like(tw)
-    sw = float(np.sum(w))
-    st = float(np.sum(w * tw))
-    stt = float(np.sum(w * tw * tw))
-    sy = float(np.sum(w * sigma))
-    sty = float(np.sum(w * tw * sigma))
-    det = sw * stt - st * st
-    if det == 0.0:
+    if np.ptp(tw) == 0:
         raise FitError("slope window has no time spread")
-    slope = (sw * sty - st * sy) / det
+    _, slope, _ = _linear_subfit(tw, sigma, w)
     return -4.0 * slope
 
 

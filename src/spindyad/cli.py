@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 from .analysis import FitError
 from .config import ConfigError, parse_config
 from .engine import SimulationError
-from .presets import PresetError, run_preset
+from .presets import run_preset
 
 __all__ = ["main"]
 
@@ -69,7 +69,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FitError as exc:
         print(f"error: fit: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except (SimulationError, PresetError) as exc:
+    except SimulationError as exc:
         print(f"error: simulation: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
     for key, value in summary.items():

@@ -97,7 +97,6 @@ _SCHEMA: dict[str, dict[str, tuple[str | tuple[str, ...], Optional[str]]]] = {
     "params": {
         "delta": ("frequency", "2.87 GHz"),
         "gamma_e": ("frequency", "28.025 GHz"),  # per tesla
-        "b_field": ("field", "0 T"),
         "j": ("frequency", ""),
         "theta": ("none", ""),  # radians
         "j_par": ("frequency", ""),

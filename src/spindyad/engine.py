@@ -233,9 +233,14 @@ def _delay_steps(elem: Delay, dt: float) -> int:
     return n
 
 
-def _noisy_spans(programs: Sequence[PulseProgram], dt: float) -> list[tuple[int, int]]:
-    """Sorted (first step, end step) of every nonempty noisy delay."""
+def _noisy_spans(
+    programs: Sequence[PulseProgram], dt: float
+) -> tuple[list[tuple[int, int]], int]:
+    """Sorted (first step, end step) of every nonempty noisy delay, and the
+    length in steps of the longest program. Every delay is checked to lie
+    on the dt grid, so every program does."""
     spans = set()
+    longest = 0
     for prog in programs:
         k = 0
         for elem in prog.elements:
@@ -244,7 +249,8 @@ def _noisy_spans(programs: Sequence[PulseProgram], dt: float) -> list[tuple[int,
                 if elem.noisy and n:
                     spans.add((k, k + n))
                 k += n
-    return sorted(spans)
+        longest = max(longest, k)
+    return sorted(spans), longest
 
 
 def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) -> tuple:
@@ -301,15 +307,16 @@ def _dq_blocks(segments: Sequence[tuple], c: FrameCoefficients, dt: float) -> ND
 class _NoiseBatch:
     """What the noisy delays of a set of programs read of ``n`` noise paths.
 
-    ``prefix[k]`` is the (n, 3) array of each path's field sums (beta_s,
-    beta_s', eps_z) over its first k steps, for every step k a noisy delay
-    starts or ends on. With the double-quantum block active,
-    ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of each path's propagator
-    over the noisy delay from step k0 to k1, built under ``coeffs``: the
-    blocks of all paths and spans come from one exponentiation of every
-    constant-noise segment and one lockstep product (:func:`_dq_blocks`),
-    in chunks of about ``_SEGMENT_CHUNK`` segments. The initial state is
-    not part of the batch; :func:`run` checks it once, before sampling.
+    Without the double-quantum block, ``prefix[k]`` is the (n, 3) array of
+    each path's field sums (beta_s, beta_s', eps_z) over its first k steps,
+    for every step k a noisy delay starts or ends on. With it active,
+    ``prefix`` is empty and ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of
+    each path's propagator over the noisy delay from step k0 to k1, built
+    under ``coeffs``: the blocks of all paths and spans come from one
+    exponentiation of every constant-noise segment and one lockstep
+    product (:func:`_dq_blocks`), in chunks of about ``_SEGMENT_CHUNK``
+    segments. The initial state is not part of the batch; :func:`run`
+    checks it once, before sampling.
     """
 
     n: int
@@ -336,7 +343,8 @@ def _reduce(
     """Reduce ``n`` noise paths of ``n_steps`` steps, one at a time, to what
     the noisy delays ``spans`` read of them."""
     spans = [s for s in spans if s[1] <= n_steps]
-    steps = np.array(sorted({k for s in spans for k in s}), dtype=int)
+    # only the diagonal path reads prefix sums
+    steps = np.array(sorted({k for s in spans for k in s}) if c.g == 0.0 else [], dtype=int)
     pos = steps > 0
     sums = np.zeros((n, 3, steps.size))
     dq = c.g != 0.0 and bool(spans)
@@ -429,7 +437,8 @@ def propagate(
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     if single:
         path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
-        batch = _reduce([path], 1, traj.n_steps, traj.dt, _noisy_spans([program], traj.dt), coeffs)
+        spans, _ = _noisy_spans([program], traj.dt)
+        batch = _reduce([path], 1, traj.n_steps, traj.dt, spans, coeffs)
     else:
         batch = traj
         if batch.coeffs != coeffs:
@@ -491,15 +500,8 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     if times.size == 0:
         raise ValueError("experiment has no sweep times")
     programs = [exp.program_builder(float(t)) for t in times]
-    durations = np.array([p.total_duration for p in programs])
     dt = exp.sim.dt
-    n_steps = [int(round(d / dt)) for d in durations]
-    for prog, d, n in zip(programs, durations, n_steps):
-        if abs(n * dt - d) > 1e-6 * dt:
-            raise SimulationError(
-                f"program {prog.label!r} duration {d:.6g} s is off the dt grid"
-            )
-    max_steps = max(n_steps)
+    spans, max_steps = _noisy_spans(programs, dt)
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
     _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise, exp.electric))
     rho0 = initial_state() if exp.rho0 is None else exp.rho0
@@ -521,7 +523,7 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     try:
         assert_density_matrix(rho0)
         paths = (fields(i) for i in range(n_traj))
-        batch = _reduce(paths, n_traj, max_steps, dt, _noisy_spans(programs, dt), coeffs)
+        batch = _reduce(paths, n_traj, max_steps, dt, spans, coeffs)
         signals = np.empty((times.size, n_traj))
         proj0 = reduced_operators().proj_ms0
         for k, prog in enumerate(programs):
@@ -573,18 +575,13 @@ class SweepResult:
 
 
 def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
-    if variable == "delta_b":
-        return replace(exp, sim=replace(exp.sim, delta_b=value))
     if variable == "xi":
         return replace(exp, noise=replace(exp.noise, xi=value))
     if variable == "eps_rms":
         if exp.electric is None:
             raise ValueError("experiment has no electric noise channel to sweep")
         return replace(exp, electric=replace(exp.electric, eps_rms=value))
-    if variable in ("tau", "tau_tilde"):
-        return replace(exp, times=[value])
-    raise ValueError(f"unknown sweep variable {variable!r} without an applier; the default "
-                     "appliers cover delta_b, xi, eps_rms, tau and tau_tilde")
+    raise ValueError(f"unknown sweep variable {variable!r}; sweep covers xi and eps_rms")
 
 
 def sweep(
@@ -592,20 +589,15 @@ def sweep(
     values: Sequence[float],
     exp: Experiment,
     reduce: Optional[Callable[[TimeTrace], object]] = None,
-    apply: Optional[Callable[[Experiment, float], Experiment]] = None,
 ) -> list[SweepResult]:
-    """Run one experiment per sweep value.
+    """Run one experiment per value of ``variable``, xi or eps_rms.
 
-    ``variable`` is one of delta_b, xi, eps_rms, tau, tau_tilde, or any
-    custom variable (theta, say) with an explicit ``apply`` callable that
-    reshapes the experiment. ``reduce`` optionally maps each trace to a
-    scalar summary (e.g. a coherence-time fit).
+    ``reduce`` optionally maps each trace to a scalar summary (e.g. a
+    coherence-time fit).
     """
-    if apply is None:
-        apply = lambda e, v: _apply_variable(e, variable, v)
     results = []
     for v in values:
-        trace = run(apply(exp, float(v)))
+        trace = run(_apply_variable(exp, variable, float(v)))
         summary = reduce(trace) if reduce is not None else None
         results.append(SweepResult(value=float(v), trace=trace, summary=summary))
     return results

@@ -38,12 +38,9 @@ __all__ = [
     "spin_operators",
     "reduced_operators",
     "full_operators",
-    "tensor",
     "eye",
     "require_hermitian",
     "expm_hermitian",
-    "expectation",
-    "assert_unitary",
     "assert_density_matrix",
 ]
 
@@ -51,7 +48,6 @@ HERMITIAN_TOL = 1e-12
 DENSITY_HERM_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
 DENSITY_PSD_TOL = 1e-9
-UNITARY_TOL = 1e-10
 
 
 class SpinKind(enum.Enum):
@@ -110,21 +106,6 @@ def spin_operators(kind: SpinKind = SpinKind.SPIN_HALF) -> SpinOperators:
 
 def eye(dim: int) -> NDArray:
     return _frozen(np.eye(dim, dtype=complex))
-
-
-def tensor(a: NDArray, b: NDArray) -> NDArray:
-    """Kronecker product with the first factor as the slow index.
-
-    For the full 6-dim space the spin-1 factor comes first, so e.g.
-    ``tensor(spin1.z, eye(2))`` has eigenvalues {+1,+1,0,0,-1,-1}.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"first factor is not square: shape {a.shape}")
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"second factor is not square: shape {b.shape}")
-    return np.kron(a, b)
 
 
 @dataclass(frozen=True)
@@ -259,28 +240,6 @@ def expm_hermitian(h: NDArray, t: float) -> NDArray:
     evals, vecs = np.linalg.eigh(h)
     phases = np.exp(-1j * evals * t)
     return (vecs * phases) @ vecs.conj().T
-
-
-def expectation(rho: NDArray, obs: NDArray, imag_tol: float = 1e-10) -> float:
-    """Re Tr(rho O) for a Hermitian observable.
-
-    The imaginary residue of the trace is asserted small; a large residue
-    indicates a non-Hermitian observable or a corrupted state.
-    """
-    rho = np.asarray(rho)
-    obs = np.asarray(obs)
-    if rho.shape != obs.shape:
-        raise ValueError(f"dimension mismatch: state {rho.shape} vs observable {obs.shape}")
-    val = complex(np.trace(rho @ obs))
-    if abs(val.imag) > imag_tol * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation value has imaginary residue {val.imag:.3e}")
-    return val.real
-
-
-def assert_unitary(u: NDArray, tol: float = UNITARY_TOL) -> None:
-    dev = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if dev > tol:
-        raise AssertionError(f"matrix is not unitary: max |U^dag U - I| = {dev:.3e}")
 
 
 def assert_density_matrix(

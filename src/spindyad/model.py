@@ -83,7 +83,6 @@ class DyadParams:
         delta: crystal-field splitting (rad/s), > 0.
         gamma_e: magnitude of the electronic gyromagnetic ratio
             (rad/s per tesla), > 0.
-        b_field: static field along the crystal axis (tesla).
         j_par: secular dipolar coupling J_par (Hz). Derived from
             (j_coupling, theta) when left as None.
         j_perp: double-quantum dipolar coupling J_perp (Hz). Derived from
@@ -101,7 +100,6 @@ class DyadParams:
 
     delta: float = DEFAULT_DELTA
     gamma_e: float = DEFAULT_GAMMA_E
-    b_field: float = 0.0
     j_par: Optional[float] = None
     j_perp: Optional[float] = None
     j_coupling: Optional[float] = None
@@ -137,17 +135,17 @@ class DyadParams:
                 object.__setattr__(self, "j_perp", 0.0)
 
 
-def full_hamiltonian(p: DyadParams, b_field: Optional[float] = None) -> NDArray:
+def full_hamiltonian(p: DyadParams, b_field: float) -> NDArray:
     """Full 6-dim Hamiltonian: crystal field, Zeeman terms, and the
-    complete dipolar interaction (secular and non-secular).
+    complete dipolar interaction (secular and non-secular), at the static
+    field ``b_field`` (tesla) along the crystal axis.
 
     The dipolar part uses the bare amplitude and geometry (J, theta); a
     parameter set built directly from projections can only be used here
     when both projections are zero.
     """
-    b = p.b_field if b_field is None else b_field
     ops = full_operators()
-    h = p.delta * (ops.s_z @ ops.s_z) + p.gamma_e * b * (ops.s_z + ops.p_z)
+    h = p.delta * (ops.s_z @ ops.s_z) + p.gamma_e * b_field * (ops.s_z + ops.p_z)
     if p.j_coupling is None or p.theta is None:
         if p.j_par or p.j_perp:
             raise ValueError(
@@ -172,7 +170,7 @@ def full_hamiltonian(p: DyadParams, b_field: Optional[float] = None) -> NDArray:
 
 
 def reduced_hamiltonian(
-    p: DyadParams, include_dq: bool = True, b_field: Optional[float] = None
+    p: DyadParams, include_dq: bool = True, *, b_field: float
 ) -> NDArray:
     """Secular 4-dim Hamiltonian on the {m_S = 0, -1} manifold.
 
@@ -184,12 +182,11 @@ def reduced_hamiltonian(
     secular only near the level anti-crossing; ``include_dq=False`` gives
     the far-from-anti-crossing form.
     """
-    b = p.b_field if b_field is None else b_field
     ops = reduced_operators()
     jpar_w = 2 * math.pi * p.j_par
     h = (
-        (p.gamma_e * b - p.delta) * ops.tilde_z
-        + (p.gamma_e * b - math.pi * p.j_par) * ops.prime_z
+        (p.gamma_e * b_field - p.delta) * ops.tilde_z
+        + (p.gamma_e * b_field - math.pi * p.j_par) * ops.prime_z
         + jpar_w * ops.zz
     )
     if include_dq:

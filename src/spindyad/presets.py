@@ -14,31 +14,34 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional
+from typing import IO, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
 from . import analysis, engine, model, protocol, svg
 from .config import ConfigError, ExperimentConfig
-from .engine import Experiment, SimConfig, TimeTrace
+from .engine import Experiment, SimConfig, SimulationError, TimeTrace
 from .noise import ElectricNoiseConfig, FluctuatorConfig, sample_magnetic_trajectory
 from .protocol import Target
 
 __all__ = [
     "run_preset",
-    "PresetError",
     "echo_coherence_time",
     "half_excess_detuning",
 ]
 
 
-class PresetError(RuntimeError):
-    """Preset could not be executed with the given configuration."""
-
-
 def _snap(t: float, dt: float) -> float:
     """Quantize a time to the propagation grid."""
     return max(0, int(round(t / dt))) * dt
+
+
+def _on_grid(raw: Iterable[float], dt: float, name: str) -> list[float]:
+    """The distinct positive on-grid times of ``raw``, at least 8 of them."""
+    grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
+    if len(grid) < 8:
+        raise ConfigError(f"{name} collapses below 8 distinct on-grid points; refine dt or bounds")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -70,7 +73,6 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
     kwargs = dict(
         delta=two_pi * cfg.number("params", "delta"),
         gamma_e=two_pi * cfg.number("params", "gamma_e"),
-        b_field=cfg.number("params", "b_field"),
         d_par=two_pi * cfg.number("params", "d_par"),
         ddelta_dT=two_pi * cfg.number("params", "ddelta_dt"),
     )
@@ -187,11 +189,7 @@ def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
     count = cfg.integer("sweep", "tau_count")
     if count < 2 or stop <= start:
         raise ConfigError("tau grid needs tau_start < tau_stop and tau_count >= 2")
-    raw = cfg.axis(start, stop, count, "tau_")
-    grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
-    if len(grid) < 8:
-        raise ConfigError("tau grid collapses below 8 distinct on-grid points; refine dt or bounds")
-    return grid
+    return _on_grid(cfg.axis(start, stop, count, "tau_"), dt, "tau grid")
 
 
 def _echo_program_builder(
@@ -267,7 +265,7 @@ def echo_coherence_time(
     times = sorted(selected)
     contrast = np.array([selected[t] for t in times])
     if len(times) < 8:
-        raise PresetError("fewer than 8 usable echo delays; extend the tau range")
+        raise SimulationError("fewer than 8 usable echo delays; extend the tau range")
     trace = engine.run(replace(exp, times=times))
     ratio = (trace.signal_mean - 0.5) / (contrast - 0.5)
     sem = trace.signal_sem / np.abs(contrast - 0.5)
@@ -317,13 +315,8 @@ def _zq_times(cfg: ExperimentConfig, dt: float) -> list[float]:
     if cfg.text("sweep", "variable") == "tau_tilde" and (
         cfg.text("sweep", "values") or cfg.text("sweep", "start")
     ):
-        raw = cfg.sweep_values()
-        grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
-    else:
-        grid = _tau_grid(cfg, dt)
-    if len(grid) < 8:
-        raise ConfigError("zero-quantum time grid needs at least 8 distinct points")
-    return grid
+        return _on_grid(cfg.sweep_values(), dt, "zero-quantum time grid")
+    return _tau_grid(cfg, dt)
 
 
 def _zq_experiment(cfg: ExperimentConfig, inp: _Inputs, label: str, echo: bool) -> Experiment:

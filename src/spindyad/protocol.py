@@ -168,7 +168,6 @@ def hahn_echo(
     tau: float,
     target: Target = Target.SPIN_S,
     shared_field: bool = False,
-    noisy: bool = True,
 ) -> PulseProgram:
     """(pi/2)x - tau - (pi)x - tau - (pi/2)x on ``target``.
 
@@ -179,9 +178,9 @@ def hahn_echo(
     return PulseProgram(
         (
             Rotation(target, Axis.X, math.pi / 2, shared_field),
-            Delay(tau, noisy),
+            Delay(tau),
             Rotation(target, Axis.X, math.pi, shared_field),
-            Delay(tau, noisy),
+            Delay(tau),
             Rotation(target, Axis.X, math.pi / 2, shared_field),
         ),
         label=f"hahn_echo(tau={tau:g})",
@@ -192,7 +191,6 @@ def deer(
     tau: float,
     at_anticrossing: bool = False,
     shared_field: bool = False,
-    noisy: bool = True,
 ) -> PulseProgram:
     """Hahn echo on the spin-1 with a simultaneous pi pulse on the
     partner at the midpoint, recoupling the secular dipolar interaction.
@@ -203,16 +201,16 @@ def deer(
     """
     if at_anticrossing:
         return PulseProgram(
-            hahn_echo(tau, Target.BOTH, shared_field, noisy).elements,
+            hahn_echo(tau, Target.BOTH, shared_field).elements,
             label=f"deer(tau={tau:g}, at_anticrossing)",
         )
     return PulseProgram(
         (
             Rotation(Target.SPIN_S, Axis.X, math.pi / 2),
-            Delay(tau, noisy),
+            Delay(tau),
             Rotation(Target.SPIN_S, Axis.X, math.pi),
             Rotation(Target.SPIN_S_PRIME, Axis.X, math.pi),
-            Delay(tau, noisy),
+            Delay(tau),
             Rotation(Target.SPIN_S, Axis.X, math.pi / 2),
         ),
         label=f"deer(tau={tau:g})",

@@ -250,6 +250,11 @@ class TestSlopeFrequency:
         with pytest.raises(FitError, match="at least 4"):
             slope_frequency(trace, window=trace.times[1])
 
+    def test_window_without_time_spread(self):
+        trace = make_trace(np.full(5, 1e-6), np.linspace(0.4, 0.6, 5))
+        with pytest.raises(FitError, match="no time spread"):
+            slope_frequency(trace, window=1e-6)
+
 
 class TestTemperatureShift:
     def test_zero_shift(self):

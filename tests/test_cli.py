@@ -199,7 +199,9 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key,line", [("d_perp", "d_perp = 0.17 Hz"), ("distance", "distance = 4e-9")], ids=["d_perp", "distance"]
+        "key,line",
+        [("d_perp", "d_perp = 0.17 Hz"), ("distance", "distance = 4e-9"), ("b_field", "b_field = 47 mT")],
+        ids=["d_perp", "distance", "b_field"],
     )
     def test_removed_params_key_is_2(self, tmp_path, capsys, key, line):
         body = FAST_ZQ.replace("j_perp = 50 kHz", f"j_perp = 50 kHz\n{line}")

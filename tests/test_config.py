@@ -1,13 +1,16 @@
 """Config parsing: units, defaults, validation, sweep axes."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
 
+from spindyad import config
 from spindyad.config import ConfigError, parse_config, parse_quantity
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 def write_cfg(tmp_path, body, name="exp.cfg"):
@@ -222,3 +225,19 @@ class TestShippedPresets:
             "sweep", "delta_temp"
         )
         assert d_omega == pytest.approx(2 * math.pi * 1e4, rel=1e-3)
+
+
+def test_schema_doc_names_exactly_the_schema_keys():
+    # the Keys part of the reference: "[section]" headers, then one line
+    # per key (or "a, b" pair) starting in column 0
+    text = (ROOT / "docs" / "config-schema.txt").read_text()
+    reference = text.split("\nKeys\n----\n")[1].split("\nArtifacts\n")[0]
+    documented, section = {"": set()}, ""
+    for line in reference.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        if header:
+            section = header.group(1)
+            documented[section] = set()
+        elif entry := re.match(r"([a-z_]+(?:, [a-z_]+)*)\s{2,}", line):
+            documented[section].update(entry.group(1).split(", "))
+    assert documented == {name: set(keys) for name, keys in config._SCHEMA.items()}

@@ -199,8 +199,9 @@ class TestRun:
         sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
         prog = PulseProgram((Delay(100 * DT),))
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
-        spans = engine._noisy_spans([prog], DT)
-        batch = engine._reduce([(None, None, None)] * 5, 5, 100, DT, spans, coeffs)
+        spans, n_steps = engine._noisy_spans([prog], DT)
+        assert (spans, n_steps) == ([(0, 100)], 100)
+        batch = engine._reduce([(None, None, None)] * 5, 5, n_steps, DT, spans, coeffs)
         if near_bm:
             batch.blocks[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
         else:
@@ -410,19 +411,15 @@ class TestSweep:
         assert res[0].trace.metadata["xi"] == 0.0
         assert res[1].trace.metadata["xi"] == 1.0
 
-    def test_time_sweep_singletons(self):
-        exp = self._zq_experiment()
-        res = sweep("tau_tilde", [5e-6, 10e-6], exp)
-        assert [r.trace.times[0] for r in res] == [5e-6, 10e-6]
-
     def test_reduce_callback(self):
         exp = self._zq_experiment()
         res = sweep("xi", [0.5], exp, reduce=lambda tr: float(tr.signal_mean[0]))
         assert res[0].summary == pytest.approx(res[0].trace.signal_mean[0])
 
     def test_unknown_variable(self):
-        with pytest.raises(ValueError, match="unknown sweep variable"):
-            sweep("frequency", [1.0], self._zq_experiment())
+        for variable in ("frequency", "delta_b", "tau_tilde"):
+            with pytest.raises(ValueError, match="unknown sweep variable"):
+                sweep(variable, [1.0], self._zq_experiment())
 
     def test_eps_sweep_requires_electric_channel(self):
         with pytest.raises(ValueError, match="electric"):
@@ -432,33 +429,6 @@ class TestSweep:
         exp = self._zq_experiment(electric=ElectricNoiseConfig(eps_rms=1e6, switch_rate=1e5, seed=0))
         res = sweep("eps_rms", [1e6, 2e6], exp)
         assert res[1].trace.metadata["eps_rms"] == 2e6
-
-    def test_theta_needs_custom_applier(self):
-        exp = self._zq_experiment()
-        with pytest.raises(ValueError, match="applier"):
-            sweep("theta", [0.1], exp)
-        tau = 1.0 / (4 * J_PAR)
-
-        def apply(e, theta):
-            from dataclasses import replace
-
-            return replace(
-                e,
-                program_builder=lambda tt: zq_chain(tau, tt, echo=False, theta=theta, j_par=J_PAR),
-            )
-
-        res = sweep("theta", [0.0, math.pi / 2], exp, apply=apply)
-        assert len(res) == 2
-
-    def test_custom_variable_with_applier(self):
-        exp = self._zq_experiment()
-        res = sweep(
-            "j_perp",
-            [40e3, 60e3],
-            exp,
-            apply=lambda e, v: replace(e, params=replace(e.params, j_perp=v)),
-        )
-        assert [r.trace.metadata["j_perp"] for r in res] == [40e3, 60e3]
 
 
 class TestTraceCsv:

@@ -6,14 +6,11 @@ import pytest
 from spindyad.linalg import (
     SpinKind,
     assert_density_matrix,
-    assert_unitary,
-    expectation,
     expm_hermitian,
     eye,
     full_operators,
     reduced_operators,
     spin_operators,
-    tensor,
 )
 
 
@@ -71,23 +68,28 @@ class TestSpinOperators:
 
 
 class TestTensor:
+    """Products are np.kron with the first factor as the slow index; the
+    full basis puts the spin-1 first."""
+
     def test_identity_product(self):
-        assert np.allclose(tensor(eye(2), eye(2)), eye(4))
+        assert np.allclose(np.kron(eye(2), eye(2)), eye(4))
+        assert np.array_equal(reduced_operators().identity, eye(4))
+        assert np.array_equal(full_operators().identity, eye(6))
 
     def test_spin_one_z_with_identity(self):
         s1 = spin_operators(SpinKind.SPIN_ONE)
-        vals = np.sort(np.linalg.eigvalsh(tensor(s1.z, eye(2))))
+        s_z = full_operators().s_z
+        assert np.array_equal(s_z, np.kron(s1.z, eye(2)))
+        assert np.allclose(np.diag(s_z).real, [1, 1, 0, 0, -1, -1])
+        vals = np.sort(np.linalg.eigvalsh(s_z))
         assert np.allclose(vals, [-1, -1, 0, 0, 1, 1])
 
     def test_mixed_product_property(self):
         s1 = spin_operators(SpinKind.SPIN_ONE)
         sh = spin_operators(SpinKind.SPIN_HALF)
-        lhs = tensor(s1.z, eye(2)) @ tensor(eye(3), sh.z)
-        assert np.allclose(lhs, tensor(s1.z, sh.z))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            tensor(np.ones((2, 3)), eye(2))
+        f = full_operators()
+        assert np.array_equal(f.p_z, np.kron(eye(3), sh.z))
+        assert np.allclose(f.s_z @ f.p_z, np.kron(s1.z, sh.z))
 
 
 class TestExpmHermitian:
@@ -127,7 +129,7 @@ class TestExpmHermitian:
         h = (h + h.conj().T) * 1e6
         t1, t2 = rng.uniform(0.0, 1e-3, size=2)
         u1 = expm_hermitian(h, t1)
-        assert_unitary(u1, tol=1e-10)
+        assert np.max(np.abs(u1.conj().T @ u1 - np.eye(6))) < 1e-10
         u12 = expm_hermitian(h, t1 + t2)
         assert np.max(np.abs(u1 @ expm_hermitian(h, t2) - u12)) < 1e-10
 
@@ -158,32 +160,23 @@ class TestExpmHermitian:
 
 
 class TestExpectation:
+    """Expectation values Tr(rho O) of the reduced-basis observables."""
+
     def test_maximally_mixed_tilde_z(self):
         ops = reduced_operators()
-        assert expectation(ops.identity / 4.0, ops.tilde_z) == pytest.approx(0.0, abs=1e-15)
+        assert np.trace(ops.identity / 4.0 @ ops.tilde_z) == pytest.approx(0.0, abs=1e-15)
 
     def test_projector_on_pure_state(self):
         ops = reduced_operators()
         rho = np.zeros((4, 4), dtype=complex)
         rho[2, 2] = 1.0  # |0,-1/2>
-        assert expectation(rho, ops.proj_ms0) == pytest.approx(1.0)
+        assert np.trace(rho @ ops.proj_ms0) == pytest.approx(1.0)
 
     def test_transferred_state_partner_polarization(self):
         # state I/4 - Pz/2 carries full inverted partner polarization
         ops = reduced_operators()
         rho = ops.identity / 4.0 - ops.prime_z / 2.0
-        assert expectation(rho, ops.prime_z) == pytest.approx(-0.5)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            expectation(np.eye(4) / 4.0, np.eye(6))
-
-    def test_imaginary_residue_flagged(self):
-        rho = np.eye(2, dtype=complex) / 2.0
-        non_herm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        rho_off = rho + 0.3 * np.array([[0, 1], [1j, 0]])
-        with pytest.raises(ValueError, match="imaginary"):
-            expectation(rho_off, non_herm + non_herm.T * 0)
+        assert np.trace(rho @ ops.prime_z) == pytest.approx(-0.5)
 
 
 class TestReducedBasis:

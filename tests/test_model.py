@@ -118,7 +118,7 @@ class TestFullHamiltonian:
     def test_projections_only_rejected(self):
         p = DyadParams(j_par=5e4, j_perp=5e4)
         with pytest.raises(ValueError, match="j_coupling and theta"):
-            full_hamiltonian(p)
+            full_hamiltonian(p, b_field=51e-3)
 
 
 class TestReducedHamiltonian:

@@ -32,6 +32,10 @@ def run_cfg(tmp_path, body, name="smoke.cfg", extra_args=()):
     path.write_text(body)
     out = tmp_path / "out"
     code = main(["--config", str(path), "--out", str(out), *extra_args])
+    # every CSV and summary echoes the config, without the removed field key
+    for artifact in (a for a in out.glob("*") if a.suffix in (".csv", ".txt")):
+        echo = [l for l in artifact.read_text().splitlines() if l.startswith("# config ")]
+        assert echo and not any(l.startswith("# config params.b_field") for l in echo)
     return code, out
 
 

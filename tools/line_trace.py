@@ -9,7 +9,8 @@ package is imported under the trace, so module-level lines count. For
 each module it then prints the executable lines (the line numbers of its
 code objects' ``co_lines``), how many of them ran, and every range of
 executable lines that did not run with the first source line of the
-range; the last line gives the totals. A function whose whole body is
+range; the last line gives the totals and the physical line count of
+``src/spindyad/*.py`` (what ``wc -l`` counts). A function whose whole body is
 one such range is never called by any shipped config. Class bodies and
 ``def`` lines run at import, so an attribute nothing reads does not show.
 """
@@ -66,9 +67,10 @@ def trace_matrix(out: Path) -> dict[str, set[int]]:
 
 
 def report(ran: dict[str, set[int]]) -> list[str]:
-    out, total, total_run = [], 0, 0
+    out, total, total_run, physical = [], 0, 0, 0
     for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text().splitlines()
+        physical += len(source)
         lines = sorted(executable_lines(path))
         hit = ran.get(str(path.resolve()), set()) & set(lines)
         total += len(lines)
@@ -84,7 +86,10 @@ def report(ran: dict[str, set[int]]) -> list[str]:
                 span = f"{start}" if start == prev else f"{start}-{prev}"
                 out.append(f"  {span:>9}  {source[start - 1].strip()}")
                 start = None
-    out.append(f"total: {total} executable, {total_run} run, {total - total_run} not run")
+    out.append(
+        f"total: {total} executable, {total_run} run, {total - total_run} not run, "
+        f"{physical} lines"
+    )
     return out
 
 

@@ -1,8 +1,9 @@
 """Config-driven batch experiment runner.
 
 Exit codes: 0 success, 2 configuration error, 3 simulation error,
-4 fit error. Flags override config values; ``--threads`` is accepted
-for existing scripts and has no effect.
+4 fit error. On success the lines of the preset's summary file, below
+its config echo, go to stderr. Flags override config values;
+``--threads`` is accepted for existing scripts and has no effect.
 """
 
 from __future__ import annotations
@@ -55,14 +56,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out_dir = args.out if args.out is not None else cfg.text("output", "directory")
     plot = cfg.flag("output", "plot") and not args.no_plot
     try:
-        summary = run_preset(
-            cfg,
-            out_dir,
-            seed=args.seed,
-            trajectories=args.trajectories,
-            threads=max(1, args.threads),
-            plot=plot,
-        )
+        summary = run_preset(cfg, out_dir, seed=args.seed, trajectories=args.trajectories, plot=plot)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -72,9 +66,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SimulationError as exc:
         print(f"error: simulation: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-    for key, value in summary.items():
-        if not isinstance(value, (list, dict)):
-            print(f"{key} = {value}", file=sys.stderr)
+    sys.stderr.write(summary)
     return EXIT_OK
 
 

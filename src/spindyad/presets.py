@@ -5,6 +5,8 @@ into engine runs and hands what to write to one artifact writer, which
 owns the output format: CSV traces and tables, an optional SVG plot and
 a summary text file. The CSV files are the data contract; every file
 starts with a '#'-prefixed echo of the resolved configuration and seed.
+The one table of presets, with the sweep variable each reads, is
+``_PRESETS`` at the end of this module.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Optional
+from typing import IO, Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,21 +38,13 @@ def _snap(t: float, dt: float) -> float:
     return max(0, int(round(t / dt))) * dt
 
 
-def _on_grid(raw: Iterable[float], dt: float, name: str) -> list[float]:
-    """The distinct positive on-grid times of ``raw``, at least 8 of them."""
-    grid = sorted({_snap(t, dt) for t in raw if _snap(t, dt) > 0})
-    if len(grid) < 8:
-        raise ConfigError(f"{name} collapses below 8 distinct on-grid points; refine dt or bounds")
-    return grid
-
-
 @dataclass(frozen=True)
 class _Inputs:
     """The model objects of one preset run, read once from its config."""
 
     params: model.DyadParams
     noise: FluctuatorConfig
-    electric: Optional[ElectricNoiseConfig]
+    electric: ElectricNoiseConfig
     sim: SimConfig
 
     def experiment(self, builder, times, label: str, delta_temp: float = 0.0) -> Experiment:
@@ -66,6 +60,7 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
     Seed and trajectory count come from ``cfg.resolved``, where
     :func:`run_preset` has applied any override. Values the model classes
     reject (``xi = 2``, ``dt = 0 ns``, no trajectories) are config errors.
+    The electric channel is always built; ``eps_rms = 0`` switches it off.
     Noise streams get stream seed 0: the engine folds the master seed
     into every stream.
     """
@@ -85,7 +80,6 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
     seed = cfg.integer("sim", "seed")
     if not 0 <= seed < 2**64:
         raise ConfigError(f"sim.seed must be in [0, 2**64), got {seed}")
-    eps = cfg.number("noise", "eps_rms")
     try:
         return _Inputs(
             params=model.DyadParams(**kwargs),
@@ -95,10 +89,10 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
                 switch_rate=cfg.number("noise", "switch_rate"),
                 seed=0,
             ),
-            electric=None
-            if eps == 0.0
-            else ElectricNoiseConfig(
-                eps_rms=eps, switch_rate=cfg.number("noise", "electric_rate"), seed=0
+            electric=ElectricNoiseConfig(
+                eps_rms=cfg.number("noise", "eps_rms"),
+                switch_rate=cfg.number("noise", "electric_rate"),
+                seed=0,
             ),
             sim=SimConfig(
                 n_trajectories=cfg.integer("sim", "trajectories"),
@@ -125,7 +119,8 @@ class _Writer:
     and summary starts with the echo of the resolved configuration, one
     ``# config <section.key> = <value>`` line per key in sorted order,
     which makes each file reproducible on its own. Floats are written
-    with ``.17g``, so they read back bit-exactly.
+    with ``.17g``, so they read back bit-exactly. ``summary_text`` keeps
+    the summary's lines below the echo.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path, label: str, plot: bool):
@@ -133,6 +128,7 @@ class _Writer:
         self.label = label
         self.plots = plot
         self.echo = "".join(f"# config {k} = {cfg.resolved[k]}\n" for k in sorted(cfg.resolved))
+        self.summary_text = ""
 
     @contextmanager
     def _open(self, suffix: str) -> Iterator[IO[str]]:
@@ -145,23 +141,21 @@ class _Writer:
         with self._open(f"{suffix}.csv") as fh:
             engine.trace_to_csv(trace, fh, sweep_value=sweep_value, fit=fit)
 
-    def table(self, columns: list[str], rows, notes: Optional[dict] = None) -> Path:
+    def table(self, columns: list[str], rows, notes: Optional[dict] = None) -> None:
         """The preset's own ``<label>.csv``: ``# key = value`` notes, a
         header line and one line of numbers per row."""
-        path = self.out / f"{self.label}.csv"
         with self._open(".csv") as fh:
             for key, value in (notes or {}).items():
                 fh.write(f"# {key} = {_text(value)}\n")
             fh.write(",".join(columns) + "\n")
             for row in rows:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        return path
 
     def summary(self, items: dict) -> None:
         """``<label>_summary.txt``: one ``key = value`` line per item."""
+        self.summary_text = "".join(f"{key} = {_text(value)}\n" for key, value in items.items())
         with self._open("_summary.txt") as fh:
-            for key, value in items.items():
-                fh.write(f"{key} = {_text(value)}\n")
+            fh.write(self.summary_text)
 
     def plot(self, xs, series, title: str, xlabel: str, ylabel: str) -> None:
         """``<label>.svg``, unless plots are switched off."""
@@ -184,12 +178,17 @@ class _Writer:
 
 
 def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
+    """The distinct positive on-grid times of the ``tau_*`` axis, at
+    least 8 of them."""
     start = cfg.number("sweep", "tau_start")
     stop = cfg.number("sweep", "tau_stop")
     count = cfg.integer("sweep", "tau_count")
     if count < 2 or stop <= start:
         raise ConfigError("tau grid needs tau_start < tau_stop and tau_count >= 2")
-    return _on_grid(cfg.axis(start, stop, count, "tau_"), dt, "tau grid")
+    grid = sorted({_snap(t, dt) for t in cfg.axis(start, stop, count, "tau_") if _snap(t, dt) > 0})
+    if len(grid) < 8:
+        raise ConfigError("tau grid collapses below 8 distinct on-grid points; refine dt or bounds")
+    return grid
 
 
 def _echo_program_builder(
@@ -228,10 +227,6 @@ def echo_coherence_time(
     """
     dt = exp.sim.dt
     p = exp.params
-
-    def snap(t: float) -> float:
-        return max(1, int(round(t / dt))) * dt
-
     anchors = np.geomspace(max(tau_min, dt), tau_max, n_points)
     # fastest coherent modulation of the noise-free response: the
     # double-quantum beat near the anti-crossing, the recoupled secular
@@ -241,7 +236,7 @@ def echo_coherence_time(
     else:
         f_fast = abs(p.j_par)
     scan = 0.6 / f_fast if f_fast > 0 else 0.0
-    windows = [sorted({snap(t) for t in np.linspace(a, a + scan, 12)}) for a in anchors]
+    windows = [sorted({_snap(t, dt) for t in np.linspace(a, a + scan, 12)}) for a in anchors]
     # one noise-free single-trajectory run over the delays of every window:
     # each delay's program is propagated on its own, and a shorter noise
     # path is a bit-exact prefix of a longer one, so a delay's signal does
@@ -311,17 +306,9 @@ def _zq_program_builder(
     return build
 
 
-def _zq_times(cfg: ExperimentConfig, dt: float) -> list[float]:
-    if cfg.text("sweep", "variable") == "tau_tilde" and (
-        cfg.text("sweep", "values") or cfg.text("sweep", "start")
-    ):
-        return _on_grid(cfg.sweep_values(), dt, "zero-quantum time grid")
-    return _tau_grid(cfg, dt)
-
-
 def _zq_experiment(cfg: ExperimentConfig, inp: _Inputs, label: str, echo: bool) -> Experiment:
     builder = _zq_program_builder(cfg, inp, echo)
-    return inp.experiment(builder, _zq_times(cfg, inp.sim.dt), label)
+    return inp.experiment(builder, _tau_grid(cfg, inp.sim.dt), label)
 
 
 def half_excess_detuning(values: list[float], etas: list[float]) -> float:
@@ -361,7 +348,7 @@ def _preset_levels(cfg, inp, w):
         b_m = model.anticrossing_field(params)
         values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
     else:
-        values = cfg.sweep_values()
+        values = cfg.sweep_values("field")
         if len(values) < 2:
             raise ConfigError(f"levels preset needs at least 2 b_field values, got {len(values)}")
     try:  # fields not ascending, or couplings given without j and theta
@@ -369,7 +356,7 @@ def _preset_levels(cfg, inp, w):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     cols = [f"branch{i}_rad_s" for i in range(6)] + [f"branch{i}_shifted_rad_s" for i in range(6)]
-    csv_path = w.table(
+    w.table(
         ["b_tesla", *cols],
         ((b, *diagram.branches[k], *diagram.shifted[k]) for k, b in enumerate(diagram.b_values)),
         notes={"master_seed": inp.sim.master_seed},
@@ -382,7 +369,6 @@ def _preset_levels(cfg, inp, w):
         "E / 2pi (GHz)",
     )
     w.summary({"anticrossing_field_T": model.anticrossing_field(params)})
-    return {"csv": str(csv_path)}
 
 
 def _preset_echo(cfg, inp, w, deer_mode=False):
@@ -397,14 +383,13 @@ def _preset_echo(cfg, inp, w, deer_mode=False):
     if not math.isfinite(t2):
         summary["t2"] = "no decay resolvable"
     else:
-        summary["t2_s"] = f"{t2:.17g}"
+        summary["t2_s"] = t2
     w.summary(summary)
-    return summary
 
 
 def _preset_field_sweep(cfg, inp, w):
     taus = _tau_grid(cfg, inp.sim.dt)
-    values = cfg.sweep_values()
+    values = cfg.sweep_values("field")
     if not inp.sim.near_bm:
         raise ConfigError("field_sweep expects sim.near_bm = true")
     exp = inp.experiment(_echo_program_builder(cfg, deer_mode=False), taus, w.label)
@@ -439,7 +424,6 @@ def _preset_field_sweep(cfg, inp, w):
     except ValueError:
         pass
     w.summary(summary)
-    return {"t2_far": t2_far, "results": rows}
 
 
 def _preset_pol_transfer(cfg, inp, w):
@@ -452,7 +436,6 @@ def _preset_pol_transfer(cfg, inp, w):
     target[2, 2] = 1.0  # |0,-1/2>
     fidelity = float(np.real(np.trace(rho @ target)))
     w.summary({"tau_zq_s": tau_zq, "noise_free_fidelity": fidelity})
-    return {"fidelity": fidelity}
 
 
 def _preset_zq_decay(cfg, inp, w):
@@ -470,14 +453,13 @@ def _preset_zq_decay(cfg, inp, w):
     if fit is None:
         summary["t2_zq"] = "no decay resolvable"
     else:
-        summary["t2_zq_s"] = f"{2.0 * fit.t2:.17g}"  # trace axis is tau~, decay vs 2 tau~
-        summary["stretch_n"] = f"{fit.stretch_n:.17g}"
+        summary["t2_zq_s"] = 2.0 * fit.t2  # trace axis is tau~, decay vs 2 tau~
+        summary["stretch_n"] = fit.stretch_n
     w.summary(summary)
-    return summary
 
 
 def _preset_xi_sweep(cfg, inp, w):
-    values = cfg.sweep_values()
+    values = cfg.sweep_values("none", 0.0, 1.0)
     exp = _zq_experiment(cfg, inp, w.label, echo=True)
     # the decay runs over the total evolution time 2 tau~
     results = engine.sweep(
@@ -495,18 +477,11 @@ def _preset_xi_sweep(cfg, inp, w):
     w.table(["xi", "t2_zq_s"], points, notes={"t2_sq_reference_s": t2_sq})
     w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs noise imbalance", "xi")
     w.summary({"t2_sq_reference_s": t2_sq})
-    return {"t2_sq": t2_sq, "results": points}
 
 
 def _preset_electrometry(cfg, inp, w):
-    values = cfg.sweep_values()
+    values = cfg.sweep_values("efield", 0.0)
     exp = _zq_experiment(cfg, inp, w.label, echo=False)
-    if exp.electric is None:
-        # the swept channel, with stream seed 0 like every other stream
-        electric = ElectricNoiseConfig(
-            eps_rms=values[0] or 1.0, switch_rate=cfg.number("noise", "electric_rate"), seed=0
-        )
-        exp = replace(exp, electric=electric)
     # no inversion pulse in this variant: evolution time equals the sweep axis
     results = engine.sweep(
         "eps_rms", values, exp, reduce=lambda tr: analysis.coherence_time(tr)[0]
@@ -515,7 +490,6 @@ def _preset_electrometry(cfg, inp, w):
     w.table(["eps_rms_V_per_m", "t2_zq_s"], points)
     w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs electric noise", "eps_rms (V/m)")
     w.summary({"points": len(results)})
-    return {"results": points}
 
 
 def _preset_thermometry(cfg, inp, w):
@@ -549,7 +523,6 @@ def _preset_thermometry(cfg, inp, w):
             "delta_temp_est_K": delta_temp_est,
         }
     )
-    return {"delta_omega_est": delta_omega_est, "delta_temp_est": delta_temp_est}
 
 
 def _preset_custom(cfg, inp, w):
@@ -560,32 +533,36 @@ def _preset_custom(cfg, inp, w):
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read program file {path}: {exc}") from exc
-    prog = protocol.program_from_text(text, label=w.label)
+    try:
+        prog = protocol.program_from_text(text, label=w.label)
+    except ValueError as exc:  # names the line it cannot parse
+        raise ConfigError(f"program file {path}: {exc}") from exc
     # the program is fixed: a single averaged point on a dummy sweep axis
     trace = engine.run(inp.experiment(lambda _t: prog, [0.0], w.label))
     w.trace(trace)
     w.summary({"signal_mean": trace.signal_mean[0], "signal_sem": trace.signal_sem[0]})
-    return {"signal": float(trace.signal_mean[0])}
 
 
-_PRESET_FUNCS = {
-    "levels": _preset_levels,
-    "echo": _preset_echo,
-    "deer": partial(_preset_echo, deer_mode=True),
-    "field_sweep": _preset_field_sweep,
-    "pol_transfer": _preset_pol_transfer,
-    "zq_decay": _preset_zq_decay,
-    "xi_sweep": _preset_xi_sweep,
-    "electrometry": _preset_electrometry,
-    "thermometry": _preset_thermometry,
-    "custom": _preset_custom,
-}
+class _Preset(NamedTuple):
+    """A preset's runner and the one ``sweep.variable`` it reads, "" for
+    none; the runner parses that variable's axis in its unit and range."""
 
-# the sweep.variable values each preset accepts, "" for leaving it unset;
-# a preset not listed reads none
-_SWEPT_VARIABLE = {
-    "levels": ("", "b_field"), "zq_decay": ("", "tau_tilde"),
-    "field_sweep": ("delta_b",), "xi_sweep": ("xi",), "electrometry": ("eps_rms",),
+    run: Callable[[ExperimentConfig, _Inputs, _Writer], None]
+    variable: str = ""
+    optional: bool = False  # it also runs with sweep.variable unset
+
+
+_PRESETS = {
+    "levels": _Preset(_preset_levels, "b_field", optional=True),
+    "echo": _Preset(_preset_echo),
+    "deer": _Preset(partial(_preset_echo, deer_mode=True)),
+    "field_sweep": _Preset(_preset_field_sweep, "delta_b"),
+    "pol_transfer": _Preset(_preset_pol_transfer),
+    "zq_decay": _Preset(_preset_zq_decay),
+    "xi_sweep": _Preset(_preset_xi_sweep, "xi"),
+    "electrometry": _Preset(_preset_electrometry, "eps_rms"),
+    "thermometry": _Preset(_preset_thermometry),
+    "custom": _Preset(_preset_custom),
 }
 
 
@@ -596,19 +573,22 @@ def run_preset(
     trajectories: Optional[int] = None,
     threads: int = 1,
     plot: bool = True,
-) -> dict:
-    """Execute a preset and write its artifacts under ``out_dir``.
+) -> str:
+    """Execute a preset, write its artifacts under ``out_dir`` and return
+    the lines of its summary file below the config echo.
 
     ``seed`` and ``trajectories`` override the config; they are written
     into ``cfg.resolved`` first, so the config echo records them.
     ``threads`` is accepted for existing callers and ignored: all
     trajectories of a run are propagated as one batch.
     """
-    variable, accepted = cfg.text("sweep", "variable"), _SWEPT_VARIABLE.get(cfg.preset, ("",))
-    if variable not in accepted:
-        if "" not in accepted:
-            raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {accepted[0]}")
-        swept = accepted[-1] or "no variable"
+    if cfg.preset not in _PRESETS:
+        raise ConfigError(f"unknown preset {cfg.preset!r}; expected one of {tuple(_PRESETS)}")
+    preset, variable = _PRESETS[cfg.preset], cfg.text("sweep", "variable")
+    if variable != preset.variable and not (preset.optional and variable == ""):
+        if preset.variable and not preset.optional:
+            raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {preset.variable}")
+        swept = preset.variable or "no variable"
         raise ConfigError(f"{cfg.preset} preset sweeps {swept}, not sweep.variable = {variable}")
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:
@@ -617,4 +597,5 @@ def run_preset(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     writer = _Writer(cfg, out, cfg.text("experiment", "label") or cfg.preset, plot)
-    return _PRESET_FUNCS[cfg.preset](cfg, inp, writer)
+    preset.run(cfg, inp, writer)
+    return writer.summary_text

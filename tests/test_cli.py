@@ -60,6 +60,21 @@ tau_spacing = log
 plot = false
 """
 
+FAST_POL = """
+schema = 1
+
+[experiment]
+preset = pol_transfer
+label = pol
+
+[params]
+j_par = 50 kHz
+j_perp = 50 kHz
+
+[output]
+plot = false
+"""
+
 FAST_CUSTOM = """
 schema = 1
 
@@ -99,6 +114,42 @@ class TestExitCodes:
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
+    def test_unknown_preset_is_2(self, tmp_path, capsys):
+        # the preset name is checked before the sweep variable and the
+        # output directory
+        body = FAST_ZQ.replace("preset = zq_decay", "preset = teleport")
+        body = body.replace("[sweep]\n", "[sweep]\nvariable = seed\n")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: config: unknown preset 'teleport'; expected one of ('levels', 'echo', 'deer',"
+            " 'field_sweep', 'pol_transfer', 'zq_decay', 'xi_sweep', 'electrometry',"
+            " 'thermometry', 'custom')\n"
+        )
+        assert not out.exists()
+
+    def test_unparsable_custom_program_is_2(self, tmp_path, capsys):
+        program = tmp_path / "prog.txt"
+        program.write_text("rotation both x 1.5707963267948966\ndelay soon\n")
+        path = write(tmp_path, FAST_CUSTOM.format(program=program))
+        assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config: program file {program}: line 2: cannot parse 'delay soon'\n"
+
+    @pytest.mark.parametrize(
+        "preset,sweep,message",
+        [
+            ("xi_sweep", "variable = xi\nvalues = 0.5, 2", "sweep xi value 2 is outside [0, 1]"),
+            ("electrometry", "variable = eps_rms\nvalues = -1 V_per_m", "sweep eps_rms value -1 is outside [0, inf]"),
+            ("xi_sweep", "variable = xi\nvalues = 0.5 ms", "key 'sweep.values': unit 'ms' is a time, expected none"),
+        ],
+        ids=["xi-outside", "eps_rms-outside", "xi-unit"],
+    )
+    def test_sweep_value_the_preset_rejects_is_2(self, tmp_path, capsys, preset, sweep, message):
+        body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
+        assert main(["--config", write(tmp_path, body), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+
     @pytest.mark.parametrize(
         "edit,flags",
         [
@@ -116,6 +167,11 @@ class TestExitCodes:
             (("seed = 3", "seed = 3\nnoise_during = evolutoin"), []),
             (("tau_count = 9", "tau_count = 9\nspacing = logarithmic"), []),
             (("tau_spacing = log", "tau_spacing = logarithmic"), []),
+            (("xi = 1.0", "xi = 500 uT"), []),
+            (("j_par = 50 kHz\nj_perp = 50 kHz", "j = 0.2 MHz\ntheta = 1.5 K"), []),
+            (("schema = 1", "schema = abc"), []),
+            (("schema = 1", "schema = 1.9"), []),
+            (("schema = 1", "schema = 1.0"), []),
         ],
         ids=[
             "trajectories-0",
@@ -132,6 +188,11 @@ class TestExitCodes:
             "noise_during-unknown",
             "spacing-unknown",
             "tau_spacing-unknown",
+            "xi-unit",
+            "theta-unit",
+            "schema-abc",
+            "schema-1.9",
+            "schema-1.0",
         ],
     )
     def test_bad_value_is_2(self, tmp_path, capsys, edit, flags):
@@ -157,8 +218,16 @@ class TestExitCodes:
             FAST_ZQ.replace("preset = zq_decay", "preset = thermometry").replace(
                 "j_perp = 50 kHz", "j_perp = 50 kHz\nddelta_dt = 0 Hz"
             ),
+            FAST_ZQ.replace("preset = zq_decay", "preset = electrometry")
+            .replace("xi = 1.0", "xi = 1.0\neps_rms = 0 V_per_m\nelectric_rate = 0 Hz")
+            .replace("[sweep]\n", "[sweep]\nvariable = eps_rms\nvalues = 0 V_per_m, 1000000 V_per_m\n"),
         ],
-        ids=["levels-descending-field", "levels-couplings-without-geometry", "thermometry-ddelta_dt-0"],
+        ids=[
+            "levels-descending-field",
+            "levels-couplings-without-geometry",
+            "thermometry-ddelta_dt-0",
+            "electrometry-channel-off-rate-0",
+        ],
     )
     def test_value_the_model_rejects_is_2(self, tmp_path, capsys, body):
         path = write(tmp_path, body)
@@ -186,10 +255,13 @@ class TestExitCodes:
         "preset,sweep,message",
         [
             ("echo", "variable = xi\nvalues = 0, 0.5", "echo preset sweeps no variable, not sweep.variable = xi"),
-            ("zq_decay", "variable = xi\nvalues = 0.1, 0.9", "zq_decay preset sweeps tau_tilde, not sweep.variable = xi"),
+            ("zq_decay", "variable = xi\nvalues = 0.1, 0.9", "zq_decay preset sweeps no variable, not sweep.variable = xi"),
+            ("zq_decay", "variable = tau_tilde\nvalues = 1 us, 2 us", "zq_decay preset sweeps no variable, not sweep.variable = tau_tilde"),
+            ("zq_decay", "variable = seed\nvalues = 1", "zq_decay preset sweeps no variable, not sweep.variable = seed"),
+            ("zq_decay", "variable = theta\nvalues = 1", "zq_decay preset sweeps no variable, not sweep.variable = theta"),
             ("thermometry", "variable = tau_tilde\nvalues = 1 us", "thermometry preset sweeps no variable, not sweep.variable = tau_tilde"),
         ],
-        ids=["echo", "zq_decay", "thermometry"],
+        ids=["echo", "zq_decay", "zq_decay-tau_tilde", "seed", "theta", "thermometry"],
     )
     def test_sweep_variable_the_preset_does_not_read_is_2(self, tmp_path, capsys, preset, sweep, message):
         body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
@@ -323,21 +395,7 @@ class TestArtifacts:
         assert "signal_mean" in summary
 
     def test_pol_transfer_summary(self, tmp_path):
-        body = """
-schema = 1
-
-[experiment]
-preset = pol_transfer
-label = pol
-
-[params]
-j_par = 50 kHz
-j_perp = 50 kHz
-
-[output]
-plot = false
-"""
-        path = write(tmp_path, body)
+        path = write(tmp_path, FAST_POL)
         out = tmp_path / "pol"
         assert main(["--config", path, "--out", str(out)]) == EXIT_OK
         summary = (out / "pol_summary.txt").read_text()
@@ -345,6 +403,24 @@ plot = false
             [l for l in summary.splitlines() if l.startswith("noise_free_fidelity")][0].split("=")[1]
         )
         assert fid >= 0.999
+
+    @pytest.mark.parametrize("preset", ["levels", "pol_transfer", "thermometry", "custom"])
+    def test_stderr_is_the_summary_below_its_config_echo(self, tmp_path, capsys, preset):
+        program = tmp_path / "prog.txt"
+        program.write_text("rotation both x 1.5707963267948966\ndelay 5e-06\n")
+        body, label = {
+            "levels": (FAST_LEVELS, "levels"),
+            "pol_transfer": (FAST_POL, "pol"),
+            "thermometry": (FAST_ZQ.replace("preset = zq_decay", "preset = thermometry"), "zq"),
+            "custom": (FAST_CUSTOM.format(program=program), "custom"),
+        }[preset]
+        out = tmp_path / "out"
+        argv = ["--config", write(tmp_path, body), "--out", str(out), "--trajectories", "2", "--no-plot"]
+        assert main(argv) == EXIT_OK
+        lines = (out / f"{label}_summary.txt").read_text().splitlines(keepends=True)
+        assert lines[0].startswith("# config ")
+        below_echo = "".join(l for l in lines if not l.startswith("# config "))
+        assert below_echo and capsys.readouterr().err == below_echo
 
 
 class TestLevelsContent:

@@ -329,7 +329,7 @@ class TestAssignmentMatchesScipy:
         optimize = pytest.importorskip("scipy.optimize")
         cfg = parse_config(Path(__file__).resolve().parent.parent / "configs" / "levels.cfg")
         p = DyadParams(j_coupling=cfg.number("params", "j"), theta=cfg.number("params", "theta"))
-        b_vals = cfg.sweep_values()
+        b_vals = cfg.sweep_values("field")
         ours = level_diagram(p, b_vals)
         assert np.any(np.diff(ours.shifted, axis=1) < 0)  # branches cross here
         with mock.patch.object(model, "_best_assignment", lambda c: optimize.linear_sum_assignment(c)[1]):

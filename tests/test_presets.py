@@ -259,13 +259,6 @@ class TestEchoCoherenceTime:
 
 
 class TestRegistry:
-    def test_config_and_dispatch_name_the_same_presets(self):
-        from spindyad.config import PRESETS
-        from spindyad.presets import _PRESET_FUNCS, _SWEPT_VARIABLE
-
-        assert sorted(_PRESET_FUNCS) == sorted(PRESETS)
-        assert set(_SWEPT_VARIABLE) <= set(PRESETS)
-
     @pytest.mark.parametrize(
         "preset,variable", [("field_sweep", "delta_b"), ("xi_sweep", "xi"), ("electrometry", "eps_rms")]
     )

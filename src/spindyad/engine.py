@@ -31,9 +31,16 @@ exponentiated at once, and each delay's ordered product is formed in
 lockstep over the segment index, one stacked matmul per index over the
 delays still open.
 
+Noise draws: a path is rendered from the ``Experiment.draws`` store its
+caller passes, or drawn afresh without one. The caller owns the store
+and its lifetime: a preset run keeps one for all its runs, and
+:func:`sweep` makes one for its points when given none, so each stream is
+drawn once for them. This module keeps no draw between calls.
+
 Determinism: per-trajectory noise streams are keyed by the trajectory
 index, and the stack and the mean/standard-error reduction keep that
-order, so results are a pure function of the seed.
+order, so results are a pure function of the seed; a render from a store
+has the bits of a fresh draw.
 """
 
 from __future__ import annotations
@@ -53,6 +60,7 @@ from .model import DyadParams, FrameCoefficients
 from .noise import (
     ElectricNoiseConfig,
     FluctuatorConfig,
+    NoiseDraws,
     NoiseTrajectory,
     partition,
     sample_electric_trajectory,
@@ -469,6 +477,9 @@ class Experiment:
 
     ``program_builder`` maps a sweep time (s) to the pulse program run at
     that point; ``delta_temp`` injects a thermal crystal-field shift.
+    ``draws`` is the caller's store of noise draws, shared by the runs
+    that read the same streams; with ``None`` each run draws afresh. It
+    changes no result, so it takes no part in comparisons.
     """
 
     params: DyadParams
@@ -480,6 +491,7 @@ class Experiment:
     electric: Optional[ElectricNoiseConfig] = None
     delta_temp: float = 0.0
     label: str = ""
+    draws: Optional[NoiseDraws] = field(default=None, compare=False, repr=False)
 
     @property
     def thermal_shift(self) -> float:
@@ -491,7 +503,8 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     shaped (times, trajectories).
 
     The initial state is checked once, before any noise is sampled.
-    Trajectory i's noise path is sampled from stream i, reduced at once to
+    Trajectory i's noise path is sampled from stream i (rendered from
+    ``exp.draws`` when the caller passes a store), reduced at once to
     what the programs' noisy delays read of it, and dropped; a field with
     zero amplitude is not sampled. Each program is then walked once over
     the stack of all trajectories.
@@ -510,14 +523,15 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     electric = exp.electric
     if electric is not None:
         electric = replace(electric, seed=electric.seed ^ exp.sim.master_seed)
+    duration, draws = max_steps * dt, exp.draws
 
     def fields(i: int) -> _Fields:
         beta = beta_p = eps_z = None
         if magnetic.beta_rms > 0:
-            traj = sample_magnetic_trajectory(magnetic, max_steps * dt, dt, stream_id=i)
+            traj = sample_magnetic_trajectory(magnetic, duration, dt, stream_id=i, draws=draws)
             beta, beta_p = traj.beta_s, traj.beta_s_prime
         if electric is not None and electric.eps_rms > 0:
-            eps_z = sample_electric_trajectory(electric, max_steps * dt, dt, stream_id=i)
+            eps_z = sample_electric_trajectory(electric, duration, dt, stream_id=i, draws=draws)
         return beta, beta_p, eps_z
 
     try:
@@ -593,8 +607,11 @@ def sweep(
     """Run one experiment per value of ``variable``, xi or eps_rms.
 
     ``reduce`` optionally maps each trace to a scalar summary (e.g. a
-    coherence-time fit).
+    coherence-time fit). The runs share ``exp.draws``, or one store made
+    here when it is ``None``: every stream is drawn once for the sweep.
     """
+    if exp.draws is None:
+        exp = replace(exp, draws=NoiseDraws())
     results = []
     for v in values:
         trace = run(_apply_variable(exp, variable, float(v)))

@@ -24,9 +24,15 @@ come out at the configured value.
 Reproducibility: each trajectory is a pure function of
 (seed, stream_id). Streams use the counter-based Philox generator keyed
 by (seed, stream_id) with a domain tag in the counter block, so results
-are bit-identical no matter how trajectories are scheduled across
-workers, and a longer trajectory is a bit-exact extension of a shorter
-one with the same key (draws are consumed strictly in step order).
+are bit-identical no matter how trajectories are scheduled, and a longer
+trajectory is a bit-exact extension of a shorter one with the same key
+(draws are consumed strictly in step order). Sampling is a *draw* (each
+channel's redraw steps and raw uniforms) and a *render* (the dense path
+at given amplitudes). Without a store every sample draws afresh. A
+:class:`NoiseDraws` store, owned by its caller (one per preset run, or
+per :func:`spindyad.engine.sweep`), draws each stream once and renders
+it for every run that reads it; a render from the store has the bits of
+a fresh draw. No draw outlives the store, and the module holds none.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "FluctuatorConfig",
     "ElectricNoiseConfig",
     "NoiseTrajectory",
+    "NoiseDraws",
     "partition",
     "sample_magnetic_trajectory",
     "sample_electric_trajectory",
@@ -160,31 +167,90 @@ def _stream_rng(seed: int, stream_id: int, domain: int) -> Generator:
     return Generator(Philox(counter=counter, key=key))
 
 
-def _fluctuator_channels(
-    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, sigmas: Sequence[float]
-) -> list[NDArray]:
-    """Sample ``len(sigmas)`` independent hold/redraw channels, one
-    (n_steps,) path each.
+def _draw(
+    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int, channels
+) -> dict[int, tuple[NDArray, NDArray]]:
+    """The redraw steps and raw uniforms of ``channels`` of one stream.
 
     One (n_steps, 2c) uniform block is drawn row by row (step-major), so
-    a longer trajectory extends a shorter one bit-exactly and channel
-    amplitudes only scale the redraw values. Channel j redraws at step 0
-    (stationary start) and at every later step where column j is below
-    ``p_switch``, taking its value from column c + j, and holds it until
-    the next redraw. A channel with zero amplitude is all zeros (one
-    shared array) and builds no path; when no channel has amplitude,
-    nothing is drawn.
+    a longer draw extends a shorter one bit-exactly. Channel j redraws at
+    step 0 (stationary start) and at every later step where column j is
+    below ``p_switch``, taking its uniform from column c + j. Only those
+    steps and uniforms are kept; the block is dropped on return.
+    """
+    u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
+    out = {}
+    for j in channels:
+        starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
+        out[j] = (starts, u[starts, c + j])
+    return out
+
+
+def _render(starts: NDArray, uniforms: NDArray, n_steps: int, sigma: float) -> NDArray:
+    """The (n_steps,) hold/redraw path of one drawn channel at rms
+    ``sigma``, from a draw at least ``n_steps`` long."""
+    k = np.searchsorted(starts, n_steps)  # the redraws before step n_steps
+    held = np.diff(starts[:k], append=n_steps)
+    return np.repeat((2.0 * uniforms[:k] - 1.0) * (_SQRT3 * sigma), held)
+
+
+class NoiseDraws:
+    """The draws of the streams one caller renders many times.
+
+    A sweep renders the same streams at several amplitudes and lengths;
+    this store draws each stream once, at the longest length asked so
+    far, and keeps only its channels' redraw steps and uniforms (about
+    ``p_switch * n_steps`` per channel). A longer request, or one for a
+    channel not drawn yet, redraws that stream: the old draw is a prefix
+    of the new one, so every render keeps the bits of a fresh draw. The
+    store lives as long as its owner keeps it; nothing is cached between
+    callers.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, tuple[int, dict[int, tuple[NDArray, NDArray]]]] = {}
+
+    def get(
+        self, seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int, live
+    ) -> dict[int, tuple[NDArray, NDArray]]:
+        """The draw of ``live`` channels of a c-channel stream, at least
+        ``n_steps`` long."""
+        key = (seed, domain, stream_id, p_switch, c)
+        length, drawn = self._entries.get(key, (-1, {}))
+        if length < n_steps or not drawn.keys() >= set(live):
+            length = max(length, n_steps)
+            channels = sorted(drawn.keys() | set(live))
+            drawn = _draw(seed, stream_id, domain, length, p_switch, c, channels)
+            self._entries[key] = (length, drawn)
+        return drawn
+
+
+def _fluctuator_channels(
+    seed: int,
+    stream_id: int,
+    domain: int,
+    n_steps: int,
+    p_switch: float,
+    sigmas: Sequence[float],
+    draws: Optional[NoiseDraws] = None,
+) -> list[NDArray]:
+    """Sample ``len(sigmas)`` independent hold/redraw channels, one
+    (n_steps,) path each: a :func:`_draw` of the stream, from ``draws``
+    when given, rendered per channel amplitude. Amplitudes only scale the
+    redraw values. A channel with zero amplitude is all zeros (one shared
+    array) and builds no path; when no channel has amplitude, nothing is
+    drawn.
     """
     c = len(sigmas)
     live = [j for j in range(c) if sigmas[j]]
     paths = [None] * c
     if live:
-        u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
+        if draws is None:
+            drawn = _draw(seed, stream_id, domain, n_steps, p_switch, c, live)
+        else:
+            drawn = draws.get(seed, stream_id, domain, n_steps, p_switch, c, live)
         for j in live:
-            starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
-            held = np.diff(starts, append=n_steps)
-            paths[j] = np.repeat((2.0 * u[starts, c + j] - 1.0) * (_SQRT3 * sigmas[j]), held)
-        del u  # the zero path can take its memory (a lower peak RSS)
+            paths[j] = _render(*drawn[j], n_steps, sigmas[j])
     zero = np.zeros(n_steps) if len(live) < c else None
     return [zero if path is None else path for path in paths]
 
@@ -202,25 +268,33 @@ def _check_step(switch_rate: float, dt: float) -> float:
 
 
 def sample_magnetic_trajectory(
-    cfg: FluctuatorConfig, duration: float, dt: float, stream_id: int
+    cfg: FluctuatorConfig,
+    duration: float,
+    dt: float,
+    stream_id: int,
+    draws: Optional[NoiseDraws] = None,
 ) -> NoiseTrajectory:
     """Sample beta(t), beta'(t) for one trajectory.
 
     Three independent fluctuator channels are drawn (global, local at S,
     local at S') and summed per site. Bit-identical for identical
-    (cfg.seed, stream_id, cfg, duration, dt).
+    (cfg.seed, stream_id, cfg, duration, dt), with or without ``draws``.
     """
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
     sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
     glob, loc, loc_prime = _fluctuator_channels(
-        cfg.seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, [sig_g, sig_l, sig_l]
+        cfg.seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, [sig_g, sig_l, sig_l], draws
     )
     return NoiseTrajectory(dt=dt, beta_s=glob + loc, beta_s_prime=glob + loc_prime)
 
 
 def sample_electric_trajectory(
-    cfg: ElectricNoiseConfig, duration: float, dt: float, stream_id: int
+    cfg: ElectricNoiseConfig,
+    duration: float,
+    dt: float,
+    stream_id: int,
+    draws: Optional[NoiseDraws] = None,
 ) -> NDArray:
     """Sample the (n_steps,) axial electric field path eps_z: channel 2 of a
     three-channel stream (switches in uniform column 2, values in column
@@ -228,7 +302,7 @@ def sample_electric_trajectory(
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
     sigmas = [0.0, 0.0, cfg.eps_rms]
-    return _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas)[2]
+    return _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas, draws)[2]
 
 
 def empirical_xi(traj: NoiseTrajectory) -> float:

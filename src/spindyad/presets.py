@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple, Optional
@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, engine, model, protocol, svg
 from .config import ConfigError, ExperimentConfig
 from .engine import Experiment, SimConfig, SimulationError, TimeTrace
-from .noise import ElectricNoiseConfig, FluctuatorConfig, sample_magnetic_trajectory
+from .noise import ElectricNoiseConfig, FluctuatorConfig, NoiseDraws, sample_magnetic_trajectory
 from .protocol import Target
 
 __all__ = [
@@ -40,17 +40,21 @@ def _snap(t: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """The model objects of one preset run, read once from its config."""
+    """The model objects of one preset run, read once from its config, and
+    the run's one store of noise draws: every experiment made here shares
+    it, so each noise stream is drawn once per preset run (sweep points,
+    reference runs and fits render it at their own amplitudes)."""
 
     params: model.DyadParams
     noise: FluctuatorConfig
     electric: ElectricNoiseConfig
     sim: SimConfig
+    draws: NoiseDraws = field(default_factory=NoiseDraws, compare=False, repr=False)
 
     def experiment(self, builder, times, label: str, delta_temp: float = 0.0) -> Experiment:
         return Experiment(
             self.params, self.noise, self.sim, builder, times,
-            electric=self.electric, delta_temp=delta_temp, label=label,
+            electric=self.electric, delta_temp=delta_temp, label=label, draws=self.draws,
         )
 
 
@@ -120,7 +124,8 @@ class _Writer:
     ``# config <section.key> = <value>`` line per key in sorted order,
     which makes each file reproducible on its own. Floats are written
     with ``.17g``, so they read back bit-exactly. ``summary_text`` keeps
-    the summary's lines below the echo.
+    the summary's lines below the echo. The output directory is made when
+    the first file is written, so a run that fails first leaves none.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path, label: str, plot: bool):
@@ -130,9 +135,13 @@ class _Writer:
         self.echo = "".join(f"# config {k} = {cfg.resolved[k]}\n" for k in sorted(cfg.resolved))
         self.summary_text = ""
 
+    def _path(self, suffix: str) -> Path:
+        self.out.mkdir(parents=True, exist_ok=True)
+        return self.out / f"{self.label}{suffix}"
+
     @contextmanager
     def _open(self, suffix: str) -> Iterator[IO[str]]:
-        with (self.out / f"{self.label}{suffix}").open("w") as fh:
+        with self._path(suffix).open("w") as fh:
             fh.write(self.echo)
             yield fh
 
@@ -160,8 +169,7 @@ class _Writer:
     def plot(self, xs, series, title: str, xlabel: str, ylabel: str) -> None:
         """``<label>.svg``, unless plots are switched off."""
         if self.plots:
-            path = self.out / f"{self.label}.svg"
-            svg.line_plot(path, xs, series, title=title, xlabel=xlabel, ylabel=ylabel)
+            svg.line_plot(self._path(".svg"), xs, series, title=title, xlabel=xlabel, ylabel=ylabel)
 
     def plot_signal(self, trace: TimeTrace, xlabel: str, time_factor: float = 1.0) -> None:
         """The readout signal against time_factor * the trace's times, in us."""
@@ -575,7 +583,8 @@ def run_preset(
     plot: bool = True,
 ) -> str:
     """Execute a preset, write its artifacts under ``out_dir`` and return
-    the lines of its summary file below the config echo.
+    the lines of its summary file below the config echo. ``out_dir`` is
+    made when the first artifact is written; a config error leaves none.
 
     ``seed`` and ``trajectories`` override the config; they are written
     into ``cfg.resolved`` first, so the config echo records them.
@@ -594,8 +603,6 @@ def run_preset(
     if trajectories is not None:
         cfg.resolved["sim.trajectories"] = str(trajectories)
     inp = _read_inputs(cfg)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    writer = _Writer(cfg, out, cfg.text("experiment", "label") or cfg.preset, plot)
+    writer = _Writer(cfg, Path(out_dir), cfg.text("experiment", "label") or cfg.preset, plot)
     preset.run(cfg, inp, writer)
     return writer.summary_text

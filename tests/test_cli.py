@@ -151,6 +151,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: config: {message}\n"
 
     @pytest.mark.parametrize(
+        "preset,sweep,message",
+        [
+            ("xi_sweep", "variable = xi\nvalues = 0.5, 2", "sweep xi value 2 is outside [0, 1]"),
+            ("field_sweep", "variable = delta_b\nvalues = 0T", "field_sweep expects sim.near_bm = true"),
+        ],
+        ids=["xi_sweep-value-outside", "field_sweep-without-near_bm"],
+    )
+    def test_config_error_in_the_runner_leaves_no_directory(self, tmp_path, capsys, preset, sweep, message):
+        # the runner reads these after the inputs; the directory is made
+        # only when the first artifact is written
+        body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "edit,flags",
         [
             (("trajectories = 12", "trajectories = 0"), []),
@@ -446,13 +463,38 @@ class TestLevelsContent:
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def fresh_interpreter(argv, cwd, **env):
+    """Run ``python *argv`` in a fresh interpreter on this checkout's
+    package, with ``env`` added to the environment."""
+    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p)
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 def run_python(code, cwd):
     """Run ``code`` in a fresh interpreter on this checkout's package."""
-    path = os.pathsep.join(p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH", "")) if p)
-    env = dict(os.environ, PYTHONPATH=path)
-    return subprocess.run(
-        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=300
-    )
+    return fresh_interpreter(["-c", code], cwd)
+
+
+@pytest.mark.parametrize("name", ["electrometry", "field_sweep"])
+def test_csv_bytes_do_not_depend_on_the_interpreter(tmp_path, name):
+    """Two fresh ``python -m spindyad`` calls under other hash seeds and one
+    call in this process, after another preset ran in it, write the same
+    CSV bytes: no state outlives a preset run."""
+    args = ["--config", str(ROOT / "configs" / f"{name}.cfg"), "--trajectories", "2", "--seed", "7", "--no-plot"]
+    for hashseed in ("0", "1"):
+        argv = ["-m", "spindyad", *args, "--out", f"hash{hashseed}"]
+        proc = fresh_interpreter(argv, tmp_path, PYTHONHASHSEED=hashseed)
+        assert proc.returncode == 0, proc.stderr
+    assert main(["--config", write(tmp_path, FAST_ZQ), "--out", str(tmp_path / "zq")]) == EXIT_OK
+    assert main([*args, "--out", str(tmp_path / "here")]) == EXIT_OK
+    csvs = [
+        {p.name: p.read_bytes() for p in sorted((tmp_path / out).glob("*.csv"))}
+        for out in ("hash0", "hash1", "here")
+    ]
+    assert csvs[0] and csvs[0] == csvs[1] == csvs[2]
 
 
 class TestWithoutScipy:

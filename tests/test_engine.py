@@ -405,6 +405,22 @@ class TestSweep:
         assert len(res) == 1
         assert np.array_equal(res[0].trace.signal_mean, direct.signal_mean)
 
+    def test_sweep_draws_each_stream_once_and_keeps_the_bits(self, monkeypatch):
+        # xi = 0 reads only the global channel, so xi = 0.5 redraws each
+        # stream with the local channels as well; xi = 1 reads that draw
+        from spindyad import noise
+
+        calls = []
+        real = noise._stream_rng
+        monkeypatch.setattr(noise, "_stream_rng", lambda *args: calls.append(args) or real(*args))
+        exp = self._zq_experiment()
+        res = sweep("xi", [0.0, 0.5, 1.0], exp)
+        assert len(calls) == 2 * exp.sim.n_trajectories
+        for r in res:
+            fresh = run(replace(exp, noise=replace(exp.noise, xi=r.value)))
+            assert np.array_equal(r.trace.signal_mean, fresh.signal_mean)
+            assert np.array_equal(r.trace.signal_sem, fresh.signal_sem)
+
     def test_xi_sweep_applies_value(self):
         exp = self._zq_experiment()
         res = sweep("xi", [0.0, 1.0], exp)

@@ -268,3 +268,51 @@ def test_magnetic_edges_keep_the_frozen_sum(seed, stream_id, n_steps, rate, beta
     vals = frozen_fluctuator_channels(seed, stream_id, noise._DOMAIN_MAGNETIC, n_steps, rate * dt, [g, l, l])
     assert same_bits(traj.beta_s, vals[:, 0] + vals[:, 1])
     assert same_bits(traj.beta_s_prime, vals[:, 0] + vals[:, 2])
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**64 - 2),
+    stream_id=st.integers(0, 2**63),
+    domain=st.sampled_from([noise._DOMAIN_MAGNETIC, noise._DOMAIN_ELECTRIC]),
+    lengths=st.lists(
+        st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)), min_size=2, max_size=2
+    ),
+    p_switch=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
+    sigma_sets=st.integers(1, 5).flatmap(
+        lambda c: st.lists(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), min_size=c, max_size=c),
+            min_size=4,
+            max_size=4,
+        )
+    ),
+    keys=st.lists(st.sampled_from(range(6)), min_size=4, max_size=4),
+)
+def test_stored_draw_renders_the_bits_of_a_fresh_one(
+    seed, stream_id, domain, lengths, p_switch, sigma_sets, keys
+):
+    """Renders from one store keep the bits of a fresh draw. The store is
+    asked for two lengths in the order a, b, b, a (short then long, long
+    then short, repeated), at other amplitudes each time, for one stream
+    or for streams that differ from it in one key field."""
+    draws = noise.NoiseDraws()
+    a, b = lengths
+    for n_steps, sigmas, key in zip((a, b, b, a), sigma_sets, keys):
+        s, i, d, p = [seed, stream_id, domain, p_switch]
+        if key == 1:
+            s += 1
+        elif key == 2:
+            i += 1
+        elif key == 3:
+            d = 1 - d
+        elif key == 4:
+            p /= 2
+        elif key == 5:
+            sigmas = [*sigmas, 1.0]  # one channel more
+        stored = noise._fluctuator_channels(s, i, d, n_steps, p, sigmas, draws)
+        fresh = noise._fluctuator_channels(s, i, d, n_steps, p, sigmas)
+        assert len(stored) == len(fresh) == len(sigmas)
+        assert all(same_bits(x, y) for x, y in zip(stored, fresh))
+    if p_switch == 0.0:  # only the stationary start: one redraw per channel, at any length
+        for _, drawn in draws._entries.values():
+            assert all(starts.size == uniforms.size == 1 for starts, uniforms in drawn.values())

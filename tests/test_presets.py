@@ -1,6 +1,7 @@
 """Preset orchestration: artifact generation at smoke scale."""
 
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -146,9 +147,9 @@ class TestZeroQuantumPresets:
         seen = []
         real_sample = engine.sample_electric_trajectory
 
-        def recording_sample(cfg, duration, dt, stream_id):
+        def recording_sample(cfg, duration, dt, stream_id, draws=None):
             seen.append(cfg.seed)
-            return real_sample(cfg, duration, dt, stream_id)
+            return real_sample(cfg, duration, dt, stream_id, draws=draws)
 
         monkeypatch.setattr(engine, "sample_electric_trajectory", recording_sample)
         body = (
@@ -195,6 +196,44 @@ class TestZeroQuantumPresets:
         assert code == EXIT_OK
         text = (out / "zq.csv").read_text()
         assert "# config sim.trajectories = 10" in text
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+class TestNoiseDraws:
+    """A preset run draws each noise stream once and renders it for every
+    run that reads it."""
+
+    def draws_per_stream(self, tmp_path, monkeypatch, name):
+        from spindyad import noise
+
+        counts = Counter()
+        real = noise._stream_rng
+
+        def counting(seed, stream_id, domain):
+            counts[seed, stream_id, domain] += 1
+            return real(seed, stream_id, domain)
+
+        monkeypatch.setattr(noise, "_stream_rng", counting)
+        args = ["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "out")]
+        assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
+        return counts
+
+    def test_electrometry_draws_each_stream_once(self, tmp_path, monkeypatch):
+        # three eps_rms points, each reading a magnetic and an electric
+        # stream per trajectory: 12 draws without the store
+        counts = self.draws_per_stream(tmp_path, monkeypatch, "electrometry")
+        assert sorted(counts) == [(7, i, d) for i in (0, 1) for d in (0, 1)]
+        assert sum(counts.values()) == 4
+
+    def test_field_sweep_draws_each_stream_at_most_twice(self, tmp_path, monkeypatch):
+        # the far reference and nine detuning points read the same magnetic
+        # streams over their own delays (20 draws without the store); a
+        # stream is redrawn only when a run asks for a longer path
+        counts = self.draws_per_stream(tmp_path, monkeypatch, "field_sweep")
+        assert sorted(counts) == [(7, 0, 0), (7, 1, 0)]
+        assert max(counts.values()) <= 2
 
 
 class TestEchoCoherenceTime:

@@ -6,7 +6,7 @@ detuning from the operating point, the sampled magnetic and axial
 electric noise fields, the thermal shift, the secular dipolar coupling
 and, near the level anti-crossing, the static double-quantum term. Its
 coefficients come from :func:`spindyad.model.frame_coefficients`, once
-per propagated program; this module only propagates.
+per run and once per walk; this module only propagates.
 
 During a delay the noise is piecewise constant on the trajectory's step
 grid, so the exact propagator factorizes over constant-noise segments:
@@ -23,13 +23,21 @@ error), which is what the step-halving convergence check relies on.
 :func:`run` checks the initial state once, then samples one trajectory's
 noise path at a time, keeps only those prefix sums (and, near the
 anti-crossing, the path's constant-noise segments over each noisy delay)
-and drops the path; :func:`propagate` then walks each program once over
-the (trajectories, 4, 4) stack of states. Near the anti-crossing the
-noisy-delay propagators of the whole run are built in one pass (a large
-run in chunks of paths): every segment of every path and delay is
-exponentiated at once, and each delay's ordered product is formed in
-lockstep over the segment index, one stacked matmul per index over the
-delays still open.
+and drops the path. Near the anti-crossing the noisy-delay propagators of
+the whole run are built in one pass (a large run in chunks of paths):
+every segment of every path and delay is exponentiated at once, and each
+delay's ordered product is formed in lockstep over the segment index, one
+stacked matmul per index over the delays still open.
+
+The programs of a run are then grouped by skeleton (element kinds,
+rotations and noisy flags; a builder's programs differ only in their
+delay lengths), and :func:`propagate` walks each group once over the
+(programs, trajectories, 4, 4) stack of states, in walks of about
+``_WALK_STATES`` states. Every delay reads each program's (first step,
+end step) from one step table made per run; the noise-free
+double-quantum delays of a walk are exponentiated in one call, and a
+program whose delay is empty keeps its states untouched. Each state
+evolves exactly as it would alone, so the stack changes no bit.
 
 Noise draws: a path is rendered from the ``Experiment.draws`` store its
 caller passes, or drawn afresh without one. The caller owns the store
@@ -241,23 +249,32 @@ def _delay_steps(elem: Delay, dt: float) -> int:
     return n
 
 
-def _noisy_spans(
-    programs: Sequence[PulseProgram], dt: float
-) -> tuple[list[tuple[int, int]], int]:
-    """Sorted (first step, end step) of every nonempty noisy delay, and the
-    length in steps of the longest program. Every delay is checked to lie
-    on the dt grid, so every program does."""
-    spans = set()
-    longest = 0
+def _step_table(programs: Sequence[PulseProgram], dt: float) -> list[list[tuple[int, int]]]:
+    """Per program, the (first step, end step) of each of its delays. Every
+    delay is checked to lie on the dt grid, so every program does."""
+    table = []
     for prog in programs:
-        k = 0
+        k, steps = 0, []
         for elem in prog.elements:
             if isinstance(elem, Delay):
                 n = _delay_steps(elem, dt)
-                if elem.noisy and n:
-                    spans.add((k, k + n))
+                steps.append((k, k + n))
                 k += n
-        longest = max(longest, k)
+        table.append(steps)
+    return table
+
+
+def _noisy_spans(
+    programs: Sequence[PulseProgram], table: Sequence[list]
+) -> tuple[list[tuple[int, int]], int]:
+    """Sorted (first step, end step) of every nonempty noisy delay, and the
+    length in steps of the longest program, from the programs' step table."""
+    spans = set()
+    longest = 0
+    for prog, steps in zip(programs, table):
+        noisy = (e.noisy for e in prog.elements if isinstance(e, Delay))
+        spans.update((k0, k1) for (k0, k1), on in zip(steps, noisy) if on and k1 > k0)
+        longest = max(longest, steps[-1][1] if steps else 0)
     return sorted(spans), longest
 
 
@@ -315,29 +332,34 @@ def _dq_blocks(segments: Sequence[tuple], c: FrameCoefficients, dt: float) -> ND
 class _NoiseBatch:
     """What the noisy delays of a set of programs read of ``n`` noise paths.
 
-    Without the double-quantum block, ``prefix[k]`` is the (n, 3) array of
-    each path's field sums (beta_s, beta_s', eps_z) over its first k steps,
-    for every step k a noisy delay starts or ends on. With it active,
-    ``prefix`` is empty and ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of
-    each path's propagator over the noisy delay from step k0 to k1, built
-    under ``coeffs``: the blocks of all paths and spans come from one
-    exponentiation of every constant-noise segment and one lockstep
-    product (:func:`_dq_blocks`), in chunks of about ``_SEGMENT_CHUNK``
-    segments. The initial state is not part of the batch; :func:`run`
-    checks it once, before sampling.
+    Without the double-quantum block, ``steps`` holds, sorted, every step
+    a noisy delay starts or ends on, and ``prefix[m]`` is the (n, 3) array
+    of each path's field sums (beta_s, beta_s', eps_z) over its first
+    ``steps[m]`` steps. With it active, both are empty and
+    ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of each path's propagator
+    over the noisy delay from step k0 to k1, built under ``coeffs``: the
+    blocks of all paths and spans come from one exponentiation of every
+    constant-noise segment and one lockstep product (:func:`_dq_blocks`),
+    in chunks of about ``_SEGMENT_CHUNK`` segments. The initial state is
+    not part of the batch; :func:`run` checks it once, before sampling.
     """
 
     n: int
     dt: float
     n_steps: int
     coeffs: FrameCoefficients
-    prefix: dict
+    steps: NDArray
+    prefix: NDArray
     blocks: dict
 
 
 # segments whose unitaries are held at once: a 500-trajectory field_sweep run
 # then peaks no higher than with one path at a time (1 << 16 added 18 MB)
 _SEGMENT_CHUNK = 1 << 14
+
+# states (programs x trajectories) one walk holds: without a cap the shipped
+# full-size configs (400-500 trajectories) peaked 5-7 MB higher
+_WALK_STATES = 1 << 10
 
 
 def _reduce(
@@ -354,7 +376,7 @@ def _reduce(
     # only the diagonal path reads prefix sums
     steps = np.array(sorted({k for s in spans for k in s}) if c.g == 0.0 else [], dtype=int)
     pos = steps > 0
-    sums = np.zeros((n, 3, steps.size))
+    sums = np.zeros((steps.size, n, 3))
     dq = c.g != 0.0 and bool(spans)
     k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
     stack = np.empty((len(spans), n, 4, 4), dtype=complex) if dq else None
@@ -362,7 +384,7 @@ def _reduce(
     for i, path in enumerate(paths):
         for q, x in enumerate(path):
             if x is not None and pos.any():
-                sums[i, q, pos] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
+                sums[pos, i, q] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
         if dq:
             pending.append(_dq_segments(path, k0, k1, c))
             held += pending[-1][0].size
@@ -370,57 +392,104 @@ def _reduce(
                 stack[:, done : i + 1] = _dq_blocks(pending, c, dt).swapaxes(0, 1)
                 pending, held, done = [], 0, i + 1
         del path  # no dense path outlives its reduction
-    prefix = {int(k): sums[:, :, m] for m, k in enumerate(steps)}
     blocks = dict(zip(spans, stack)) if dq else {}
-    return _NoiseBatch(n, dt, n_steps, c, prefix, blocks)
+    return _NoiseBatch(n, dt, n_steps, c, steps, sums, blocks)
+
+
+@dataclass(frozen=True)
+class _Walk:
+    """Programs of one skeleton (element kinds, rotations and noisy flags),
+    walked together: ``steps[p]`` is program p's rows of the step table,
+    and ``index[p]`` its position among the run's programs. ``elements``
+    is the shared skeleton, read through the first program."""
+
+    programs: tuple
+    steps: NDArray
+    index: NDArray
+
+    @property
+    def elements(self) -> tuple:
+        return self.programs[0].elements
+
+
+def _walks(programs: Sequence[PulseProgram], table: Sequence[list], n: int) -> list[_Walk]:
+    """The programs grouped by skeleton, in walks of about ``_WALK_STATES``
+    states over ``n`` trajectories."""
+    groups: dict = {}
+    for k, prog in enumerate(programs):
+        skeleton = tuple((Delay, e.noisy) if isinstance(e, Delay) else e for e in prog.elements)
+        groups.setdefault(skeleton, []).append(k)
+    size = max(1, _WALK_STATES // n)
+    walks = []
+    for index in groups.values():
+        for part in (index[i : i + size] for i in range(0, len(index), size)):
+            steps = np.array([table[k] for k in part], dtype=int).reshape(len(part), -1, 2)
+            walks.append(_Walk(tuple(programs[k] for k in part), steps, np.array(part)))
+    return walks
 
 
 def _delay(
-    rho: NDArray, elem: Delay, batch: _NoiseBatch, k0: int, c: FrameCoefficients
-) -> tuple[NDArray, int]:
-    dt = batch.dt
-    n = _delay_steps(elem, dt)
-    k1 = k0 + n
-    if k1 > batch.n_steps:
+    rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch, c: FrameCoefficients
+) -> NDArray:
+    """One delay of every program of a walk: ``rho`` is the (programs, n,
+    4, 4) stack and ``steps`` each program's (k0, k1). A program whose delay
+    is empty keeps its states as they are."""
+    dt, need = batch.dt, steps[:, 1].max()
+    if need > batch.n_steps:
         raise SimulationError(
-            f"noise trajectory ({batch.n_steps} steps) shorter than program (needs {k1})"
+            f"noise trajectory ({batch.n_steps} steps) shorter than program (needs {need})"
         )
-    if n == 0:
-        return rho, k0
+    live = np.flatnonzero(steps[:, 1] > steps[:, 0])
+    if live.size == 0:
+        return rho
+    every = live.size == len(steps)
+    part = rho if every else rho[live]
+    k0, k1 = steps[live].T
+    n = k1 - k0
     if c.g == 0.0:
         # diagonal generator: integrate the phases over the whole delay
-        if elem.noisy:  # each sum an (n, 1) column
-            sum_beta, sum_beta_p, sum_eps_z = (batch.prefix[k1] - batch.prefix[k0]).T[..., None]
+        if noisy:  # each sum a (programs, n, 1) column
+            i0, i1 = np.searchsorted(batch.steps, k0), np.searchsorted(batch.steps, k1)
+            sums = batch.prefix[i1] - batch.prefix[i0]
+            sum_beta, sum_beta_p, sum_eps_z = np.moveaxis(sums, -1, 0)[..., None]
         else:
             sum_beta = sum_beta_p = sum_eps_z = 0.0
+        n = n[:, None, None]
         a_int = dt * (n * c.a0) + dt * (c.k_beta * sum_beta + c.k_eps * sum_eps_z)
         b_int = dt * (n * c.b0) + dt * c.k_beta * sum_beta_p
         phases = a_int * _Z_TILDE + b_int * _Z_PRIME + c.j * n * dt * _Z_ZZ
         u_diag = np.exp(-1j * phases)
-        return (u_diag[..., :, None] * rho) * u_diag.conj()[..., None, :], k1
-    # active double-quantum block: exponentiated per constant-noise segment
-    if elem.noisy:
-        u = batch.blocks[(k0, k1)]
+        part = (u_diag[..., :, None] * part) * u_diag.conj()[..., None, :]
     else:
-        a, b = np.array([c.a0]), np.array([c.b0])
-        u = _dq_segment_unitaries(a, b, c.j, c.g, np.array([n * dt]))[0]
-    return u @ rho @ _dagger(u), k1
+        # active double-quantum block: exponentiated per constant-noise segment
+        if noisy:
+            u = np.stack([batch.blocks[s] for s in zip(k0.tolist(), k1.tolist())])
+        else:
+            a, b = np.full(n.size, c.a0), np.full(n.size, c.b0)
+            u = _dq_segment_unitaries(a, b, c.j, c.g, n * dt)[:, None]
+        part = u @ part @ _dagger(u)
+    if every:
+        return part
+    rho[live] = part
+    return rho
 
 
-def _check_invariants(rho: NDArray, elem) -> None:
-    """Unit trace and Hermiticity of every state of the stack."""
+def _check_invariants(rho: NDArray, walk: _Walk, j: int) -> None:
+    """Unit trace and Hermiticity of every state of the stack after the
+    walk's element ``j``."""
     tr = rho.trace(axis1=-2, axis2=-1)
     ok = (abs(tr - 1.0) <= 1e-9) & (np.abs(rho - _dagger(rho)).max(axis=(-2, -1)) <= 1e-9)
     if not ok.all():
-        i = int(np.argmin(ok))
+        p, i = np.unravel_index(np.argmin(ok), ok.shape)
         raise SimulationError(
-            f"trajectory {i}: state invariants violated after element {elem!r}: trace={tr[i]}"
+            f"program {walk.index[p]}, trajectory {i}: state invariants violated after "
+            f"element {walk.programs[p].elements[j]!r}: trace={tr[p, i]}"
         )
 
 
 def propagate(
     rho0: NDArray,
-    program: PulseProgram,
+    program: PulseProgram | _Walk,
     params: DyadParams,
     traj: NoiseTrajectory | _NoiseBatch,
     sim: SimConfig,
@@ -438,24 +507,34 @@ def propagate(
     ``validate`` every state of the stack is checked after every element
     and at the end, and the initial state of a single path before the
     walk; :func:`run` checks a batch's initial state once per run.
+
+    :func:`run` passes a walk of programs that share one skeleton in place
+    of ``program``, which gives the (programs, n, 4, 4) stack; the checks
+    then cover the whole stack, and a failing state is named by its
+    program's index in the run and its trajectory.
     """
     single = isinstance(traj, NoiseTrajectory)
     if validate and single:
         assert_density_matrix(rho0)
+    stacked = isinstance(program, _Walk)
+    if not stacked:
+        (program,) = _walks([program], _step_table([program], traj.dt), 1)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     if single:
         path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
-        spans, _ = _noisy_spans([program], traj.dt)
+        spans, _ = _noisy_spans(program.programs, program.steps.tolist())
         batch = _reduce([path], 1, traj.n_steps, traj.dt, spans, coeffs)
     else:
         batch = traj
         if batch.coeffs != coeffs:
             raise SimulationError("noise batch was reduced under other frame coefficients")
-    rho = np.repeat(np.asarray(rho0, dtype=complex)[None], batch.n, axis=0)
-    k = 0
-    for elem in program.elements:
+    rho0 = np.asarray(rho0, dtype=complex)
+    rho = np.broadcast_to(rho0, (len(program.programs), batch.n) + rho0.shape).copy()
+    d = 0
+    for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
-            rho, k = _delay(rho, elem, batch, k, coeffs)
+            rho = _delay(rho, elem.noisy, program.steps[:, d], batch, coeffs)
+            d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
             rho = u @ rho @ u.conj().T
@@ -464,10 +543,12 @@ def propagate(
         else:
             raise SimulationError(f"unknown program element {elem!r}")
         if validate:
-            _check_invariants(rho, elem)
+            _check_invariants(rho, program, j)
     if validate:
         assert_density_matrix(rho)
-    return rho[0] if single else rho
+    if single:
+        rho = rho[:, 0]
+    return rho if stacked else rho[0]
 
 
 @dataclass(frozen=True)
@@ -506,15 +587,18 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     Trajectory i's noise path is sampled from stream i (rendered from
     ``exp.draws`` when the caller passes a store), reduced at once to
     what the programs' noisy delays read of it, and dropped; a field with
-    zero amplitude is not sampled. Each program is then walked once over
-    the stack of all trajectories.
+    zero amplitude is not sampled. The programs are then grouped by
+    skeleton, and each group is walked once (in walks of about
+    ``_WALK_STATES`` states) over the stack of its programs and all
+    trajectories, with one :func:`propagate` call per walk.
     """
     times = np.asarray(list(exp.times), dtype=float)
     if times.size == 0:
         raise ValueError("experiment has no sweep times")
     programs = [exp.program_builder(float(t)) for t in times]
     dt = exp.sim.dt
-    spans, max_steps = _noisy_spans(programs, dt)
+    table = _step_table(programs, dt)
+    spans, max_steps = _noisy_spans(programs, table)
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
     _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise, exp.electric))
     rho0 = initial_state() if exp.rho0 is None else exp.rho0
@@ -540,9 +624,9 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
         batch = _reduce(paths, n_traj, max_steps, dt, spans, coeffs)
         signals = np.empty((times.size, n_traj))
         proj0 = reduced_operators().proj_ms0
-        for k, prog in enumerate(programs):
-            rho = propagate(rho0, prog, exp.params, batch, exp.sim, thermal_shift=exp.thermal_shift)
-            signals[k] = np.real(np.trace(rho @ proj0, axis1=-2, axis2=-1))
+        for walk in _walks(programs, table, n_traj):
+            rho = propagate(rho0, walk, exp.params, batch, exp.sim, thermal_shift=exp.thermal_shift)
+            signals[walk.index] = np.real(np.trace(rho @ proj0, axis1=-2, axis2=-1))
     except (ValueError, AssertionError) as exc:  # an under-resolved switch rate, a bad state
         raise SimulationError(str(exc)) from exc
     return times, signals

@@ -246,9 +246,10 @@ def echo_coherence_time(
     scan = 0.6 / f_fast if f_fast > 0 else 0.0
     windows = [sorted({_snap(t, dt) for t in np.linspace(a, a + scan, 12)}) for a in anchors]
     # one noise-free single-trajectory run over the delays of every window:
-    # each delay's program is propagated on its own, and a shorter noise
-    # path is a bit-exact prefix of a longer one, so a delay's signal does
-    # not depend on which other delays share the run
+    # the engine walks the delays' programs together, but each state evolves
+    # exactly as it would alone, and a shorter noise path is a bit-exact
+    # prefix of a longer one, so a delay's signal does not depend on which
+    # other delays share the run
     clean = engine.run(
         replace(
             exp,
@@ -401,7 +402,15 @@ def _preset_field_sweep(cfg, inp, w):
     if not inp.sim.near_bm:
         raise ConfigError("field_sweep expects sim.near_bm = true")
     exp = inp.experiment(_echo_program_builder(cfg, deer_mode=False), taus, w.label)
-    # far-from-anti-crossing reference: same noise, double-quantum term off
+    points = []
+    for db in values:
+        point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
+        t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus))
+        points.append((float(db), t2))
+        w.trace(env, f"_db_{db * 1e6:+.3f}uT", sweep_value=float(db))
+    # far-from-anti-crossing reference: same noise, double-quantum term off.
+    # It runs last, on delays capped at 60 us: the points' draws then cover
+    # its paths, so each stream is drawn once (a longer path would redraw)
     far_exp = replace(
         exp,
         sim=replace(exp.sim, near_bm=False, delta_b=0.0),
@@ -409,13 +418,10 @@ def _preset_field_sweep(cfg, inp, w):
         label=w.label + "_far_reference",
     )
     t2_far, _ = echo_coherence_time(far_exp, tau_max=min(max(taus), 60e-6), tau_min=min(taus))
-    rows = []
-    for db in values:
-        point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
-        t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus))
-        eta = analysis.enhancement_ratio(t2, t2_far) if math.isfinite(t2) else math.inf
-        rows.append((float(db), t2, eta))
-        w.trace(env, f"_db_{db * 1e6:+.3f}uT", sweep_value=float(db))
+    rows = [
+        (db, t2, analysis.enhancement_ratio(t2, t2_far) if math.isfinite(t2) else math.inf)
+        for db, t2 in points
+    ]
     w.table(["delta_b_T", "t2_s", "eta"], rows, notes={"t2_far_s": t2_far})
     w.plot_lifetimes(
         [(db, t2) for db, t2, _ in rows],

@@ -27,7 +27,18 @@ from spindyad.engine import (
 from spindyad.linalg import reduced_operators
 from spindyad.model import DyadParams
 from spindyad.noise import ElectricNoiseConfig, FluctuatorConfig, sample_magnetic_trajectory
-from spindyad.protocol import Delay, PulseProgram, Target, hahn_echo, zq_block, zq_chain
+from spindyad.protocol import (
+    Axis,
+    Delay,
+    PulseProgram,
+    Repump,
+    Rotation,
+    Target,
+    hahn_echo,
+    rotation_unitary,
+    zq_block,
+    zq_chain,
+)
 
 DT = 1e-8
 J_PAR = 50e3
@@ -181,7 +192,8 @@ class TestRun:
         with pytest.raises(SimulationError, match="zero-amplitude"):
             run(self._experiment(n_traj=3))
 
-    def test_one_propagate_call_per_program(self, monkeypatch):
+    def test_one_propagate_call_per_walk(self, monkeypatch):
+        # the three echo programs share one skeleton: one walk over them all
         calls = []
         real = engine.propagate
 
@@ -192,22 +204,42 @@ class TestRun:
 
         monkeypatch.setattr(engine, "propagate", counting)
         run(self._experiment(n_traj=20))
-        assert calls == [(20, 4, 4)] * 3
+        assert calls == [(3, 20, 4, 4)]
 
     @pytest.mark.parametrize("near_bm", [False, True])
     def test_walk_checks_every_trajectory(self, near_bm):
         sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
         prog = PulseProgram((Delay(100 * DT),))
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
-        spans, n_steps = engine._noisy_spans([prog], DT)
+        spans, n_steps = engine._noisy_spans([prog], engine._step_table([prog], DT))
         assert (spans, n_steps) == ([(0, 100)], 100)
         batch = engine._reduce([(None, None, None)] * 5, 5, n_steps, DT, spans, coeffs)
         if near_bm:
             batch.blocks[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
         else:
-            batch.prefix[100][3, 0] = np.nan  # a NaN field sum for trajectory 3
-        with pytest.raises(SimulationError, match="trajectory 3: state invariants"):
+            assert batch.steps.tolist() == [0, 100]
+            batch.prefix[1, 3, 0] = np.nan  # a NaN field sum for trajectory 3
+        with pytest.raises(SimulationError, match="program 0, trajectory 3: state invariants"):
             propagate(initial_state(), prog, PARAMS, batch, sim)
+
+    @pytest.mark.parametrize("near_bm", [False, True])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_empty_delay_leaves_its_programs_states_as_they_were(self, near_bm, noisy):
+        # an infinite entry turns into NaN under any applied propagator, even
+        # an identity one, so only an untouched state keeps it
+        sim = SimConfig(n_trajectories=2, dt=DT, near_bm=near_bm)
+        programs = [PulseProgram((Delay(n * DT, noisy=noisy),)) for n in (0, 7, 0)]
+        table = engine._step_table(programs, DT)
+        spans, n_steps = engine._noisy_spans(programs, table)
+        coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
+        batch = engine._reduce([(None, None, None)] * 2, 2, n_steps, DT, spans, coeffs)
+        (walk,) = engine._walks(programs, table, 2)
+        rho0 = initial_state().astype(complex)
+        rho0[1, 2] = rho0[2, 1] = np.inf
+        with np.errstate(invalid="ignore"):
+            rho = propagate(rho0, walk, PARAMS, batch, sim, validate=False)
+        assert all(np.array_equal(r, rho0) for r in rho[[0, 2]].reshape(-1, 4, 4))
+        assert np.isnan(rho[1]).any()
 
     def test_bad_initial_state_fails_before_sampling(self, monkeypatch):
         def no_sampling(*args, **kwargs):
@@ -238,7 +270,8 @@ class TestRun:
             counts.clear()
             exp = self._experiment(n_traj=n_traj, times=np.arange(1, n_times + 1) * 0.25e-6)
             run(replace(exp, sim=replace(exp.sim, near_bm=True)))
-            assert counts == {"_dq_segment_unitaries": 1, "assert_density_matrix": n_times + 1}
+            # one check of rho0 and one of the final stack of the one walk
+            assert counts == {"_dq_segment_unitaries": 1, "assert_density_matrix": 2}
 
     def test_metadata_echoes_settings(self):
         exp = self._experiment(n_traj=4)
@@ -313,6 +346,203 @@ def test_dq_blocks_keep_the_frozen_bits(batch, delta_b, thermal, chunk):
         assert u.shape == (len(paths), 4, 4)
         for i, path in enumerate(paths):
             assert np.array_equal(u[i], frozen_dq_propagator(path, k0, k1, c, DT))
+
+
+def frozen_noisy_spans(programs, dt):
+    """The per-program walk's span finder as it was before programs were
+    walked together, kept verbatim with the walk below."""
+    spans = set()
+    longest = 0
+    for prog in programs:
+        k = 0
+        for elem in prog.elements:
+            if isinstance(elem, Delay):
+                n = engine._delay_steps(elem, dt)
+                if elem.noisy and n:
+                    spans.add((k, k + n))
+                k += n
+        longest = max(longest, k)
+    return sorted(spans), longest
+
+
+def frozen_reduce(paths, n, n_steps, dt, spans, c):
+    """The noise reduction with a dict of prefix sums keyed by step."""
+    spans = [s for s in spans if s[1] <= n_steps]
+    steps = np.array(sorted({k for s in spans for k in s}) if c.g == 0.0 else [], dtype=int)
+    pos = steps > 0
+    sums = np.zeros((n, 3, steps.size))
+    dq = c.g != 0.0 and bool(spans)
+    k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
+    stack = np.empty((len(spans), n, 4, 4), dtype=complex) if dq else None
+    pending, held, done = [], 0, 0
+    for i, path in enumerate(paths):
+        for q, x in enumerate(path):
+            if x is not None and pos.any():
+                sums[i, q, pos] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
+        if dq:
+            pending.append(engine._dq_segments(path, k0, k1, c))
+            held += pending[-1][0].size
+            if held >= engine._SEGMENT_CHUNK or i + 1 == n:
+                stack[:, done : i + 1] = engine._dq_blocks(pending, c, dt).swapaxes(0, 1)
+                pending, held, done = [], 0, i + 1
+        del path
+    prefix = {int(k): sums[:, :, m] for m, k in enumerate(steps)}
+    blocks = dict(zip(spans, stack)) if dq else {}
+    return n, dt, n_steps, prefix, blocks
+
+
+def frozen_delay(rho, elem, batch, k0, c):
+    _, dt, n_steps, prefix, blocks = batch
+    n = engine._delay_steps(elem, dt)
+    k1 = k0 + n
+    assert k1 <= n_steps
+    if n == 0:
+        return rho, k0
+    if c.g == 0.0:
+        if elem.noisy:
+            sum_beta, sum_beta_p, sum_eps_z = (prefix[k1] - prefix[k0]).T[..., None]
+        else:
+            sum_beta = sum_beta_p = sum_eps_z = 0.0
+        a_int = dt * (n * c.a0) + dt * (c.k_beta * sum_beta + c.k_eps * sum_eps_z)
+        b_int = dt * (n * c.b0) + dt * c.k_beta * sum_beta_p
+        phases = a_int * engine._Z_TILDE + b_int * engine._Z_PRIME + c.j * n * dt * engine._Z_ZZ
+        u_diag = np.exp(-1j * phases)
+        return (u_diag[..., :, None] * rho) * u_diag.conj()[..., None, :], k1
+    if elem.noisy:
+        u = blocks[(k0, k1)]
+    else:
+        a, b = np.array([c.a0]), np.array([c.b0])
+        u = engine._dq_segment_unitaries(a, b, c.j, c.g, np.array([n * dt]))[0]
+    return u @ rho @ engine._dagger(u), k1
+
+
+def frozen_propagate(rho0, program, batch, c):
+    """One program walked on its own over the stack of all trajectories."""
+    rho = np.repeat(np.asarray(rho0, dtype=complex)[None], batch[0], axis=0)
+    k = 0
+    for elem in program.elements:
+        if isinstance(elem, Delay):
+            rho, k = frozen_delay(rho, elem, batch, k, c)
+        elif isinstance(elem, Rotation):
+            u = rotation_unitary(elem)
+            rho = u @ rho @ u.conj().T
+        else:
+            rho = engine._repump_state(rho)
+    return rho
+
+
+ROTATIONS = (
+    Rotation(Target.SPIN_S, Axis.X, math.pi / 2),
+    Rotation(Target.SPIN_S_PRIME, Axis.Y, -math.pi / 3),
+    Rotation(Target.BOTH, Axis.X, math.pi, shared_field=True),
+)
+
+
+@st.composite
+def mixed_runs(draw):
+    """Programs of one to three skeletons (noisy and noise-free delays,
+    rotations, repumps; a skeleton after the first is a new one or the
+    first with its noisy flags and rotations redrawn), delays of zero and more steps,
+    and one noise path per trajectory over the longest program."""
+    kind = st.one_of(st.sampled_from([True, False]), st.sampled_from(ROTATIONS), st.just(Repump()))
+    same = {bool: st.booleans(), Rotation: st.sampled_from(ROTATIONS), Repump: st.just(Repump())}
+    skeletons = [draw(st.lists(kind, max_size=5))]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            skeletons.append(draw(st.lists(kind, max_size=5)))
+        else:
+            skeletons.append([draw(same[type(e)]) for e in skeletons[0]])
+    length = st.one_of(st.just(0), st.integers(1, 3), st.integers(0, 40))
+
+    def program(skeleton):
+        return PulseProgram(
+            tuple(Delay(draw(length) * DT, noisy=e) if isinstance(e, bool) else e for e in skeleton)
+        )
+
+    picks = draw(st.lists(st.integers(0, len(skeletons) - 1), min_size=3, max_size=8))
+    programs = [program(skeletons[i]) for i in picks]
+    n_steps = frozen_noisy_spans(programs, DT)[1]
+    n_traj = draw(st.integers(1, 3))
+    level = st.one_of(st.just(0.0), st.floats(-1, 1))
+
+    def field(scale):
+        steps = sorted(k for k in draw(st.sets(st.integers(1, n_steps + 1), max_size=6)) if k < n_steps)
+        values = draw(st.lists(level, min_size=len(steps) + 1, max_size=len(steps) + 1))
+        return scale * np.repeat(values, np.diff([0, *steps, n_steps]))
+
+    magnetic, electric = draw(st.booleans()), draw(st.booleans())
+    paths = [
+        (
+            field(2e-6) if magnetic else None,
+            field(2e-6) if magnetic else None,
+            field(3e4) if electric else None,
+        )
+        for _ in range(n_traj)
+    ]
+    return programs, paths
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    run=mixed_runs(),
+    near_bm=st.booleans(),
+    delta_b=st.sampled_from([0.0, 2e-6, -7e-6]),
+    delta_temp=st.sampled_from([0.0, 0.4]),
+    cap=st.sampled_from([1, 3, engine._WALK_STATES]),
+)
+def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, cap):
+    """Every program's final states from the stacked walks of ``_signals``
+    equal, bit for bit, those of the program walked on its own."""
+    programs, paths = run
+    n_traj = len(paths)
+    params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
+    u = np.kron(np.eye(2), np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2))
+    rho0 = u @ initial_state() @ u.conj().T
+    magnetic, electric = paths[0][0] is not None, paths[0][2] is not None
+    exp = Experiment(
+        params=params,
+        noise=FluctuatorConfig(beta_rms=1e-6 if magnetic else 0.0, xi=0.5, switch_rate=1e5),
+        sim=SimConfig(n_trajectories=n_traj, dt=DT, near_bm=near_bm, delta_b=delta_b),
+        program_builder=lambda t: programs[int(t)],
+        times=[float(k) for k in range(len(programs))],
+        rho0=rho0,
+        electric=ElectricNoiseConfig(eps_rms=1e4, switch_rate=1e5) if electric else None,
+        delta_temp=delta_temp,
+    )
+    states, walks = {}, []
+    real = engine.propagate
+
+    def recording(rho0, walk, *args, **kwargs):
+        rho = real(rho0, walk, *args, **kwargs)
+        walks.append(len(walk.programs))
+        states.update(zip(walk.index.tolist(), rho))
+        return rho
+
+    def magnetic_path(cfg, duration, dt, stream_id, draws=None):
+        beta, beta_p, _ = paths[stream_id]
+        return engine.NoiseTrajectory(dt, beta, beta_p)
+
+    def electric_path(cfg, duration, dt, stream_id, draws=None):
+        return paths[stream_id][2]
+
+    with mock.patch.multiple(
+        engine,
+        _WALK_STATES=cap,
+        propagate=recording,
+        sample_magnetic_trajectory=magnetic_path,
+        sample_electric_trajectory=electric_path,
+    ):
+        _, signals = engine._signals(exp)
+    assert sorted(states) == list(range(len(programs)))
+    assert all(p * n_traj <= max(cap, n_traj) for p in walks)
+    c = model.frame_coefficients(params, delta_b, near_bm, exp.thermal_shift)
+    spans, n_steps = frozen_noisy_spans(programs, DT)
+    batch = frozen_reduce(iter(paths), n_traj, n_steps, DT, spans, c)
+    proj0 = reduced_operators().proj_ms0
+    for k, prog in enumerate(programs):
+        rho = frozen_propagate(rho0, prog, batch, c)
+        assert np.array_equal(states[k], rho)
+        assert np.array_equal(signals[k], np.real(np.trace(rho @ proj0, axis1=-2, axis2=-1)))
 
 
 class TestAnticrossingBeating:

@@ -227,13 +227,13 @@ class TestNoiseDraws:
         assert sorted(counts) == [(7, i, d) for i in (0, 1) for d in (0, 1)]
         assert sum(counts.values()) == 4
 
-    def test_field_sweep_draws_each_stream_at_most_twice(self, tmp_path, monkeypatch):
-        # the far reference and nine detuning points read the same magnetic
-        # streams over their own delays (20 draws without the store); a
-        # stream is redrawn only when a run asks for a longer path
+    def test_field_sweep_draws_each_stream_once(self, tmp_path, monkeypatch):
+        # the nine detuning points and the far reference read the same
+        # magnetic streams over their own delays (20 draws without the
+        # store); the far reference runs last, on paths no longer than the
+        # points', so no stream is redrawn
         counts = self.draws_per_stream(tmp_path, monkeypatch, "field_sweep")
-        assert sorted(counts) == [(7, 0, 0), (7, 1, 0)]
-        assert max(counts.values()) <= 2
+        assert counts == {(7, 0, 0): 1, (7, 1, 0): 1}
 
 
 class TestEchoCoherenceTime:

@@ -33,17 +33,17 @@ The programs of a run are then grouped by skeleton (element kinds,
 rotations and noisy flags; a builder's programs differ only in their
 delay lengths), and :func:`propagate` walks each group once over the
 (programs, trajectories, 4, 4) stack of states, in walks of about
-``_WALK_STATES`` states. Every delay reads each program's (first step,
-end step) from one step table made per run; the noise-free
-double-quantum delays of a walk are exponentiated in one call, and a
-program whose delay is empty keeps its states untouched. Each state
-evolves exactly as it would alone, so the stack changes no bit.
+``_WALK_STATES`` states. A walk holds each of its programs' (first step,
+end step) rows, one per delay; the noise-free double-quantum delays of a
+walk are exponentiated in one call, and a program whose delay is empty
+keeps its states untouched. Each state evolves exactly as it would alone,
+so the stack changes no bit.
 
-Noise draws: a path is rendered from the ``Experiment.draws`` store its
-caller passes, or drawn afresh without one. The caller owns the store
-and its lifetime: a preset run keeps one for all its runs, and
-:func:`sweep` makes one for its points when given none, so each stream is
-drawn once for them. This module keeps no draw between calls.
+Noise draws: every path is rendered from the ``Experiment.draws`` store.
+Each experiment makes its own, and every experiment derived from it with
+:func:`dataclasses.replace` shares it, so the runs of a preset or a
+:func:`sweep` draw each stream once. This module keeps no draw between
+calls.
 
 Determinism: per-trajectory noise streams are keyed by the trajectory
 index, and the stack and the mean/standard-error reduction keep that
@@ -249,32 +249,15 @@ def _delay_steps(elem: Delay, dt: float) -> int:
     return n
 
 
-def _step_table(programs: Sequence[PulseProgram], dt: float) -> list[list[tuple[int, int]]]:
-    """Per program, the (first step, end step) of each of its delays. Every
-    delay is checked to lie on the dt grid, so every program does."""
-    table = []
-    for prog in programs:
-        k, steps = 0, []
-        for elem in prog.elements:
-            if isinstance(elem, Delay):
-                n = _delay_steps(elem, dt)
-                steps.append((k, k + n))
-                k += n
-        table.append(steps)
-    return table
-
-
-def _noisy_spans(
-    programs: Sequence[PulseProgram], table: Sequence[list]
-) -> tuple[list[tuple[int, int]], int]:
+def _noisy_spans(walks: Sequence[_Walk]) -> tuple[list[tuple[int, int]], int]:
     """Sorted (first step, end step) of every nonempty noisy delay, and the
-    length in steps of the longest program, from the programs' step table."""
+    length in steps of the longest program, from the walks' step rows."""
     spans = set()
     longest = 0
-    for prog, steps in zip(programs, table):
-        noisy = (e.noisy for e in prog.elements if isinstance(e, Delay))
-        spans.update((k0, k1) for (k0, k1), on in zip(steps, noisy) if on and k1 > k0)
-        longest = max(longest, steps[-1][1] if steps else 0)
+    for walk in walks:
+        noisy = np.array([e.noisy for e in walk.elements if isinstance(e, Delay)], dtype=bool)
+        spans.update((k0, k1) for k0, k1 in walk.steps[:, noisy].reshape(-1, 2).tolist() if k1 > k0)
+        longest = max(longest, int(walk.steps.max(initial=0)))
     return sorted(spans), longest
 
 
@@ -399,9 +382,10 @@ def _reduce(
 @dataclass(frozen=True)
 class _Walk:
     """Programs of one skeleton (element kinds, rotations and noisy flags),
-    walked together: ``steps[p]`` is program p's rows of the step table,
-    and ``index[p]`` its position among the run's programs. ``elements``
-    is the shared skeleton, read through the first program."""
+    walked together: ``steps[p, d]`` is the (first step, end step) of
+    program p's delay d, and ``index[p]`` the program's position among the
+    run's programs. ``elements`` is the shared skeleton, read through the
+    first program."""
 
     programs: tuple
     steps: NDArray
@@ -412,18 +396,23 @@ class _Walk:
         return self.programs[0].elements
 
 
-def _walks(programs: Sequence[PulseProgram], table: Sequence[list], n: int) -> list[_Walk]:
+def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> list[_Walk]:
     """The programs grouped by skeleton, in walks of about ``_WALK_STATES``
-    states over ``n`` trajectories."""
+    states over ``n`` trajectories. Every delay is checked to lie on the
+    dt grid, so every program does."""
     groups: dict = {}
+    lengths = []  # per program, the steps of each delay
     for k, prog in enumerate(programs):
         skeleton = tuple((Delay, e.noisy) if isinstance(e, Delay) else e for e in prog.elements)
         groups.setdefault(skeleton, []).append(k)
+        lengths.append([_delay_steps(e, dt) for e in prog.elements if isinstance(e, Delay)])
     size = max(1, _WALK_STATES // n)
     walks = []
     for index in groups.values():
         for part in (index[i : i + size] for i in range(0, len(index), size)):
-            steps = np.array([table[k] for k in part], dtype=int).reshape(len(part), -1, 2)
+            n_steps = np.array([lengths[k] for k in part], dtype=int).reshape(len(part), -1)
+            end = n_steps.cumsum(axis=1)
+            steps = np.stack((end - n_steps, end), axis=-1)
             walks.append(_Walk(tuple(programs[k] for k in part), steps, np.array(part)))
     return walks
 
@@ -518,11 +507,11 @@ def propagate(
         assert_density_matrix(rho0)
     stacked = isinstance(program, _Walk)
     if not stacked:
-        (program,) = _walks([program], _step_table([program], traj.dt), 1)
+        (program,) = _walks([program], traj.dt, 1)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     if single:
         path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
-        spans, _ = _noisy_spans(program.programs, program.steps.tolist())
+        spans, _ = _noisy_spans([program])
         batch = _reduce([path], 1, traj.n_steps, traj.dt, spans, coeffs)
     else:
         batch = traj
@@ -558,9 +547,11 @@ class Experiment:
 
     ``program_builder`` maps a sweep time (s) to the pulse program run at
     that point; ``delta_temp`` injects a thermal crystal-field shift.
-    ``draws`` is the caller's store of noise draws, shared by the runs
-    that read the same streams; with ``None`` each run draws afresh. It
-    changes no result, so it takes no part in comparisons.
+    ``draws`` is the store every noise path of a run is rendered from.
+    Each experiment built here makes its own; one derived from it with
+    :func:`dataclasses.replace` shares it, so the runs that read the same
+    streams draw each once. It changes no result, so it takes no part in
+    comparisons.
     """
 
     params: DyadParams
@@ -572,7 +563,7 @@ class Experiment:
     electric: Optional[ElectricNoiseConfig] = None
     delta_temp: float = 0.0
     label: str = ""
-    draws: Optional[NoiseDraws] = field(default=None, compare=False, repr=False)
+    draws: NoiseDraws = field(default_factory=NoiseDraws, compare=False, repr=False)
 
     @property
     def thermal_shift(self) -> float:
@@ -584,12 +575,11 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     shaped (times, trajectories).
 
     The initial state is checked once, before any noise is sampled.
-    Trajectory i's noise path is sampled from stream i (rendered from
-    ``exp.draws`` when the caller passes a store), reduced at once to
-    what the programs' noisy delays read of it, and dropped; a field with
-    zero amplitude is not sampled. The programs are then grouped by
-    skeleton, and each group is walked once (in walks of about
-    ``_WALK_STATES`` states) over the stack of its programs and all
+    Trajectory i's noise path is rendered from stream i of ``exp.draws``,
+    reduced at once to what the programs' noisy delays read of it, and
+    dropped; a field with zero amplitude is not sampled. The programs are
+    then grouped by skeleton, and each group is walked once (in walks of
+    about ``_WALK_STATES`` states) over the stack of its programs and all
     trajectories, with one :func:`propagate` call per walk.
     """
     times = np.asarray(list(exp.times), dtype=float)
@@ -597,12 +587,12 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
         raise ValueError("experiment has no sweep times")
     programs = [exp.program_builder(float(t)) for t in times]
     dt = exp.sim.dt
-    table = _step_table(programs, dt)
-    spans, max_steps = _noisy_spans(programs, table)
+    n_traj = exp.sim.n_trajectories
+    walks = _walks(programs, dt, n_traj)
+    spans, max_steps = _noisy_spans(walks)
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
     _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise, exp.electric))
     rho0 = initial_state() if exp.rho0 is None else exp.rho0
-    n_traj = exp.sim.n_trajectories
     magnetic = replace(exp.noise, seed=exp.noise.seed ^ exp.sim.master_seed)
     electric = exp.electric
     if electric is not None:
@@ -624,7 +614,7 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
         batch = _reduce(paths, n_traj, max_steps, dt, spans, coeffs)
         signals = np.empty((times.size, n_traj))
         proj0 = reduced_operators().proj_ms0
-        for walk in _walks(programs, table, n_traj):
+        for walk in walks:
             rho = propagate(rho0, walk, exp.params, batch, exp.sim, thermal_shift=exp.thermal_shift)
             signals[walk.index] = np.real(np.trace(rho @ proj0, axis1=-2, axis2=-1))
     except (ValueError, AssertionError) as exc:  # an under-resolved switch rate, a bad state
@@ -691,11 +681,9 @@ def sweep(
     """Run one experiment per value of ``variable``, xi or eps_rms.
 
     ``reduce`` optionally maps each trace to a scalar summary (e.g. a
-    coherence-time fit). The runs share ``exp.draws``, or one store made
-    here when it is ``None``: every stream is drawn once for the sweep.
+    coherence-time fit). The runs share ``exp.draws``, so every stream is
+    drawn once for the sweep.
     """
-    if exp.draws is None:
-        exp = replace(exp, draws=NoiseDraws())
     results = []
     for v in values:
         trace = run(_apply_variable(exp, variable, float(v)))

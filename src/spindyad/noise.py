@@ -28,11 +28,12 @@ are bit-identical no matter how trajectories are scheduled, and a longer
 trajectory is a bit-exact extension of a shorter one with the same key
 (draws are consumed strictly in step order). Sampling is a *draw* (each
 channel's redraw steps and raw uniforms) and a *render* (the dense path
-at given amplitudes). Without a store every sample draws afresh. A
-:class:`NoiseDraws` store, owned by its caller (one per preset run, or
-per :func:`spindyad.engine.sweep`), draws each stream once and renders
-it for every run that reads it; a render from the store has the bits of
-a fresh draw. No draw outlives the store, and the module holds none.
+at given amplitudes). Every draw goes through a :class:`NoiseDraws`
+store: the caller's (each ``spindyad.engine.Experiment`` owns one, shared
+by the experiments derived from it), or a throwaway one for a call that
+passes none. The store draws each stream once and renders it for every
+run that reads it; a render from the store has the bits of a fresh draw.
+No draw outlives the store, and the module holds none.
 """
 
 from __future__ import annotations
@@ -235,20 +236,18 @@ def _fluctuator_channels(
     draws: Optional[NoiseDraws] = None,
 ) -> list[NDArray]:
     """Sample ``len(sigmas)`` independent hold/redraw channels, one
-    (n_steps,) path each: a :func:`_draw` of the stream, from ``draws``
-    when given, rendered per channel amplitude. Amplitudes only scale the
-    redraw values. A channel with zero amplitude is all zeros (one shared
-    array) and builds no path; when no channel has amplitude, nothing is
-    drawn.
+    (n_steps,) path each: the stream's draw from ``draws`` (a throwaway
+    store when None), rendered per channel amplitude. Amplitudes only
+    scale the redraw values. A channel with zero amplitude is all zeros
+    (one shared array) and builds no path; when no channel has amplitude,
+    nothing is drawn.
     """
     c = len(sigmas)
     live = [j for j in range(c) if sigmas[j]]
     paths = [None] * c
     if live:
-        if draws is None:
-            drawn = _draw(seed, stream_id, domain, n_steps, p_switch, c, live)
-        else:
-            drawn = draws.get(seed, stream_id, domain, n_steps, p_switch, c, live)
+        store = NoiseDraws() if draws is None else draws
+        drawn = store.get(seed, stream_id, domain, n_steps, p_switch, c, live)
         for j in live:
             paths[j] = _render(*drawn[j], n_steps, sigmas[j])
     zero = np.zeros(n_steps) if len(live) < c else None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple, Optional
@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, engine, model, protocol, svg
 from .config import ConfigError, ExperimentConfig
 from .engine import Experiment, SimConfig, SimulationError, TimeTrace
-from .noise import ElectricNoiseConfig, FluctuatorConfig, NoiseDraws, sample_magnetic_trajectory
+from .noise import ElectricNoiseConfig, FluctuatorConfig, sample_magnetic_trajectory
 from .protocol import Target
 
 __all__ = [
@@ -40,21 +40,21 @@ def _snap(t: float, dt: float) -> float:
 
 @dataclass(frozen=True)
 class _Inputs:
-    """The model objects of one preset run, read once from its config, and
-    the run's one store of noise draws: every experiment made here shares
-    it, so each noise stream is drawn once per preset run (sweep points,
+    """The model objects of one preset run, read once from its config.
+    Each preset builds one experiment from them and derives every other
+    run from it, so all its runs share that experiment's store of noise
+    draws: each stream is drawn once per preset run (sweep points,
     reference runs and fits render it at their own amplitudes)."""
 
     params: model.DyadParams
     noise: FluctuatorConfig
     electric: ElectricNoiseConfig
     sim: SimConfig
-    draws: NoiseDraws = field(default_factory=NoiseDraws, compare=False, repr=False)
 
     def experiment(self, builder, times, label: str, delta_temp: float = 0.0) -> Experiment:
         return Experiment(
             self.params, self.noise, self.sim, builder, times,
-            electric=self.electric, delta_temp=delta_temp, label=label, draws=self.draws,
+            electric=self.electric, delta_temp=delta_temp, label=label,
         )
 
 
@@ -383,8 +383,12 @@ def _preset_levels(cfg, inp, w):
 def _preset_echo(cfg, inp, w, deer_mode=False):
     taus = _tau_grid(cfg, inp.sim.dt)
     exp = inp.experiment(_echo_program_builder(cfg, deer_mode), taus, w.label)
-    trace = engine.run(exp)
+    # the envelope runs first: its last anchor window starts at max(taus), so
+    # the main trace renders a prefix of its draws. When that window is
+    # dropped for low contrast the main trace is the longer one, and each
+    # stream is drawn again
     t2, env = echo_coherence_time(exp, tau_max=max(taus), tau_min=min(taus))
+    trace = engine.run(exp)
     w.trace(trace)
     w.trace(env, "_envelope")
     w.plot_signal(trace, "total evolution time 2 tau (us)", time_factor=2.0)
@@ -593,7 +597,8 @@ def run_preset(
     made when the first artifact is written; a config error leaves none.
 
     ``seed`` and ``trajectories`` override the config; they are written
-    into ``cfg.resolved`` first, so the config echo records them.
+    into a copy of ``cfg.resolved``, so the config echo records them and
+    ``cfg`` itself is left as it was.
     ``threads`` is accepted for existing callers and ignored: all
     trajectories of a run are propagated as one batch.
     """
@@ -605,6 +610,7 @@ def run_preset(
             raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {preset.variable}")
         swept = preset.variable or "no variable"
         raise ConfigError(f"{cfg.preset} preset sweeps {swept}, not sweep.variable = {variable}")
+    cfg = replace(cfg, resolved=dict(cfg.resolved))
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:
         cfg.resolved["sim.trajectories"] = str(trajectories)

@@ -172,6 +172,22 @@ class TestRun:
         stat_tol = 3.0 / sim.n_trajectories
         assert all(b <= a + stat_tol for a, b in zip(purities, purities[1:]))
 
+    def test_derived_experiment_shares_the_store(self, monkeypatch):
+        from spindyad import noise
+
+        exp = self._experiment(n_traj=6)
+        run(exp)
+        calls = []
+        real = noise._stream_rng
+        monkeypatch.setattr(noise, "_stream_rng", lambda *args: calls.append(args) or real(*args))
+        louder = replace(NOISY, beta_rms=2e-6)
+        derived = run(replace(exp, noise=louder))
+        assert calls == []
+        fresh = run(self._experiment(noise=louder, n_traj=6))
+        assert len(calls) == 6
+        assert np.array_equal(derived.signal_mean, fresh.signal_mean)
+        assert np.array_equal(derived.signal_sem, fresh.signal_sem)
+
     def test_dt_bound_enforced(self):
         noise = FluctuatorConfig(beta_rms=5e-4, xi=0.0, switch_rate=1e5, seed=0)
         exp = self._experiment(noise=noise, n_traj=1)
@@ -211,7 +227,7 @@ class TestRun:
         sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
         prog = PulseProgram((Delay(100 * DT),))
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
-        spans, n_steps = engine._noisy_spans([prog], engine._step_table([prog], DT))
+        spans, n_steps = engine._noisy_spans(engine._walks([prog], DT, 5))
         assert (spans, n_steps) == ([(0, 100)], 100)
         batch = engine._reduce([(None, None, None)] * 5, 5, n_steps, DT, spans, coeffs)
         if near_bm:
@@ -229,11 +245,10 @@ class TestRun:
         # an identity one, so only an untouched state keeps it
         sim = SimConfig(n_trajectories=2, dt=DT, near_bm=near_bm)
         programs = [PulseProgram((Delay(n * DT, noisy=noisy),)) for n in (0, 7, 0)]
-        table = engine._step_table(programs, DT)
-        spans, n_steps = engine._noisy_spans(programs, table)
+        (walk,) = walks = engine._walks(programs, DT, 2)
+        spans, n_steps = engine._noisy_spans(walks)
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
         batch = engine._reduce([(None, None, None)] * 2, 2, n_steps, DT, spans, coeffs)
-        (walk,) = engine._walks(programs, table, 2)
         rho0 = initial_state().astype(complex)
         rho0[1, 2] = rho0[2, 1] = np.inf
         with np.errstate(invalid="ignore"):
@@ -647,7 +662,8 @@ class TestSweep:
         res = sweep("xi", [0.0, 0.5, 1.0], exp)
         assert len(calls) == 2 * exp.sim.n_trajectories
         for r in res:
-            fresh = run(replace(exp, noise=replace(exp.noise, xi=r.value)))
+            # a freshly built experiment, with a store of its own
+            fresh = run(replace(self._zq_experiment(), noise=replace(NOISY, xi=r.value)))
             assert np.array_equal(r.trace.signal_mean, fresh.signal_mean)
             assert np.array_equal(r.trace.signal_sem, fresh.signal_sem)
 

@@ -40,14 +40,17 @@ def run_cfg(tmp_path, body, name="smoke.cfg", extra_args=()):
     return code, out
 
 
+# the deer config of the smoke test below, which tools/byte_matrix.py runs too
+DEER_FAR = (
+    "schema = 1\n[experiment]\npreset = deer\nlabel = deer_far\n"
+    + COMMON.format(j=150, traj=24, sim_extra="", plot="true")
+    + "\n[sweep]\ntau_start = 0.5 us\ntau_stop = 30 us\ntau_count = 10\n"
+)
+
+
 class TestEchoPresets:
     def test_deer_far_field(self, tmp_path):
-        body = (
-            "[experiment]\npreset = deer\nlabel = deer_far\n"
-            + COMMON.format(j=150, traj=24, sim_extra="", plot="true")
-            + "\n[sweep]\ntau_start = 0.5 us\ntau_stop = 30 us\ntau_count = 10\n"
-        )
-        code, out = run_cfg(tmp_path, "schema = 1\n" + body)
+        code, out = run_cfg(tmp_path, DEER_FAR)
         assert code == EXIT_OK
         assert (out / "deer_far.csv").exists()
         assert (out / "deer_far_envelope.csv").exists()
@@ -216,21 +219,43 @@ class TestNoiseDraws:
             return real(seed, stream_id, domain)
 
         monkeypatch.setattr(noise, "_stream_rng", counting)
-        args = ["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "out")]
+        config = CONFIGS / f"{name}.cfg"
+        if name == "deer":
+            config = tmp_path / "deer.cfg"
+            config.write_text(DEER_FAR)
+        args = ["--config", str(config), "--out", str(tmp_path / "out")]
         assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
         return counts
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "echo_anticrossing",
+            "echo_reference",
+            "electrometry",
+            "field_sweep",
+            "thermometry",
+            "xi_sweep",
+            "zq_decay",
+            "deer",
+        ],
+    )
+    def test_each_stream_is_drawn_once(self, tmp_path, monkeypatch, name):
+        # every shipped config that samples noise, and the deer smoke config
+        counts = self.draws_per_stream(tmp_path, monkeypatch, name)
+        assert counts and set(counts.values()) == {1}
+
     def test_electrometry_draws_each_stream_once(self, tmp_path, monkeypatch):
         # three eps_rms points, each reading a magnetic and an electric
-        # stream per trajectory: 12 draws without the store
+        # stream per trajectory: 12 draws if each run drew its own
         counts = self.draws_per_stream(tmp_path, monkeypatch, "electrometry")
         assert sorted(counts) == [(7, i, d) for i in (0, 1) for d in (0, 1)]
         assert sum(counts.values()) == 4
 
     def test_field_sweep_draws_each_stream_once(self, tmp_path, monkeypatch):
         # the nine detuning points and the far reference read the same
-        # magnetic streams over their own delays (20 draws without the
-        # store); the far reference runs last, on paths no longer than the
+        # magnetic streams over their own delays (20 draws if each run drew
+        # its own); the far reference runs last, on paths no longer than the
         # points', so no stream is redrawn
         counts = self.draws_per_stream(tmp_path, monkeypatch, "field_sweep")
         assert counts == {(7, 0, 0): 1, (7, 1, 0): 1}
@@ -311,6 +336,21 @@ class TestRegistry:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: config: {preset} preset needs sweep.variable = {variable}\n"
+
+
+class TestRunPreset:
+    def test_overrides_leave_the_callers_config_as_it_was(self, tmp_path):
+        from spindyad.config import parse_config
+        from spindyad.presets import run_preset
+
+        cfg = parse_config(CONFIGS / "thermometry.cfg")
+        before = dict(cfg.resolved)
+        run_preset(cfg, tmp_path / "first", seed=5, trajectories=3, plot=False)
+        assert cfg.resolved == before
+        run_preset(cfg, tmp_path / "second", plot=False)
+        echo = (tmp_path / "second" / "thermometry.csv").read_text()
+        assert f"# config sim.seed = {before['sim.seed']}\n" in echo
+        assert f"# config sim.trajectories = {before['sim.trajectories']}\n" in echo
 
 
 class TestHalfExcessDetuning:

@@ -45,7 +45,7 @@ _SUFFIXES = {
 
 
 def parse_quantity(text: str, expect: Optional[str] = None, key: str = "") -> float:
-    """Parse '50 kHz' / '1uT' / '0.3' into a float in base units.
+    """Parse '50 kHz' / '1uT' / '0.3' into a finite float in base units.
 
     ``expect`` names the required dimension (frequency, field, time,
     temperature, efield, none); a bare number is accepted only for
@@ -60,6 +60,8 @@ def parse_quantity(text: str, expect: Optional[str] = None, key: str = "") -> fl
         value = float(num_part)
     except ValueError as exc:
         raise ConfigError(f"key {key!r}: cannot parse number from {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: {text!r} is not a finite number")
     if not suffix:
         if expect not in (None, "none"):
             raise ConfigError(f"key {key!r}: missing unit suffix in {text!r} (expected {expect})")
@@ -181,8 +183,6 @@ class ExperimentConfig:
                 raise ConfigError("sweep needs either values= or start/stop/count")
             start = parse_quantity(start_text, expect, key="sweep.start")
             stop = parse_quantity(stop_text, expect, key="sweep.stop")
-            if not (math.isfinite(start) and math.isfinite(stop)):
-                raise ConfigError("sweep bounds must be finite")
             values = [start] if count == 1 else self.axis(start, stop, count)
         outside = [v for v in values if not lo <= v <= hi]
         if outside:

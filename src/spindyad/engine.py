@@ -12,8 +12,8 @@ During a delay the noise is piecewise constant on the trajectory's step
 grid, so the exact propagator factorizes over constant-noise segments:
 
 * away from the anti-crossing the generator is diagonal and the whole
-  delay reduces to integrated phases, evaluated in O(1) from prefix sums
-  of the noise path at the delay's first and end step;
+  delay reduces to integrated phases, evaluated in O(1) from the noise
+  path's field sums over the delay;
 * near the anti-crossing the generator has one 2x2 block coupling the
   outer pair of states, exponentiated in closed form per segment.
 
@@ -21,10 +21,11 @@ Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
 
 :func:`run` checks the initial state once, then samples one trajectory's
-noise path at a time, keeps only those prefix sums (and, near the
-anti-crossing, the path's constant-noise segments over each noisy delay)
-and drops the path. Near the anti-crossing the noisy-delay propagators of
-the whole run are built in one pass (a large run in chunks of paths):
+noise path at a time, reduces it to what it gives each noisy delay (field
+sums, or near the anti-crossing constant-noise segments), and drops the
+path; every noisy delay reads one table keyed by its (first step, end
+step) span. Near the anti-crossing the noisy-delay propagators of the
+whole run are built in one pass (a large run in chunks of paths):
 every segment of every path and delay is exponentiated at once, and each
 delay's ordered product is formed in lockstep over the segment index, one
 stacked matmul per index over the delays still open.
@@ -313,27 +314,21 @@ def _dq_blocks(segments: Sequence[tuple], c: FrameCoefficients, dt: float) -> ND
 
 @dataclass(frozen=True)
 class _NoiseBatch:
-    """What the noisy delays of a set of programs read of ``n`` noise paths.
+    """What ``n`` noise paths give each noisy delay of a set of programs.
 
-    Without the double-quantum block, ``steps`` holds, sorted, every step
-    a noisy delay starts or ends on, and ``prefix[m]`` is the (n, 3) array
-    of each path's field sums (beta_s, beta_s', eps_z) over its first
-    ``steps[m]`` steps. With it active, both are empty and
-    ``blocks[(k0, k1)]`` is the (n, 4, 4) stack of each path's propagator
-    over the noisy delay from step k0 to k1, built under ``coeffs``: the
-    blocks of all paths and spans come from one exponentiation of every
-    constant-noise segment and one lockstep product (:func:`_dq_blocks`),
-    in chunks of about ``_SEGMENT_CHUNK`` segments. The initial state is
-    not part of the batch; :func:`run` checks it once, before sampling.
+    ``spans[(k0, k1)]`` holds it for the delay from step k0 to k1: each
+    path's field sums (beta_s, beta_s', eps_z) as an (n, 3) array or, with
+    the double-quantum block active, each path's propagator as an (n, 4, 4)
+    stack built under ``coeffs`` (:func:`_dq_blocks`, in chunks of about
+    ``_SEGMENT_CHUNK`` segments). The initial state is not part of the
+    batch; :func:`run` checks it once, before sampling.
     """
 
     n: int
     dt: float
     n_steps: int
     coeffs: FrameCoefficients
-    steps: NDArray
-    prefix: NDArray
-    blocks: dict
+    spans: dict
 
 
 # segments whose unitaries are held at once: a 500-trajectory field_sweep run
@@ -345,6 +340,14 @@ _SEGMENT_CHUNK = 1 << 14
 _WALK_STATES = 1 << 10
 
 
+def _span_sums(x: NDArray, k0: NDArray, k1: NDArray) -> NDArray:
+    """One field's sum over each span [k0, k1), from its cumsum with a
+    leading zero, which is freed before the next path is sampled."""
+    sums = np.zeros(k1.max(initial=0) + 1)
+    np.cumsum(x[: sums.size - 1], out=sums[1:])
+    return sums[k1] - sums[k0]
+
+
 def _reduce(
     paths: Iterable[_Fields],
     n: int,
@@ -353,30 +356,26 @@ def _reduce(
     spans: Sequence[tuple[int, int]],
     c: FrameCoefficients,
 ) -> _NoiseBatch:
-    """Reduce ``n`` noise paths of ``n_steps`` steps, one at a time, to what
-    the noisy delays ``spans`` read of them."""
+    """Reduce ``n`` noise paths of ``n_steps`` steps, one at a time, to the
+    span table of the noisy delays ``spans`` that fit in them."""
     spans = [s for s in spans if s[1] <= n_steps]
-    # only the diagonal path reads prefix sums
-    steps = np.array(sorted({k for s in spans for k in s}) if c.g == 0.0 else [], dtype=int)
-    pos = steps > 0
-    sums = np.zeros((steps.size, n, 3))
     dq = c.g != 0.0 and bool(spans)
     k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
-    stack = np.empty((len(spans), n, 4, 4), dtype=complex) if dq else None
+    table = np.zeros((len(spans), n) + ((4, 4) if dq else (3,)), dtype=complex if dq else float)
     pending, held, done = [], 0, 0
     for i, path in enumerate(paths):
-        for q, x in enumerate(path):
-            if x is not None and pos.any():
-                sums[pos, i, q] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
         if dq:
             pending.append(_dq_segments(path, k0, k1, c))
             held += pending[-1][0].size
             if held >= _SEGMENT_CHUNK or i + 1 == n:
-                stack[:, done : i + 1] = _dq_blocks(pending, c, dt).swapaxes(0, 1)
+                table[:, done : i + 1] = _dq_blocks(pending, c, dt).swapaxes(0, 1)
                 pending, held, done = [], 0, i + 1
+        else:
+            for q, x in enumerate(path):
+                if x is not None:
+                    table[:, i, q] = _span_sums(x, k0, k1)
         del path  # no dense path outlives its reduction
-    blocks = dict(zip(spans, stack)) if dq else {}
-    return _NoiseBatch(n, dt, n_steps, c, steps, sums, blocks)
+    return _NoiseBatch(n, dt, n_steps, c, dict(zip(spans, table)))
 
 
 @dataclass(frozen=True)
@@ -417,13 +416,11 @@ def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> list[_Walk]:
     return walks
 
 
-def _delay(
-    rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch, c: FrameCoefficients
-) -> NDArray:
+def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDArray:
     """One delay of every program of a walk: ``rho`` is the (programs, n,
-    4, 4) stack and ``steps`` each program's (k0, k1). A program whose delay
-    is empty keeps its states as they are."""
-    dt, need = batch.dt, steps[:, 1].max()
+    4, 4) stack and ``steps`` each program's (k0, k1), a key of the span
+    table. A program whose delay is empty keeps its states as they are."""
+    c, dt, need = batch.coeffs, batch.dt, steps[:, 1].max()
     if need > batch.n_steps:
         raise SimulationError(
             f"noise trajectory ({batch.n_steps} steps) shorter than program (needs {need})"
@@ -435,12 +432,12 @@ def _delay(
     part = rho if every else rho[live]
     k0, k1 = steps[live].T
     n = k1 - k0
+    if noisy:  # what the n paths give each program's delay
+        noise = np.stack([batch.spans[s] for s in zip(k0.tolist(), k1.tolist())])
     if c.g == 0.0:
         # diagonal generator: integrate the phases over the whole delay
         if noisy:  # each sum a (programs, n, 1) column
-            i0, i1 = np.searchsorted(batch.steps, k0), np.searchsorted(batch.steps, k1)
-            sums = batch.prefix[i1] - batch.prefix[i0]
-            sum_beta, sum_beta_p, sum_eps_z = np.moveaxis(sums, -1, 0)[..., None]
+            sum_beta, sum_beta_p, sum_eps_z = np.moveaxis(noise, -1, 0)[..., None]
         else:
             sum_beta = sum_beta_p = sum_eps_z = 0.0
         n = n[:, None, None]
@@ -452,7 +449,7 @@ def _delay(
     else:
         # active double-quantum block: exponentiated per constant-noise segment
         if noisy:
-            u = np.stack([batch.blocks[s] for s in zip(k0.tolist(), k1.tolist())])
+            u = noise
         else:
             a, b = np.full(n.size, c.a0), np.full(n.size, c.b0)
             u = _dq_segment_unitaries(a, b, c.j, c.g, n * dt)[:, None]
@@ -522,7 +519,7 @@ def propagate(
     d = 0
     for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
-            rho = _delay(rho, elem.noisy, program.steps[:, d], batch, coeffs)
+            rho = _delay(rho, elem.noisy, program.steps[:, d], batch)
             d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)

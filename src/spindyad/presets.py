@@ -204,14 +204,10 @@ def _echo_program_builder(
 ) -> Callable[[float], protocol.PulseProgram]:
     near = cfg.flag("sim", "near_bm")
     shared = cfg.flag("sim", "shared_field")
-
-    def build(tau: float) -> protocol.PulseProgram:
-        if deer_mode:
-            return protocol.deer(tau, at_anticrossing=near, shared_field=shared)
-        target = Target.BOTH if near else Target.SPIN_S
-        return protocol.hahn_echo(tau, target=target, shared_field=shared)
-
-    return build
+    if deer_mode:
+        return partial(protocol.deer, at_anticrossing=near, shared_field=shared)
+    target = Target.BOTH if near else Target.SPIN_S
+    return partial(protocol.hahn_echo, target=target, shared_field=shared)
 
 
 def echo_coherence_time(
@@ -303,16 +299,14 @@ def _tau_zq(cfg: ExperimentConfig, inp: _Inputs) -> float:
 def _zq_program_builder(
     cfg: ExperimentConfig, inp: _Inputs, echo: bool, theta: float = 0.0
 ) -> Callable[[float], protocol.PulseProgram]:
-    tau_zq = _tau_zq(cfg, inp)
-    j_par = inp.params.j_par
-    scope = cfg.text("sim", "noise_during")
-
-    def build(tau_tilde: float) -> protocol.PulseProgram:
-        return protocol.zq_chain(
-            tau_zq, tau_tilde, echo=echo, theta=theta, j_par=j_par, noise_scope=scope
-        )
-
-    return build
+    return partial(
+        protocol.zq_chain,
+        _tau_zq(cfg, inp),
+        echo=echo,
+        theta=theta,
+        j_par=inp.params.j_par,
+        noise_scope=cfg.text("sim", "noise_during"),
+    )
 
 
 def _zq_experiment(cfg: ExperimentConfig, inp: _Inputs, label: str, echo: bool) -> Experiment:

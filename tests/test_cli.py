@@ -218,6 +218,22 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: config: ")
 
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (FAST_ZQ.replace("beta_rms = 1 uT", "beta_rms = nan uT"), "key 'noise.beta_rms': 'nan uT'"),
+            (FAST_ZQ.replace("beta_rms = 1 uT", "beta_rms = inf uT"), "key 'noise.beta_rms': 'inf uT'"),
+            (FAST_ZQ.replace("j_par = 50 kHz", "j_par = nan kHz"), "key 'params.j_par': 'nan kHz'"),
+            (FAST_ZQ.replace("tau_stop = 40 us", "tau_stop = nan us"), "key 'sweep.tau_stop': 'nan us'"),
+            (FAST_LEVELS.replace("stop = 53 mT", "stop = -inf mT"), "key 'sweep.stop': '-inf mT'"),
+        ],
+        ids=["beta_rms-nan", "beta_rms-inf", "j_par-nan", "tau_stop-nan", "sweep-stop-inf"],
+    )
+    def test_non_finite_quantity_is_2(self, tmp_path, capsys, body, message):
+        # nan > 0 is false, so a NaN noise amplitude would run noise-free
+        assert main(["--config", write(tmp_path, body), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message} is not a finite number\n"
+
     @pytest.mark.parametrize("start", ["0 us", "-1 us"])
     def test_log_tau_axis_needs_positive_bounds(self, tmp_path, capsys, start):
         path = write(tmp_path, FAST_ZQ.replace("tau_start = 1 us", f"tau_start = {start}"))

@@ -83,6 +83,16 @@ class TestPropagate:
         with pytest.raises(SimulationError, match="shorter"):
             propagate(initial_state(), prog, PARAMS, quiet_traj(1e-6), sim)
 
+    @pytest.mark.parametrize("near_bm", [False, True])
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_short_path_raises_before_its_spans_are_read(self, near_bm, noisy):
+        # a span the path cannot give must not surface as a KeyError
+        sim = SimConfig(n_trajectories=1, dt=DT, near_bm=near_bm)
+        traj = engine.NoiseTrajectory(DT, np.full(50, 1e-7), np.full(50, -1e-7))
+        prog = PulseProgram((Delay(100 * DT, noisy=noisy),))
+        with pytest.raises(SimulationError, match=r"\(50 steps\) shorter than program \(needs 100\)"):
+            propagate(initial_state(), prog, PARAMS, traj, sim)
+
     def test_off_grid_delay_rejected(self):
         sim = SimConfig(n_trajectories=1, dt=DT)
         prog = PulseProgram((Delay(1.23456e-8),))
@@ -230,11 +240,11 @@ class TestRun:
         spans, n_steps = engine._noisy_spans(engine._walks([prog], DT, 5))
         assert (spans, n_steps) == ([(0, 100)], 100)
         batch = engine._reduce([(None, None, None)] * 5, 5, n_steps, DT, spans, coeffs)
+        assert list(batch.spans) == [(0, 100)]
         if near_bm:
-            batch.blocks[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
+            batch.spans[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
         else:
-            assert batch.steps.tolist() == [0, 100]
-            batch.prefix[1, 3, 0] = np.nan  # a NaN field sum for trajectory 3
+            batch.spans[(0, 100)][3, 0] = np.nan  # a NaN field sum for trajectory 3
         with pytest.raises(SimulationError, match="program 0, trajectory 3: state invariants"):
             propagate(initial_state(), prog, PARAMS, batch, sim)
 
@@ -356,8 +366,8 @@ def test_dq_blocks_keep_the_frozen_bits(batch, delta_b, thermal, chunk):
     c = model.frame_coefficients(params, delta_b, True, thermal)
     with mock.patch.object(engine, "_SEGMENT_CHUNK", chunk):
         reduced = engine._reduce(iter(paths), len(paths), n_steps, DT, spans, c)
-    assert sorted(reduced.blocks) == spans
-    for (k0, k1), u in reduced.blocks.items():
+    assert sorted(reduced.spans) == spans
+    for (k0, k1), u in reduced.spans.items():
         assert u.shape == (len(paths), 4, 4)
         for i, path in enumerate(paths):
             assert np.array_equal(u[i], frozen_dq_propagator(path, k0, k1, c, DT))

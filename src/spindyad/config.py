@@ -169,18 +169,20 @@ class ExperimentConfig:
         """The sweep axis from values= or start/stop/count, parsed in the
         dimension ``expect``; every value must lie in [lo, hi]."""
         values_text = self.text("sweep", "values")
+        start_text = self.text("sweep", "start")
+        stop_text = self.text("sweep", "stop")
+        count = self.integer("sweep", "count")
+        if values_text and (start_text or stop_text or count):
+            raise ConfigError("sweep needs values= or start/stop/count, not both")
         if values_text:
             values = [
                 parse_quantity(v.strip(), expect, key="sweep.values")
                 for v in values_text.split(",")
                 if v.strip()
             ]
+        elif not start_text or not stop_text or count < 1:
+            raise ConfigError("sweep needs either values= or start/stop/count")
         else:
-            start_text = self.text("sweep", "start")
-            stop_text = self.text("sweep", "stop")
-            count = self.integer("sweep", "count")
-            if not start_text or not stop_text or count < 1:
-                raise ConfigError("sweep needs either values= or start/stop/count")
             start = parse_quantity(start_text, expect, key="sweep.start")
             stop = parse_quantity(stop_text, expect, key="sweep.stop")
             values = [start] if count == 1 else self.axis(start, stop, count)
@@ -206,9 +208,10 @@ class ExperimentConfig:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read and validate a config file, applying defaults.
 
-    Unknown sections or keys fail loudly; required keys (the preset) must
-    be present; every default is echoed into ``resolved``. Whether the
-    preset exists is for :func:`spindyad.presets.run_preset` to check.
+    Unknown sections or keys fail loudly, and so does a key set twice;
+    required keys (the preset) must be present; every default is echoed
+    into ``resolved``. Whether the preset exists is for
+    :func:`spindyad.presets.run_preset` to check.
     """
     path = Path(path)
     try:
@@ -216,6 +219,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     raw: dict[str, str] = {}
+    set_on: dict[str, int] = {}  # the line that set each key
     section = ""
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -233,7 +237,10 @@ def parse_config(path: str | Path) -> ExperimentConfig:
         value = value.strip()
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"line {lineno}: unknown key {key!r} in section [{section}]")
-        raw[f"{section}.{key}"] = value
+        full = f"{section}.{key}"
+        if full in set_on:
+            raise ConfigError(f"line {lineno}: {full} is already set on line {set_on[full]}")
+        raw[full], set_on[full] = value, lineno
 
     schema_text = raw.get(".schema", str(SCHEMA_VERSION))
     if not schema_text.isdecimal() or int(schema_text) != SCHEMA_VERSION:

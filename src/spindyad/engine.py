@@ -82,7 +82,6 @@ __all__ = [
     "TimeTrace",
     "Experiment",
     "SimulationError",
-    "SweepResult",
     "initial_state",
     "zq_state",
     "propagate",
@@ -544,6 +543,9 @@ class Experiment:
 
     ``program_builder`` maps a sweep time (s) to the pulse program run at
     that point; ``delta_temp`` injects a thermal crystal-field shift.
+    Without a builder and times an experiment holds only the settings: a
+    preset builds one such and derives each of its runs from it, and
+    :func:`run` rejects it as it is.
     ``draws`` is the store every noise path of a run is rendered from.
     Each experiment built here makes its own; one derived from it with
     :func:`dataclasses.replace` shares it, so the runs that read the same
@@ -554,8 +556,8 @@ class Experiment:
     params: DyadParams
     noise: FluctuatorConfig
     sim: SimConfig
-    program_builder: Callable[[float], PulseProgram]
-    times: Sequence[float]
+    program_builder: Optional[Callable[[float], PulseProgram]] = None
+    times: Sequence[float] = ()
     rho0: Optional[NDArray] = None
     electric: Optional[ElectricNoiseConfig] = None
     delta_temp: float = 0.0
@@ -652,13 +654,6 @@ def run(exp: Experiment) -> TimeTrace:
     return TimeTrace(times, mean, sem, label=exp.label, metadata=metadata)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    value: float
-    trace: TimeTrace
-    summary: Optional[object] = None
-
-
 def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
     if variable == "xi":
         return replace(exp, noise=replace(exp.noise, xi=value))
@@ -669,24 +664,11 @@ def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
     raise ValueError(f"unknown sweep variable {variable!r}; sweep covers xi and eps_rms")
 
 
-def sweep(
-    variable: str,
-    values: Sequence[float],
-    exp: Experiment,
-    reduce: Optional[Callable[[TimeTrace], object]] = None,
-) -> list[SweepResult]:
-    """Run one experiment per value of ``variable``, xi or eps_rms.
-
-    ``reduce`` optionally maps each trace to a scalar summary (e.g. a
-    coherence-time fit). The runs share ``exp.draws``, so every stream is
-    drawn once for the sweep.
-    """
-    results = []
-    for v in values:
-        trace = run(_apply_variable(exp, variable, float(v)))
-        summary = reduce(trace) if reduce is not None else None
-        results.append(SweepResult(value=float(v), trace=trace, summary=summary))
-    return results
+def sweep(variable: str, values: Sequence[float], exp: Experiment) -> list[TimeTrace]:
+    """Run one experiment per value of ``variable``, xi or eps_rms, and
+    return their traces in the order of ``values``. The runs share
+    ``exp.draws``, so every stream is drawn once for the sweep."""
+    return [run(_apply_variable(exp, variable, float(v))) for v in values]
 
 
 def trace_to_csv(

@@ -17,8 +17,9 @@ Basis conventions (shared by every module):
   (-1/2) projection corresponds to ``m_S = 0`` (``m_S = -1``); note the
   spin-1/2 partner is the slow index in this ordering.
 
-All returned operator arrays are marked read-only so they can be shared
-freely between concurrent workers.
+All returned operator arrays are marked read-only: the ``lru_cache``d
+constructors hand the same arrays to every caller, so no caller may
+change them.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Named experiment presets: one per supported measurement protocol.
 
-Each preset reads its model objects from the config once, turns them
-into engine runs and hands what to write to one artifact writer, which
-owns the output format: CSV traces and tables, an optional SVG plot and
-a summary text file. The CSV files are the data contract; every file
+Each preset run reads its settings from the config once, into one
+experiment with no programs. The preset derives every engine run from it
+and hands what to write to one artifact writer, which owns the output
+format: CSV traces and tables, an optional SVG plot and a summary text
+file. The CSV files are the data contract; every file
 starts with a '#'-prefixed echo of the resolved configuration and seed.
 The one table of presets, with the sweep variable each reads, is
 ``_PRESETS`` at the end of this module.
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import IO, Callable, Iterator, NamedTuple, Optional
@@ -38,29 +39,14 @@ def _snap(t: float, dt: float) -> float:
     return max(0, int(round(t / dt))) * dt
 
 
-@dataclass(frozen=True)
-class _Inputs:
-    """The model objects of one preset run, read once from its config.
-    Each preset builds one experiment from them and derives every other
-    run from it, so all its runs share that experiment's store of noise
+def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
+    """The one experiment of a preset run: the dyad, noise and simulation
+    settings of ``cfg`` and the artifact label, with no programs.
+
+    Every run of the preset is derived from it with
+    :func:`dataclasses.replace`, so all of them share its store of noise
     draws: each stream is drawn once per preset run (sweep points,
-    reference runs and fits render it at their own amplitudes)."""
-
-    params: model.DyadParams
-    noise: FluctuatorConfig
-    electric: ElectricNoiseConfig
-    sim: SimConfig
-
-    def experiment(self, builder, times, label: str, delta_temp: float = 0.0) -> Experiment:
-        return Experiment(
-            self.params, self.noise, self.sim, builder, times,
-            electric=self.electric, delta_temp=delta_temp, label=label,
-        )
-
-
-def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
-    """Build the dyad, noise and simulation settings of ``cfg``.
-
+    reference runs and fits render it at their own amplitudes).
     Seed and trajectory count come from ``cfg.resolved``, where
     :func:`run_preset` has applied any override. Values the model classes
     reject (``xi = 2``, ``dt = 0 ns``, no trajectories) are config errors.
@@ -85,7 +71,7 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
     if not 0 <= seed < 2**64:
         raise ConfigError(f"sim.seed must be in [0, 2**64), got {seed}")
     try:
-        return _Inputs(
+        return Experiment(
             params=model.DyadParams(**kwargs),
             noise=FluctuatorConfig(
                 beta_rms=cfg.number("noise", "beta_rms"),
@@ -105,6 +91,7 @@ def _read_inputs(cfg: ExperimentConfig) -> _Inputs:
                 near_bm=cfg.flag("sim", "near_bm"),
                 delta_b=cfg.number("sim", "delta_b"),
             ),
+            label=label,
         )
     except ConfigError:
         raise
@@ -200,9 +187,9 @@ def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
 
 
 def _echo_program_builder(
-    cfg: ExperimentConfig, deer_mode: bool
+    cfg: ExperimentConfig, exp: Experiment, deer_mode: bool
 ) -> Callable[[float], protocol.PulseProgram]:
-    near = cfg.flag("sim", "near_bm")
+    near = exp.sim.near_bm
     shared = cfg.flag("sim", "shared_field")
     if deer_mode:
         return partial(protocol.deer, at_anticrossing=near, shared_field=shared)
@@ -287,36 +274,40 @@ def echo_coherence_time(
     return t2, env
 
 
-def _tau_zq(cfg: ExperimentConfig, inp: _Inputs) -> float:
+def _tau_zq(cfg: ExperimentConfig, exp: Experiment) -> float:
     """The zero-quantum conversion delay 1/(4 J_par), on the dt grid."""
-    j_par = inp.params.j_par
-    tau_zq = _snap(1.0 / (4.0 * j_par), inp.sim.dt) if j_par else 0.0
+    j_par = exp.params.j_par
+    tau_zq = _snap(1.0 / (4.0 * j_par), exp.sim.dt) if j_par else 0.0
     if tau_zq == 0.0:
         raise ConfigError(f"{cfg.preset} needs j_par > 0 with 1/(4 j_par) of at least dt/2")
     return tau_zq
 
 
 def _zq_program_builder(
-    cfg: ExperimentConfig, inp: _Inputs, echo: bool, theta: float = 0.0
+    cfg: ExperimentConfig, exp: Experiment, echo: bool, theta: float = 0.0
 ) -> Callable[[float], protocol.PulseProgram]:
     return partial(
         protocol.zq_chain,
-        _tau_zq(cfg, inp),
+        _tau_zq(cfg, exp),
         echo=echo,
         theta=theta,
-        j_par=inp.params.j_par,
+        j_par=exp.params.j_par,
         noise_scope=cfg.text("sim", "noise_during"),
     )
 
 
-def _zq_experiment(cfg: ExperimentConfig, inp: _Inputs, label: str, echo: bool) -> Experiment:
-    builder = _zq_program_builder(cfg, inp, echo)
-    return inp.experiment(builder, _tau_grid(cfg, inp.sim.dt), label)
+def _zq_experiment(cfg: ExperimentConfig, exp: Experiment, echo: bool) -> Experiment:
+    builder = _zq_program_builder(cfg, exp, echo)
+    return replace(exp, program_builder=builder, times=_tau_grid(cfg, exp.sim.dt))
 
 
 def half_excess_detuning(values: list[float], etas: list[float]) -> float:
     """|delta B| where the enhancement excess eta - 1 first falls to half
-    its zero-detuning value, by linear interpolation over |delta B|."""
+    its zero-detuning value, by linear interpolation over |delta B|.
+
+    An infinite eta counts as above half but gives no value to interpolate
+    from: when the last point above half is infinite, the result is the
+    first |delta B| at or below half, the upper end of the bracket."""
     pairs = sorted((abs(v), e) for v, e in zip(values, etas))
     if not pairs or pairs[0][0] != 0.0:
         raise ValueError("need a delta_b = 0 point to define the peak excess")
@@ -331,7 +322,7 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
         ex = e - 1.0
         if ex <= half:
             prev_ex = prev_e - 1.0
-            if prev_ex == ex:
+            if prev_ex == ex or math.isinf(prev_ex):
                 return b
             frac = (prev_ex - half) / (prev_ex - ex)
             return prev_b + frac * (b - prev_b)
@@ -341,12 +332,13 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
 
 # ---------------------------------------------------------------------------
 # preset implementations: each computes its results from the config and the
-# inputs read from it, and hands them to the writer
+# preset run's experiment, from which it derives every run, and hands them to
+# the writer
 # ---------------------------------------------------------------------------
 
 
-def _preset_levels(cfg, inp, w):
-    params = inp.params
+def _preset_levels(cfg, exp, w):
+    params = exp.params
     if not cfg.text("sweep", "variable"):  # no sweep given: 0.8 .. 1.2 B_m
         b_m = model.anticrossing_field(params)
         values = list(np.linspace(0.8 * b_m, 1.2 * b_m, 401))
@@ -362,7 +354,7 @@ def _preset_levels(cfg, inp, w):
     w.table(
         ["b_tesla", *cols],
         ((b, *diagram.branches[k], *diagram.shifted[k]) for k, b in enumerate(diagram.b_values)),
-        notes={"master_seed": inp.sim.master_seed},
+        notes={"master_seed": exp.sim.master_seed},
     )
     w.plot(
         diagram.b_values * 1e3,
@@ -374,9 +366,9 @@ def _preset_levels(cfg, inp, w):
     w.summary({"anticrossing_field_T": model.anticrossing_field(params)})
 
 
-def _preset_echo(cfg, inp, w, deer_mode=False):
-    taus = _tau_grid(cfg, inp.sim.dt)
-    exp = inp.experiment(_echo_program_builder(cfg, deer_mode), taus, w.label)
+def _preset_echo(cfg, exp, w, deer_mode=False):
+    taus = _tau_grid(cfg, exp.sim.dt)
+    exp = replace(exp, program_builder=_echo_program_builder(cfg, exp, deer_mode), times=taus)
     # the envelope runs first: its last anchor window starts at max(taus), so
     # the main trace renders a prefix of its draws. When that window is
     # dropped for low contrast the main trace is the longer one, and each
@@ -394,12 +386,12 @@ def _preset_echo(cfg, inp, w, deer_mode=False):
     w.summary(summary)
 
 
-def _preset_field_sweep(cfg, inp, w):
-    taus = _tau_grid(cfg, inp.sim.dt)
+def _preset_field_sweep(cfg, exp, w):
+    taus = _tau_grid(cfg, exp.sim.dt)
     values = cfg.sweep_values("field")
-    if not inp.sim.near_bm:
+    if not exp.sim.near_bm:
         raise ConfigError("field_sweep expects sim.near_bm = true")
-    exp = inp.experiment(_echo_program_builder(cfg, deer_mode=False), taus, w.label)
+    exp = replace(exp, program_builder=_echo_program_builder(cfg, exp, deer_mode=False), times=taus)
     points = []
     for db in values:
         point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
@@ -438,21 +430,20 @@ def _preset_field_sweep(cfg, inp, w):
     w.summary(summary)
 
 
-def _preset_pol_transfer(cfg, inp, w):
-    tau_zq = _tau_zq(cfg, inp)
-    prog = protocol.polarization_transfer(tau_zq, inp.params.j_par)
+def _preset_pol_transfer(cfg, exp, w):
+    tau_zq = _tau_zq(cfg, exp)
+    prog = protocol.polarization_transfer(tau_zq, exp.params.j_par)
     quiet = FluctuatorConfig(beta_rms=0.0)
-    traj = sample_magnetic_trajectory(quiet, prog.total_duration, inp.sim.dt, stream_id=0)
-    rho = engine.propagate(engine.initial_state(), prog, inp.params, traj, inp.sim)
+    traj = sample_magnetic_trajectory(quiet, prog.total_duration, exp.sim.dt, stream_id=0)
+    rho = engine.propagate(engine.initial_state(), prog, exp.params, traj, exp.sim)
     target = np.zeros((4, 4), dtype=complex)
     target[2, 2] = 1.0  # |0,-1/2>
     fidelity = float(np.real(np.trace(rho @ target)))
     w.summary({"tau_zq_s": tau_zq, "noise_free_fidelity": fidelity})
 
 
-def _preset_zq_decay(cfg, inp, w):
-    exp = _zq_experiment(cfg, inp, w.label, echo=True)
-    trace = engine.run(exp)
+def _preset_zq_decay(cfg, exp, w):
+    trace = engine.run(_zq_experiment(cfg, exp, echo=True))
     # the raw fit is reported as it is: at small trajectory counts its
     # amplitude can sit below the SEM floor of analysis.coherence_time
     try:
@@ -470,13 +461,10 @@ def _preset_zq_decay(cfg, inp, w):
     w.summary(summary)
 
 
-def _preset_xi_sweep(cfg, inp, w):
+def _preset_xi_sweep(cfg, exp, w):
     values = cfg.sweep_values("none", 0.0, 1.0)
-    exp = _zq_experiment(cfg, inp, w.label, echo=True)
-    # the decay runs over the total evolution time 2 tau~
-    results = engine.sweep(
-        "xi", values, exp, reduce=lambda tr: 2.0 * analysis.coherence_time(tr)[0]
-    )
+    exp = _zq_experiment(cfg, exp, echo=True)
+    traces = engine.sweep("xi", values, exp)
     far_exp = replace(
         exp,
         program_builder=protocol.hahn_echo,
@@ -485,27 +473,25 @@ def _preset_xi_sweep(cfg, inp, w):
         label=w.label + "_sq_reference",
     )
     t2_sq, _ = echo_coherence_time(far_exp, tau_max=60e-6)
-    points = [(r.value, r.summary) for r in results]
+    # the decay runs over the total evolution time 2 tau~
+    points = [(v, 2.0 * analysis.coherence_time(tr)[0]) for v, tr in zip(values, traces)]
     w.table(["xi", "t2_zq_s"], points, notes={"t2_sq_reference_s": t2_sq})
     w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs noise imbalance", "xi")
     w.summary({"t2_sq_reference_s": t2_sq})
 
 
-def _preset_electrometry(cfg, inp, w):
+def _preset_electrometry(cfg, exp, w):
     values = cfg.sweep_values("efield", 0.0)
-    exp = _zq_experiment(cfg, inp, w.label, echo=False)
+    traces = engine.sweep("eps_rms", values, _zq_experiment(cfg, exp, echo=False))
     # no inversion pulse in this variant: evolution time equals the sweep axis
-    results = engine.sweep(
-        "eps_rms", values, exp, reduce=lambda tr: analysis.coherence_time(tr)[0]
-    )
-    points = [(r.value, r.summary) for r in results]
+    points = [(v, analysis.coherence_time(tr)[0]) for v, tr in zip(values, traces)]
     w.table(["eps_rms_V_per_m", "t2_zq_s"], points)
     w.plot_lifetimes(points, "T2_ZQ", "Zero-quantum lifetime vs electric noise", "eps_rms (V/m)")
-    w.summary({"points": len(results)})
+    w.summary({"points": len(points)})
 
 
-def _preset_thermometry(cfg, inp, w):
-    params, dt = inp.params, inp.sim.dt
+def _preset_thermometry(cfg, exp, w):
+    params, dt = exp.params, exp.sim.dt
     delta_temp = cfg.number("sweep", "delta_temp")
     delta_omega_true = model.thermal_shift(delta_temp, params)
     if cfg.has("sweep", "window"):
@@ -517,9 +503,8 @@ def _preset_thermometry(cfg, inp, w):
     times = sorted({_snap(t, dt) for t in np.linspace(window / 12, window, 12)})
     if len(times) < 4:
         raise ConfigError("thermometry window too short for the dt grid")
-    builder = _zq_program_builder(cfg, inp, echo=False, theta=math.pi / 2)
-    exp = inp.experiment(builder, times, w.label, delta_temp=delta_temp)
-    trace = engine.run(exp)
+    builder = _zq_program_builder(cfg, exp, echo=False, theta=math.pi / 2)
+    trace = engine.run(replace(exp, program_builder=builder, times=times, delta_temp=delta_temp))
     delta_omega_est = analysis.slope_frequency(trace, window)
     try:  # ddelta_dt = 0: no temperature follows from a shift
         delta_temp_est = analysis.temperature_shift(delta_omega_est, params)
@@ -537,7 +522,7 @@ def _preset_thermometry(cfg, inp, w):
     )
 
 
-def _preset_custom(cfg, inp, w):
+def _preset_custom(cfg, exp, w):
     path = cfg.text("experiment", "program")
     if not path:
         raise ConfigError("custom preset needs experiment.program = <file>")
@@ -550,7 +535,7 @@ def _preset_custom(cfg, inp, w):
     except ValueError as exc:  # names the line it cannot parse
         raise ConfigError(f"program file {path}: {exc}") from exc
     # the program is fixed: a single averaged point on a dummy sweep axis
-    trace = engine.run(inp.experiment(lambda _t: prog, [0.0], w.label))
+    trace = engine.run(replace(exp, program_builder=lambda _t: prog, times=[0.0]))
     w.trace(trace)
     w.summary({"signal_mean": trace.signal_mean[0], "signal_sem": trace.signal_sem[0]})
 
@@ -559,7 +544,7 @@ class _Preset(NamedTuple):
     """A preset's runner and the one ``sweep.variable`` it reads, "" for
     none; the runner parses that variable's axis in its unit and range."""
 
-    run: Callable[[ExperimentConfig, _Inputs, _Writer], None]
+    run: Callable[[ExperimentConfig, Experiment, _Writer], None]
     variable: str = ""
     optional: bool = False  # it also runs with sweep.variable unset
 
@@ -608,7 +593,8 @@ def run_preset(
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:
         cfg.resolved["sim.trajectories"] = str(trajectories)
-    inp = _read_inputs(cfg)
-    writer = _Writer(cfg, Path(out_dir), cfg.text("experiment", "label") or cfg.preset, plot)
-    preset.run(cfg, inp, writer)
+    label = cfg.text("experiment", "label") or cfg.preset
+    exp = _experiment(cfg, label)
+    writer = _Writer(cfg, Path(out_dir), label, plot)
+    preset.run(cfg, exp, writer)
     return writer.summary_text

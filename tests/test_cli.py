@@ -111,6 +111,21 @@ class TestExitCodes:
         assert main(["--config", path, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "warp" in capsys.readouterr().err
 
+    def test_key_set_twice_is_2(self, tmp_path, capsys):
+        # a repeated key named with both of its lines, not the last value kept
+        body = FAST_ZQ.replace("[output]\n", "[noise]\nbeta_rms = 7 uT\n\n[output]\n")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: config: line 27: noise.beta_rms is already set on line 13\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bounds", ["start = 0\nstop = 1", "count = 3"], ids=["start-stop", "count"])
+    def test_values_with_start_stop_count_is_2(self, tmp_path, capsys, bounds):
+        sweep = f"variable = xi\nvalues = 0.5\n{bounds}"
+        body = FAST_ZQ.replace("preset = zq_decay", "preset = xi_sweep").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
+        assert main(["--config", write(tmp_path, body), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: config: sweep needs values= or start/stop/count, not both\n"
+
     def test_unreadable_config_is_2(self, tmp_path):
         assert main(["--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 

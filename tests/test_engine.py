@@ -658,7 +658,7 @@ class TestSweep:
         res = sweep("xi", [NOISY.xi], exp)
         direct = run(exp)
         assert len(res) == 1
-        assert np.array_equal(res[0].trace.signal_mean, direct.signal_mean)
+        assert np.array_equal(res[0].signal_mean, direct.signal_mean)
 
     def test_sweep_draws_each_stream_once_and_keeps_the_bits(self, monkeypatch):
         # xi = 0 reads only the global channel, so xi = 0.5 redraws each
@@ -669,24 +669,20 @@ class TestSweep:
         real = noise._stream_rng
         monkeypatch.setattr(noise, "_stream_rng", lambda *args: calls.append(args) or real(*args))
         exp = self._zq_experiment()
-        res = sweep("xi", [0.0, 0.5, 1.0], exp)
+        xis = [0.0, 0.5, 1.0]
+        res = sweep("xi", xis, exp)
         assert len(calls) == 2 * exp.sim.n_trajectories
-        for r in res:
+        for xi, trace in zip(xis, res):
             # a freshly built experiment, with a store of its own
-            fresh = run(replace(self._zq_experiment(), noise=replace(NOISY, xi=r.value)))
-            assert np.array_equal(r.trace.signal_mean, fresh.signal_mean)
-            assert np.array_equal(r.trace.signal_sem, fresh.signal_sem)
+            fresh = run(replace(self._zq_experiment(), noise=replace(NOISY, xi=xi)))
+            assert np.array_equal(trace.signal_mean, fresh.signal_mean)
+            assert np.array_equal(trace.signal_sem, fresh.signal_sem)
 
     def test_xi_sweep_applies_value(self):
         exp = self._zq_experiment()
         res = sweep("xi", [0.0, 1.0], exp)
-        assert res[0].trace.metadata["xi"] == 0.0
-        assert res[1].trace.metadata["xi"] == 1.0
-
-    def test_reduce_callback(self):
-        exp = self._zq_experiment()
-        res = sweep("xi", [0.5], exp, reduce=lambda tr: float(tr.signal_mean[0]))
-        assert res[0].summary == pytest.approx(res[0].trace.signal_mean[0])
+        assert res[0].metadata["xi"] == 0.0
+        assert res[1].metadata["xi"] == 1.0
 
     def test_unknown_variable(self):
         for variable in ("frequency", "delta_b", "tau_tilde"):
@@ -700,7 +696,7 @@ class TestSweep:
     def test_eps_sweep_with_channel(self):
         exp = self._zq_experiment(electric=ElectricNoiseConfig(eps_rms=1e6, switch_rate=1e5, seed=0))
         res = sweep("eps_rms", [1e6, 2e6], exp)
-        assert res[1].trace.metadata["eps_rms"] == 2e6
+        assert res[1].metadata["eps_rms"] == 2e6
 
 
 class TestTraceCsv:

@@ -191,8 +191,7 @@ class TestZeroQuantumPresets:
     def test_zq_decay_trajectory_override(self, tmp_path):
         body = (
             "[experiment]\npreset = zq_decay\nlabel = zq\n"
-            + COMMON.format(j=50, traj=500, sim_extra="", plot="false")
-            + "\n[noise]\nxi = 1.0\n"
+            + COMMON.format(j=50, traj=500, sim_extra="", plot="false").replace("xi = 0", "xi = 1.0")
             + "\n[sweep]\ntau_start = 1 us\ntau_stop = 60 us\ntau_count = 10\n"
         )
         code, out = run_cfg(tmp_path, "schema = 1\n" + body, extra_args=["--trajectories", "10"])
@@ -208,17 +207,26 @@ class TestNoiseDraws:
     """A preset run draws each noise stream once and renders it for every
     run that reads it."""
 
-    def draws_per_stream(self, tmp_path, monkeypatch, name):
-        from spindyad import noise
+    def draws_per_stream(self, tmp_path, monkeypatch, name, stores=None):
+        """Philox draws per (seed, stream, domain); ``stores`` collects the
+        draw store of every engine run (held, so no id is reused)."""
+        from spindyad import engine, noise
 
         counts = Counter()
         real = noise._stream_rng
+        real_signals = engine._signals
 
         def counting(seed, stream_id, domain):
             counts[seed, stream_id, domain] += 1
             return real(seed, stream_id, domain)
 
+        def signals(exp):
+            if stores is not None:
+                stores.append(exp.draws)
+            return real_signals(exp)
+
         monkeypatch.setattr(noise, "_stream_rng", counting)
+        monkeypatch.setattr(engine, "_signals", signals)
         config = CONFIGS / f"{name}.cfg"
         if name == "deer":
             config = tmp_path / "deer.cfg"
@@ -241,9 +249,12 @@ class TestNoiseDraws:
         ],
     )
     def test_each_stream_is_drawn_once(self, tmp_path, monkeypatch, name):
-        # every shipped config that samples noise, and the deer smoke config
-        counts = self.draws_per_stream(tmp_path, monkeypatch, name)
+        # every shipped config that samples noise, and the deer smoke config;
+        # all runs of the preset read one store
+        stores = []
+        counts = self.draws_per_stream(tmp_path, monkeypatch, name, stores)
         assert counts and set(counts.values()) == {1}
+        assert len({id(store) for store in stores}) == 1
 
     def test_electrometry_draws_each_stream_once(self, tmp_path, monkeypatch):
         # three eps_rms points, each reading a magnetic and an electric
@@ -368,6 +379,11 @@ class TestHalfExcessDetuning:
     def test_no_enhancement(self):
         with pytest.raises(ValueError, match="no enhancement"):
             half_excess_detuning([0.0, 2e-6], [0.9, 0.8])
+
+    def test_infinite_point_above_half_gives_the_bracket_end(self):
+        # peak excess 2 -> half 1; the eta = inf point has no value to
+        # interpolate from, so the crossing is the next point's |delta B|
+        assert half_excess_detuning([0, 1e-6, 2e-6], [3.0, math.inf, 1.5]) == 2e-6
 
     def test_never_crossing(self):
         assert half_excess_detuning([0.0, 4e-6], [11.0, 10.0]) == math.inf

@@ -44,7 +44,6 @@ from .model import (
     sim_frame_hamiltonian,
 )
 from .noise import (
-    ElectricNoiseConfig,
     FluctuatorConfig,
     NoiseTrajectory,
     empirical_xi,

@@ -46,10 +46,10 @@ Each experiment makes its own, and every experiment derived from it with
 :func:`sweep` draw each stream once. This module keeps no draw between
 calls.
 
-Determinism: per-trajectory noise streams are keyed by the trajectory
-index, and the stack and the mean/standard-error reduction keep that
-order, so results are a pure function of the seed; a render from a store
-has the bits of a fresh draw.
+Determinism: per-trajectory noise streams are keyed by the master seed
+and the trajectory index, and the stack and the mean/standard-error
+reduction keep that order, so results are a pure function of the master
+seed; a render from a store has the bits of a fresh draw.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from .analysis import FitResult
 from .linalg import assert_density_matrix, reduced_operators
 from .model import DyadParams, FrameCoefficients
 from .noise import (
-    ElectricNoiseConfig,
     FluctuatorConfig,
     NoiseDraws,
     NoiseTrajectory,
@@ -103,7 +102,8 @@ class SimConfig:
 
     ``delta_b`` is the static detuning from the operating field (tesla);
     ``near_bm`` keeps the double-quantum coupling active, valid for
-    detunings of at most ~100 uT from the anti-crossing.
+    detunings of at most ~100 uT from the anti-crossing. ``master_seed``,
+    in [0, 2**64), keys every noise stream of a run.
     """
 
     n_trajectories: int = 500
@@ -117,6 +117,8 @@ class SimConfig:
             raise ValueError("n_trajectories must be >= 1")
         if not self.dt > 0:
             raise ValueError("dt must be > 0")
+        if not 0 <= self.master_seed < 2**64:
+            raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
         if self.near_bm and abs(self.delta_b) > 100e-6:
             warnings.warn(
                 f"near_bm with |delta_b| = {abs(self.delta_b):.3g} T exceeds the "
@@ -171,16 +173,14 @@ def _repump_state(rho: NDArray) -> NDArray:
     return np.kron(rho_p, proj0)
 
 
-def _max_eigenfrequency(
-    c: FrameCoefficients, noise: FluctuatorConfig, electric: Optional[ElectricNoiseConfig]
-) -> float:
+def _max_eigenfrequency(c: FrameCoefficients, noise: FluctuatorConfig) -> float:
     """Bound on |eigenvalue| of the frame generator over the noise support (rad/s).
 
     Every eigenvalue is a diagonal energy a mt + b mp + j mt mp or, in the
     double-quantum block, j/4 +- hypot((a + b)/2, g).
     """
     beta_max = _SQRT3 * sum(partition(noise.xi, noise.beta_rms))
-    eps_max = 0.0 if electric is None else _SQRT3 * electric.eps_rms
+    eps_max = _SQRT3 * noise.eps_rms
     a_max = abs(c.a0) + abs(c.k_beta) * beta_max + abs(c.k_eps) * eps_max
     b_max = abs(c.b0) + abs(c.k_beta) * beta_max
     return 0.5 * (a_max + b_max) + 0.25 * abs(c.j) + abs(c.g)
@@ -483,10 +483,11 @@ def propagate(
 ) -> NDArray:
     """Propagate a state through a pulse program under sampled noise.
 
-    ``traj`` is one noise path, which gives the final 4x4 state, or the
-    batch :func:`run` reduces its trajectories to, which gives the
-    (n, 4, 4) stack of final states. Either way the program is walked once
-    over the whole stack. Delays advance through the step grid (noise
+    ``traj`` is one noise path on the ``sim.dt`` grid (a path on another
+    step is an error), which gives the final 4x4 state, or the batch
+    :func:`run` reduces its trajectories to, which gives the (n, 4, 4)
+    stack of final states. Either way the program is walked once over the
+    whole stack. Delays advance through the step grid (noise
     suppressed for noise-free delays but time still elapsing); rotations
     and repump events apply instantaneously between steps. With
     ``validate`` every state of the stack is checked after every element
@@ -499,6 +500,8 @@ def propagate(
     program's index in the run and its trajectory.
     """
     single = isinstance(traj, NoiseTrajectory)
+    if single and not math.isclose(traj.dt, sim.dt, rel_tol=1e-12):
+        raise SimulationError(f"noise path dt = {traj.dt:.6g} s, but sim.dt = {sim.dt:.6g} s")
     if validate and single:
         assert_density_matrix(rho0)
     stacked = isinstance(program, _Walk)
@@ -543,6 +546,7 @@ class Experiment:
 
     ``program_builder`` maps a sweep time (s) to the pulse program run at
     that point; ``delta_temp`` injects a thermal crystal-field shift.
+    ``noise`` sets every noise channel, keyed by ``sim.master_seed``.
     Without a builder and times an experiment holds only the settings: a
     preset builds one such and derives each of its runs from it, and
     :func:`run` rejects it as it is.
@@ -559,7 +563,6 @@ class Experiment:
     program_builder: Optional[Callable[[float], PulseProgram]] = None
     times: Sequence[float] = ()
     rho0: Optional[NDArray] = None
-    electric: Optional[ElectricNoiseConfig] = None
     delta_temp: float = 0.0
     label: str = ""
     draws: NoiseDraws = field(default_factory=NoiseDraws, compare=False, repr=False)
@@ -574,12 +577,12 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     shaped (times, trajectories).
 
     The initial state is checked once, before any noise is sampled.
-    Trajectory i's noise path is rendered from stream i of ``exp.draws``,
-    reduced at once to what the programs' noisy delays read of it, and
-    dropped; a field with zero amplitude is not sampled. The programs are
-    then grouped by skeleton, and each group is walked once (in walks of
-    about ``_WALK_STATES`` states) over the stack of its programs and all
-    trajectories, with one :func:`propagate` call per walk.
+    Trajectory i's noise path is rendered from stream (master seed, i) of
+    ``exp.draws``, reduced at once to what the programs' noisy delays read
+    of it, and dropped; a field with zero amplitude is not sampled. The
+    programs are then grouped by skeleton, and each group is walked once
+    (in walks of about ``_WALK_STATES`` states) over the stack of its
+    programs and all trajectories, with one :func:`propagate` call per walk.
     """
     times = np.asarray(list(exp.times), dtype=float)
     if times.size == 0:
@@ -590,21 +593,18 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     walks = _walks(programs, dt, n_traj)
     spans, max_steps = _noisy_spans(walks)
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
-    _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise, exp.electric))
+    _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise))
     rho0 = initial_state() if exp.rho0 is None else exp.rho0
-    magnetic = replace(exp.noise, seed=exp.noise.seed ^ exp.sim.master_seed)
-    electric = exp.electric
-    if electric is not None:
-        electric = replace(electric, seed=electric.seed ^ exp.sim.master_seed)
-    duration, draws = max_steps * dt, exp.draws
+    noise, duration = exp.noise, max_steps * dt
+    draws, seed = exp.draws, exp.sim.master_seed
 
     def fields(i: int) -> _Fields:
         beta = beta_p = eps_z = None
-        if magnetic.beta_rms > 0:
-            traj = sample_magnetic_trajectory(magnetic, duration, dt, stream_id=i, draws=draws)
+        if noise.beta_rms > 0:
+            traj = sample_magnetic_trajectory(noise, duration, dt, i, draws=draws, seed=seed)
             beta, beta_p = traj.beta_s, traj.beta_s_prime
-        if electric is not None and electric.eps_rms > 0:
-            eps_z = sample_electric_trajectory(electric, duration, dt, stream_id=i, draws=draws)
+        if noise.eps_rms > 0:
+            eps_z = sample_electric_trajectory(noise, duration, dt, i, draws=draws, seed=seed)
         return beta, beta_p, eps_z
 
     try:
@@ -649,18 +649,14 @@ def run(exp: Experiment) -> TimeTrace:
         "j_par": exp.params.j_par,
         "j_perp": exp.params.j_perp,
         "delta_temp": exp.delta_temp,
-        "eps_rms": 0.0 if exp.electric is None else exp.electric.eps_rms,
+        "eps_rms": exp.noise.eps_rms,
     }
     return TimeTrace(times, mean, sem, label=exp.label, metadata=metadata)
 
 
 def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
-    if variable == "xi":
-        return replace(exp, noise=replace(exp.noise, xi=value))
-    if variable == "eps_rms":
-        if exp.electric is None:
-            raise ValueError("experiment has no electric noise channel to sweep")
-        return replace(exp, electric=replace(exp.electric, eps_rms=value))
+    if variable in ("xi", "eps_rms"):
+        return replace(exp, noise=replace(exp.noise, **{variable: value}))
     raise ValueError(f"unknown sweep variable {variable!r}; sweep covers xi and eps_rms")
 
 

@@ -21,8 +21,8 @@ time-average definition
 
 come out at the configured value.
 
-Reproducibility: each trajectory is a pure function of
-(seed, stream_id). Streams use the counter-based Philox generator keyed
+Reproducibility: each stream is a pure function of (master seed,
+trajectory, domain). Streams use the counter-based Philox generator keyed
 by (seed, stream_id) with a domain tag in the counter block, so results
 are bit-identical no matter how trajectories are scheduled, and a longer
 trajectory is a bit-exact extension of a shorter one with the same key
@@ -48,7 +48,6 @@ from numpy.typing import NDArray
 
 __all__ = [
     "FluctuatorConfig",
-    "ElectricNoiseConfig",
     "NoiseTrajectory",
     "NoiseDraws",
     "partition",
@@ -69,19 +68,21 @@ DEFAULT_SWITCH_RATE = 1e5  # Hz; comparable to |g| beta_rms at 1 uT
 
 @dataclass(frozen=True)
 class FluctuatorConfig:
-    """Magnetic fluctuator settings.
+    """Settings of every noise channel; the samplers take the seed.
 
     Attributes:
-        beta_rms: total per-site rms field (tesla), >= 0.
-        xi: fraction of the noise power that is site-local, in [0, 1].
-        switch_rate: fluctuator redraw rate (Hz), > 0.
-        seed: 64-bit stream seed.
+        beta_rms: total per-site rms magnetic field (tesla), >= 0.
+        xi: fraction of the magnetic noise power that is site-local, in [0, 1].
+        switch_rate: magnetic fluctuator redraw rate (Hz), > 0.
+        eps_rms: rms axial electric field eps_z (V/m), >= 0; 0 is off.
+        electric_rate: electric fluctuator redraw rate (Hz), > 0.
     """
 
     beta_rms: float = 1e-6
     xi: float = 0.0
     switch_rate: float = DEFAULT_SWITCH_RATE
-    seed: int = 0
+    eps_rms: float = 0.0
+    electric_rate: float = DEFAULT_SWITCH_RATE
 
     def __post_init__(self):
         if self.beta_rms < 0:
@@ -90,23 +91,10 @@ class FluctuatorConfig:
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
         if not self.switch_rate > 0:
             raise ValueError(f"switch_rate must be > 0, got {self.switch_rate}")
-
-
-@dataclass(frozen=True)
-class ElectricNoiseConfig:
-    """Electric fluctuator settings: one fluctuator on the axial field
-    eps_z, the only component the {m_S = 0, -1} manifold feels, with rms
-    ``eps_rms`` (V/m) and redraw rate ``switch_rate`` (Hz)."""
-
-    eps_rms: float = 0.0
-    switch_rate: float = DEFAULT_SWITCH_RATE
-    seed: int = 0
-
-    def __post_init__(self):
         if self.eps_rms < 0:
             raise ValueError(f"eps_rms must be >= 0, got {self.eps_rms}")
-        if not self.switch_rate > 0:
-            raise ValueError(f"switch_rate must be > 0, got {self.switch_rate}")
+        if not self.electric_rate > 0:
+            raise ValueError(f"electric_rate must be > 0, got {self.electric_rate}")
 
 
 @dataclass
@@ -163,7 +151,7 @@ def partition(xi: float, beta_rms: float) -> tuple[float, float]:
 
 
 def _stream_rng(seed: int, stream_id: int, domain: int) -> Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(stream_id)], dtype=np.uint64)
+    key = np.array([np.uint64(seed), np.uint64(stream_id)], dtype=np.uint64)
     counter = np.array([0, 0, 0, domain], dtype=np.uint64)
     return Generator(Philox(counter=counter, key=key))
 
@@ -272,36 +260,40 @@ def sample_magnetic_trajectory(
     dt: float,
     stream_id: int,
     draws: Optional[NoiseDraws] = None,
+    seed: int = 0,
 ) -> NoiseTrajectory:
     """Sample beta(t), beta'(t) for one trajectory.
 
     Three independent fluctuator channels are drawn (global, local at S,
-    local at S') and summed per site. Bit-identical for identical
-    (cfg.seed, stream_id, cfg, duration, dt), with or without ``draws``.
+    local at S') and summed per site. Bit-identical for identical (seed,
+    stream_id, cfg, duration, dt), with or without ``draws``; ``seed`` is
+    the master seed in [0, 2**64), ``stream_id`` the trajectory index.
     """
     p = _check_step(cfg.switch_rate, dt)
     n_steps = int(round(duration / dt))
     sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
     glob, loc, loc_prime = _fluctuator_channels(
-        cfg.seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, [sig_g, sig_l, sig_l], draws
+        seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, [sig_g, sig_l, sig_l], draws
     )
     return NoiseTrajectory(dt=dt, beta_s=glob + loc, beta_s_prime=glob + loc_prime)
 
 
 def sample_electric_trajectory(
-    cfg: ElectricNoiseConfig,
+    cfg: FluctuatorConfig,
     duration: float,
     dt: float,
     stream_id: int,
     draws: Optional[NoiseDraws] = None,
+    seed: int = 0,
 ) -> NDArray:
-    """Sample the (n_steps,) axial electric field path eps_z: channel 2 of a
-    three-channel stream (switches in uniform column 2, values in column
-    5) whose other two channels have zero amplitude and build no path."""
-    p = _check_step(cfg.switch_rate, dt)
+    """Sample the (n_steps,) axial electric field path eps_z, keyed like
+    the magnetic path: channel 2 of a three-channel stream (switches in
+    uniform column 2, values in column 5) whose other two channels have
+    zero amplitude and build no path."""
+    p = _check_step(cfg.electric_rate, dt)
     n_steps = int(round(duration / dt))
     sigmas = [0.0, 0.0, cfg.eps_rms]
-    return _fluctuator_channels(cfg.seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas, draws)[2]
+    return _fluctuator_channels(seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas, draws)[2]
 
 
 def empirical_xi(traj: NoiseTrajectory) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, engine, model, protocol, svg
 from .config import ConfigError, ExperimentConfig
 from .engine import Experiment, SimConfig, SimulationError, TimeTrace
-from .noise import ElectricNoiseConfig, FluctuatorConfig, sample_magnetic_trajectory
+from .noise import FluctuatorConfig, sample_magnetic_trajectory
 from .protocol import Target
 
 __all__ = [
@@ -48,11 +48,10 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
     draws: each stream is drawn once per preset run (sweep points,
     reference runs and fits render it at their own amplitudes).
     Seed and trajectory count come from ``cfg.resolved``, where
-    :func:`run_preset` has applied any override. Values the model classes
-    reject (``xi = 2``, ``dt = 0 ns``, no trajectories) are config errors.
-    The electric channel is always built; ``eps_rms = 0`` switches it off.
-    Noise streams get stream seed 0: the engine folds the master seed
-    into every stream.
+    :func:`run_preset` has applied any override. The ``[noise]`` section is
+    one :class:`FluctuatorConfig`, and ``eps_rms = 0`` switches its electric
+    channel off. Values the model classes reject (``xi = 2``, ``dt = 0 ns``,
+    a seed outside [0, 2**64), no trajectories) are config errors.
     """
     two_pi = 2.0 * math.pi
     kwargs = dict(
@@ -67,9 +66,6 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
     for key in ("j_par", "j_perp"):
         if cfg.has("params", key):
             kwargs[key] = cfg.number("params", key)
-    seed = cfg.integer("sim", "seed")
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"sim.seed must be in [0, 2**64), got {seed}")
     try:
         return Experiment(
             params=model.DyadParams(**kwargs),
@@ -77,17 +73,13 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
                 beta_rms=cfg.number("noise", "beta_rms"),
                 xi=cfg.number("noise", "xi"),
                 switch_rate=cfg.number("noise", "switch_rate"),
-                seed=0,
-            ),
-            electric=ElectricNoiseConfig(
                 eps_rms=cfg.number("noise", "eps_rms"),
-                switch_rate=cfg.number("noise", "electric_rate"),
-                seed=0,
+                electric_rate=cfg.number("noise", "electric_rate"),
             ),
             sim=SimConfig(
                 n_trajectories=cfg.integer("sim", "trajectories"),
                 dt=cfg.number("sim", "dt"),
-                master_seed=seed,
+                master_seed=cfg.integer("sim", "seed"),
                 near_bm=cfg.flag("sim", "near_bm"),
                 delta_b=cfg.number("sim", "delta_b"),
             ),
@@ -236,9 +228,8 @@ def echo_coherence_time(
     clean = engine.run(
         replace(
             exp,
-            noise=replace(exp.noise, beta_rms=0.0),
+            noise=replace(exp.noise, beta_rms=0.0, eps_rms=0.0),
             sim=replace(exp.sim, n_trajectories=1),
-            electric=None,
             times=sorted(set().union(*windows)),
         )
     )
@@ -589,6 +580,9 @@ def run_preset(
             raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {preset.variable}")
         swept = preset.variable or "no variable"
         raise ConfigError(f"{cfg.preset} preset sweeps {swept}, not sweep.variable = {variable}")
+    axis = any(cfg.has("sweep", k) for k in ("values", "start", "stop"))
+    if not variable and (axis or cfg.integer("sweep", "count")):
+        raise ConfigError("sweep.values, start, stop and count need sweep.variable")
     cfg = replace(cfg, resolved=dict(cfg.resolved))
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:

@@ -38,7 +38,6 @@ from spindyad.model import (
     sim_frame_hamiltonian,
 )
 from spindyad.noise import (
-    ElectricNoiseConfig,
     FluctuatorConfig,
     NoiseTrajectory,
     empirical_xi,
@@ -68,7 +67,7 @@ OPS = reduced_operators()
 J_WEAK = 50e3
 TAU_ZQ = 1.0 / (4.0 * J_WEAK)  # 5 us, on grid
 PARAMS_WEAK = DyadParams(j_par=J_WEAK, j_perp=J_WEAK)
-NOISE_1UT = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5, seed=0)
+NOISE_1UT = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -80,7 +79,7 @@ def snap(t: float) -> float:
 
 
 def quiet_trajectory(duration: float) -> NoiseTrajectory:
-    cfg = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5, seed=0)
+    cfg = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5)
     return sample_magnetic_trajectory(cfg, duration, DT, 0)
 
 
@@ -344,7 +343,7 @@ class TestCriterion5AnticrossingProtection:
 
 class TestCriterion6ZeroQuantumLifetimes:
     def _zq_experiment(self, xi, beta_rms=1e-6, noise_scope="all", echo=True):
-        noise = FluctuatorConfig(beta_rms=beta_rms, xi=xi, switch_rate=1e5, seed=0)
+        noise = FluctuatorConfig(beta_rms=beta_rms, xi=xi, switch_rate=1e5)
         return Experiment(
             params=PARAMS_WEAK,
             noise=noise,
@@ -408,11 +407,8 @@ class TestCriterion7SensingModalities:
         times = sorted({snap(t) for t in np.geomspace(1e-6, 400e-6, 18)})
 
         def t2_for(eps_rms, beta_rms):
-            noise = FluctuatorConfig(beta_rms=beta_rms, xi=0.0, switch_rate=1e5, seed=0)
-            electric = (
-                ElectricNoiseConfig(eps_rms=eps_rms, switch_rate=1e5, seed=0)
-                if eps_rms > 0
-                else None
+            noise = FluctuatorConfig(
+                beta_rms=beta_rms, xi=0.0, switch_rate=1e5, eps_rms=eps_rms, electric_rate=1e5
             )
             exp = Experiment(
                 params=PARAMS_WEAK,
@@ -422,7 +418,6 @@ class TestCriterion7SensingModalities:
                     TAU_ZQ, tt, echo=False, theta=0.0, j_par=J_WEAK, noise_scope="evolution"
                 ),
                 times=times,
-                electric=electric,
                 label=f"electrometry_{eps_rms:g}",
             )
             return t2_from_trace(run(exp), time_factor=1.0)
@@ -489,11 +484,11 @@ class TestCriterion8Statistics:
         start = time.monotonic()
 
         # channel rms and switch count over 10 ms
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=1.0, switch_rate=1e5, seed=SEED)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=1.0, switch_rate=1e5)
         sq, n_tot, switches = 0.0, 0, 0
         streams = 60
         for s in range(streams):
-            traj = sample_magnetic_trajectory(cfg, 1e-2, DT, s)
+            traj = sample_magnetic_trajectory(cfg, 1e-2, DT, s, seed=SEED)
             sq += float(np.sum(traj.beta_s**2))
             n_tot += traj.n_steps
             switches += int(np.count_nonzero(np.diff(traj.beta_s)))
@@ -504,9 +499,9 @@ class TestCriterion8Statistics:
         # empirical local-noise fraction
         xi_ok = True
         for xi in (0.0, 0.5, 1.0):
-            c = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=1e5, seed=SEED)
+            c = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=1e5)
             est = np.mean(
-                [empirical_xi(sample_magnetic_trajectory(c, 1e-2, DT, s)) for s in range(3)]
+                [empirical_xi(sample_magnetic_trajectory(c, 1e-2, DT, s, seed=SEED)) for s in range(3)]
             )
             xi_ok &= abs(est - xi) <= 0.05
 
@@ -543,11 +538,11 @@ class TestCriterion8Statistics:
         ):
             sim = SimConfig(n_trajectories=1, dt=DT, near_bm=near_bm)
             sim_fine = SimConfig(n_trajectories=1, dt=DT / 2, near_bm=near_bm)
-            noise = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=SEED)
+            noise = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5)
             acc_a = acc_b = 0.0
             n_traj = 40
             for i in range(n_traj):
-                traj = sample_magnetic_trajectory(noise, prog.total_duration, DT, i)
+                traj = sample_magnetic_trajectory(noise, prog.total_duration, DT, i, seed=SEED)
                 rho_a = propagate(initial_state(), prog, params, traj, sim)
                 rho_b = propagate(initial_state(), prog, params, traj.refined(2), sim_fine)
                 acc_a += float(np.real(np.trace(rho_a @ OPS.proj_ms0)))

@@ -257,18 +257,27 @@ class TestExitCodes:
         assert err == "error: config: sweep.tau_spacing = log needs positive bounds\n"
 
     @pytest.mark.parametrize(
-        "body",
+        "body,message",
         [
-            FAST_LEVELS.replace("start = 50 mT\nstop = 53 mT", "start = 53 mT\nstop = 50 mT"),
-            FAST_LEVELS.replace(
-                "j = 0.2 MHz\ntheta = 1.5707963267948966", "j_par = 50 kHz\nj_perp = 50 kHz"
+            (FAST_LEVELS.replace("start = 50 mT\nstop = 53 mT", "start = 53 mT\nstop = 50 mT"), ""),
+            (
+                FAST_LEVELS.replace(
+                    "j = 0.2 MHz\ntheta = 1.5707963267948966", "j_par = 50 kHz\nj_perp = 50 kHz"
+                ),
+                "",
             ),
-            FAST_ZQ.replace("preset = zq_decay", "preset = thermometry").replace(
-                "j_perp = 50 kHz", "j_perp = 50 kHz\nddelta_dt = 0 Hz"
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = thermometry").replace(
+                    "j_perp = 50 kHz", "j_perp = 50 kHz\nddelta_dt = 0 Hz"
+                ),
+                "",
             ),
-            FAST_ZQ.replace("preset = zq_decay", "preset = electrometry")
-            .replace("xi = 1.0", "xi = 1.0\neps_rms = 0 V_per_m\nelectric_rate = 0 Hz")
-            .replace("[sweep]\n", "[sweep]\nvariable = eps_rms\nvalues = 0 V_per_m, 1000000 V_per_m\n"),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = electrometry")
+                .replace("xi = 1.0", "xi = 1.0\neps_rms = 0 V_per_m\nelectric_rate = 0 Hz")
+                .replace("[sweep]\n", "[sweep]\nvariable = eps_rms\nvalues = 0 V_per_m, 1000000 V_per_m\n"),
+                "electric_rate must be > 0, got 0.0",
+            ),
         ],
         ids=[
             "levels-descending-field",
@@ -277,10 +286,12 @@ class TestExitCodes:
             "electrometry-channel-off-rate-0",
         ],
     )
-    def test_value_the_model_rejects_is_2(self, tmp_path, capsys, body):
+    def test_value_the_model_rejects_is_2(self, tmp_path, capsys, body, message):
+        # a message given is the whole of stderr; the others are checked by prefix
         path = write(tmp_path, body)
         assert main(["--config", path, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: config: ")
+        err = capsys.readouterr().err
+        assert (err == f"error: config: {message}\n") if message else err.startswith("error: config: ")
 
     @pytest.mark.parametrize(
         "sweep,message",
@@ -288,8 +299,9 @@ class TestExitCodes:
             ("variable = b_field\nvalues = 51 mT", "levels preset needs at least 2 b_field values, got 1"),
             ("variable = b_field\nstart = 51 mT\nstop = 53 mT\ncount = 1", "levels preset needs at least 2 b_field values, got 1"),
             ("variable = delta_b\nvalues = 1 uT, 2 uT", "levels preset sweeps b_field, not sweep.variable = delta_b"),
+            ("start = 50 mT\nstop = 53 mT\ncount = 31", "sweep.values, start, stop and count need sweep.variable"),
         ],
-        ids=["one-value", "count-1", "other-variable"],
+        ids=["one-value", "count-1", "other-variable", "axis-without-variable"],
     )
     def test_levels_sweep_it_cannot_use_is_2(self, tmp_path, capsys, sweep, message):
         body = FAST_LEVELS.replace("variable = b_field\nstart = 50 mT\nstop = 53 mT\ncount = 31", sweep)
@@ -308,8 +320,9 @@ class TestExitCodes:
             ("zq_decay", "variable = seed\nvalues = 1", "zq_decay preset sweeps no variable, not sweep.variable = seed"),
             ("zq_decay", "variable = theta\nvalues = 1", "zq_decay preset sweeps no variable, not sweep.variable = theta"),
             ("thermometry", "variable = tau_tilde\nvalues = 1 us", "thermometry preset sweeps no variable, not sweep.variable = tau_tilde"),
+            ("zq_decay", "values = 0.1, 0.5", "sweep.values, start, stop and count need sweep.variable"),
         ],
-        ids=["echo", "zq_decay", "zq_decay-tau_tilde", "seed", "theta", "thermometry"],
+        ids=["echo", "zq_decay", "zq_decay-tau_tilde", "seed", "theta", "thermometry", "values-without-variable"],
     )
     def test_sweep_variable_the_preset_does_not_read_is_2(self, tmp_path, capsys, preset, sweep, message):
         body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")

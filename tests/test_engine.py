@@ -26,7 +26,7 @@ from spindyad.engine import (
 )
 from spindyad.linalg import reduced_operators
 from spindyad.model import DyadParams
-from spindyad.noise import ElectricNoiseConfig, FluctuatorConfig, sample_magnetic_trajectory
+from spindyad.noise import FluctuatorConfig, sample_magnetic_trajectory
 from spindyad.protocol import (
     Axis,
     Delay,
@@ -43,8 +43,8 @@ from spindyad.protocol import (
 DT = 1e-8
 J_PAR = 50e3
 PARAMS = DyadParams(j_par=J_PAR, j_perp=J_PAR)
-QUIET = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5, seed=0)
-NOISY = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=0)
+QUIET = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5)
+NOISY = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5)
 
 
 def quiet_traj(duration):
@@ -70,8 +70,8 @@ class TestPropagate:
     def test_zq_state_preserved_under_strong_global_noise(self):
         # exact commutation: shared-field noise of any amplitude leaves the
         # protected state untouched over 200 us
-        cfg = FluctuatorConfig(beta_rms=100e-6, xi=0.0, switch_rate=1e5, seed=42)
-        traj = sample_magnetic_trajectory(cfg, 200e-6, 1e-9, 7)
+        cfg = FluctuatorConfig(beta_rms=100e-6, xi=0.0, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 200e-6, 1e-9, 7, seed=42)
         sim = SimConfig(n_trajectories=1, dt=1e-9)
         prog = zq_block(200e-6, echo=False)
         rho = propagate(zq_state(), prog, PARAMS, traj, sim)
@@ -93,6 +93,15 @@ class TestPropagate:
         with pytest.raises(SimulationError, match=r"\(50 steps\) shorter than program \(needs 100\)"):
             propagate(initial_state(), prog, PARAMS, traj, sim)
 
+    @pytest.mark.parametrize("sim_dt", [2 * DT, DT / 2])
+    def test_path_on_another_step_rejected(self, sim_dt):
+        # a 200-step path at 10 ns is not propagated as if it were on sim.dt
+        traj = sample_magnetic_trajectory(NOISY, 200 * DT, DT, 0)
+        sim = SimConfig(n_trajectories=1, dt=sim_dt)
+        prog = PulseProgram((Delay(100 * sim_dt),))
+        with pytest.raises(SimulationError, match=f"dt = {DT:.6g} s, but sim.dt = {sim_dt:.6g} s"):
+            propagate(initial_state(), prog, PARAMS, traj, sim)
+
     def test_off_grid_delay_rejected(self):
         sim = SimConfig(n_trajectories=1, dt=DT)
         prog = PulseProgram((Delay(1.23456e-8),))
@@ -102,8 +111,8 @@ class TestPropagate:
     def test_noise_free_delay_ignores_fields(self):
         ops = reduced_operators()
         n = 500
-        cfg = FluctuatorConfig(beta_rms=50e-6, xi=1.0, switch_rate=1e5, seed=9)
-        traj = sample_magnetic_trajectory(cfg, n * DT, DT, 0)
+        cfg = FluctuatorConfig(beta_rms=50e-6, xi=1.0, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, n * DT, DT, 0, seed=9)
         sim = SimConfig(n_trajectories=1, dt=DT)
         params = DyadParams(j_par=0.0, j_perp=0.0)
         u = np.kron(np.eye(2), np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2))
@@ -119,6 +128,14 @@ class TestPropagate:
         bad = initial_state() * 1.5
         with pytest.raises(AssertionError):
             propagate(bad, PulseProgram(()), PARAMS, quiet_traj(0.0), sim)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_master_seed_outside_64_bits_rejected(self, seed):
+        # a stream key holds 64 bits: a seed outside them would wrap onto another
+        with pytest.raises(ValueError, match=r"master_seed must be in \[0, 2\*\*64\)"):
+            SimConfig(master_seed=seed)
 
 
 class TestRun:
@@ -164,7 +181,7 @@ class TestRun:
         # ensemble purity decays monotonically (within statistics) under
         # dephasing noise; probe via per-time averaged states
         sim = SimConfig(n_trajectories=64, dt=DT, master_seed=3)
-        noise = FluctuatorConfig(beta_rms=2e-6, xi=1.0, switch_rate=1e5, seed=0)
+        noise = FluctuatorConfig(beta_rms=2e-6, xi=1.0, switch_rate=1e5)
         durations = [0.0, 2e-6, 6e-6, 14e-6]
         u = np.kron(np.eye(2), np.array([[1, -1j], [-1j, 1]]) / math.sqrt(2))
         rho0 = u @ initial_state() @ u.conj().T
@@ -199,7 +216,7 @@ class TestRun:
         assert np.array_equal(derived.signal_sem, fresh.signal_sem)
 
     def test_dt_bound_enforced(self):
-        noise = FluctuatorConfig(beta_rms=5e-4, xi=0.0, switch_rate=1e5, seed=0)
+        noise = FluctuatorConfig(beta_rms=5e-4, xi=0.0, switch_rate=1e5)
         exp = self._experiment(noise=noise, n_traj=1)
         with pytest.raises(SimulationError, match="eigenfrequency"):
             run(exp)
@@ -210,9 +227,8 @@ class TestRun:
 
         monkeypatch.setattr(engine, "sample_magnetic_trajectory", no_sampling)
         monkeypatch.setattr(engine, "sample_electric_trajectory", no_sampling)
-        quiet_electric = ElectricNoiseConfig(eps_rms=0.0, switch_rate=1e5, seed=0)
         for near_bm in (False, True):
-            exp = self._experiment(noise=QUIET, n_traj=3, electric=quiet_electric)
+            exp = self._experiment(noise=QUIET, n_traj=3)
             _, signals = engine._signals(replace(exp, sim=replace(exp.sim, near_bm=near_bm)))
             assert np.all(signals == signals[:, :1])
         with pytest.raises(SimulationError, match="zero-amplitude"):
@@ -526,12 +542,13 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
     magnetic, electric = paths[0][0] is not None, paths[0][2] is not None
     exp = Experiment(
         params=params,
-        noise=FluctuatorConfig(beta_rms=1e-6 if magnetic else 0.0, xi=0.5, switch_rate=1e5),
+        noise=FluctuatorConfig(
+            beta_rms=1e-6 if magnetic else 0.0, xi=0.5, eps_rms=1e4 if electric else 0.0
+        ),
         sim=SimConfig(n_trajectories=n_traj, dt=DT, near_bm=near_bm, delta_b=delta_b),
         program_builder=lambda t: programs[int(t)],
         times=[float(k) for k in range(len(programs))],
         rho0=rho0,
-        electric=ElectricNoiseConfig(eps_rms=1e4, switch_rate=1e5) if electric else None,
         delta_temp=delta_temp,
     )
     states, walks = {}, []
@@ -543,11 +560,11 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
         states.update(zip(walk.index.tolist(), rho))
         return rho
 
-    def magnetic_path(cfg, duration, dt, stream_id, draws=None):
+    def magnetic_path(cfg, duration, dt, stream_id, draws=None, seed=0):
         beta, beta_p, _ = paths[stream_id]
         return engine.NoiseTrajectory(dt, beta, beta_p)
 
-    def electric_path(cfg, duration, dt, stream_id, draws=None):
+    def electric_path(cfg, duration, dt, stream_id, draws=None, seed=0):
         return paths[stream_id][2]
 
     with mock.patch.multiple(
@@ -579,7 +596,7 @@ class TestAnticrossingBeating:
         j = 0.15e6
         params = DyadParams(j_par=j, j_perp=j)
         sim = SimConfig(n_trajectories=1, dt=DT, master_seed=1, near_bm=True)
-        quiet = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5, seed=0)
+        quiet = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5)
         taus = [round(t / DT) * DT for t in np.linspace(0.05e-6, 25e-6, 400)]
         exp = Experiment(
             params=params,
@@ -607,11 +624,11 @@ class TestStepHalving:
         params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
         sim = SimConfig(n_trajectories=1, dt=DT, near_bm=near_bm, delta_b=2e-6)
         sim_fine = SimConfig(n_trajectories=1, dt=DT / 2, near_bm=near_bm, delta_b=2e-6)
-        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=8)
+        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5)
         prog = hahn_echo(4e-6, Target.BOTH if near_bm else Target.SPIN_S)
         diffs = []
         for i in range(50):
-            traj = sample_magnetic_trajectory(noise, prog.total_duration, DT, i)
+            traj = sample_magnetic_trajectory(noise, prog.total_duration, DT, i, seed=8)
             rho_a = propagate(initial_state(), prog, params, traj, sim)
             rho_b = propagate(initial_state(), prog, params, traj.refined(2), sim_fine)
             sa = float(np.real(np.trace(rho_a @ ops.proj_ms0)))
@@ -625,9 +642,9 @@ class TestStepHalving:
         sim_fine = SimConfig(n_trajectories=1, dt=DT / 2)
         tau = 1.0 / (4 * J_PAR)
         prog = zq_chain(tau, 20e-6, echo=True, theta=0.0, j_par=J_PAR)
-        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.7, switch_rate=1e5, seed=2)
+        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.7, switch_rate=1e5)
         for i in range(20):
-            traj = sample_magnetic_trajectory(noise, prog.total_duration, DT, i)
+            traj = sample_magnetic_trajectory(noise, prog.total_duration, DT, i, seed=2)
             sa = np.real(
                 np.trace(propagate(initial_state(), prog, PARAMS, traj, sim) @ ops.proj_ms0)
             )
@@ -689,12 +706,8 @@ class TestSweep:
             with pytest.raises(ValueError, match="unknown sweep variable"):
                 sweep(variable, [1.0], self._zq_experiment())
 
-    def test_eps_sweep_requires_electric_channel(self):
-        with pytest.raises(ValueError, match="electric"):
-            sweep("eps_rms", [1e6], self._zq_experiment())
-
     def test_eps_sweep_with_channel(self):
-        exp = self._zq_experiment(electric=ElectricNoiseConfig(eps_rms=1e6, switch_rate=1e5, seed=0))
+        exp = replace(self._zq_experiment(), noise=replace(NOISY, eps_rms=1e6, electric_rate=1e5))
         res = sweep("eps_rms", [1e6, 2e6], exp)
         assert res[1].metadata["eps_rms"] == 2e6
 

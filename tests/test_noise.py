@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from spindyad import noise
 from spindyad.noise import (
-    ElectricNoiseConfig,
     FluctuatorConfig,
     NoiseTrajectory,
     empirical_xi,
@@ -45,57 +44,57 @@ class TestPartition:
 
 class TestSampling:
     def test_zero_rms_is_silent(self):
-        cfg = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5, seed=3)
-        traj = sample_magnetic_trajectory(cfg, 1e-5, 1e-8, 0)
+        cfg = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 1e-5, 1e-8, 0, seed=3)
         assert np.all(traj.beta_s == 0.0)
         assert np.all(traj.beta_s_prime == 0.0)
 
     def test_global_only_sites_identical(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5, seed=3)
-        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 5)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 5, seed=3)
         assert np.array_equal(traj.beta_s, traj.beta_s_prime)
         assert np.any(traj.beta_s != 0.0)
 
     def test_deterministic_per_stream(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=1e5, seed=11)
-        a = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 9)
-        b = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 9)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=1e5)
+        a = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 9, seed=11)
+        b = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 9, seed=11)
         assert np.array_equal(a.beta_s, b.beta_s)
         assert np.array_equal(a.beta_s_prime, b.beta_s_prime)
-        c = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 10)
+        c = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 10, seed=11)
         assert not np.array_equal(a.beta_s, c.beta_s)
 
     def test_longer_trajectory_extends_shorter(self):
         # the engine relies on prefix stability to share streams across
         # sweep points of different durations
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=1e5, seed=11)
-        short = sample_magnetic_trajectory(cfg, 2e-5, 1e-8, 9)
-        long = sample_magnetic_trajectory(cfg, 6e-5, 1e-8, 9)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=1e5)
+        short = sample_magnetic_trajectory(cfg, 2e-5, 1e-8, 9, seed=11)
+        long = sample_magnetic_trajectory(cfg, 6e-5, 1e-8, 9, seed=11)
         assert np.array_equal(long.beta_s[: short.n_steps], short.beta_s)
 
     def test_values_bounded(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=2)
-        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 1)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 1, seed=2)
         g, l = partition(cfg.xi, cfg.beta_rms)
         bound = math.sqrt(3.0) * (g + l)
         assert np.max(np.abs(traj.beta_s)) <= bound
         assert np.max(np.abs(traj.beta_s_prime)) <= bound
 
     def test_underresolved_step_rejected(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e8, seed=0)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e8)
         with pytest.raises(ValueError, match="under-resolved"):
             sample_magnetic_trajectory(cfg, 1e-5, 1e-8, 0)
 
     def test_rms_and_switch_count(self):
         # stationary rms equals the configured amplitude and the redraw
         # count matches rate x duration, both within 5% over 100 streams
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=1.0, switch_rate=1e5, seed=77)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=1.0, switch_rate=1e5)
         duration, dt = 1e-2, 1e-8
         sq_sum = 0.0
         n_tot = 0
         switches = 0
         for stream in range(100):
-            traj = sample_magnetic_trajectory(cfg, duration, dt, stream)
+            traj = sample_magnetic_trajectory(cfg, duration, dt, stream, seed=77)
             sq_sum += float(np.sum(traj.beta_s**2))
             n_tot += traj.n_steps
             switches += int(np.count_nonzero(np.diff(traj.beta_s)))
@@ -107,16 +106,16 @@ class TestSampling:
 
 class TestElectric:
     def test_zero_rms(self):
-        cfg = ElectricNoiseConfig(eps_rms=0.0, switch_rate=1e5, seed=0)
+        cfg = FluctuatorConfig(eps_rms=0.0, electric_rate=1e5)
         eps = sample_electric_trajectory(cfg, 1e-5, 1e-8, 0)
         assert np.all(eps == 0.0)
 
     def test_axial_rms(self):
-        cfg = ElectricNoiseConfig(eps_rms=1e6, switch_rate=1e5, seed=5)
+        cfg = FluctuatorConfig(eps_rms=1e6, electric_rate=1e5)
         sq = 0.0
         n = 0
         for stream in range(100):
-            eps_z = sample_electric_trajectory(cfg, 1e-3, 1e-8, stream)
+            eps_z = sample_electric_trajectory(cfg, 1e-3, 1e-8, stream, seed=5)
             assert eps_z.shape == (100_000,)
             sq += float(np.sum(eps_z**2))
             n += eps_z.size
@@ -124,10 +123,9 @@ class TestElectric:
         assert abs(rms - 1e6) < 0.05e6
 
     def test_independent_of_magnetic_stream(self):
-        mag_cfg = FluctuatorConfig(beta_rms=1e-6, xi=1.0, switch_rate=1e5, seed=4)
-        ele_cfg = ElectricNoiseConfig(eps_rms=1e6, switch_rate=1e5, seed=4)
-        traj = sample_magnetic_trajectory(mag_cfg, 1e-4, 1e-8, 2)
-        eps_z = sample_electric_trajectory(ele_cfg, 1e-4, 1e-8, 2)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=1.0, switch_rate=1e5, eps_rms=1e6, electric_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 2, seed=4)
+        eps_z = sample_electric_trajectory(cfg, 1e-4, 1e-8, 2, seed=4)
         # same seed and stream, different counter domain: uncorrelated paths
         c = np.corrcoef(traj.beta_s, eps_z)[0, 1]
         assert abs(c) < 0.2
@@ -135,15 +133,15 @@ class TestElectric:
 
 class TestEmpiricalXi:
     def test_global_only_exactly_zero(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5, seed=1)
-        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 0)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 0, seed=1)
         assert empirical_xi(traj) == 0.0
 
     @pytest.mark.parametrize("xi", [1.0, 0.5])
     def test_configured_value_recovered(self, xi):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=1e5, seed=21)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=1e5)
         est = np.mean(
-            [empirical_xi(sample_magnetic_trajectory(cfg, 1e-2, 1e-8, s)) for s in range(4)]
+            [empirical_xi(sample_magnetic_trajectory(cfg, 1e-2, 1e-8, s, seed=21)) for s in range(4)]
         )
         assert est == pytest.approx(xi, abs=0.05)
 
@@ -159,8 +157,8 @@ class TestEmpiricalXi:
 
 class TestTrajectoryUtilities:
     def test_refined_preserves_path(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5, seed=2)
-        traj = sample_magnetic_trajectory(cfg, 1e-6, 1e-8, 0)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5)
+        traj = sample_magnetic_trajectory(cfg, 1e-6, 1e-8, 0, seed=2)
         fine = traj.refined(4)
         assert fine.dt == pytest.approx(traj.dt / 4)
         assert fine.n_steps == 4 * traj.n_steps
@@ -175,7 +173,9 @@ class TestTrajectoryUtilities:
         with pytest.raises(ValueError):
             FluctuatorConfig(switch_rate=0.0)
         with pytest.raises(ValueError):
-            ElectricNoiseConfig(eps_rms=-1.0)
+            FluctuatorConfig(eps_rms=-1.0)
+        with pytest.raises(ValueError, match="electric_rate must be > 0"):
+            FluctuatorConfig(electric_rate=0.0)
 
 
 class TestZeroAmplitude:
@@ -187,7 +187,7 @@ class TestZeroAmplitude:
         traj = sample_magnetic_trajectory(FluctuatorConfig(beta_rms=0.0, xi=0.4), 3e-6, 1e-8, 5)
         assert traj.n_steps == 300
         assert not np.any(traj.beta_s) and not np.any(traj.beta_s_prime)
-        eps_z = sample_electric_trajectory(ElectricNoiseConfig(eps_rms=0.0), 3e-6, 1e-8, 5)
+        eps_z = sample_electric_trajectory(FluctuatorConfig(eps_rms=0.0), 3e-6, 1e-8, 5)
         assert eps_z.shape == (300,) and not np.any(eps_z)
         with pytest.raises(AssertionError, match="zero-amplitude"):
             sample_magnetic_trajectory(FluctuatorConfig(beta_rms=1e-6), 3e-6, 1e-8, 5)
@@ -242,8 +242,8 @@ def test_axial_path_is_column_2_of_the_three_axis_stream(seed, stream_id, n_step
     """The axial path has the bits of the third axis of the three-axis
     sampler it replaces, for every seed, stream, length and rate."""
     dt = 1e-8
-    cfg = ElectricNoiseConfig(eps_rms=eps_rms, switch_rate=rate, seed=seed)
-    eps_z = sample_electric_trajectory(cfg, n_steps * dt, dt, stream_id)
+    cfg = FluctuatorConfig(eps_rms=eps_rms, electric_rate=rate)
+    eps_z = sample_electric_trajectory(cfg, n_steps * dt, dt, stream_id, seed=seed)
     domain = noise._DOMAIN_ELECTRIC
     three = frozen_fluctuator_channels(seed, stream_id, domain, n_steps, rate * dt, [eps_rms] * 3)
     assert same_bits(eps_z, np.ascontiguousarray(three[:, 2]))
@@ -262,8 +262,8 @@ def test_magnetic_edges_keep_the_frozen_sum(seed, stream_id, n_steps, rate, beta
     """At xi = 0 and xi = 1 one channel group has zero amplitude and builds
     no path; the site fields keep the bits of the frozen three-channel sum."""
     dt = 1e-8
-    cfg = FluctuatorConfig(beta_rms=beta_rms, xi=xi, switch_rate=rate, seed=seed)
-    traj = sample_magnetic_trajectory(cfg, n_steps * dt, dt, stream_id)
+    cfg = FluctuatorConfig(beta_rms=beta_rms, xi=xi, switch_rate=rate)
+    traj = sample_magnetic_trajectory(cfg, n_steps * dt, dt, stream_id, seed=seed)
     g, l = partition(xi, beta_rms)
     vals = frozen_fluctuator_channels(seed, stream_id, noise._DOMAIN_MAGNETIC, n_steps, rate * dt, [g, l, l])
     assert same_bits(traj.beta_s, vals[:, 0] + vals[:, 1])

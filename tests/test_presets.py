@@ -143,16 +143,16 @@ class TestZeroQuantumPresets:
         assert est == pytest.approx(2 * math.pi * 1e4, rel=0.05)
 
     def test_electrometry_electric_stream_follows_master_seed(self, tmp_path, monkeypatch):
-        # without [noise] eps_rms the preset adds the swept electric channel
-        # itself; the engine folds the master seed into its stream seed
+        # without [noise] eps_rms the sweep switches the electric channel on
+        # itself; the engine keys its streams by the master seed
         from spindyad import engine
 
         seen = []
         real_sample = engine.sample_electric_trajectory
 
-        def recording_sample(cfg, duration, dt, stream_id, draws=None):
-            seen.append(cfg.seed)
-            return real_sample(cfg, duration, dt, stream_id, draws=draws)
+        def recording_sample(cfg, duration, dt, stream_id, draws=None, seed=0):
+            seen.append(seed)
+            return real_sample(cfg, duration, dt, stream_id, draws=draws, seed=seed)
 
         monkeypatch.setattr(engine, "sample_electric_trajectory", recording_sample)
         body = (
@@ -167,8 +167,7 @@ class TestZeroQuantumPresets:
             code, _ = run_cfg(tmp_path, body, extra_args=["--seed", str(seed)])
             assert code == EXIT_OK
             streams[seed] = set(seen)
-        assert len(streams[5]) == len(streams[6]) == 1
-        assert streams[5] != streams[6]
+        assert streams == {5: {5}, 6: {6}}
 
     def test_electrometry_reports_no_lifetime_at_slow_time_bound(self, tmp_path):
         # at 8 trajectories the weakest field's fit runs to the slow-time
@@ -286,7 +285,7 @@ class TestEchoCoherenceTime:
         from spindyad.protocol import deer, hahn_echo
 
         params = DyadParams(j_par=0.15e6, j_perp=0.15e6)
-        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5, seed=0)
+        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5)
         sim = SimConfig(n_trajectories=300, dt=1e-8, master_seed=5)
         t2 = {}
         for name, builder in (("hahn", hahn_echo), ("deer", lambda tau: deer(tau))):
@@ -320,7 +319,7 @@ class TestEchoCoherenceTime:
         monkeypatch.setattr(engine, "run", counting_run)
         exp = Experiment(
             params=DyadParams(j_par=0.75e6, j_perp=0.75e6),
-            noise=FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5, seed=0),
+            noise=FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5),
             sim=SimConfig(n_trajectories=4, dt=1e-8, master_seed=3, near_bm=True),
             program_builder=lambda tau: hahn_echo(tau, target=Target.BOTH),
             times=[0.0],
@@ -329,7 +328,7 @@ class TestEchoCoherenceTime:
         assert len(calls) == 2
         scan, noisy = calls
         assert scan.sim.n_trajectories == 1 and scan.noise.beta_rms == 0.0
-        assert scan.electric is None and len(scan.times) > 22
+        assert scan.noise.eps_rms == 0.0 and len(scan.times) > 22
         assert noisy.sim.n_trajectories == 4 and noisy.noise.beta_rms == 1e-6
 
 

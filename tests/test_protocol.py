@@ -84,7 +84,7 @@ STATE_ZQ = np.array(
 
 
 def quiet_trajectory(duration: float) -> NoiseTrajectory:
-    cfg = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5, seed=0)
+    cfg = FluctuatorConfig(beta_rms=0.0, xi=0.0, switch_rate=1e5)
     return sample_magnetic_trajectory(cfg, duration, DT, 0)
 
 

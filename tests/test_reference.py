@@ -10,7 +10,6 @@ paths rather than the engine against itself.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from spindyad.engine import Experiment, SimConfig, _max_eigenfrequency, propagat
 from spindyad.linalg import expm_hermitian, reduced_operators
 from spindyad.model import DyadParams, frame_coefficients, sim_frame_hamiltonian
 from spindyad.noise import (
-    ElectricNoiseConfig,
     FluctuatorConfig,
     NoiseTrajectory,
     partition,
@@ -138,7 +136,7 @@ def test_engine_matches_reference(
 @given(
     beta_rms=st.floats(0.0, 20e-6),
     xi=st.floats(0.0, 1.0),
-    eps_rms=st.one_of(st.none(), st.floats(0.0, 1e8)),
+    eps_rms=st.one_of(st.just(0.0), st.floats(0.0, 1e8)),
     near_bm=st.booleans(),
     j_par=st.floats(-1e6, 1e6),
     j_perp=st.floats(-1e6, 1e6),
@@ -151,12 +149,11 @@ def test_dt_bound_covers_noise_support(
     """The bound on the generator's eigenfrequencies holds at every corner
     of the uniform noise support, where the extreme eigenvalues sit."""
     params = DyadParams(j_par=j_par, j_perp=j_perp)
-    noise = FluctuatorConfig(beta_rms=beta_rms, xi=xi)
-    electric = None if eps_rms is None else ElectricNoiseConfig(eps_rms=eps_rms)
+    noise = FluctuatorConfig(beta_rms=beta_rms, xi=xi, eps_rms=eps_rms)
     coeffs = frame_coefficients(params, delta_b, near_bm, thermal_shift)
-    bound = _max_eigenfrequency(coeffs, noise, electric)
+    bound = _max_eigenfrequency(coeffs, noise)
     g_max, l_max = (SQRT3 * s for s in partition(xi, beta_rms))
-    e_max = 0.0 if eps_rms is None else SQRT3 * eps_rms
+    e_max = SQRT3 * eps_rms
     largest = 0.0
     for sg in (-1, 1):
         for sl in (-1, 1):
@@ -176,7 +173,7 @@ def test_quasi_static_free_induction_decay(xi):
     sequence on spin S averages cos(|g|(beta_g + beta_l) t) over two
     independent uniform fields: 1/2 (1 - sinc(sqrt3 |g| s_g t) sinc(sqrt3 |g| s_l t))."""
     params = DyadParams(j_par=0.0, j_perp=0.0)
-    noise = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=1.0, seed=2)
+    noise = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=1.0)
     half_pi = Rotation(Target.SPIN_S, Axis.X, math.pi / 2)
     times = [i * 1e-6 for i in range(1, 11)]
     exp = Experiment(
@@ -201,13 +198,12 @@ def resampled_signals(exp):
     programs = [exp.program_builder(t) for t in exp.times]
     dt = exp.sim.dt
     duration = max(int(round(p.total_duration / dt)) for p in programs) * dt
-    magnetic = replace(exp.noise, seed=exp.noise.seed ^ exp.sim.master_seed)
-    electric = replace(exp.electric, seed=exp.electric.seed ^ exp.sim.master_seed)
+    seed = exp.sim.master_seed
     proj0 = reduced_operators().proj_ms0
     out = np.empty((len(programs), exp.sim.n_trajectories))
     for i in range(exp.sim.n_trajectories):
-        traj = sample_magnetic_trajectory(magnetic, duration, dt, i)
-        traj.eps_z = sample_electric_trajectory(electric, duration, dt, i)
+        traj = sample_magnetic_trajectory(exp.noise, duration, dt, i, seed=seed)
+        traj.eps_z = sample_electric_trajectory(exp.noise, duration, dt, i, seed=seed)
         for k, prog in enumerate(programs):
             rho = propagate(
                 engine.initial_state(), prog, exp.params, traj, exp.sim, thermal_shift=exp.thermal_shift
@@ -233,11 +229,10 @@ def test_run_is_propagate_per_trajectory(near_bm):
         times = [1e-6, 3e-6, 8e-6]
     exp = Experiment(
         params,
-        FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=2e5, seed=3),
+        FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=2e5, eps_rms=3e6, electric_rate=2e5),
         SimConfig(n_trajectories=6, dt=1e-8, master_seed=11, near_bm=near_bm, delta_b=2e-6),
         builder,
         times,
-        electric=ElectricNoiseConfig(eps_rms=3e6, switch_rate=2e5, seed=4),
         delta_temp=0.0 if near_bm else 0.5,
     )
     _, batched = engine._signals(exp)

@@ -12,8 +12,10 @@ every one of those files. Runs read the package from the ``src/`` next to
 this script and work inside ``OUT`` with relative paths, so two checkouts
 compare with one ``diff`` of their ``SHA256SUMS``.
 
-``--against REV`` does that comparison: it extracts a ``git archive`` of
-REV to ``OUT/REV/tree``, runs that tree's own ``tools/byte_matrix.py``
+``--against REV`` does that comparison: it first resolves REV with
+``git rev-parse --verify`` (an unknown REV, or a tree outside git, exits 2
+before anything runs), then extracts a ``git archive`` of REV to
+``OUT/REV/tree``, runs that tree's own ``tools/byte_matrix.py``
 into ``OUT/REV/out`` in a subprocess, prints every line in which the two
 ``SHA256SUMS`` differ, then a unified diff (no context) of each file whose
 hash differs, at most ``DIFF_LINES`` lines per file, and exits 1 if any
@@ -127,6 +129,18 @@ def _lines(path: Path) -> list[str]:
     return path.read_text(errors="replace").splitlines() if path.is_file() else []
 
 
+def check_rev(rev: str) -> None:
+    """Exit 2 with one line unless REV names a commit of the repository
+    this script is in."""
+    found = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        capture_output=True,
+    )
+    if found.returncode != 0:
+        print(f"byte_matrix: {rev!r} names no commit of a git repository at {ROOT}", file=sys.stderr)
+        sys.exit(2)
+
+
 def against(out: Path, rev: str) -> int:
     """Run REV's own matrix under ``OUT/REV`` and print the lines in which
     its ``SHA256SUMS`` and OUT's differ, then the diff of each file they
@@ -163,5 +177,7 @@ if __name__ == "__main__":
     ap.add_argument("--against", metavar="REV", help="git revision whose matrix to compare with")
     args = ap.parse_args()
     out = args.out.resolve()
+    if args.against:
+        check_rev(args.against)
     main_matrix(out)
     sys.exit(against(out, args.against) if args.against else 0)

@@ -21,14 +21,16 @@ Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
 
 :func:`run` checks the initial state once, then samples one trajectory's
-noise path at a time, reduces it to what it gives each noisy delay (field
-sums, or near the anti-crossing constant-noise segments), and drops the
-path; every noisy delay reads one table keyed by its (first step, end
-step) span. Near the anti-crossing the noisy-delay propagators of the
-whole run are built in one pass (a large run in chunks of paths):
-every segment of every path and delay is exponentiated at once, and each
-delay's ordered product is formed in lockstep over the segment index, one
-stacked matmul per index over the delays still open.
+noise path at a time, to the end of the run's longest program, reduces it
+to what it gives each noisy delay (field sums, or near the anti-crossing
+constant-noise segments), and drops the path; every noisy delay reads one
+table keyed by its (first step, end step) span. Only a single path passed
+to :func:`propagate` can be too short, and it checks that path's length
+once. Near the anti-crossing the noisy-delay propagators of the whole run
+are built in one pass (a large run in chunks of paths): every segment of
+every path and delay is exponentiated at once, and each delay's ordered
+product is formed in lockstep over the segment index, one stacked matmul
+per index over the delays still open.
 
 The programs of a run are then grouped by skeleton (element kinds,
 rotations and noisy flags; a builder's programs differ only in their
@@ -319,13 +321,12 @@ class _NoiseBatch:
     path's field sums (beta_s, beta_s', eps_z) as an (n, 3) array or, with
     the double-quantum block active, each path's propagator as an (n, 4, 4)
     stack built under ``coeffs`` (:func:`_dq_blocks`, in chunks of about
-    ``_SEGMENT_CHUNK`` segments). The initial state is not part of the
-    batch; :func:`run` checks it once, before sampling.
+    ``_SEGMENT_CHUNK`` segments); every path covered every span. The
+    initial state is not part of the batch; :func:`run` checks it once.
     """
 
     n: int
     dt: float
-    n_steps: int
     coeffs: FrameCoefficients
     spans: dict
 
@@ -350,14 +351,12 @@ def _span_sums(x: NDArray, k0: NDArray, k1: NDArray) -> NDArray:
 def _reduce(
     paths: Iterable[_Fields],
     n: int,
-    n_steps: int,
     dt: float,
     spans: Sequence[tuple[int, int]],
     c: FrameCoefficients,
 ) -> _NoiseBatch:
-    """Reduce ``n`` noise paths of ``n_steps`` steps, one at a time, to the
-    span table of the noisy delays ``spans`` that fit in them."""
-    spans = [s for s in spans if s[1] <= n_steps]
+    """Reduce ``n`` noise paths, one at a time, to the span table of the
+    noisy delays ``spans``; every path must reach the last span's end."""
     dq = c.g != 0.0 and bool(spans)
     k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
     table = np.zeros((len(spans), n) + ((4, 4) if dq else (3,)), dtype=complex if dq else float)
@@ -374,7 +373,7 @@ def _reduce(
                 if x is not None:
                     table[:, i, q] = _span_sums(x, k0, k1)
         del path  # no dense path outlives its reduction
-    return _NoiseBatch(n, dt, n_steps, c, dict(zip(spans, table)))
+    return _NoiseBatch(n, dt, c, dict(zip(spans, table)))
 
 
 @dataclass(frozen=True)
@@ -419,11 +418,7 @@ def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDA
     """One delay of every program of a walk: ``rho`` is the (programs, n,
     4, 4) stack and ``steps`` each program's (k0, k1), a key of the span
     table. A program whose delay is empty keeps its states as they are."""
-    c, dt, need = batch.coeffs, batch.dt, steps[:, 1].max()
-    if need > batch.n_steps:
-        raise SimulationError(
-            f"noise trajectory ({batch.n_steps} steps) shorter than program (needs {need})"
-        )
+    c, dt = batch.coeffs, batch.dt
     live = np.flatnonzero(steps[:, 1] > steps[:, 0])
     if live.size == 0:
         return rho
@@ -483,13 +478,13 @@ def propagate(
 ) -> NDArray:
     """Propagate a state through a pulse program under sampled noise.
 
-    ``traj`` is one noise path on the ``sim.dt`` grid (a path on another
-    step is an error), which gives the final 4x4 state, or the batch
-    :func:`run` reduces its trajectories to, which gives the (n, 4, 4)
-    stack of final states. Either way the program is walked once over the
-    whole stack. Delays advance through the step grid (noise
-    suppressed for noise-free delays but time still elapsing); rotations
-    and repump events apply instantaneously between steps. With
+    ``traj`` is one noise path on the ``sim.dt`` grid and at least as long
+    as the program (checked before it is reduced), which gives the final
+    4x4 state, or the batch :func:`run` reduces its trajectories to, which
+    gives the (n, 4, 4) stack of final states. Either way the program is
+    walked once over the whole stack. Delays advance through the step grid
+    (noise suppressed for noise-free delays but time still elapsing);
+    rotations and repump events apply instantaneously between steps. With
     ``validate`` every state of the stack is checked after every element
     and at the end, and the initial state of a single path before the
     walk; :func:`run` checks a batch's initial state once per run.
@@ -509,9 +504,13 @@ def propagate(
         (program,) = _walks([program], traj.dt, 1)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     if single:
+        spans, need = _noisy_spans([program])
+        if need > traj.n_steps:
+            raise SimulationError(
+                f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {need})"
+            )
         path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
-        spans, _ = _noisy_spans([program])
-        batch = _reduce([path], 1, traj.n_steps, traj.dt, spans, coeffs)
+        batch = _reduce([path], 1, traj.dt, spans, coeffs)
     else:
         batch = traj
         if batch.coeffs != coeffs:
@@ -610,7 +609,7 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     try:
         assert_density_matrix(rho0)
         paths = (fields(i) for i in range(n_traj))
-        batch = _reduce(paths, n_traj, max_steps, dt, spans, coeffs)
+        batch = _reduce(paths, n_traj, dt, spans, coeffs)
         signals = np.empty((times.size, n_traj))
         proj0 = reduced_operators().proj_ms0
         for walk in walks:

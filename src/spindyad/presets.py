@@ -51,7 +51,9 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
     :func:`run_preset` has applied any override. The ``[noise]`` section is
     one :class:`FluctuatorConfig`, and ``eps_rms = 0`` switches its electric
     channel off. Values the model classes reject (``xi = 2``, ``dt = 0 ns``,
-    a seed outside [0, 2**64), no trajectories) are config errors.
+    a seed outside [0, 2**64), no trajectories) are config errors, named by
+    config key. ``params.j`` and ``params.theta`` are a pair: one alone is
+    an error.
     """
     two_pi = 2.0 * math.pi
     kwargs = dict(
@@ -60,7 +62,9 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
         d_par=two_pi * cfg.number("params", "d_par"),
         ddelta_dT=two_pi * cfg.number("params", "ddelta_dt"),
     )
-    if cfg.has("params", "j") and cfg.has("params", "theta"):
+    if cfg.has("params", "j") != cfg.has("params", "theta"):
+        raise ConfigError("params.j and params.theta are a pair: set both or neither")
+    if cfg.has("params", "j"):
         kwargs["j_coupling"] = cfg.number("params", "j")
         kwargs["theta"] = cfg.number("params", "theta")
     for key in ("j_par", "j_perp"):
@@ -87,8 +91,11 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
         )
     except ConfigError:
         raise
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ValueError as exc:  # SimConfig names two fields unlike their config keys
+        msg = str(exc)
+        name = msg.split(" ", 1)[0]
+        key = {"master_seed": "sim.seed", "n_trajectories": "sim.trajectories"}.get(name, name)
+        raise ConfigError(key + msg[len(name) :]) from exc
 
 
 def _text(value) -> str:
@@ -522,7 +529,7 @@ def _preset_custom(cfg, exp, w):
     except OSError as exc:
         raise ConfigError(f"cannot read program file {path}: {exc}") from exc
     try:
-        prog = protocol.program_from_text(text, label=w.label)
+        prog = protocol.program_from_text(text)
     except ValueError as exc:  # names the line it cannot parse
         raise ConfigError(f"program file {path}: {exc}") from exc
     # the program is fixed: a single averaged point on a dummy sweep axis
@@ -583,6 +590,9 @@ def run_preset(
     axis = any(cfg.has("sweep", k) for k in ("values", "start", "stop"))
     if not variable and (axis or cfg.integer("sweep", "count")):
         raise ConfigError("sweep.values, start, stop and count need sweep.variable")
+    for key, reader in (("experiment.program", "custom"), ("sweep.window", "thermometry")):
+        if cfg.resolved.get(key) and cfg.preset != reader:
+            raise ConfigError(f"{key} is read by the {reader} preset only, not by {cfg.preset}")
     cfg = replace(cfg, resolved=dict(cfg.resolved))
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:

@@ -112,10 +112,9 @@ PulseElement = Union[Rotation, Delay, Repump]
 
 @dataclass(frozen=True)
 class PulseProgram:
-    """Ordered pulse sequence with a human-readable label."""
+    """Ordered pulse sequence; two programs with the same elements are equal."""
 
     elements: tuple
-    label: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "elements", tuple(self.elements))
@@ -126,8 +125,7 @@ class PulseProgram:
         return sum(e.duration for e in self.elements if isinstance(e, Delay))
 
     def __add__(self, other: "PulseProgram") -> "PulseProgram":
-        label = " + ".join(x for x in (self.label, other.label) if x)
-        return PulseProgram(self.elements + other.elements, label=label)
+        return PulseProgram(self.elements + other.elements)
 
 
 def _half_spin_rotation(axis: Axis, angle: float) -> NDArray:
@@ -182,8 +180,7 @@ def hahn_echo(
             Rotation(target, Axis.X, math.pi, shared_field),
             Delay(tau),
             Rotation(target, Axis.X, math.pi / 2, shared_field),
-        ),
-        label=f"hahn_echo(tau={tau:g})",
+        )
     )
 
 
@@ -200,10 +197,7 @@ def deer(
     coincides with the Hahn echo built for that regime.
     """
     if at_anticrossing:
-        return PulseProgram(
-            hahn_echo(tau, Target.BOTH, shared_field).elements,
-            label=f"deer(tau={tau:g}, at_anticrossing)",
-        )
+        return hahn_echo(tau, Target.BOTH, shared_field)
     return PulseProgram(
         (
             Rotation(Target.SPIN_S, Axis.X, math.pi / 2),
@@ -212,8 +206,7 @@ def deer(
             Rotation(Target.SPIN_S_PRIME, Axis.X, math.pi),
             Delay(tau),
             Rotation(Target.SPIN_S, Axis.X, math.pi / 2),
-        ),
-        label=f"deer(tau={tau:g})",
+        )
     )
 
 
@@ -251,8 +244,7 @@ def polarization_transfer(
             Delay(tau_zq, noisy),
             Rotation(Target.SPIN_S_PRIME, Axis.X, math.pi / 2),
             Repump(),
-        ),
-        label=f"polarization_transfer(tau_zq={tau_zq:g})",
+        )
     )
 
 
@@ -272,8 +264,7 @@ def coc(tau_zq: float, noisy: bool = True) -> PulseProgram:
             Rotation(Target.BOTH, Axis.X, math.pi),
             Delay(tau_zq, noisy),
             Rotation(Target.BOTH, Axis.X, math.pi / 2),
-        ),
-        label=f"coc(tau_zq={tau_zq:g})",
+        )
     )
 
 
@@ -304,10 +295,7 @@ def zq_block(
     if echo:
         elements.append(Rotation(Target.BOTH, Axis.X, math.pi))
         elements.append(Delay(tau_tilde, noisy))
-    return PulseProgram(
-        tuple(elements),
-        label=f"zq_block(tau_tilde={tau_tilde:g}, echo={echo}, theta={theta:g})",
-    )
+    return PulseProgram(tuple(elements))
 
 
 def zq_readout(tau_zq: float, noisy: bool = True) -> PulseProgram:
@@ -329,8 +317,7 @@ def zq_readout(tau_zq: float, noisy: bool = True) -> PulseProgram:
             Delay(tau_zq, noisy),
             Rotation(Target.SPIN_S, Axis.X, math.pi / 2),
             Rotation(Target.SPIN_S_PRIME, Axis.X, -math.pi / 2),
-        ),
-        label=f"zq_readout(tau_zq={tau_zq:g})",
+        )
     )
 
 
@@ -352,13 +339,12 @@ def zq_chain(
     if noise_scope not in ("all", "evolution"):
         raise ValueError(f"unknown noise_scope {noise_scope!r}")
     aux_noisy = noise_scope == "all"
-    prog = (
+    return (
         polarization_transfer(tau_zq, j_par, noisy=aux_noisy)
         + coc(tau_zq, noisy=aux_noisy)
         + zq_block(tau_tilde, echo=echo, theta=theta, noisy=True)
         + zq_readout(tau_zq, noisy=aux_noisy)
     )
-    return PulseProgram(prog.elements, label=f"zq_chain(tau_tilde={tau_tilde:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +381,9 @@ def program_to_text(prog: PulseProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-def program_from_text(text: str, label: str = "custom") -> PulseProgram:
-    """Parse the serialization produced by :func:`program_to_text`."""
+def program_from_text(text: str) -> PulseProgram:
+    """Parse the serialization produced by :func:`program_to_text`; the
+    result equals the program that was serialized."""
     elements: list[PulseElement] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -421,4 +408,4 @@ def program_from_text(text: str, label: str = "custom") -> PulseProgram:
                 raise KeyError(kind)
         except (KeyError, IndexError, ValueError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
-    return PulseProgram(tuple(elements), label=label)
+    return PulseProgram(tuple(elements))

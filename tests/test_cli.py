@@ -183,27 +183,28 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "edit,flags",
+        "edit,flags,message",
         [
-            (("trajectories = 12", "trajectories = 0"), []),
-            (("trajectories = 12", "trajectories = 10.7"), []),
-            (None, ["--trajectories", "0"]),
-            (None, ["--trajectories", "-3"]),
-            (("seed = 3", "seed = 1.5"), []),
-            (("seed = 3", "seed = -1"), []),
-            (("seed = 3", "seed = 18446744073709551616"), []),
-            (("seed = 3", "seed = 3\ndt = 0 ns"), []),
-            (("xi = 1.0", "xi = 2"), []),
-            (("tau_count = 9", "tau_count = 9.5"), []),
-            (("tau_count = 9", "tau_count = 9\ntheta = 0"), []),
-            (("seed = 3", "seed = 3\nnoise_during = evolutoin"), []),
-            (("tau_count = 9", "tau_count = 9\nspacing = logarithmic"), []),
-            (("tau_spacing = log", "tau_spacing = logarithmic"), []),
-            (("xi = 1.0", "xi = 500 uT"), []),
-            (("j_par = 50 kHz\nj_perp = 50 kHz", "j = 0.2 MHz\ntheta = 1.5 K"), []),
-            (("schema = 1", "schema = abc"), []),
-            (("schema = 1", "schema = 1.9"), []),
-            (("schema = 1", "schema = 1.0"), []),
+            (("trajectories = 12", "trajectories = 0"), [], "sim.trajectories must be >= 1"),
+            (("trajectories = 12", "trajectories = 10.7"), [], ""),
+            (None, ["--trajectories", "0"], "sim.trajectories must be >= 1"),
+            (None, ["--trajectories", "-3"], ""),
+            (("seed = 3", "seed = 1.5"), [], ""),
+            (("seed = 3", "seed = -1"), [], "sim.seed must be in [0, 2**64), got -1"),
+            (None, ["--seed", "-1"], "sim.seed must be in [0, 2**64), got -1"),
+            (("seed = 3", "seed = 18446744073709551616"), [], "sim.seed must be in [0, 2**64), got 18446744073709551616"),
+            (("seed = 3", "seed = 3\ndt = 0 ns"), [], "dt must be > 0"),
+            (("xi = 1.0", "xi = 2"), [], ""),
+            (("tau_count = 9", "tau_count = 9.5"), [], ""),
+            (("tau_count = 9", "tau_count = 9\ntheta = 0"), [], ""),
+            (("seed = 3", "seed = 3\nnoise_during = evolutoin"), [], ""),
+            (("tau_count = 9", "tau_count = 9\nspacing = logarithmic"), [], ""),
+            (("tau_spacing = log", "tau_spacing = logarithmic"), [], ""),
+            (("xi = 1.0", "xi = 500 uT"), [], ""),
+            (("j_par = 50 kHz\nj_perp = 50 kHz", "j = 0.2 MHz\ntheta = 1.5 K"), [], ""),
+            (("schema = 1", "schema = abc"), [], ""),
+            (("schema = 1", "schema = 1.9"), [], ""),
+            (("schema = 1", "schema = 1.0"), [], ""),
         ],
         ids=[
             "trajectories-0",
@@ -212,6 +213,7 @@ class TestExitCodes:
             "flag-trajectories-negative",
             "seed-fraction",
             "seed-negative",
+            "flag-seed-negative",
             "seed-2**64",
             "dt-0",
             "xi-2",
@@ -227,11 +229,14 @@ class TestExitCodes:
             "schema-1.0",
         ],
     )
-    def test_bad_value_is_2(self, tmp_path, capsys, edit, flags):
+    def test_bad_value_is_2(self, tmp_path, capsys, edit, flags, message):
+        # a message given is the whole of stderr, named by the config key;
+        # the others are checked by prefix
         body = FAST_ZQ if edit is None else FAST_ZQ.replace(*edit)
         path = write(tmp_path, body)
         assert main(["--config", path, "--out", str(tmp_path / "out"), *flags]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: config: ")
+        err = capsys.readouterr().err
+        assert (err == f"error: config: {message}\n") if message else err.startswith("error: config: ")
 
     @pytest.mark.parametrize(
         "body,message",
@@ -278,12 +283,22 @@ class TestExitCodes:
                 .replace("[sweep]\n", "[sweep]\nvariable = eps_rms\nvalues = 0 V_per_m, 1000000 V_per_m\n"),
                 "electric_rate must be > 0, got 0.0",
             ),
+            (
+                FAST_LEVELS.replace("j = 0.2 MHz\ntheta = 1.5707963267948966", "j = 0.2 MHz"),
+                "params.j and params.theta are a pair: set both or neither",
+            ),
+            (
+                FAST_LEVELS.replace("j = 0.2 MHz\ntheta = 1.5707963267948966", "theta = 1.5707963267948966"),
+                "params.j and params.theta are a pair: set both or neither",
+            ),
         ],
         ids=[
             "levels-descending-field",
             "levels-couplings-without-geometry",
             "thermometry-ddelta_dt-0",
             "electrometry-channel-off-rate-0",
+            "levels-j-alone",
+            "levels-theta-alone",
         ],
     )
     def test_value_the_model_rejects_is_2(self, tmp_path, capsys, body, message):
@@ -326,6 +341,28 @@ class TestExitCodes:
     )
     def test_sweep_variable_the_preset_does_not_read_is_2(self, tmp_path, capsys, preset, sweep, message):
         body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            (FAST_ZQ.replace("label = zq", "label = zq\nprogram = nonexistent.txt"), "experiment.program is read by the custom preset only, not by zq_decay"),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = echo").replace("label = zq", "label = zq\nprogram = nonexistent.txt"),
+                "experiment.program is read by the custom preset only, not by echo",
+            ),
+            (FAST_ZQ.replace("tau_count = 9", "tau_count = 9\nwindow = 5 us"), "sweep.window is read by the thermometry preset only, not by zq_decay"),
+            (
+                FAST_CUSTOM.format(program="nonexistent.txt").replace("[output]", "[sweep]\nwindow = 5 us\n\n[output]"),
+                "sweep.window is read by the thermometry preset only, not by custom",
+            ),
+        ],
+        ids=["zq_decay-program", "echo-program", "zq_decay-window", "custom-window"],
+    )
+    def test_key_the_preset_does_not_read_is_2(self, tmp_path, capsys, body, message):
         out = tmp_path / "out"
         assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: config: {message}\n"

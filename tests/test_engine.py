@@ -86,12 +86,14 @@ class TestPropagate:
     @pytest.mark.parametrize("near_bm", [False, True])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_short_path_raises_before_its_spans_are_read(self, near_bm, noisy):
-        # a span the path cannot give must not surface as a KeyError
+        # a span the path cannot give must not surface as a KeyError; in the
+        # two-delay program the first delay fits and the second ends at 70
         sim = SimConfig(n_trajectories=1, dt=DT, near_bm=near_bm)
         traj = engine.NoiseTrajectory(DT, np.full(50, 1e-7), np.full(50, -1e-7))
-        prog = PulseProgram((Delay(100 * DT, noisy=noisy),))
-        with pytest.raises(SimulationError, match=r"\(50 steps\) shorter than program \(needs 100\)"):
-            propagate(initial_state(), prog, PARAMS, traj, sim)
+        for delays, need in (((100,), 100), ((30, 40), 70)):
+            prog = PulseProgram(tuple(Delay(n * DT, noisy=noisy) for n in delays))
+            with pytest.raises(SimulationError, match=rf"\(50 steps\) shorter than program \(needs {need}\)"):
+                propagate(initial_state(), prog, PARAMS, traj, sim)
 
     @pytest.mark.parametrize("sim_dt", [2 * DT, DT / 2])
     def test_path_on_another_step_rejected(self, sim_dt):
@@ -255,7 +257,7 @@ class TestRun:
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
         spans, n_steps = engine._noisy_spans(engine._walks([prog], DT, 5))
         assert (spans, n_steps) == ([(0, 100)], 100)
-        batch = engine._reduce([(None, None, None)] * 5, 5, n_steps, DT, spans, coeffs)
+        batch = engine._reduce([(None, None, None)] * 5, 5, DT, spans, coeffs)
         assert list(batch.spans) == [(0, 100)]
         if near_bm:
             batch.spans[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
@@ -272,9 +274,9 @@ class TestRun:
         sim = SimConfig(n_trajectories=2, dt=DT, near_bm=near_bm)
         programs = [PulseProgram((Delay(n * DT, noisy=noisy),)) for n in (0, 7, 0)]
         (walk,) = walks = engine._walks(programs, DT, 2)
-        spans, n_steps = engine._noisy_spans(walks)
+        spans, _ = engine._noisy_spans(walks)
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
-        batch = engine._reduce([(None, None, None)] * 2, 2, n_steps, DT, spans, coeffs)
+        batch = engine._reduce([(None, None, None)] * 2, 2, DT, spans, coeffs)
         rho0 = initial_state().astype(complex)
         rho0[1, 2] = rho0[2, 1] = np.inf
         with np.errstate(invalid="ignore"):
@@ -377,11 +379,11 @@ def dq_batches(draw):
     chunk=st.sampled_from([1, 5, engine._SEGMENT_CHUNK]),
 )
 def test_dq_blocks_keep_the_frozen_bits(batch, delta_b, thermal, chunk):
-    n_steps, spans, paths = batch
+    _, spans, paths = batch
     params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
     c = model.frame_coefficients(params, delta_b, True, thermal)
     with mock.patch.object(engine, "_SEGMENT_CHUNK", chunk):
-        reduced = engine._reduce(iter(paths), len(paths), n_steps, DT, spans, c)
+        reduced = engine._reduce(iter(paths), len(paths), DT, spans, c)
     assert sorted(reduced.spans) == spans
     for (k0, k1), u in reduced.spans.items():
         assert u.shape == (len(paths), 4, 4)

@@ -165,6 +165,19 @@ class ExperimentConfig:
     def has(self, section: str, key: str) -> bool:
         return self.resolved.get(f"{section}.{key}", "") != ""
 
+    def value(self, section: str, key: str):
+        """A key's value parsed as its schema dimension says; an unset
+        key, a text key or an enumerated one gives its text."""
+        dim, text = _SCHEMA[section][key][0], self.text(section, key)
+        if text == "" or dim in ("str", "raw") or isinstance(dim, tuple):
+            return text
+        return {"bool": self.flag, "int": self.integer}.get(dim, self.number)(section, key)
+
+    def is_default(self, section: str, key: str) -> bool:
+        """Whether a key's parsed value equals its schema default's."""
+        default = ExperimentConfig(self.preset, {f"{section}.{key}": _SCHEMA[section][key][1]})
+        return self.value(section, key) == default.value(section, key)
+
     def sweep_values(self, expect: str, lo: float = -math.inf, hi: float = math.inf) -> list[float]:
         """The sweep axis from values= or start/stop/count, parsed in the
         dimension ``expect``; every value must lie in [lo, hi]."""
@@ -261,16 +274,7 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     for sec, keys in _SCHEMA.items():
         for key, (dim, _default) in keys.items():
             full = f"{sec}.{key}"
-            value = resolved.get(full, "")
-            if isinstance(dim, tuple):
-                if value not in dim:
-                    raise ConfigError(f"key {full}: expected one of {dim}, got {value!r}")
-            elif value == "" or dim in ("str", "raw"):
-                continue
-            elif dim == "bool":
-                cfg.flag(sec, key)
-            elif dim == "int":
-                cfg.integer(sec, key)
-            else:
-                cfg.number(sec, key)
+            if isinstance(dim, tuple) and resolved[full] not in dim:
+                raise ConfigError(f"key {full}: expected one of {dim}, got {resolved[full]!r}")
+            cfg.value(sec, key)
     return cfg

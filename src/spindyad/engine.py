@@ -24,23 +24,23 @@ error), which is what the step-halving convergence check relies on.
 noise path at a time, to the end of the run's longest program, reduces it
 to what it gives each noisy delay (field sums, or near the anti-crossing
 constant-noise segments), and drops the path; every noisy delay reads one
-table keyed by its (first step, end step) span. Only a single path passed
-to :func:`propagate` can be too short, and it checks that path's length
-once. Near the anti-crossing the noisy-delay propagators of the whole run
-are built in one pass (a large run in chunks of paths): every segment of
-every path and delay is exponentiated at once, and each delay's ordered
-product is formed in lockstep over the segment index, one stacked matmul
-per index over the delays still open.
+table keyed by its (first step, end step) span. Near the anti-crossing
+the noisy-delay propagators of the whole run are built in one pass (a
+large run in chunks of paths): every segment of every path and delay is
+exponentiated at once, and each delay's ordered product is formed in
+lockstep over the segment index, one stacked matmul per index over the
+delays still open.
 
 The programs of a run are then grouped by skeleton (element kinds,
-rotations and noisy flags; a builder's programs differ only in their
-delay lengths), and :func:`propagate` walks each group once over the
+rotations and noisy flags; a zero-step delay changes no state and is
+left out), and :func:`propagate` walks each group once over the
 (programs, trajectories, 4, 4) stack of states, in walks of about
 ``_WALK_STATES`` states. A walk holds each of its programs' (first step,
-end step) rows, one per delay; the noise-free double-quantum delays of a
-walk are exponentiated in one call, and a program whose delay is empty
-keeps its states untouched. Each state evolves exactly as it would alone,
-so the stack changes no bit.
+end step) rows, one per nonempty delay; its noise-free double-quantum
+delays are exponentiated in one call. Each state evolves exactly as it
+would alone, so the stack changes no bit. :func:`propagate` also takes
+one program and one noise path, checks the path's length, and gives the
+final 4x4 state.
 
 Noise draws: every path is rendered from the ``Experiment.draws`` store.
 Each experiment makes its own, and every experiment derived from it with
@@ -258,7 +258,7 @@ def _noisy_spans(walks: Sequence[_Walk]) -> tuple[list[tuple[int, int]], int]:
     longest = 0
     for walk in walks:
         noisy = np.array([e.noisy for e in walk.elements if isinstance(e, Delay)], dtype=bool)
-        spans.update((k0, k1) for k0, k1 in walk.steps[:, noisy].reshape(-1, 2).tolist() if k1 > k0)
+        spans.update(map(tuple, walk.steps[:, noisy].reshape(-1, 2).tolist()))
         longest = max(longest, int(walk.steps.max(initial=0)))
     return sorted(spans), longest
 
@@ -378,53 +378,52 @@ def _reduce(
 
 @dataclass(frozen=True)
 class _Walk:
-    """Programs of one skeleton (element kinds, rotations and noisy flags),
-    walked together: ``steps[p, d]`` is the (first step, end step) of
-    program p's delay d, and ``index[p]`` the program's position among the
-    run's programs. ``elements`` is the shared skeleton, read through the
-    first program."""
+    """Programs of one skeleton (element kinds, rotations and noisy flags
+    once zero-step delays are left out), walked together: ``elements`` is
+    that skeleton, read from the first program, ``steps[p, d]`` the (first
+    step, end step) of program p's delay d, and ``index[p]`` the program's
+    position among the run's programs."""
 
     programs: tuple
+    elements: tuple
     steps: NDArray
     index: NDArray
-
-    @property
-    def elements(self) -> tuple:
-        return self.programs[0].elements
 
 
 def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> list[_Walk]:
     """The programs grouped by skeleton, in walks of about ``_WALK_STATES``
-    states over ``n`` trajectories. Every delay is checked to lie on the
+    states over ``n`` trajectories. A zero-step delay leaves every state as
+    it is, so no skeleton holds one. Every delay is checked to lie on the
     dt grid, so every program does."""
-    groups: dict = {}
-    lengths = []  # per program, the steps of each delay
+    groups: dict = {}  # skeleton -> (first program, [(program index, its delays' steps)])
     for k, prog in enumerate(programs):
-        skeleton = tuple((Delay, e.noisy) if isinstance(e, Delay) else e for e in prog.elements)
-        groups.setdefault(skeleton, []).append(k)
-        lengths.append([_delay_steps(e, dt) for e in prog.elements if isinstance(e, Delay)])
+        skeleton, lengths = [], []
+        for e in prog.elements:
+            if not isinstance(e, Delay):
+                skeleton.append(e)
+            elif m := _delay_steps(e, dt):
+                skeleton.append((Delay, e.noisy))
+                lengths.append(m)
+        groups.setdefault(tuple(skeleton), (prog, []))[1].append((k, lengths))
     size = max(1, _WALK_STATES // n)
     walks = []
-    for index in groups.values():
-        for part in (index[i : i + size] for i in range(0, len(index), size)):
-            n_steps = np.array([lengths[k] for k in part], dtype=int).reshape(len(part), -1)
+    for first, members in groups.values():
+        elements = tuple(e for e in first.elements if not isinstance(e, Delay) or _delay_steps(e, dt))
+        for i in range(0, len(members), size):
+            index, rows = zip(*members[i : i + size])
+            n_steps = np.array(rows, dtype=int).reshape(len(index), -1)
             end = n_steps.cumsum(axis=1)
             steps = np.stack((end - n_steps, end), axis=-1)
-            walks.append(_Walk(tuple(programs[k] for k in part), steps, np.array(part)))
+            walks.append(_Walk(tuple(programs[k] for k in index), elements, steps, np.array(index)))
     return walks
 
 
 def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDArray:
     """One delay of every program of a walk: ``rho`` is the (programs, n,
     4, 4) stack and ``steps`` each program's (k0, k1), a key of the span
-    table. A program whose delay is empty keeps its states as they are."""
+    table; no delay of a walk is empty."""
     c, dt = batch.coeffs, batch.dt
-    live = np.flatnonzero(steps[:, 1] > steps[:, 0])
-    if live.size == 0:
-        return rho
-    every = live.size == len(steps)
-    part = rho if every else rho[live]
-    k0, k1 = steps[live].T
+    k0, k1 = steps.T
     n = k1 - k0
     if noisy:  # what the n paths give each program's delay
         noise = np.stack([batch.spans[s] for s in zip(k0.tolist(), k1.tolist())])
@@ -439,31 +438,30 @@ def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDA
         b_int = dt * (n * c.b0) + dt * c.k_beta * sum_beta_p
         phases = a_int * _Z_TILDE + b_int * _Z_PRIME + c.j * n * dt * _Z_ZZ
         u_diag = np.exp(-1j * phases)
-        part = (u_diag[..., :, None] * part) * u_diag.conj()[..., None, :]
+        return (u_diag[..., :, None] * rho) * u_diag.conj()[..., None, :]
+    # active double-quantum block: exponentiated per constant-noise segment
+    if noisy:
+        u = noise
     else:
-        # active double-quantum block: exponentiated per constant-noise segment
-        if noisy:
-            u = noise
-        else:
-            a, b = np.full(n.size, c.a0), np.full(n.size, c.b0)
-            u = _dq_segment_unitaries(a, b, c.j, c.g, n * dt)[:, None]
-        part = u @ part @ _dagger(u)
-    if every:
-        return part
-    rho[live] = part
-    return rho
+        a, b = np.full(n.size, c.a0), np.full(n.size, c.b0)
+        u = _dq_segment_unitaries(a, b, c.j, c.g, n * dt)[:, None]
+    return u @ rho @ _dagger(u)
 
 
 def _check_invariants(rho: NDArray, walk: _Walk, j: int) -> None:
     """Unit trace and Hermiticity of every state of the stack after the
-    walk's element ``j``."""
+    walk's element ``j``; a delay is named by the failing program's steps."""
     tr = rho.trace(axis1=-2, axis2=-1)
     ok = (abs(tr - 1.0) <= 1e-9) & (np.abs(rho - _dagger(rho)).max(axis=(-2, -1)) <= 1e-9)
     if not ok.all():
         p, i = np.unravel_index(np.argmin(ok), ok.shape)
+        elem = walk.elements[j]
+        if isinstance(elem, Delay):
+            k0, k1 = walk.steps[p, sum(isinstance(e, Delay) for e in walk.elements[:j])]
+            elem = f"Delay(steps [{k0}, {k1}), noisy={elem.noisy})"
         raise SimulationError(
             f"program {walk.index[p]}, trajectory {i}: state invariants violated after "
-            f"element {walk.programs[p].elements[j]!r}: trace={tr[p, i]}"
+            f"element {elem}: trace={tr[p, i]}"
         )
 
 
@@ -478,39 +476,32 @@ def propagate(
 ) -> NDArray:
     """Propagate a state through a pulse program under sampled noise.
 
-    ``traj`` is one noise path on the ``sim.dt`` grid and at least as long
-    as the program (checked before it is reduced), which gives the final
-    4x4 state, or the batch :func:`run` reduces its trajectories to, which
-    gives the (n, 4, 4) stack of final states. Either way the program is
-    walked once over the whole stack. Delays advance through the step grid
-    (noise suppressed for noise-free delays but time still elapsing);
-    rotations and repump events apply instantaneously between steps. With
-    ``validate`` every state of the stack is checked after every element
-    and at the end, and the initial state of a single path before the
-    walk; :func:`run` checks a batch's initial state once per run.
-
-    :func:`run` passes a walk of programs that share one skeleton in place
-    of ``program``, which gives the (programs, n, 4, 4) stack; the checks
-    then cover the whole stack, and a failing state is named by its
-    program's index in the run and its trajectory.
+    Two shapes: a program and one noise path, on the ``sim.dt`` grid and
+    at least as long as the program (checked before it is reduced), give
+    the final 4x4 state; a walk (:func:`_walks`) and the batch :func:`run`
+    reduces its trajectories to give the (programs, n, 4, 4) stack. The
+    skeleton is walked once over the whole stack. Delays advance through
+    the step grid (noise suppressed for noise-free delays but time still
+    elapsing); rotations and repump events apply instantaneously between
+    steps. With ``validate`` every state is checked after every element
+    and at the end, and a single path's initial state before the walk;
+    :func:`run` checks a batch's initial state once per run. A failing
+    state is named by its program's index in the run and its trajectory.
     """
     single = isinstance(traj, NoiseTrajectory)
-    if single and not math.isclose(traj.dt, sim.dt, rel_tol=1e-12):
-        raise SimulationError(f"noise path dt = {traj.dt:.6g} s, but sim.dt = {sim.dt:.6g} s")
-    if validate and single:
-        assert_density_matrix(rho0)
-    stacked = isinstance(program, _Walk)
-    if not stacked:
-        (program,) = _walks([program], traj.dt, 1)
     coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
     if single:
+        if not math.isclose(traj.dt, sim.dt, rel_tol=1e-12):
+            raise SimulationError(f"noise path dt = {traj.dt:.6g} s, but sim.dt = {sim.dt:.6g} s")
+        if validate:
+            assert_density_matrix(rho0)
+        (program,) = _walks([program], traj.dt, 1)
         spans, need = _noisy_spans([program])
         if need > traj.n_steps:
             raise SimulationError(
                 f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {need})"
             )
-        path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
-        batch = _reduce([path], 1, traj.dt, spans, coeffs)
+        batch = _reduce([(traj.beta_s, traj.beta_s_prime, traj.eps_z)], 1, traj.dt, spans, coeffs)
     else:
         batch = traj
         if batch.coeffs != coeffs:
@@ -533,9 +524,7 @@ def propagate(
             _check_invariants(rho, program, j)
     if validate:
         assert_density_matrix(rho)
-    if single:
-        rho = rho[:, 0]
-    return rho if stacked else rho[0]
+    return rho[0, 0] if single else rho
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,7 @@ class DyadParams:
             (j_coupling, theta) when left as None.
         j_coupling: bare dipolar amplitude J (Hz), optional.
         theta: angle between the inter-spin vector and the field (rad),
-            optional.
+            optional; set both j_coupling and theta or neither.
         d_par: axial electric coupling of the spin-1 (rad/s per V/m).
         ddelta_dT: thermal shift of the crystal field (rad/s per kelvin).
 
@@ -112,27 +112,18 @@ class DyadParams:
             raise ValueError(f"delta must be positive, got {self.delta}")
         if not self.gamma_e > 0:
             raise ValueError(f"gamma_e must be positive, got {self.gamma_e}")
-        has_geometry = self.j_coupling is not None and self.theta is not None
-        if has_geometry:
-            jp = j_par_from_geometry(self.j_coupling, self.theta)
-            jt = j_perp_from_geometry(self.j_coupling, self.theta)
-            for name, given, derived in (("j_par", self.j_par, jp), ("j_perp", self.j_perp, jt)):
-                if given is not None:
-                    scale = max(abs(derived), abs(given), 1e-30)
-                    if abs(given - derived) > 1e-9 * scale:
-                        raise ValueError(
-                            f"{name}={given} inconsistent with geometry value {derived} "
-                            f"from (j_coupling, theta)"
-                        )
-            if self.j_par is None:
-                object.__setattr__(self, "j_par", jp)
-            if self.j_perp is None:
-                object.__setattr__(self, "j_perp", jt)
-        else:
-            if self.j_par is None:
-                object.__setattr__(self, "j_par", 0.0)
-            if self.j_perp is None:
-                object.__setattr__(self, "j_perp", 0.0)
+        if (self.j_coupling is None) != (self.theta is None):
+            raise ValueError("j_coupling and theta are a pair: set both or neither")
+        geometry = self.j_coupling is not None  # else uncoupled
+        for name, from_geometry in (("j_par", j_par_from_geometry), ("j_perp", j_perp_from_geometry)):
+            value = from_geometry(self.j_coupling, self.theta) if geometry else 0.0
+            given = getattr(self, name)
+            if given is None:
+                object.__setattr__(self, name, value)
+            elif geometry and abs(given - value) > 1e-9 * max(abs(value), abs(given), 1e-30):
+                raise ValueError(
+                    f"{name}={given} inconsistent with geometry value {value} from (j_coupling, theta)"
+                )
 
 
 def full_hamiltonian(p: DyadParams, b_field: float) -> NDArray:

@@ -31,9 +31,10 @@ channel's redraw steps and raw uniforms) and a *render* (the dense path
 at given amplitudes). Every draw goes through a :class:`NoiseDraws`
 store: the caller's (each ``spindyad.engine.Experiment`` owns one, shared
 by the experiments derived from it), or a throwaway one for a call that
-passes none. The store draws each stream once and renders it for every
-run that reads it; a render from the store has the bits of a fresh draw.
-No draw outlives the store, and the module holds none.
+passes none. The store draws every channel of each stream once, redraws
+it only for a longer length, and renders it for every run that reads it;
+a render from the store has the bits of a fresh draw. No draw outlives
+the store, and the module holds none.
 """
 
 from __future__ import annotations
@@ -157,9 +158,9 @@ def _stream_rng(seed: int, stream_id: int, domain: int) -> Generator:
 
 
 def _draw(
-    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int, channels
-) -> dict[int, tuple[NDArray, NDArray]]:
-    """The redraw steps and raw uniforms of ``channels`` of one stream.
+    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int
+) -> list[tuple[NDArray, NDArray]]:
+    """The redraw steps and raw uniforms of every channel of one stream.
 
     One (n_steps, 2c) uniform block is drawn row by row (step-major), so
     a longer draw extends a shorter one bit-exactly. Channel j redraws at
@@ -168,10 +169,10 @@ def _draw(
     steps and uniforms are kept; the block is dropped on return.
     """
     u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
-    out = {}
-    for j in channels:
+    out = []
+    for j in range(c):
         starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
-        out[j] = (starts, u[starts, c + j])
+        out.append((starts, u[starts, c + j]))
     return out
 
 
@@ -187,30 +188,27 @@ class NoiseDraws:
     """The draws of the streams one caller renders many times.
 
     A sweep renders the same streams at several amplitudes and lengths;
-    this store draws each stream once, at the longest length asked so
-    far, and keeps only its channels' redraw steps and uniforms (about
-    ``p_switch * n_steps`` per channel). A longer request, or one for a
-    channel not drawn yet, redraws that stream: the old draw is a prefix
-    of the new one, so every render keeps the bits of a fresh draw. The
-    store lives as long as its owner keeps it; nothing is cached between
-    callers.
+    this store draws each stream once, every channel of it, at the
+    longest length asked so far, and keeps only the channels' redraw
+    steps and uniforms (about ``p_switch * n_steps`` per channel). Only a
+    longer request redraws a stream: the old draw is a prefix of the new
+    one, so every render keeps the bits of a fresh draw. The store lives
+    as long as its owner keeps it; nothing is cached between callers.
     """
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, tuple[int, dict[int, tuple[NDArray, NDArray]]]] = {}
+        self._entries: dict[tuple, tuple[int, list[tuple[NDArray, NDArray]]]] = {}
 
     def get(
-        self, seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int, live
-    ) -> dict[int, tuple[NDArray, NDArray]]:
-        """The draw of ``live`` channels of a c-channel stream, at least
+        self, seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int
+    ) -> list[tuple[NDArray, NDArray]]:
+        """The draw of every channel of a c-channel stream, at least
         ``n_steps`` long."""
         key = (seed, domain, stream_id, p_switch, c)
-        length, drawn = self._entries.get(key, (-1, {}))
-        if length < n_steps or not drawn.keys() >= set(live):
-            length = max(length, n_steps)
-            channels = sorted(drawn.keys() | set(live))
-            drawn = _draw(seed, stream_id, domain, length, p_switch, c, channels)
-            self._entries[key] = (length, drawn)
+        length, drawn = self._entries.get(key, (-1, None))
+        if length < n_steps:
+            drawn = _draw(seed, stream_id, domain, n_steps, p_switch, c)
+            self._entries[key] = (n_steps, drawn)
         return drawn
 
 
@@ -230,16 +228,12 @@ def _fluctuator_channels(
     (one shared array) and builds no path; when no channel has amplitude,
     nothing is drawn.
     """
-    c = len(sigmas)
-    live = [j for j in range(c) if sigmas[j]]
-    paths = [None] * c
-    if live:
-        store = NoiseDraws() if draws is None else draws
-        drawn = store.get(seed, stream_id, domain, n_steps, p_switch, c, live)
-        for j in live:
-            paths[j] = _render(*drawn[j], n_steps, sigmas[j])
-    zero = np.zeros(n_steps) if len(live) < c else None
-    return [zero if path is None else path for path in paths]
+    if not any(sigmas):
+        return [np.zeros(n_steps)] * len(sigmas)
+    store = NoiseDraws() if draws is None else draws
+    drawn = store.get(seed, stream_id, domain, n_steps, p_switch, len(sigmas))
+    zero = None if all(sigmas) else np.zeros(n_steps)  # made after the draw's block is freed
+    return [_render(*drawn[j], n_steps, s) if s else zero for j, s in enumerate(sigmas)]
 
 
 def _check_step(switch_rate: float, dt: float) -> float:

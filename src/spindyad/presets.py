@@ -560,6 +560,15 @@ _PRESETS = {
     "custom": _Preset(_preset_custom),
 }
 
+# keys only some presets read, by reader; any other preset keeps their default
+_READERS = {
+    "experiment.program": ("custom",),
+    "sweep.window": ("thermometry",),
+    "sweep.delta_temp": ("thermometry",),
+    "sim.noise_during": ("zq_decay", "xi_sweep", "electrometry", "thermometry"),
+    "sim.shared_field": ("echo", "deer", "field_sweep"),
+}
+
 
 def run_preset(
     cfg: ExperimentConfig,
@@ -590,9 +599,11 @@ def run_preset(
     axis = any(cfg.has("sweep", k) for k in ("values", "start", "stop"))
     if not variable and (axis or cfg.integer("sweep", "count")):
         raise ConfigError("sweep.values, start, stop and count need sweep.variable")
-    for key, reader in (("experiment.program", "custom"), ("sweep.window", "thermometry")):
-        if cfg.resolved.get(key) and cfg.preset != reader:
-            raise ConfigError(f"{key} is read by the {reader} preset only, not by {cfg.preset}")
+    for key, readers in _READERS.items():
+        if cfg.preset not in readers and not cfg.is_default(*key.split(".")):
+            *others, last = readers
+            names = f"{', '.join(others)} and {last} presets" if others else f"{last} preset"
+            raise ConfigError(f"{key} is read by the {names} only, not by {cfg.preset}")
     cfg = replace(cfg, resolved=dict(cfg.resolved))
     cfg.resolved["sim.seed"] = str(cfg.integer("sim", "seed") if seed is None else seed)
     if trajectories is not None:

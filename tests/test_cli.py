@@ -359,8 +359,17 @@ class TestExitCodes:
                 FAST_CUSTOM.format(program="nonexistent.txt").replace("[output]", "[sweep]\nwindow = 5 us\n\n[output]"),
                 "sweep.window is read by the thermometry preset only, not by custom",
             ),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = echo").replace("seed = 3", "seed = 3\nnoise_during = evolution"),
+                "sim.noise_during is read by the zq_decay, xi_sweep, electrometry and thermometry presets only, not by echo",
+            ),
+            (
+                FAST_ZQ.replace("seed = 3", "seed = 3\nshared_field = true"),
+                "sim.shared_field is read by the echo, deer and field_sweep presets only, not by zq_decay",
+            ),
+            (FAST_ZQ.replace("tau_count = 9", "tau_count = 9\ndelta_temp = 3 K"), "sweep.delta_temp is read by the thermometry preset only, not by zq_decay"),
         ],
-        ids=["zq_decay-program", "echo-program", "zq_decay-window", "custom-window"],
+        ids=["zq_decay-program", "echo-program", "zq_decay-window", "custom-window", "echo-noise_during", "zq_decay-shared_field", "zq_decay-delta_temp"],
     )
     def test_key_the_preset_does_not_read_is_2(self, tmp_path, capsys, body, message):
         out = tmp_path / "out"

@@ -136,6 +136,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="expected an integer"):
             parse_config(write_cfg(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n"))
 
+    @pytest.mark.parametrize(
+        "section,line,default",
+        [
+            ("sim", "shared_field = no", True),
+            ("sim", "shared_field = yes", False),
+            ("sim", "noise_during = all", True),
+            ("sim", "noise_during = evolution", False),
+            ("sweep", "delta_temp = 0.0 K", True),
+            ("sweep", "delta_temp = 3 K", False),
+            ("sweep", "window = 5 us", False),
+        ],
+    )
+    def test_is_default_compares_parsed_values(self, tmp_path, section, line, default):
+        cfg = parse_config(write_cfg(tmp_path, MINIMAL + f"\n[{section}]\n{line}\n"))
+        assert cfg.is_default(section, line.split(" =")[0]) is default
+
     def test_sweep_theta_is_not_a_key(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key 'theta'"):
             parse_config(write_cfg(tmp_path, MINIMAL + "\n[sweep]\ntheta = 0\n"))

@@ -255,7 +255,8 @@ class TestRun:
         sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
         prog = PulseProgram((Delay(100 * DT),))
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
-        spans, n_steps = engine._noisy_spans(engine._walks([prog], DT, 5))
+        (walk,) = walks = engine._walks([prog], DT, 5)
+        spans, n_steps = engine._noisy_spans(walks)
         assert (spans, n_steps) == ([(0, 100)], 100)
         batch = engine._reduce([(None, None, None)] * 5, 5, DT, spans, coeffs)
         assert list(batch.spans) == [(0, 100)]
@@ -263,8 +264,9 @@ class TestRun:
             batch.spans[(0, 100)][3] *= 1.5  # no longer unitary for trajectory 3
         else:
             batch.spans[(0, 100)][3, 0] = np.nan  # a NaN field sum for trajectory 3
-        with pytest.raises(SimulationError, match="program 0, trajectory 3: state invariants"):
-            propagate(initial_state(), prog, PARAMS, batch, sim)
+        message = r"program 0, trajectory 3: state invariants violated after element Delay\(steps \[0, 100\), noisy=True\)"
+        with pytest.raises(SimulationError, match=message):
+            propagate(initial_state(), walk, PARAMS, batch, sim)
 
     @pytest.mark.parametrize("near_bm", [False, True])
     @pytest.mark.parametrize("noisy", [False, True])
@@ -273,14 +275,17 @@ class TestRun:
         # an identity one, so only an untouched state keeps it
         sim = SimConfig(n_trajectories=2, dt=DT, near_bm=near_bm)
         programs = [PulseProgram((Delay(n * DT, noisy=noisy),)) for n in (0, 7, 0)]
-        (walk,) = walks = engine._walks(programs, DT, 2)
+        walks = engine._walks(programs, DT, 2)
+        assert [w.index.tolist() for w in walks] == [[0, 2], [1]]
         spans, _ = engine._noisy_spans(walks)
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
         batch = engine._reduce([(None, None, None)] * 2, 2, DT, spans, coeffs)
         rho0 = initial_state().astype(complex)
         rho0[1, 2] = rho0[2, 1] = np.inf
+        rho = np.empty((3, 2, 4, 4), dtype=complex)
         with np.errstate(invalid="ignore"):
-            rho = propagate(rho0, walk, PARAMS, batch, sim, validate=False)
+            for walk in walks:
+                rho[walk.index] = propagate(rho0, walk, PARAMS, batch, sim, validate=False)
         assert all(np.array_equal(r, rho0) for r in rho[[0, 2]].reshape(-1, 4, 4))
         assert np.isnan(rho[1]).any()
 
@@ -680,8 +685,8 @@ class TestSweep:
         assert np.array_equal(res[0].signal_mean, direct.signal_mean)
 
     def test_sweep_draws_each_stream_once_and_keeps_the_bits(self, monkeypatch):
-        # xi = 0 reads only the global channel, so xi = 0.5 redraws each
-        # stream with the local channels as well; xi = 1 reads that draw
+        # xi = 0 reads only the global channel, yet its draw holds the
+        # local channels too, so xi = 0.5 and xi = 1 read that draw
         from spindyad import noise
 
         calls = []
@@ -690,7 +695,7 @@ class TestSweep:
         exp = self._zq_experiment()
         xis = [0.0, 0.5, 1.0]
         res = sweep("xi", xis, exp)
-        assert len(calls) == 2 * exp.sim.n_trajectories
+        assert len(calls) == exp.sim.n_trajectories
         for xi, trace in zip(xis, res):
             # a freshly built experiment, with a store of its own
             fresh = run(replace(self._zq_experiment(), noise=replace(NOISY, xi=xi)))

@@ -397,6 +397,14 @@ class TestGeometry:
         with pytest.raises(ValueError, match="inconsistent"):
             DyadParams(j_coupling=1e6, theta=0.5, j_par=1e6)
 
+    def test_coupling_alone_rejected(self):
+        with pytest.raises(ValueError, match="^j_coupling and theta are a pair: set both or neither$"):
+            DyadParams(j_coupling=2e5)
+
+    def test_theta_alone_rejected(self):
+        with pytest.raises(ValueError, match="^j_coupling and theta are a pair: set both or neither$"):
+            DyadParams(theta=1.0)
+
     def test_consistent_projections_accepted(self):
         j, theta = 1e6, 0.5
         p = DyadParams(

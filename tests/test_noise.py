@@ -315,4 +315,4 @@ def test_stored_draw_renders_the_bits_of_a_fresh_one(
         assert all(same_bits(x, y) for x, y in zip(stored, fresh))
     if p_switch == 0.0:  # only the stationary start: one redraw per channel, at any length
         for _, drawn in draws._entries.values():
-            assert all(starts.size == uniforms.size == 1 for starts, uniforms in drawn.values())
+            assert all(starts.size == uniforms.size == 1 for starts, uniforms in drawn)

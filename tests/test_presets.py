@@ -206,9 +206,10 @@ class TestNoiseDraws:
     """A preset run draws each noise stream once and renders it for every
     run that reads it."""
 
-    def draws_per_stream(self, tmp_path, monkeypatch, name, stores=None):
-        """Philox draws per (seed, stream, domain); ``stores`` collects the
-        draw store of every engine run (held, so no id is reused)."""
+    def draws_per_stream(self, tmp_path, monkeypatch, name, stores=None, body=None):
+        """Philox draws per (seed, stream, domain) of the shipped config
+        ``name``, or of ``body`` when given; ``stores`` collects the draw
+        store of every engine run (held, so no id is reused)."""
         from spindyad import engine, noise
 
         counts = Counter()
@@ -227,9 +228,9 @@ class TestNoiseDraws:
         monkeypatch.setattr(noise, "_stream_rng", counting)
         monkeypatch.setattr(engine, "_signals", signals)
         config = CONFIGS / f"{name}.cfg"
-        if name == "deer":
-            config = tmp_path / "deer.cfg"
-            config.write_text(DEER_FAR)
+        if name == "deer" or body is not None:
+            config = tmp_path / f"{name}.cfg"
+            config.write_text(DEER_FAR if body is None else body)
         args = ["--config", str(config), "--out", str(tmp_path / "out")]
         assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
         return counts
@@ -268,6 +269,17 @@ class TestNoiseDraws:
         # its own); the far reference runs last, on paths no longer than the
         # points', so no stream is redrawn
         counts = self.draws_per_stream(tmp_path, monkeypatch, "field_sweep")
+        assert counts == {(7, 0, 0): 1, (7, 1, 0): 1}
+
+    def test_xi_sweep_from_zero_draws_each_stream_once(self, tmp_path, monkeypatch):
+        # xi = 0 renders only the global channel, but its draw holds the
+        # local channels that xi = 0.5 and 1 render too (a store of only
+        # the rendered channels draws each stream twice); the far
+        # reference reads shorter paths
+        shipped = (CONFIGS / "xi_sweep.cfg").read_text()
+        body = shipped.replace("values = 0.1, 0.25, 0.5, 0.75, 1.0", "values = 0, 0.5, 1.0")
+        assert body != shipped
+        counts = self.draws_per_stream(tmp_path, monkeypatch, "xi_sweep", body=body)
         assert counts == {(7, 0, 0): 1, (7, 1, 0): 1}
 
 

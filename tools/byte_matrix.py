@@ -19,7 +19,8 @@ before anything runs), then extracts a ``git archive`` of REV to
 into ``OUT/REV/out`` in a subprocess, prints every line in which the two
 ``SHA256SUMS`` differ, then a unified diff (no context) of each file whose
 hash differs, at most ``DIFF_LINES`` lines per file, and exits 1 if any
-does.
+does. Its last line gives the physical line count (``wc -l``) of
+``src/spindyad/*.py`` in REV's tree and in this one.
 """
 
 from __future__ import annotations
@@ -141,6 +142,11 @@ def check_rev(rev: str) -> None:
         sys.exit(2)
 
 
+def src_lines(root: Path) -> int:
+    """Physical lines of the package's modules under ``root``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "spindyad").glob("*.py"))
+
+
 def against(out: Path, rev: str) -> int:
     """Run REV's own matrix under ``OUT/REV`` and print the lines in which
     its ``SHA256SUMS`` and OUT's differ, then the diff of each file they
@@ -168,6 +174,7 @@ def against(out: Path, rev: str) -> int:
         print("\n".join(body[:DIFF_LINES]))
         if len(body) > DIFF_LINES:
             print(f"... {len(body) - DIFF_LINES} more lines of {name}'s diff")
+    print(f"src/spindyad/*.py: {src_lines(dest / 'tree')} lines at {rev}, {src_lines(ROOT)} here")
     return 1 if diff else 0
 
 

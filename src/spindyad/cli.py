@@ -50,12 +50,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    out_dir = args.out if args.out is not None else cfg.text("output", "directory")
-    plot = cfg.flag("output", "plot") and not args.no_plot
-    try:
+        out_dir = args.out if args.out is not None else cfg.text("output", "directory")
+        plot = cfg.flag("output", "plot") and not args.no_plot
         summary = run_preset(cfg, out_dir, seed=args.seed, trajectories=args.trajectories, plot=plot)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)

@@ -143,8 +143,7 @@ class ExperimentConfig:
 
     def number(self, section: str, key: str) -> float:
         dim = _SCHEMA[section][key][0]
-        expect = None if dim in ("raw", "str", "bool") else dim
-        return parse_quantity(self.text(section, key), expect, key=f"{section}.{key}")
+        return parse_quantity(self.text(section, key), dim, key=f"{section}.{key}")
 
     def integer(self, section: str, key: str) -> int:
         """An integer key, parsed exactly (no float round trip)."""

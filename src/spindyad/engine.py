@@ -131,12 +131,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class TimeTrace:
-    """Averaged readout signal versus evolution time."""
+    """Averaged readout signal versus evolution time; ``metadata`` holds the run's settings and label."""
 
     times: NDArray
     signal_mean: NDArray
     signal_sem: NDArray
-    label: str = ""
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -203,9 +202,10 @@ def _dq_segment_unitaries(
 ) -> NDArray:
     """Stacked exp(-i H t) for 4-dim generators with one 2x2 block.
 
-    ``a`` and ``b`` are per-segment Tz / Pz coefficients (rad/s), ``t``
-    the segment durations; the double-quantum coupling ``g_dq`` connects
-    basis states 0 and 3. Returns an (n, 4, 4) array.
+    ``a`` and ``b`` are Tz / Pz coefficients (rad/s), per segment or one
+    for all, ``t`` the segment durations; ``g_dq != 0`` (callers enter only
+    then, so hypot((a + b)/2, g_dq) > 0) connects basis states 0 and 3.
+    Returns an (n, 4, 4) array.
     """
     n = len(t)
     # diagonal energies: E(mt, mp) = a mt + b mp + jpar_w mt mp
@@ -216,10 +216,7 @@ def _dq_segment_unitaries(
     omega = np.hypot(half_gap, g_dq)
     phase = np.exp(-1j * mean * t)
     c = np.cos(omega * t)
-    s = np.empty_like(c)
-    nz = omega > 0
-    s[nz] = np.sin(omega[nz] * t[nz]) / omega[nz]
-    s[~nz] = t[~nz]
+    s = np.sin(omega * t) / omega
     u = np.zeros((n, 4, 4), dtype=complex)
     u[:, 1, 1] = np.exp(-1j * e1 * t)
     u[:, 2, 2] = np.exp(-1j * e2 * t)
@@ -381,10 +378,9 @@ class _Walk:
     """Programs of one skeleton (element kinds, rotations and noisy flags
     once zero-step delays are left out), walked together: ``elements`` is
     that skeleton, read from the first program, ``steps[p, d]`` the (first
-    step, end step) of program p's delay d, and ``index[p]`` the program's
-    position among the run's programs."""
+    step, end step) of program p's delay d, and ``index[p]``, all a walk
+    keeps of program p, its position among the run's programs."""
 
-    programs: tuple
     elements: tuple
     steps: NDArray
     index: NDArray
@@ -414,7 +410,7 @@ def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> list[_Walk]:
             n_steps = np.array(rows, dtype=int).reshape(len(index), -1)
             end = n_steps.cumsum(axis=1)
             steps = np.stack((end - n_steps, end), axis=-1)
-            walks.append(_Walk(tuple(programs[k] for k in index), elements, steps, np.array(index)))
+            walks.append(_Walk(elements, steps, np.array(index)))
     return walks
 
 
@@ -443,8 +439,7 @@ def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDA
     if noisy:
         u = noise
     else:
-        a, b = np.full(n.size, c.a0), np.full(n.size, c.b0)
-        u = _dq_segment_unitaries(a, b, c.j, c.g, n * dt)[:, None]
+        u = _dq_segment_unitaries(c.a0, c.b0, c.j, c.g, n * dt)[:, None]
     return u @ rho @ _dagger(u)
 
 
@@ -507,7 +502,7 @@ def propagate(
         if batch.coeffs != coeffs:
             raise SimulationError("noise batch was reduced under other frame coefficients")
     rho0 = np.asarray(rho0, dtype=complex)
-    rho = np.broadcast_to(rho0, (len(program.programs), batch.n) + rho0.shape).copy()
+    rho = np.broadcast_to(rho0, (len(program.index), batch.n) + rho0.shape).copy()
     d = 0
     for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
@@ -639,7 +634,7 @@ def run(exp: Experiment) -> TimeTrace:
         "delta_temp": exp.delta_temp,
         "eps_rms": exp.noise.eps_rms,
     }
-    return TimeTrace(times, mean, sem, label=exp.label, metadata=metadata)
+    return TimeTrace(times, mean, sem, metadata=metadata)
 
 
 def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:

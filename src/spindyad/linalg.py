@@ -221,10 +221,11 @@ def full_operators() -> FullOperators:
     )
 
 
-def require_hermitian(m: NDArray, tol: float = HERMITIAN_TOL, name: str = "matrix") -> None:
+def require_hermitian(m: NDArray, name: str = "matrix") -> None:
+    """Raise unless max |M - M^dag| is at most ``HERMITIAN_TOL``."""
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > tol:
-        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {tol:.1e}")
+    if dev > HERMITIAN_TOL:
+        raise ValueError(f"{name} is not Hermitian: max |M - M^dag| = {dev:.3e} > {HERMITIAN_TOL:.1e}")
 
 
 def expm_hermitian(h: NDArray, t: float) -> NDArray:
@@ -243,23 +244,18 @@ def expm_hermitian(h: NDArray, t: float) -> NDArray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def assert_density_matrix(
-    rho: NDArray,
-    herm_tol: float = DENSITY_HERM_TOL,
-    trace_tol: float = DENSITY_TRACE_TOL,
-    psd_tol: float = DENSITY_PSD_TOL,
-) -> None:
+def assert_density_matrix(rho: NDArray) -> None:
     """Check Hermiticity, unit trace, and positive semidefiniteness of a
-    density matrix or of every matrix of a (..., n, n) stack, whose first
-    failing entry the error names. NaN entries fail."""
+    density matrix or of every matrix of a (..., n, n) stack to the fixed
+    ``DENSITY_*_TOL``, naming the first failing entry. NaN entries fail."""
     rho = np.asarray(rho)
     dag = np.swapaxes(rho.conj(), -1, -2)
     dev = np.abs(rho - dag).max(axis=(-2, -1))
-    _require(dev <= herm_tol, dev, "not Hermitian: {:.3e}")
+    _require(dev <= DENSITY_HERM_TOL, dev, "not Hermitian: {:.3e}")
     tr = rho.trace(axis1=-2, axis2=-1)
-    _require(abs(tr - 1.0) <= trace_tol, tr, "trace {} deviates from 1")
+    _require(abs(tr - 1.0) <= DENSITY_TRACE_TOL, tr, "trace {} deviates from 1")
     lo = np.linalg.eigvalsh((rho + dag) / 2).min(axis=-1)
-    _require(lo >= -psd_tol, lo, "has negative eigenvalue {:.3e}")
+    _require(lo >= -DENSITY_PSD_TOL, lo, "has negative eigenvalue {:.3e}")
 
 
 def _require(ok: NDArray, values: NDArray, what: str) -> None:

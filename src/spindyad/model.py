@@ -137,7 +137,7 @@ def full_hamiltonian(p: DyadParams, b_field: float) -> NDArray:
     """
     ops = full_operators()
     h = p.delta * (ops.s_z @ ops.s_z) + p.gamma_e * b_field * (ops.s_z + ops.p_z)
-    if p.j_coupling is None or p.theta is None:
+    if p.j_coupling is None:  # then theta is None too: DyadParams checks the pair
         if p.j_par or p.j_perp:
             raise ValueError(
                 "full_hamiltonian needs j_coupling and theta; only the secular "

@@ -13,6 +13,7 @@ The one table of presets, with the sweep variable each reads, is
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
@@ -160,7 +161,7 @@ class _Writer:
     def plot_signal(self, trace: TimeTrace, xlabel: str, time_factor: float = 1.0) -> None:
         """The readout signal against time_factor * the trace's times, in us."""
         xs = [time_factor * t * 1e6 for t in trace.times]
-        self.plot(xs, [("signal", trace.signal_mean)], trace.label, xlabel, "P(m_S = 0)")
+        self.plot(xs, [("signal", trace.signal_mean)], self.label, xlabel, "P(m_S = 0)")
 
     def plot_lifetimes(self, points, name: str, title: str, xlabel: str, x_scale=1.0) -> None:
         """T2 in us against the sweep value, over the points with a finite
@@ -265,7 +266,6 @@ def echo_coherence_time(
         times=2.0 * np.asarray(times),
         signal_mean=ratio,
         signal_sem=sem,
-        label=trace.label + " envelope",
         metadata=trace.metadata,
     )
     t2, _ = analysis.coherence_time(env, envelope=True)
@@ -384,18 +384,28 @@ def _preset_echo(cfg, exp, w, deer_mode=False):
     w.summary(summary)
 
 
+def _db_suffix(db: float) -> str:
+    """The suffix of a field_sweep point's envelope CSV."""
+    return f"_db_{db * 1e6:+.3f}uT"
+
+
 def _preset_field_sweep(cfg, exp, w):
     taus = _tau_grid(cfg, exp.sim.dt)
     values = cfg.sweep_values("field")
     if not exp.sim.near_bm:
         raise ConfigError("field_sweep expects sim.near_bm = true")
+    named: dict[str, float] = {}
+    for db in values:
+        if (name := _db_suffix(db)) in named:
+            raise ConfigError(f"sweep delta_b values {named[name]!r} T and {db!r} T both write {w.label}{name}.csv")
+        named[name] = db
     exp = replace(exp, program_builder=_echo_program_builder(cfg, exp, deer_mode=False), times=taus)
     points = []
     for db in values:
         point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
         t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus))
         points.append((float(db), t2))
-        w.trace(env, f"_db_{db * 1e6:+.3f}uT", sweep_value=float(db))
+        w.trace(env, _db_suffix(db), sweep_value=float(db))
     # far-from-anti-crossing reference: same noise, double-quantum term off.
     # It runs last, on delays capped at 60 us: the points' draws then cover
     # its paths, so each stream is drawn once (a longer path would redraw)
@@ -403,7 +413,6 @@ def _preset_field_sweep(cfg, exp, w):
         exp,
         sim=replace(exp.sim, near_bm=False, delta_b=0.0),
         program_builder=protocol.hahn_echo,
-        label=w.label + "_far_reference",
     )
     t2_far, _ = echo_coherence_time(far_exp, tau_max=min(max(taus), 60e-6), tau_min=min(taus))
     rows = [
@@ -468,7 +477,6 @@ def _preset_xi_sweep(cfg, exp, w):
         program_builder=protocol.hahn_echo,
         sim=replace(exp.sim, near_bm=False),
         noise=replace(exp.noise, xi=0.0),
-        label=w.label + "_sq_reference",
     )
     t2_sq, _ = echo_coherence_time(far_exp, tau_max=60e-6)
     # the decay runs over the total evolution time 2 tau~
@@ -609,6 +617,8 @@ def run_preset(
     if trajectories is not None:
         cfg.resolved["sim.trajectories"] = str(trajectories)
     label = cfg.text("experiment", "label") or cfg.preset
+    if "/" in label or os.sep in label:
+        raise ConfigError(f"experiment.label must be a file name, got {label!r}")
     exp = _experiment(cfg, label)
     writer = _Writer(cfg, Path(out_dir), label, plot)
     preset.run(cfg, exp, writer)

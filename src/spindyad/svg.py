@@ -19,10 +19,11 @@ _W, _H = 720, 480
 _ML, _MR, _MT, _MB = 72, 24, 36, 56
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
+    """About five round ticks over [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         step = mult * mag

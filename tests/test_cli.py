@@ -182,6 +182,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: config: {message}\n"
         assert not out.exists()
 
+    def test_label_with_a_path_separator_is_2(self, tmp_path, capsys):
+        # the label names files in the output directory, not a directory below it
+        out = tmp_path / "out"
+        path = write(tmp_path, FAST_LEVELS.replace("label = levels", "label = a/b"))
+        assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: config: experiment.label must be a file name, got 'a/b'\n"
+        assert not out.exists()
+
+    def test_field_sweep_values_sharing_a_file_name_are_2(self, tmp_path, capsys):
+        # 1.0001 and 1.0002 uT both round to _db_+1.000uT: the second
+        # envelope would overwrite the first
+        body = FAST_ZQ.replace("preset = zq_decay", "preset = field_sweep").replace("seed = 3", "seed = 3\nnear_bm = true")
+        body = body.replace("[sweep]\n", "[sweep]\nvariable = delta_b\nvalues = 0 uT, 1.0001 uT, 1.0002 uT\n")
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: config: sweep delta_b values 1.0001e-06 T and 1.0002e-06 T both write zq_db_+1.000uT.csv\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "edit,flags,message",
         [

@@ -321,6 +321,27 @@ class TestRun:
             # one check of rho0 and one of the final stack of the one walk
             assert counts == {"_dq_segment_unitaries": 1, "assert_density_matrix": 2}
 
+    def test_near_bm_without_j_perp_never_forms_a_dq_block(self, monkeypatch):
+        # g = 2 pi j_perp sqrt(2) = 0 sends every delay, noisy or not, down
+        # the diagonal path: _dq_segment_unitaries only ever sees g != 0
+        calls = []
+        real = engine._dq_segment_unitaries
+        monkeypatch.setattr(engine, "_dq_segment_unitaries", lambda *a: calls.append(a) or real(*a))
+        exp = self._experiment(n_traj=8)
+        exp = replace(
+            exp,
+            program_builder=lambda tau: hahn_echo(tau) + PulseProgram((Delay(tau, noisy=False),)),
+            sim=replace(exp.sim, delta_b=20e-6),
+        )
+        uncoupled = replace(exp, params=DyadParams(j_par=J_PAR, j_perp=0.0))
+        far = run(uncoupled)
+        near = run(replace(uncoupled, sim=replace(uncoupled.sim, near_bm=True)))
+        assert calls == []
+        assert np.array_equal(near.signal_mean, far.signal_mean)
+        assert np.array_equal(near.signal_sem, far.signal_sem)
+        run(replace(exp, sim=replace(exp.sim, near_bm=True)))  # j_perp != 0: the wrapper counts
+        assert len(calls) == 2  # the noisy spans' blocks and the noise-free delay
+
     def test_metadata_echoes_settings(self):
         exp = self._experiment(n_traj=4)
         trace = run(exp)
@@ -563,7 +584,7 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
 
     def recording(rho0, walk, *args, **kwargs):
         rho = real(rho0, walk, *args, **kwargs)
-        walks.append(len(walk.programs))
+        walks.append(len(walk.index))
         states.update(zip(walk.index.tolist(), rho))
         return rho
 
@@ -725,7 +746,6 @@ class TestTraceCsv:
             times=np.array([1e-6, 2e-6]),
             signal_mean=np.array([1.0, 0.5]),
             signal_sem=np.array([0.0, 0.01]),
-            label="demo",
             metadata={"master_seed": 7, "xi": 0.5},
         )
         buf = io.StringIO()

@@ -1,0 +1,114 @@
+"""The checks a change reruns before it merges, as one command.
+
+    python3 tools/premerge.py REV OUT
+
+runs, from the checkout this script is in:
+
+* ``byte_matrix``: ``tools/byte_matrix.py OUT/matrix --against REV``; it
+  passes when the seed-7 ``SHA256SUMS`` equal REV's and every preset run
+  of both trees exits 0;
+* ``tier-1``: the ROADMAP Tier-1 command, ``python -m pytest -q
+  --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``; it
+  passes when pytest exits 0;
+* ``smoke``: ``perfbench/run.py --smoke`` in a copy of ``src``,
+  ``perfbench``, ``configs`` and ``BENCHMARK.json`` under ``OUT/bench``
+  (the harness writes its records next to itself); it passes when it
+  reports correct with no failed call.
+
+Each step's output goes to ``OUT/<step>.log``; pytest's temporary
+directories, the Hypothesis example database and the smoke copy's
+bytecode go under ``OUT`` too, and the other steps cache no bytecode, so
+nothing is written anywhere else. One line per step
+gives its exit code, its seconds and what it found (for Tier-1 the
+pytest summary); the last line is ``premerge: ok``, or ``premerge:
+failed:`` and the failed steps, with exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import shutil
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(cmd: list[str], log: Path, cwd: Path, env: dict) -> tuple[int, float, str]:
+    """Run ``cmd``, its stdout and stderr to ``log``: exit code, seconds, output."""
+    start = time.monotonic()
+    proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    log.write_text(proc.stdout)
+    return proc.returncode, time.monotonic() - start, proc.stdout
+
+
+def byte_matrix(rev: str, out: Path, env: dict) -> tuple[int, float, str, bool]:
+    cmd = [sys.executable, str(ROOT / "tools" / "byte_matrix.py"), str(out / "matrix"), "--against", rev]
+    code, seconds, text = _run(cmd, out / "byte_matrix.log", ROOT, env)
+    exits = re.findall(r"^\S+: exit (-?\d+)$", text, re.M)
+    bad = sum(e != "0" for e in exits)
+    lines = text.strip().splitlines()
+    same = any(line.startswith("SHA256SUMS identical") for line in lines)
+    note = f"{'SHA256SUMS identical' if same else 'SHA256SUMS differ'}, {bad} of {len(exits)} runs exit nonzero"
+    if lines and lines[-1].startswith("src/spindyad"):
+        note += f"; {lines[-1]}"
+    return code, seconds, note, code == 0 and same and bool(exits) and not bad
+
+
+def tier1(out: Path, env: dict) -> tuple[int, float, str, bool]:
+    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p))
+    env["HYPOTHESIS_STORAGE_DIRECTORY"] = str(out / "hypothesis")
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    cmd += ["-p", "no:cacheprovider", "--basetemp", str(out / "pytest")]
+    code, seconds, text = _run(cmd, out / "tier-1.log", ROOT, env)
+    summary = [line.strip("= ") for line in text.splitlines() if re.search(r"\d+ (passed|failed|error)", line)]
+    return code, seconds, summary[-1] if summary else "no pytest summary", code == 0
+
+
+def smoke(out: Path, env: dict) -> tuple[int, float, str, bool]:
+    bench = out / "bench"
+    shutil.rmtree(bench, ignore_errors=True)
+    skip = shutil.ignore_patterns("__pycache__", ".work")
+    for name in ("src", "perfbench", "configs"):
+        shutil.copytree(ROOT / name, bench / name, ignore=skip)
+    shutil.copy2(ROOT / "BENCHMARK.json", bench)
+    code, seconds, text = _run([sys.executable, "perfbench/run.py", "--smoke"], out / "smoke.log", bench, env)
+    try:
+        result = json.loads(text.strip().splitlines()[-1])
+        failed = sum(w["failed"] for w in result["workloads"].values())
+        ok = result["correct"] and not failed
+        note = f"correct = {result['correct']}, {failed} failed calls"
+    except (IndexError, ValueError, KeyError, TypeError):
+        ok, note = False, "no result line"
+    return code, seconds, note, code == 0 and ok
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("rev", help="git revision to compare the byte matrix with")
+    ap.add_argument("out", type=Path, help="directory for every log and artifact")
+    args = ap.parse_args(argv)
+    out = args.out.resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    failed = []
+    for name, step in (
+        ("byte_matrix", lambda: byte_matrix(args.rev, out, env)),
+        ("tier-1", lambda: tier1(out, env)),
+        ("smoke", lambda: smoke(out, env)),
+    ):
+        code, seconds, note, ok = step()
+        print(f"{name}: exit {code}, {seconds:.1f} s, {note}", flush=True)
+        if not ok:
+            failed.append(name)
+    print(f"premerge: failed: {', '.join(failed)}" if failed else "premerge: ok")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,7 +44,7 @@ _SUFFIXES = {
 }
 
 
-def parse_quantity(text: str, expect: Optional[str] = None, key: str = "") -> float:
+def parse_quantity(text: str, expect: str, key: str = "") -> float:
     """Parse '50 kHz' / '1uT' / '0.3' into a finite float in base units.
 
     ``expect`` names the required dimension (frequency, field, time,
@@ -63,13 +63,13 @@ def parse_quantity(text: str, expect: Optional[str] = None, key: str = "") -> fl
     if not math.isfinite(value):
         raise ConfigError(f"key {key!r}: {text!r} is not a finite number")
     if not suffix:
-        if expect not in (None, "none"):
+        if expect != "none":
             raise ConfigError(f"key {key!r}: missing unit suffix in {text!r} (expected {expect})")
         return value
     if suffix not in _SUFFIXES:
         raise ConfigError(f"key {key!r}: unknown unit suffix {suffix!r} in {text!r}")
     dim, scale = _SUFFIXES[suffix]
-    if expect is not None and dim != expect:
+    if dim != expect:
         raise ConfigError(f"key {key!r}: unit {suffix!r} is a {dim}, expected {expect}")
     return value * scale
 
@@ -187,11 +187,10 @@ class ExperimentConfig:
         if values_text and (start_text or stop_text or count):
             raise ConfigError("sweep needs values= or start/stop/count, not both")
         if values_text:
-            values = [
-                parse_quantity(v.strip(), expect, key="sweep.values")
-                for v in values_text.split(",")
-                if v.strip()
-            ]
+            entries = [v.strip() for v in values_text.split(",")]
+            if "" in entries:
+                raise ConfigError(f"sweep.values has an empty entry in {values_text!r}")
+            values = [parse_quantity(v, expect, key="sweep.values") for v in entries]
         elif not start_text or not stop_text or count < 1:
             raise ConfigError("sweep needs either values= or start/stop/count")
         else:

@@ -184,13 +184,9 @@ def reduced_operators() -> ReducedOperators:
 class FullOperators:
     """Spin operators embedded in the full 6-dim product space."""
 
-    s_x: NDArray
-    s_y: NDArray
     s_z: NDArray
     s_plus: NDArray
     s_minus: NDArray
-    p_x: NDArray
-    p_y: NDArray
     p_z: NDArray
     p_plus: NDArray
     p_minus: NDArray
@@ -207,13 +203,9 @@ def full_operators() -> FullOperators:
     i2 = np.eye(2, dtype=complex)
     i3 = np.eye(3, dtype=complex)
     return FullOperators(
-        s_x=_frozen(np.kron(s1.x, i2)),
-        s_y=_frozen(np.kron(s1.y, i2)),
         s_z=_frozen(np.kron(s1.z, i2)),
         s_plus=_frozen(np.kron(s1.plus, i2)),
         s_minus=_frozen(np.kron(s1.minus, i2)),
-        p_x=_frozen(np.kron(i3, sh.x)),
-        p_y=_frozen(np.kron(i3, sh.y)),
         p_z=_frozen(np.kron(i3, sh.z)),
         p_plus=_frozen(np.kron(i3, sh.plus)),
         p_minus=_frozen(np.kron(i3, sh.minus)),

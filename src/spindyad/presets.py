@@ -112,10 +112,13 @@ class _Writer:
     which makes each file reproducible on its own. Floats are written
     with ``.17g``, so they read back bit-exactly. ``summary_text`` keeps
     the summary's lines below the echo. The output directory is made when
-    the first file is written, so a run that fails first leaves none.
+    the first file is written, so a run that fails first leaves none; a
+    file in its place is refused when the writer is made, before any run.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path, label: str, plot: bool):
+        if out.exists() and not out.is_dir():
+            raise ConfigError(f"output directory {out} is not a directory")
         self.out = out
         self.label = label
         self.plots = plot
@@ -123,7 +126,10 @@ class _Writer:
         self.summary_text = ""
 
     def _path(self, suffix: str) -> Path:
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output directory {self.out} cannot be made: {exc.strerror}") from exc
         return self.out / f"{self.label}{suffix}"
 
     @contextmanager
@@ -189,12 +195,13 @@ def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
 def _echo_program_builder(
     cfg: ExperimentConfig, exp: Experiment, deer_mode: bool
 ) -> Callable[[float], protocol.PulseProgram]:
-    near = exp.sim.near_bm
-    shared = cfg.flag("sim", "shared_field")
-    if deer_mode:
-        return partial(protocol.deer, at_anticrossing=near, shared_field=shared)
-    target = Target.BOTH if near else Target.SPIN_S
-    return partial(protocol.hahn_echo, target=target, shared_field=shared)
+    """Near the anti-crossing one field addresses both spins, and the echo
+    and the recoupled echo are the same program."""
+    if exp.sim.near_bm:
+        return partial(protocol.hahn_echo, target=Target.BOTH, shared_field=cfg.flag("sim", "shared_field"))
+    if not cfg.is_default("sim", "shared_field"):
+        raise ConfigError(f"sim.shared_field is read with sim.near_bm = true only, not by {cfg.preset} without it")
+    return protocol.deer if deer_mode else protocol.hahn_echo
 
 
 def echo_coherence_time(
@@ -443,9 +450,7 @@ def _preset_pol_transfer(cfg, exp, w):
     quiet = FluctuatorConfig(beta_rms=0.0)
     traj = sample_magnetic_trajectory(quiet, prog.total_duration, exp.sim.dt, stream_id=0)
     rho = engine.propagate(engine.initial_state(), prog, exp.params, traj, exp.sim)
-    target = np.zeros((4, 4), dtype=complex)
-    target[2, 2] = 1.0  # |0,-1/2>
-    fidelity = float(np.real(np.trace(rho @ target)))
+    fidelity = float(rho[2, 2].real)  # the population of |0,-1/2>
     w.summary({"tau_zq_s": tau_zq, "noise_free_fidelity": fidelity})
 
 
@@ -589,6 +594,7 @@ def run_preset(
     """Execute a preset, write its artifacts under ``out_dir`` and return
     the lines of its summary file below the config echo. ``out_dir`` is
     made when the first artifact is written; a config error leaves none.
+    An ``out_dir`` that is a file is a config error before any run.
 
     ``seed`` and ``trajectories`` override the config; they are written
     into a copy of ``cfg.resolved``, so the config echo records them and

@@ -184,20 +184,14 @@ def hahn_echo(
     )
 
 
-def deer(
-    tau: float,
-    at_anticrossing: bool = False,
-    shared_field: bool = False,
-) -> PulseProgram:
-    """Hahn echo on the spin-1 with a simultaneous pi pulse on the
-    partner at the midpoint, recoupling the secular dipolar interaction.
+def deer(tau: float) -> PulseProgram:
+    """Hahn echo on the spin-1 with a pi pulse on the partner at the
+    midpoint, recoupling the secular dipolar interaction.
 
     At the anti-crossing the two species share the excitation field, so
-    the midpoint collapses into one pulse on both spins and the program
-    coincides with the Hahn echo built for that regime.
+    the midpoint collapses into one pulse on both spins: build
+    ``hahn_echo(tau, Target.BOTH)`` there.
     """
-    if at_anticrossing:
-        return hahn_echo(tau, Target.BOTH, shared_field)
     return PulseProgram(
         (
             Rotation(Target.SPIN_S, Axis.X, math.pi / 2),

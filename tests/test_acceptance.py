@@ -285,7 +285,7 @@ class TestCriterion5AnticrossingProtection:
         eta_015 = t2_at(0.15e6, 0.0) / t2_far
         etas = {db: t2_at(0.75e6, db) / t2_far for db in (0.0, 2e-6, 4e-6, 8e-6)}
         peak_excess = etas[0.0] - 1.0
-        enhancement_ok = eta_015 > 1.0 and etas[0.0] > 1.0
+        enhancement_ok = all(math.isfinite(eta) and eta > 1.0 for eta in (eta_015, etas[0.0]))
 
         # protection window: half-excess crossing within a factor of two
         # of the nominal 4 uT width
@@ -302,31 +302,25 @@ class TestCriterion5AnticrossingProtection:
             prev_db, prev_ex = db, ex
         window_ok &= half_cross is not None and 1e-6 <= half_cross <= 8e-6
 
-        # echo and recoupling protocols coincide at the anti-crossing
+        # the recoupled echo coincides with the Hahn echo on both spins: the
+        # partner's pi/2 pulses act on its unpolarized initial state and
+        # after the readout, and its pi pulse commutes with the spin-1's.
+        # Noisy, near and far from the anti-crossing, on traces that move
         taus = sorted({snap(t) for t in np.geomspace(1e-6, 60e-6, 10)})
-        base = dict(
-            params=DyadParams(j_par=0.75e6, j_perp=0.75e6),
-            noise=NOISE_1UT,
-            sim=SimConfig(n_trajectories=500, dt=DT, master_seed=SEED, near_bm=True),
-            times=taus,
-        )
-        hahn_trace = run(
-            Experiment(
-                program_builder=lambda tau: hahn_echo(tau, Target.BOTH, shared_field=True),
-                label="hahn_bm",
-                **base,
+        coincide_dev, spans = 0.0, []
+        for near_bm in (True, False):
+            base = dict(
+                params=DyadParams(j_par=0.75e6, j_perp=0.75e6),
+                noise=replace(NOISE_1UT, xi=0.3),
+                sim=SimConfig(n_trajectories=50, dt=DT, master_seed=SEED, near_bm=near_bm),
+                times=taus,
             )
-        )
-        deer_trace = run(
-            Experiment(
-                program_builder=lambda tau: deer(tau, at_anticrossing=True, shared_field=True),
-                label="deer_bm",
-                **base,
-            )
-        )
-        sem = np.hypot(hahn_trace.signal_sem, deer_trace.signal_sem)
-        coincide_dev = np.abs(hahn_trace.signal_mean - deer_trace.signal_mean)
-        coincide_ok = bool(np.all(coincide_dev <= np.maximum(3.0 * sem, 1e-12)))
+            hahn_trace = run(Experiment(program_builder=lambda tau: hahn_echo(tau, Target.BOTH), **base))
+            deer_trace = run(Experiment(program_builder=deer, **base))
+            dev = np.abs(hahn_trace.signal_mean - deer_trace.signal_mean)
+            coincide_dev = max(coincide_dev, float(np.max(dev)))
+            spans += [float(np.ptp(tr.signal_mean)) for tr in (hahn_trace, deer_trace)]
+        coincide_ok = coincide_dev <= 1e-12 and min(spans) > 0.1
 
         elapsed = time.monotonic() - start
         ok = enhancement_ok and window_ok and coincide_ok and elapsed < 600
@@ -335,7 +329,7 @@ class TestCriterion5AnticrossingProtection:
             ok,
             f"eta(0) = {etas[0.0]:.1f} @ 0.75 MHz, {eta_015:.1f} @ 0.15 MHz; "
             f"half-excess at {0.0 if half_cross is None else half_cross * 1e6:.1f} uT; "
-            f"protocols coincide (max dev {float(np.max(coincide_dev)):.2e}); "
+            f"protocols coincide (max dev {coincide_dev:.2e}, min span {min(spans):.2f}); "
             f"{elapsed:.0f} s",
         )
         assert ok

@@ -170,8 +170,12 @@ class TestExitCodes:
         [
             ("xi_sweep", "variable = xi\nvalues = 0.5, 2", "sweep xi value 2 is outside [0, 1]"),
             ("field_sweep", "variable = delta_b\nvalues = 0T", "field_sweep expects sim.near_bm = true"),
+            ("xi_sweep", "variable = xi\nvalues = ,", "sweep.values has an empty entry in ','"),
+            ("electrometry", "variable = eps_rms\nvalues = ,", "sweep.values has an empty entry in ','"),
+            ("field_sweep", "variable = delta_b\nvalues = ,", "sweep.values has an empty entry in ','"),
+            ("xi_sweep", "variable = xi\nvalues = 0.1,,0.5", "sweep.values has an empty entry in '0.1,,0.5'"),
         ],
-        ids=["xi_sweep-value-outside", "field_sweep-without-near_bm"],
+        ids=["xi_sweep-value-outside", "field_sweep-without-near_bm", "xi_sweep-no-value", "electrometry-no-value", "field_sweep-no-value", "xi_sweep-blank-value"],
     )
     def test_config_error_in_the_runner_leaves_no_directory(self, tmp_path, capsys, preset, sweep, message):
         # the runner reads these after the inputs; the directory is made
@@ -201,6 +205,25 @@ class TestExitCodes:
             "error: config: sweep delta_b values 1.0001e-06 T and 1.0002e-06 T both write zq_db_+1.000uT.csv\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body,below,message",
+        [
+            (FAST_LEVELS, "", "is not a directory"),
+            (FAST_ZQ, "", "is not a directory"),
+            (FAST_LEVELS, "sub", "cannot be made: Not a directory"),
+        ],
+        ids=["levels", "zq_decay", "levels-below-a-file"],
+    )
+    def test_output_path_that_is_a_file_is_2(self, tmp_path, capsys, body, below, message):
+        # a file is refused before the run and left as it was; a path below
+        # a file is found when the directory is made, at the first write
+        path = tmp_path / "F"
+        path.write_text("kept\n")
+        out = path / below
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: config: output directory {out} {message}\n"
+        assert path.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "edit,flags,message",
@@ -388,8 +411,17 @@ class TestExitCodes:
                 "sim.shared_field is read by the echo, deer and field_sweep presets only, not by zq_decay",
             ),
             (FAST_ZQ.replace("tau_count = 9", "tau_count = 9\ndelta_temp = 3 K"), "sweep.delta_temp is read by the thermometry preset only, not by zq_decay"),
+            # far from B_m no rotation addresses both spins, so none reads the flag
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = echo").replace("seed = 3", "seed = 3\nshared_field = true"),
+                "sim.shared_field is read with sim.near_bm = true only, not by echo without it",
+            ),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = deer").replace("seed = 3", "seed = 3\nshared_field = true"),
+                "sim.shared_field is read with sim.near_bm = true only, not by deer without it",
+            ),
         ],
-        ids=["zq_decay-program", "echo-program", "zq_decay-window", "custom-window", "echo-noise_during", "zq_decay-shared_field", "zq_decay-delta_temp"],
+        ids=["zq_decay-program", "echo-program", "zq_decay-window", "custom-window", "echo-noise_during", "zq_decay-shared_field", "zq_decay-delta_temp", "echo-shared_field-far", "deer-shared_field-far"],
     )
     def test_key_the_preset_does_not_read_is_2(self, tmp_path, capsys, body, message):
         out = tmp_path / "out"

@@ -67,6 +67,31 @@ class TestEchoPresets:
         summary = (out / "echo_bm_summary.txt").read_text()
         assert "t2" in summary
 
+    @pytest.mark.parametrize("shared_field", ["false", "true"])
+    def test_deer_at_anticrossing_writes_the_echo(self, tmp_path, shared_field):
+        # near B_m one field addresses both spins, so both presets run the
+        # Hahn echo on both spins; delays up to 300 us keep 8 usable ones
+        # under the shared-field scaling
+        lines = {}
+        for preset in ("echo", "deer"):
+            sim_extra = f"near_bm = true\nshared_field = {shared_field}"
+            body = (
+                f"schema = 1\n[experiment]\npreset = {preset}\nlabel = bm\n"
+                + COMMON.format(j=150, traj=8, sim_extra=sim_extra, plot="false")
+                + "\n[sweep]\ntau_start = 0.5 us\ntau_stop = 300 us\ntau_count = 10\n"
+            )
+            (tmp_path / preset).mkdir()
+            code, out = run_cfg(tmp_path / preset, body)
+            assert code == EXIT_OK
+            lines[preset] = {
+                name: [l for l in (out / name).read_text().splitlines() if not l.startswith("#")]
+                for name in ("bm.csv", "bm_envelope.csv", "bm_summary.txt")
+            }
+        echo, deer = lines["echo"].pop("bm_summary.txt"), lines["deer"].pop("bm_summary.txt")
+        assert lines["echo"] == lines["deer"]
+        assert (echo[0], deer[0]) == ("protocol = hahn_echo", "protocol = deer")
+        assert echo[1:] == deer[1:]
+
     def test_field_sweep(self, tmp_path):
         body = (
             "[experiment]\npreset = field_sweep\nlabel = fs\n"

@@ -350,11 +350,6 @@ class TestPresetShapes:
         assert len(partner) == 1
         assert partner[0].angle == pytest.approx(math.pi)
 
-    def test_deer_at_anticrossing_matches_hahn(self):
-        assert deer(3e-6, at_anticrossing=True, shared_field=True) == hahn_echo(
-            3e-6, Target.BOTH, shared_field=True
-        )
-
     def test_uncoupled_deer_equals_hahn_response(self):
         ops = reduced_operators()
         params = DyadParams(j_par=0.0, j_perp=0.0)

@@ -13,14 +13,17 @@ runs, from the checkout this script is in:
 * ``smoke``: ``perfbench/run.py --smoke`` in a copy of ``src``,
   ``perfbench``, ``configs`` and ``BENCHMARK.json`` under ``OUT/bench``
   (the harness writes its records next to itself); it passes when it
-  reports correct with no failed call.
+  reports correct with no failed call;
+* ``harness``: the harness's own tests, ``python -m pytest -q
+  perfbench/test_smoke.py``, in that same ``OUT/bench`` copy; it passes
+  when pytest exits 0.
 
 Each step's output goes to ``OUT/<step>.log``; pytest's temporary
 directories, the Hypothesis example database and the smoke copy's
 bytecode go under ``OUT`` too, and the other steps cache no bytecode, so
 nothing is written anywhere else. One line per step
-gives its exit code, its seconds and what it found (for Tier-1 the
-pytest summary); the last line is ``premerge: ok``, or ``premerge:
+gives its exit code, its seconds and what it found (for the pytest
+steps the pytest summary); the last line is ``premerge: ok``, or ``premerge:
 failed:`` and the failed steps, with exit code 1.
 """
 
@@ -60,14 +63,20 @@ def byte_matrix(rev: str, out: Path, env: dict) -> tuple[int, float, str, bool]:
     return code, seconds, note, code == 0 and same and bool(exits) and not bad
 
 
-def tier1(out: Path, env: dict) -> tuple[int, float, str, bool]:
-    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p))
-    env["HYPOTHESIS_STORAGE_DIRECTORY"] = str(out / "hypothesis")
-    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
-    cmd += ["-p", "no:cacheprovider", "--basetemp", str(out / "pytest")]
-    code, seconds, text = _run(cmd, out / "tier-1.log", ROOT, env)
+def _pytest(args: list[str], name: str, out: Path, cwd: Path, env: dict) -> tuple[int, float, str, bool]:
+    """Run pytest with ``args``, caching nothing and its temporary
+    directories under ``OUT/<name>-pytest``; passes when pytest exits 0."""
+    env = dict(env, HYPOTHESIS_STORAGE_DIRECTORY=str(out / "hypothesis"))
+    cmd = [sys.executable, "-m", "pytest", "-q", *args]
+    cmd += ["-p", "no:cacheprovider", "--basetemp", str(out / f"{name}-pytest")]
+    code, seconds, text = _run(cmd, out / f"{name}.log", cwd, env)
     summary = [line.strip("= ") for line in text.splitlines() if re.search(r"\d+ (passed|failed|error)", line)]
     return code, seconds, summary[-1] if summary else "no pytest summary", code == 0
+
+
+def tier1(out: Path, env: dict) -> tuple[int, float, str, bool]:
+    env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p))
+    return _pytest(["--continue-on-collection-errors"], "tier-1", out, ROOT, env)
 
 
 def smoke(out: Path, env: dict) -> tuple[int, float, str, bool]:
@@ -101,6 +110,7 @@ def main(argv=None) -> int:
         ("byte_matrix", lambda: byte_matrix(args.rev, out, env)),
         ("tier-1", lambda: tier1(out, env)),
         ("smoke", lambda: smoke(out, env)),
+        ("harness", lambda: _pytest(["perfbench/test_smoke.py"], "harness", out, out / "bench", env)),
     ):
         code, seconds, note, ok = step()
         print(f"{name}: exit {code}, {seconds:.1f} s, {note}", flush=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.median imports it on first call; load it with the package
@@ -39,6 +39,7 @@ __all__ = [
     "fit_envelope_decay",
     "coherence_time",
     "enhancement_ratio",
+    "first_crossing",
     "slope_frequency",
     "temperature_shift",
 ]
@@ -119,20 +120,27 @@ def _linear_subfit(
     return offset, amp, float(np.sum(w * resid * resid))
 
 
-def _initial_t2(t: NDArray, y: NDArray) -> float:
-    """First crossing of the 1/e level of a decay normalized from one
-    toward zero, by linear interpolation."""
-    level = 1.0 / math.e
-    below = np.flatnonzero(y <= level)
+def first_crossing(x: Sequence[float], y: Sequence[float], level: float) -> Optional[float]:
+    """The x at which ``y`` first falls to ``level`` or below after its
+    first point, by linear interpolation from the point before; the
+    crossing point's own x when the point before holds the same value or is
+    infinite, and None when nothing crosses."""
+    below = np.flatnonzero(np.asarray(y) <= level)
     below = below[below > 0]
     if below.size == 0:
-        return float(t[-1])
+        return None
     k = int(below[0])
     y0, y1 = y[k - 1], y[k]
-    if y1 == y0:
-        return float(t[k])
-    frac = (level - y0) / (y1 - y0)
-    return float(t[k - 1] + frac * (t[k] - t[k - 1]))
+    if y1 == y0 or math.isinf(y0):
+        return float(x[k])
+    return float(x[k - 1] + (level - y0) / (y1 - y0) * (x[k] - x[k - 1]))
+
+
+def _initial_t2(t: NDArray, y: NDArray) -> float:
+    """First crossing of the 1/e level of a decay normalized from one
+    toward zero, or the last time when it does not cross."""
+    cross = first_crossing(t, y, 1.0 / math.e)
+    return float(t[-1]) if cross is None else cross
 
 
 def _prepare(

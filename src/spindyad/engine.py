@@ -248,18 +248,6 @@ def _delay_steps(elem: Delay, dt: float) -> int:
     return n
 
 
-def _noisy_spans(walks: Sequence[_Walk]) -> tuple[list[tuple[int, int]], int]:
-    """Sorted (first step, end step) of every nonempty noisy delay, and the
-    length in steps of the longest program, from the walks' step rows."""
-    spans = set()
-    longest = 0
-    for walk in walks:
-        noisy = np.array([e.noisy for e in walk.elements if isinstance(e, Delay)], dtype=bool)
-        spans.update(map(tuple, walk.steps[:, noisy].reshape(-1, 2).tolist()))
-        longest = max(longest, int(walk.steps.max(initial=0)))
-    return sorted(spans), longest
-
-
 def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) -> tuple:
     """The constant-noise segments of one path over the noisy spans
     [k0, k1), span by span: per-segment Tz / Pz coefficients (rad/s) and
@@ -386,32 +374,38 @@ class _Walk:
     index: NDArray
 
 
-def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> list[_Walk]:
+def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> tuple[list[_Walk], list[tuple[int, int]], int]:
     """The programs grouped by skeleton, in walks of about ``_WALK_STATES``
-    states over ``n`` trajectories. A zero-step delay leaves every state as
-    it is, so no skeleton holds one. Every delay is checked to lie on the
-    dt grid, so every program does."""
-    groups: dict = {}  # skeleton -> (first program, [(program index, its delays' steps)])
+    states over ``n`` trajectories; the sorted (first step, end step) of
+    every noisy delay; and the longest program, in steps. A zero-step delay
+    leaves every state as it is, so no skeleton holds one. Every delay is
+    checked to lie on the dt grid, so every program does."""
+    groups: dict = {}  # skeleton -> (its elements, [(program index, its delays' steps)])
+    spans, longest = set(), 0
     for k, prog in enumerate(programs):
-        skeleton, lengths = [], []
+        elements, lengths, step = [], [], 0  # step: where the next delay starts
         for e in prog.elements:
-            if not isinstance(e, Delay):
-                skeleton.append(e)
-            elif m := _delay_steps(e, dt):
-                skeleton.append((Delay, e.noisy))
+            if isinstance(e, Delay):
+                if not (m := _delay_steps(e, dt)):
+                    continue
+                if e.noisy:
+                    spans.add((step, step + m))
                 lengths.append(m)
-        groups.setdefault(tuple(skeleton), (prog, []))[1].append((k, lengths))
+                step += m
+            elements.append(e)
+        skeleton = tuple((Delay, e.noisy) if isinstance(e, Delay) else e for e in elements)
+        groups.setdefault(skeleton, (tuple(elements), []))[1].append((k, lengths))
+        longest = max(longest, step)
     size = max(1, _WALK_STATES // n)
     walks = []
-    for first, members in groups.values():
-        elements = tuple(e for e in first.elements if not isinstance(e, Delay) or _delay_steps(e, dt))
+    for elements, members in groups.values():
         for i in range(0, len(members), size):
             index, rows = zip(*members[i : i + size])
             n_steps = np.array(rows, dtype=int).reshape(len(index), -1)
             end = n_steps.cumsum(axis=1)
             steps = np.stack((end - n_steps, end), axis=-1)
             walks.append(_Walk(elements, steps, np.array(index)))
-    return walks
+    return walks, sorted(spans), longest
 
 
 def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDArray:
@@ -490,8 +484,7 @@ def propagate(
             raise SimulationError(f"noise path dt = {traj.dt:.6g} s, but sim.dt = {sim.dt:.6g} s")
         if validate:
             assert_density_matrix(rho0)
-        (program,) = _walks([program], traj.dt, 1)
-        spans, need = _noisy_spans([program])
+        (program,), spans, need = _walks([program], traj.dt, 1)
         if need > traj.n_steps:
             raise SimulationError(
                 f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {need})"
@@ -545,7 +538,6 @@ class Experiment:
     sim: SimConfig
     program_builder: Optional[Callable[[float], PulseProgram]] = None
     times: Sequence[float] = ()
-    rho0: Optional[NDArray] = None
     delta_temp: float = 0.0
     label: str = ""
     draws: NoiseDraws = field(default_factory=NoiseDraws, compare=False, repr=False)
@@ -559,7 +551,8 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     """The sweep times and the readout of every trajectory at each of them,
     shaped (times, trajectories).
 
-    The initial state is checked once, before any noise is sampled.
+    Every run starts from :func:`initial_state`, checked once, before any
+    noise is sampled.
     Trajectory i's noise path is rendered from stream (master seed, i) of
     ``exp.draws``, reduced at once to what the programs' noisy delays read
     of it, and dropped; a field with zero amplitude is not sampled. The
@@ -573,11 +566,10 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     programs = [exp.program_builder(float(t)) for t in times]
     dt = exp.sim.dt
     n_traj = exp.sim.n_trajectories
-    walks = _walks(programs, dt, n_traj)
-    spans, max_steps = _noisy_spans(walks)
+    walks, spans, max_steps = _walks(programs, dt, n_traj)
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
     _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise))
-    rho0 = initial_state() if exp.rho0 is None else exp.rho0
+    rho0 = initial_state()
     noise, duration = exp.noise, max_steps * dt
     draws, seed = exp.draws, exp.sim.master_seed
 

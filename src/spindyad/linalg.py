@@ -126,7 +126,6 @@ class ReducedOperators:
     tilde_z: NDArray
     tilde_plus: NDArray
     tilde_minus: NDArray
-    prime_x: NDArray
     prime_y: NDArray
     prime_z: NDArray
     prime_plus: NDArray
@@ -167,7 +166,6 @@ def reduced_operators() -> ReducedOperators:
         tilde_z=_frozen(tz),
         tilde_plus=_frozen(til(s.plus)),
         tilde_minus=_frozen(til(s.minus)),
-        prime_x=_frozen(px),
         prime_y=_frozen(py),
         prime_z=_frozen(pz),
         prime_plus=_frozen(pri(s.plus)),

@@ -90,8 +90,6 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
             ),
             label=label,
         )
-    except ConfigError:
-        raise
     except ValueError as exc:  # SimConfig names two fields unlike their config keys
         msg = str(exc)
         name = msg.split(" ", 1)[0]
@@ -114,6 +112,7 @@ class _Writer:
     the summary's lines below the echo. The output directory is made when
     the first file is written, so a run that fails first leaves none; a
     file in its place is refused when the writer is made, before any run.
+    A directory or file that cannot be made or written is a config error.
     """
 
     def __init__(self, cfg: ExperimentConfig, out: Path, label: str, plot: bool):
@@ -125,16 +124,21 @@ class _Writer:
         self.echo = "".join(f"# config {k} = {cfg.resolved[k]}\n" for k in sorted(cfg.resolved))
         self.summary_text = ""
 
-    def _path(self, suffix: str) -> Path:
+    @contextmanager
+    def _path(self, suffix: str) -> Iterator[Path]:
         try:
             self.out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"output directory {self.out} cannot be made: {exc.strerror}") from exc
-        return self.out / f"{self.label}{suffix}"
+        path = self.out / f"{self.label}{suffix}"
+        try:
+            yield path
+        except OSError as exc:
+            raise ConfigError(f"output file {path} cannot be written: {exc.strerror}") from exc
 
     @contextmanager
     def _open(self, suffix: str) -> Iterator[IO[str]]:
-        with self._path(suffix).open("w") as fh:
+        with self._path(suffix) as path, path.open("w") as fh:
             fh.write(self.echo)
             yield fh
 
@@ -162,7 +166,8 @@ class _Writer:
     def plot(self, xs, series, title: str, xlabel: str, ylabel: str) -> None:
         """``<label>.svg``, unless plots are switched off."""
         if self.plots:
-            svg.line_plot(self._path(".svg"), xs, series, title=title, xlabel=xlabel, ylabel=ylabel)
+            with self._path(".svg") as path:
+                svg.line_plot(path, xs, series, title=title, xlabel=xlabel, ylabel=ylabel)
 
     def plot_signal(self, trace: TimeTrace, xlabel: str, time_factor: float = 1.0) -> None:
         """The readout signal against time_factor * the trace's times, in us."""
@@ -321,18 +326,8 @@ def half_excess_detuning(values: list[float], etas: list[float]) -> float:
         raise ValueError("peak enhancement unresolved; extend the delay range")
     if peak <= 0:
         raise ValueError("no enhancement at zero detuning")
-    half = peak / 2.0
-    prev_b, prev_e = pairs[0]
-    for b, e in pairs[1:]:
-        ex = e - 1.0
-        if ex <= half:
-            prev_ex = prev_e - 1.0
-            if prev_ex == ex or math.isinf(prev_ex):
-                return b
-            frac = (prev_ex - half) / (prev_ex - ex)
-            return prev_b + frac * (b - prev_b)
-        prev_b, prev_e = b, e
-    return math.inf
+    cross = analysis.first_crossing([b for b, _ in pairs], [e - 1.0 for _, e in pairs], peak / 2.0)
+    return math.inf if cross is None else cross
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +575,8 @@ _READERS = {
     "sweep.delta_temp": ("thermometry",),
     "sim.noise_during": ("zq_decay", "xi_sweep", "electrometry", "thermometry"),
     "sim.shared_field": ("echo", "deer", "field_sweep"),
+    **{f"sweep.tau_{k}": ("echo", "deer", "field_sweep", "zq_decay", "xi_sweep", "electrometry")
+       for k in ("start", "stop", "count", "spacing")},
 }
 
 
@@ -610,9 +607,11 @@ def run_preset(
             raise ConfigError(f"{cfg.preset} preset needs sweep.variable = {preset.variable}")
         swept = preset.variable or "no variable"
         raise ConfigError(f"{cfg.preset} preset sweeps {swept}, not sweep.variable = {variable}")
-    axis = any(cfg.has("sweep", k) for k in ("values", "start", "stop"))
-    if not variable and (axis or cfg.integer("sweep", "count")):
+    ranged = cfg.has("sweep", "start") or cfg.has("sweep", "stop") or cfg.integer("sweep", "count")
+    if not variable and (ranged or cfg.has("sweep", "values")):
         raise ConfigError("sweep.values, start, stop and count need sweep.variable")
+    if not ranged and not cfg.is_default("sweep", "spacing"):
+        raise ConfigError("sweep.spacing is read with sweep.start, stop and count only")
     for key, readers in _READERS.items():
         if cfg.preset not in readers and not cfg.is_default(*key.split(".")):
             *others, last = readers

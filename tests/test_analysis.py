@@ -18,6 +18,7 @@ from spindyad.analysis import (
     coherence_time,
     enhancement_ratio,
     fit_envelope_decay,
+    first_crossing,
     fit_stretched_exponential,
     slope_frequency,
     temperature_shift,
@@ -208,6 +209,30 @@ class TestEnhancementRatio:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             enhancement_ratio(0.0, 1e-5)
+
+
+class TestFirstCrossing:
+    def test_interpolated_crossing(self):
+        # 0.5 lies a quarter of the way from 0.7 down to -0.1
+        assert first_crossing([1.0, 2.0, 3.0, 4.0], [0.9, 0.7, -0.1, 0.0], 0.5) == 2.25
+
+    def test_equal_neighbours_give_the_crossing_point(self):
+        assert first_crossing([1.0, 2.0, 3.0], [1.0, 0.4, 0.4], 0.4) == 2.0
+        assert first_crossing([1.0, 2.0, 3.0], [1.0, 0.5, 0.5], 0.5) == 2.0
+
+    def test_infinite_previous_point_gives_the_crossing_point(self):
+        assert first_crossing([0.0, 1.0, 2.0], [3.0, math.inf, 0.5], 1.0) == 2.0
+
+    def test_first_point_below_the_level_is_ignored(self):
+        assert first_crossing([0.0, 1.0, 2.0, 3.0], [0.1, 0.8, 0.6, 0.2], 0.4) == 2.5
+
+    def test_no_crossing_is_none(self):
+        assert first_crossing([0.0, 1.0, 2.0], [0.1, 0.8, 0.6], 0.4) is None
+        assert first_crossing([0.0], [0.0], 0.4) is None
+
+    def test_initial_t2_without_a_crossing_is_the_last_time(self):
+        t = np.linspace(0.1, 1.0, 10)
+        assert analysis._initial_t2(t, np.linspace(1.0, 0.5, 10)) == 1.0
 
 
 class TestSlopeFrequency:

@@ -60,6 +60,9 @@ tau_spacing = log
 plot = false
 """
 
+# the tau axis of FAST_ZQ, read only by the presets that sweep tau
+FAST_ZQ_TAU = "tau_start = 1 us\ntau_stop = 40 us\ntau_count = 9\ntau_spacing = log\n"
+
 FAST_POL = """
 schema = 1
 
@@ -225,6 +228,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"error: config: output directory {out} {message}\n"
         assert path.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("suffix,written", [(".csv", []), (".svg", ["levels.csv"])], ids=["csv", "svg"])
+    def test_artifact_path_that_is_a_directory_is_2(self, tmp_path, capsys, suffix, written):
+        # the files before the one that cannot be written are kept
+        out = tmp_path / "out"
+        (out / f"levels{suffix}").mkdir(parents=True)
+        assert main(["--config", write(tmp_path, FAST_LEVELS), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config: output file {out / f'levels{suffix}'} cannot be written: Is a directory\n"
+        assert sorted(p.name for p in out.iterdir() if p.is_file()) == written
+
     @pytest.mark.parametrize(
         "edit,flags,message",
         [
@@ -315,9 +328,9 @@ class TestExitCodes:
                 "",
             ),
             (
-                FAST_ZQ.replace("preset = zq_decay", "preset = thermometry").replace(
-                    "j_perp = 50 kHz", "j_perp = 50 kHz\nddelta_dt = 0 Hz"
-                ),
+                FAST_ZQ.replace("preset = zq_decay", "preset = thermometry")
+                .replace("j_perp = 50 kHz", "j_perp = 50 kHz\nddelta_dt = 0 Hz")
+                .replace(FAST_ZQ_TAU, ""),
                 "",
             ),
             (
@@ -379,8 +392,21 @@ class TestExitCodes:
             ("zq_decay", "variable = theta\nvalues = 1", "zq_decay preset sweeps no variable, not sweep.variable = theta"),
             ("thermometry", "variable = tau_tilde\nvalues = 1 us", "thermometry preset sweeps no variable, not sweep.variable = tau_tilde"),
             ("zq_decay", "values = 0.1, 0.5", "sweep.values, start, stop and count need sweep.variable"),
+            # spacing spaces only a start/stop/count axis
+            ("xi_sweep", "variable = xi\nvalues = 0.1, 0.5\nspacing = log", "sweep.spacing is read with sweep.start, stop and count only"),
+            ("zq_decay", "spacing = log", "sweep.spacing is read with sweep.start, stop and count only"),
         ],
-        ids=["echo", "zq_decay", "zq_decay-tau_tilde", "seed", "theta", "thermometry", "values-without-variable"],
+        ids=[
+            "echo",
+            "zq_decay",
+            "zq_decay-tau_tilde",
+            "seed",
+            "theta",
+            "thermometry",
+            "values-without-variable",
+            "xi_sweep-values-spacing",
+            "zq_decay-spacing",
+        ],
     )
     def test_sweep_variable_the_preset_does_not_read_is_2(self, tmp_path, capsys, preset, sweep, message):
         body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
@@ -420,8 +446,29 @@ class TestExitCodes:
                 FAST_ZQ.replace("preset = zq_decay", "preset = deer").replace("seed = 3", "seed = 3\nshared_field = true"),
                 "sim.shared_field is read with sim.near_bm = true only, not by deer without it",
             ),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = thermometry")
+                .replace(FAST_ZQ_TAU, "tau_stop = 100 us\ntau_spacing = log\n"),
+                "sweep.tau_stop is read by the echo, deer, field_sweep, zq_decay, xi_sweep and electrometry presets only, not by thermometry",
+            ),
+            (
+                FAST_POL.replace("[output]", "[sweep]\ntau_count = 50\n\n[output]"),
+                "sweep.tau_count is read by the echo, deer, field_sweep, zq_decay, xi_sweep and electrometry presets only, not by pol_transfer",
+            ),
         ],
-        ids=["zq_decay-program", "echo-program", "zq_decay-window", "custom-window", "echo-noise_during", "zq_decay-shared_field", "zq_decay-delta_temp", "echo-shared_field-far", "deer-shared_field-far"],
+        ids=[
+            "zq_decay-program",
+            "echo-program",
+            "zq_decay-window",
+            "custom-window",
+            "echo-noise_during",
+            "zq_decay-shared_field",
+            "zq_decay-delta_temp",
+            "echo-shared_field-far",
+            "deer-shared_field-far",
+            "thermometry-tau",
+            "pol_transfer-tau",
+        ],
     )
     def test_key_the_preset_does_not_read_is_2(self, tmp_path, capsys, body, message):
         out = tmp_path / "out"
@@ -570,7 +617,7 @@ class TestArtifacts:
         body, label = {
             "levels": (FAST_LEVELS, "levels"),
             "pol_transfer": (FAST_POL, "pol"),
-            "thermometry": (FAST_ZQ.replace("preset = zq_decay", "preset = thermometry"), "zq"),
+            "thermometry": (FAST_ZQ.replace("preset = zq_decay", "preset = thermometry").replace(FAST_ZQ_TAU, ""), "zq"),
             "custom": (FAST_CUSTOM.format(program=program), "custom"),
         }[preset]
         out = tmp_path / "out"

@@ -255,8 +255,7 @@ class TestRun:
         sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
         prog = PulseProgram((Delay(100 * DT),))
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
-        (walk,) = walks = engine._walks([prog], DT, 5)
-        spans, n_steps = engine._noisy_spans(walks)
+        (walk,), spans, n_steps = engine._walks([prog], DT, 5)
         assert (spans, n_steps) == ([(0, 100)], 100)
         batch = engine._reduce([(None, None, None)] * 5, 5, DT, spans, coeffs)
         assert list(batch.spans) == [(0, 100)]
@@ -275,9 +274,8 @@ class TestRun:
         # an identity one, so only an untouched state keeps it
         sim = SimConfig(n_trajectories=2, dt=DT, near_bm=near_bm)
         programs = [PulseProgram((Delay(n * DT, noisy=noisy),)) for n in (0, 7, 0)]
-        walks = engine._walks(programs, DT, 2)
+        walks, spans, _ = engine._walks(programs, DT, 2)
         assert [w.index.tolist() for w in walks] == [[0, 2], [1]]
-        spans, _ = engine._noisy_spans(walks)
         coeffs = model.frame_coefficients(PARAMS, sim.delta_b, near_bm, 0.0)
         batch = engine._reduce([(None, None, None)] * 2, 2, DT, spans, coeffs)
         rho0 = initial_state().astype(complex)
@@ -297,8 +295,9 @@ class TestRun:
         monkeypatch.setattr(engine, "sample_electric_trajectory", no_sampling)
         rho0 = initial_state().astype(complex)
         rho0[0, 1] = 0.1j  # not Hermitian
+        monkeypatch.setattr(engine, "initial_state", lambda: rho0)
         with pytest.raises(SimulationError, match="density matrix not Hermitian"):
-            run(self._experiment(n_traj=3, rho0=rho0))
+            run(self._experiment(n_traj=3))
 
     def test_dq_work_does_not_grow_with_trajectories_and_spans(self, monkeypatch):
         counts = {}
@@ -576,7 +575,6 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
         sim=SimConfig(n_trajectories=n_traj, dt=DT, near_bm=near_bm, delta_b=delta_b),
         program_builder=lambda t: programs[int(t)],
         times=[float(k) for k in range(len(programs))],
-        rho0=rho0,
         delta_temp=delta_temp,
     )
     states, walks = {}, []
@@ -598,6 +596,7 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
     with mock.patch.multiple(
         engine,
         _WALK_STATES=cap,
+        initial_state=lambda: rho0,
         propagate=recording,
         sample_magnetic_trajectory=magnetic_path,
         sample_electric_trajectory=electric_path,

@@ -400,6 +400,20 @@ class TestRunPreset:
         assert f"# config sim.trajectories = {before['sim.trajectories']}\n" in echo
 
 
+    def test_config_defaults_are_the_library_defaults(self, tmp_path):
+        # the defaults are written twice, as class fields and as schema text
+        from spindyad.config import parse_config
+        from spindyad.engine import SimConfig
+        from spindyad.model import DyadParams
+        from spindyad.noise import FluctuatorConfig
+        from spindyad.presets import _experiment
+
+        path = tmp_path / "bare.cfg"
+        path.write_text("[experiment]\npreset = zq_decay\n")
+        exp = _experiment(parse_config(path), "bare")
+        assert (exp.params, exp.noise, exp.sim) == (DyadParams(), FluctuatorConfig(), SimConfig())
+
+
 class TestHalfExcessDetuning:
     def test_interpolated_crossing(self):
         db = [0.0, 2e-6, 4e-6, 8e-6]

@@ -21,15 +21,16 @@ Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
 
 :func:`run` checks the initial state once, then samples one trajectory's
-noise path at a time, to the end of the run's longest program, reduces it
-to what it gives each noisy delay (field sums, or near the anti-crossing
-constant-noise segments), and drops the path; every noisy delay reads one
-table keyed by its (first step, end step) span. Near the anti-crossing
-the noisy-delay propagators of the whole run are built in one pass (a
-large run in chunks of paths): every segment of every path and delay is
-exponentiated at once, and each delay's ordered product is formed in
-lockstep over the segment index, one stacked matmul per index over the
-delays still open.
+noise at a time, to the end of the run's longest program, reduces it to
+what it gives each noisy delay, and drops it: the field sums of a dense
+path, or near the anti-crossing the constant-noise segments, read from
+each field's redraw steps and values with no dense path rendered. Every
+noisy delay reads one table keyed by its (first step, end step) span.
+Near the anti-crossing the noisy-delay propagators of the whole run are
+built in one pass (a large run in chunks of paths): every segment of
+every path and delay is exponentiated at once, and each delay's ordered
+product is formed in lockstep over the segment index, one stacked matmul
+per index over the delays still open.
 
 The programs of a run are then grouped by skeleton (element kinds,
 rotations and noisy flags; a zero-step delay changes no state and is
@@ -38,11 +39,13 @@ left out), and :func:`propagate` walks each group once over the
 ``_WALK_STATES`` states. A walk holds each of its programs' (first step,
 end step) rows, one per nonempty delay; its noise-free double-quantum
 delays are exponentiated in one call. Each state evolves exactly as it
-would alone, so the stack changes no bit. :func:`propagate` also takes
-one program and one noise path, checks the path's length, and gives the
-final 4x4 state.
+would alone, so the stack changes no bit. :func:`sweep` builds the
+programs and their walks once for all its runs: no variable it sweeps
+changes a program. :func:`propagate` also takes one program and one
+dense noise path, checks the path's length, and gives the final 4x4
+state.
 
-Noise draws: every path is rendered from the ``Experiment.draws`` store.
+Noise draws: every path is read from the ``Experiment.draws`` store.
 Each experiment makes its own, and every experiment derived from it with
 :func:`dataclasses.replace` shares it, so the runs of a preset or a
 :func:`sweep` draw each stream once. This module keeps no draw between
@@ -51,7 +54,7 @@ calls.
 Determinism: per-trajectory noise streams are keyed by the master seed
 and the trajectory index, and the stack and the mean/standard-error
 reduction keep that order, so results are a pure function of the master
-seed; a render from a store has the bits of a fresh draw.
+seed; what a store gives has the bits of a fresh draw.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ from .noise import (
     FluctuatorConfig,
     NoiseDraws,
     NoiseTrajectory,
+    held_fields,
     partition,
     sample_electric_trajectory,
     sample_magnetic_trajectory,
@@ -233,8 +237,9 @@ _Z_TILDE, _Z_PRIME, _Z_ZZ = (
 )
 
 # The three fields of one noise path that the engine reads (beta_s,
-# beta_s', eps_z): per-step arrays, or None for a field that is zero.
-_Fields = tuple[Optional[NDArray], Optional[NDArray], Optional[NDArray]]
+# beta_s', eps_z), None for a field that is zero: per-step arrays, or near
+# the anti-crossing (steps, values) pairs (:func:`noise.held_fields`).
+_Fields = tuple[Optional[NDArray | tuple], ...]
 
 
 def _dagger(u: NDArray) -> NDArray:
@@ -248,16 +253,26 @@ def _delay_steps(elem: Delay, dt: float) -> int:
     return n
 
 
+def _pairs(path: tuple) -> _Fields:
+    """A dense path's fields as the (steps, values) pairs the
+    double-quantum reduction reads: the steps where each field changes
+    value (step 0 always), found with one ``np.diff`` scan per field."""
+
+    def pair(x: NDArray) -> tuple:
+        steps = np.flatnonzero(np.diff(x, prepend=np.nan) != 0)
+        return steps, x[steps]
+
+    return tuple(None if x is None else pair(x) for x in path)
+
+
 def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) -> tuple:
-    """The constant-noise segments of one path over the noisy spans
-    [k0, k1), span by span: per-segment Tz / Pz coefficients (rad/s) and
-    lengths (steps), and each span's segment count."""
-    end = int(k1.max())
-    change = np.zeros(end - 1, dtype=bool)
-    for x in path:
-        if x is not None:
-            change |= np.diff(x[:end]) != 0
-    points = np.flatnonzero(change) + 1  # steps on which a new value starts
+    """The constant-noise segments of one path of (steps, values) pairs
+    over the noisy spans [k0, k1), span by span: per-segment Tz / Pz
+    coefficients (rad/s) and lengths (steps), and each span's segment
+    count. A segment starts at every step after 0 where a live field is
+    redrawn, and reads each field's value at its start."""
+    steps = [f[0][1:] for f in path if f is not None]
+    points = np.unique(np.concatenate(steps)) if steps else np.zeros(0, dtype=int)
     lo = np.searchsorted(points, k0, side="right")
     counts = np.searchsorted(points, k1, side="left") - lo + 1
     first = np.cumsum(counts) - counts  # each span's first segment
@@ -268,11 +283,12 @@ def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) 
     ends = np.append(starts[1:], 0)
     ends[first + counts - 1] = k1
     beta, beta_p, eps_z = path
+    at = lambda f: f[1][np.searchsorted(f[0], starts, side="right") - 1]
     zero = np.zeros(starts.size)
-    a = c.a0 + c.k_beta * (zero if beta is None else beta[starts])
+    a = c.a0 + c.k_beta * (zero if beta is None else at(beta))
     if eps_z is not None:
-        a = a + c.k_eps * eps_z[starts]
-    b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p[starts])
+        a = a + c.k_eps * at(eps_z)
+    b = c.b0 + c.k_beta * (zero if beta_p is None else at(beta_p))
     return a, b, ends - starts, counts
 
 
@@ -305,7 +321,8 @@ class _NoiseBatch:
     ``spans[(k0, k1)]`` holds it for the delay from step k0 to k1: each
     path's field sums (beta_s, beta_s', eps_z) as an (n, 3) array or, with
     the double-quantum block active, each path's propagator as an (n, 4, 4)
-    stack built under ``coeffs`` (:func:`_dq_blocks`, in chunks of about
+    stack built under ``coeffs`` from the paths' (steps, values) pairs
+    (:func:`_dq_segments` and :func:`_dq_blocks`, in chunks of about
     ``_SEGMENT_CHUNK`` segments); every path covered every span. The
     initial state is not part of the batch; :func:`run` checks it once.
     """
@@ -341,23 +358,24 @@ def _reduce(
     c: FrameCoefficients,
 ) -> _NoiseBatch:
     """Reduce ``n`` noise paths, one at a time, to the span table of the
-    noisy delays ``spans``; every path must reach the last span's end."""
-    dq = c.g != 0.0 and bool(spans)
+    noisy delays ``spans``; every path must reach the last span's end. Its
+    fields are dense arrays, or (steps, values) pairs when ``c.g != 0``."""
+    dq = c.g != 0.0
     k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
     table = np.zeros((len(spans), n) + ((4, 4) if dq else (3,)), dtype=complex if dq else float)
     pending, held, done = [], 0, 0
     for i, path in enumerate(paths):
-        if dq:
+        if not dq:
+            for q, x in enumerate(path):
+                if x is not None:
+                    table[:, i, q] = _span_sums(x, k0, k1)
+        elif spans:
             pending.append(_dq_segments(path, k0, k1, c))
             held += pending[-1][0].size
             if held >= _SEGMENT_CHUNK or i + 1 == n:
                 table[:, done : i + 1] = _dq_blocks(pending, c, dt).swapaxes(0, 1)
                 pending, held, done = [], 0, i + 1
-        else:
-            for q, x in enumerate(path):
-                if x is not None:
-                    table[:, i, q] = _span_sums(x, k0, k1)
-        del path  # no dense path outlives its reduction
+        del path  # no path outlives its reduction
     return _NoiseBatch(n, dt, c, dict(zip(spans, table)))
 
 
@@ -489,7 +507,8 @@ def propagate(
             raise SimulationError(
                 f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {need})"
             )
-        batch = _reduce([(traj.beta_s, traj.beta_s_prime, traj.eps_z)], 1, traj.dt, spans, coeffs)
+        path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
+        batch = _reduce([_pairs(path) if coeffs.g != 0.0 else path], 1, traj.dt, spans, coeffs)
     else:
         batch = traj
         if batch.coeffs != coeffs:
@@ -547,26 +566,34 @@ class Experiment:
         return model.thermal_shift(self.delta_temp, self.params)
 
 
-def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
-    """The sweep times and the readout of every trajectory at each of them,
-    shaped (times, trajectories).
-
-    Every run starts from :func:`initial_state`, checked once, before any
-    noise is sampled.
-    Trajectory i's noise path is rendered from stream (master seed, i) of
-    ``exp.draws``, reduced at once to what the programs' noisy delays read
-    of it, and dropped; a field with zero amplitude is not sampled. The
-    programs are then grouped by skeleton, and each group is walked once
-    (in walks of about ``_WALK_STATES`` states) over the stack of its
-    programs and all trajectories, with one :func:`propagate` call per walk.
-    """
+def _layout(exp: Experiment) -> tuple:
+    """The sweep times of ``exp`` and :func:`_walks` of its programs at
+    them; only the builder, times, dt and trajectory count set it."""
     times = np.asarray(list(exp.times), dtype=float)
     if times.size == 0:
         raise ValueError("experiment has no sweep times")
     programs = [exp.program_builder(float(t)) for t in times]
+    return times, *_walks(programs, exp.sim.dt, exp.sim.n_trajectories)
+
+
+def _signals(exp: Experiment, layout: Optional[tuple] = None) -> tuple[NDArray, NDArray]:
+    """The sweep times and the readout of every trajectory at each of them,
+    shaped (times, trajectories), over ``layout`` (:func:`_layout`).
+
+    Every run starts from :func:`initial_state`, checked once, before any
+    noise is sampled.
+    Trajectory i's noise is read from stream (master seed, i) of
+    ``exp.draws``, reduced at once to what the programs' noisy delays read
+    of it, and dropped; a field with zero amplitude is not sampled, and
+    with the double-quantum block active none is rendered: it is read as
+    (steps, values) pairs. The programs are grouped by skeleton, and each
+    group is walked once (in walks of about ``_WALK_STATES`` states) over
+    the stack of its programs and all trajectories, with one
+    :func:`propagate` call per walk.
+    """
+    times, walks, spans, max_steps = _layout(exp) if layout is None else layout
     dt = exp.sim.dt
     n_traj = exp.sim.n_trajectories
-    walks, spans, max_steps = _walks(programs, dt, n_traj)
     coeffs = model.frame_coefficients(exp.params, exp.sim.delta_b, exp.sim.near_bm, exp.thermal_shift)
     _check_dt_bound(dt, _max_eigenfrequency(coeffs, exp.noise))
     rho0 = initial_state()
@@ -574,6 +601,8 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     draws, seed = exp.draws, exp.sim.master_seed
 
     def fields(i: int) -> _Fields:
+        if coeffs.g != 0.0:
+            return held_fields(noise, duration, dt, i, draws=draws, seed=seed)
         beta = beta_p = eps_z = None
         if noise.beta_rms > 0:
             traj = sample_magnetic_trajectory(noise, duration, dt, i, draws=draws, seed=seed)
@@ -596,15 +625,16 @@ def _signals(exp: Experiment) -> tuple[NDArray, NDArray]:
     return times, signals
 
 
-def run(exp: Experiment) -> TimeTrace:
+def run(exp: Experiment, layout: Optional[tuple] = None) -> TimeTrace:
     """Execute an experiment and average the readout over trajectories.
 
     The readout observable is the fractional population of m_S = 0,
     Tr(rho P0). The reported uncertainty is the standard error of the
     per-trajectory signals (zero for a single trajectory). All
-    trajectories run as one batch.
+    trajectories run as one batch. :func:`sweep` passes the ``layout``
+    it built once for all its runs; None builds it here.
     """
-    times, signals = _signals(exp)
+    times, signals = _signals(exp, layout)
     n_traj = exp.sim.n_trajectories
     mean = signals.mean(axis=1)
     if n_traj > 1:
@@ -630,16 +660,22 @@ def run(exp: Experiment) -> TimeTrace:
 
 
 def _apply_variable(exp: Experiment, variable: str, value: float) -> Experiment:
-    if variable in ("xi", "eps_rms"):
-        return replace(exp, noise=replace(exp.noise, **{variable: value}))
-    raise ValueError(f"unknown sweep variable {variable!r}; sweep covers xi and eps_rms")
+    if variable == "delta_b":
+        return replace(exp, sim=replace(exp.sim, delta_b=value))
+    return replace(exp, noise=replace(exp.noise, **{variable: value}))
 
 
 def sweep(variable: str, values: Sequence[float], exp: Experiment) -> list[TimeTrace]:
-    """Run one experiment per value of ``variable``, xi or eps_rms, and
-    return their traces in the order of ``values``. The runs share
-    ``exp.draws``, so every stream is drawn once for the sweep."""
-    return [run(_apply_variable(exp, variable, float(v))) for v in values]
+    """Run one experiment per value of ``variable``, xi, eps_rms or
+    delta_b, and return their traces in the order of ``values``, each
+    with the bits of :func:`run` at its value. None of the three changes
+    a program, so the programs and their walks are built once, after the
+    variable is checked. The runs share ``exp.draws``, so every stream
+    is drawn once for the sweep."""
+    if variable not in ("xi", "eps_rms", "delta_b"):
+        raise ValueError(f"unknown sweep variable {variable!r}; sweep covers xi, eps_rms and delta_b")
+    layout = _layout(exp)
+    return [run(_apply_variable(exp, variable, float(v)), layout) for v in values]
 
 
 def trace_to_csv(

@@ -26,15 +26,21 @@ trajectory, domain). Streams use the counter-based Philox generator keyed
 by (seed, stream_id) with a domain tag in the counter block, so results
 are bit-identical no matter how trajectories are scheduled, and a longer
 trajectory is a bit-exact extension of a shorter one with the same key
-(draws are consumed strictly in step order). Sampling is a *draw* (each
-channel's redraw steps and raw uniforms) and a *render* (the dense path
-at given amplitudes). Every draw goes through a :class:`NoiseDraws`
-store: the caller's (each ``spindyad.engine.Experiment`` owns one, shared
-by the experiments derived from it), or a throwaway one for a call that
-passes none. The store draws every channel of each stream once, redraws
-it only for a longer length, and renders it for every run that reads it;
-a render from the store has the bits of a fresh draw. No draw outlives
-the store, and the module holds none.
+(draws are consumed strictly in step order). The draw reads Philox's raw
+64-bit integers: it compares them with an integer threshold and makes a
+uniform only where a channel redraws, as ``(x >> 11) * 2**-53``, which
+is how ``Generator.random`` makes its doubles, so every stream has the
+bits it had when drawn as floats. Sampling is a *draw* (each channel's
+redraw steps and raw uniforms) and a *render* (the dense path at given
+amplitudes), or, for the double-quantum engine path, the draw read as
+each field's (steps, values) pairs (:func:`held_fields`). Every draw
+goes through a :class:`NoiseDraws` store: the caller's (each
+``spindyad.engine.Experiment`` owns one, shared by the experiments
+derived from it), or a throwaway one for a call that passes none. The
+store draws every channel of each stream once, redraws it only for a
+longer length, and serves it to every run that reads it; what it gives
+has the bits of a fresh draw. No draw outlives the store, and the
+module holds none.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ __all__ = [
     "partition",
     "sample_magnetic_trajectory",
     "sample_electric_trajectory",
+    "held_fields",
     "empirical_xi",
 ]
 
@@ -157,31 +164,49 @@ def _stream_rng(seed: int, stream_id: int, domain: int) -> Generator:
     return Generator(Philox(counter=counter, key=key))
 
 
+def _switch_threshold(p_switch: float) -> np.uint64:
+    """The raw integer x below which the uniform ``Generator.random``
+    makes of it, m * 2**-53 with m = x >> 11, is below ``p_switch``: for an
+    integer m that holds exactly when m < ceil(p_switch * 2**53)."""
+    return np.uint64(math.ceil(p_switch * 2**53)) << np.uint64(11)
+
+
 def _draw(
     seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int
 ) -> list[tuple[NDArray, NDArray]]:
     """The redraw steps and raw uniforms of every channel of one stream.
 
-    One (n_steps, 2c) uniform block is drawn row by row (step-major), so
-    a longer draw extends a shorter one bit-exactly. Channel j redraws at
-    step 0 (stationary start) and at every later step where column j is
-    below ``p_switch``, taking its uniform from column c + j. Only those
-    steps and uniforms are kept; the block is dropped on return.
+    One (n_steps, 2c) block of raw Philox integers is drawn row by row
+    (step-major), so a longer draw extends a shorter one bit-exactly.
+    Channel j redraws at step 0 (stationary start) and at every later
+    step where the uniform of column j is below ``p_switch``, taking the
+    uniform of column c + j. Uniforms are made only at those steps, with
+    the bits ``Generator.random`` would give them; the block is dropped
+    on return.
     """
-    u = _stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
+    x = _stream_rng(seed, stream_id, domain).bit_generator.random_raw(max(n_steps, 1) * 2 * c)
+    x = x.reshape(-1, 2 * c)
+    below = _switch_threshold(p_switch)
     out = []
     for j in range(c):
-        starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
-        out.append((starts, u[starts, c + j]))
+        starts = np.concatenate(([0], np.flatnonzero(x[1:n_steps, j] < below) + 1))
+        out.append((starts, (x[starts, c + j] >> np.uint64(11)) * 2.0**-53))
     return out
+
+
+def _held(starts: NDArray, uniforms: NDArray, n_steps: int, sigma: float) -> tuple[NDArray, NDArray]:
+    """The redraw steps before ``n_steps`` of one drawn channel and the
+    value at rms ``sigma`` it holds from each on: its path as a (steps,
+    values) pair. No value is -0.0."""
+    k = np.searchsorted(starts, n_steps)  # the redraws before step n_steps
+    return starts[:k], (2.0 * uniforms[:k] - 1.0) * (_SQRT3 * sigma)
 
 
 def _render(starts: NDArray, uniforms: NDArray, n_steps: int, sigma: float) -> NDArray:
     """The (n_steps,) hold/redraw path of one drawn channel at rms
     ``sigma``, from a draw at least ``n_steps`` long."""
-    k = np.searchsorted(starts, n_steps)  # the redraws before step n_steps
-    held = np.diff(starts[:k], append=n_steps)
-    return np.repeat((2.0 * uniforms[:k] - 1.0) * (_SQRT3 * sigma), held)
+    steps, values = _held(starts, uniforms, n_steps, sigma)
+    return np.repeat(values, np.diff(steps, append=n_steps))
 
 
 class NoiseDraws:
@@ -288,6 +313,46 @@ def sample_electric_trajectory(
     n_steps = int(round(duration / dt))
     sigmas = [0.0, 0.0, cfg.eps_rms]
     return _fluctuator_channels(seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas, draws)[2]
+
+
+def _add(x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
+    """The sum of two (steps, values) paths, on the union of their steps;
+    None is a zero path. A value is never -0.0, so adding a zero path
+    would keep the other's bits: it is left out."""
+    if x is None or y is None:
+        return y if x is None else x
+    steps = np.union1d(x[0], y[0])
+    at = lambda f: f[1][np.searchsorted(f[0], steps, side="right") - 1]
+    return steps, at(x) + at(y)
+
+
+def held_fields(
+    cfg: FluctuatorConfig,
+    duration: float,
+    dt: float,
+    stream_id: int,
+    draws: Optional[NoiseDraws] = None,
+    seed: int = 0,
+) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple]]:
+    """The fields (beta_s, beta_s', eps_z) of one trajectory, None where
+    zero, read from the draws as (steps, values) pairs without rendering a
+    path: held at values[i] from steps[i] on, steps[i] a redraw of a live
+    channel. Each value has the bits of the sampled path at its step."""
+    n_steps = int(round(duration / dt))
+    store = NoiseDraws() if draws is None else draws
+    beta = beta_p = eps_z = None
+    if cfg.beta_rms > 0:
+        p = _check_step(cfg.switch_rate, dt)
+        sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
+        drawn = store.get(seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, 3)
+        glob, loc, loc_prime = (
+            _held(*d, n_steps, s) if s else None for d, s in zip(drawn, (sig_g, sig_l, sig_l))
+        )
+        beta, beta_p = _add(glob, loc), _add(glob, loc_prime)
+    if cfg.eps_rms > 0:
+        p = _check_step(cfg.electric_rate, dt)
+        eps_z = _held(*store.get(seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, 3)[2], n_steps, cfg.eps_rms)
+    return beta, beta_p, eps_z
 
 
 def empirical_xi(traj: NoiseTrajectory) -> float:

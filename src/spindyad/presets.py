@@ -209,11 +209,14 @@ def _echo_program_builder(
     return protocol.deer if deer_mode else protocol.hahn_echo
 
 
+_ANCHORS = 22  # anchor delays of an echo coherence time
+
+
 def echo_coherence_time(
     exp: Experiment,
     tau_max: float,
     tau_min: float = 0.3e-6,
-    n_points: int = 22,
+    n_points: int = _ANCHORS,
 ) -> tuple[float, TimeTrace]:
     """Echo coherence time via a beat-anchored contrast envelope.
 
@@ -228,6 +231,14 @@ def echo_coherence_time(
     :func:`analysis.coherence_time` finds the decay unresolvable.
     The envelope trace's time axis is the total evolution time 2 tau.
     """
+    windows = _anchor_windows(exp, tau_max, tau_min, n_points)
+    return _envelope(exp, windows, engine.run(_noise_free(exp, windows)))
+
+
+def _anchor_windows(exp: Experiment, tau_max: float, tau_min: float, n_points: int) -> list[list[float]]:
+    """The on-grid candidate delays from each of ``n_points`` anchors over
+    one scan of the fastest noise-free modulation; only dt, the couplings
+    and ``sim.near_bm`` set them."""
     dt = exp.sim.dt
     p = exp.params
     anchors = np.geomspace(max(tau_min, dt), tau_max, n_points)
@@ -239,20 +250,27 @@ def echo_coherence_time(
     else:
         f_fast = abs(p.j_par)
     scan = 0.6 / f_fast if f_fast > 0 else 0.0
-    windows = [sorted({_snap(t, dt) for t in np.linspace(a, a + scan, 12)}) for a in anchors]
-    # one noise-free single-trajectory run over the delays of every window:
-    # the engine walks the delays' programs together, but each state evolves
-    # exactly as it would alone, and a shorter noise path is a bit-exact
-    # prefix of a longer one, so a delay's signal does not depend on which
-    # other delays share the run
-    clean = engine.run(
-        replace(
-            exp,
-            noise=replace(exp.noise, beta_rms=0.0, eps_rms=0.0),
-            sim=replace(exp.sim, n_trajectories=1),
-            times=sorted(set().union(*windows)),
-        )
+    return [sorted({_snap(t, dt) for t in np.linspace(a, a + scan, 12)}) for a in anchors]
+
+
+def _noise_free(exp: Experiment, windows: list[list[float]]) -> Experiment:
+    """The noise-free reference of ``exp``: one single-trajectory run over
+    the delays of every window. The engine walks the delays' programs
+    together, but each state evolves exactly as it would alone, and a
+    shorter noise path is a bit-exact prefix of a longer one, so a
+    delay's signal does not depend on which other delays share the run."""
+    return replace(
+        exp,
+        noise=replace(exp.noise, beta_rms=0.0, eps_rms=0.0),
+        sim=replace(exp.sim, n_trajectories=1),
+        times=sorted(set().union(*windows)),
     )
+
+
+def _envelope(exp: Experiment, windows: list[list[float]], clean: TimeTrace) -> tuple[float, TimeTrace]:
+    """(t2, envelope) of :func:`echo_coherence_time` from the noise-free
+    trace ``clean``: the noisy run at each window's delay of largest
+    contrast, its contrast ratio and the envelope fit."""
     reference = dict(zip(clean.times.tolist(), clean.signal_mean.tolist()))
     selected: dict[float, float] = {}
     for cand in windows:
@@ -402,10 +420,15 @@ def _preset_field_sweep(cfg, exp, w):
             raise ConfigError(f"sweep delta_b values {named[name]!r} T and {db!r} T both write {w.label}{name}.csv")
         named[name] = db
     exp = replace(exp, program_builder=_echo_program_builder(cfg, exp, deer_mode=False), times=taus)
+    # echo_coherence_time at every point: the anchor windows do not depend
+    # on delta_b, so the noise-free references are one sweep over shared
+    # programs; the noisy runs keep their order, so each stream is drawn once
+    windows = _anchor_windows(exp, max(taus), min(taus), _ANCHORS)
+    references = engine.sweep("delta_b", values, _noise_free(exp, windows))
     points = []
-    for db in values:
+    for db, clean in zip(values, references):
         point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
-        t2, env = echo_coherence_time(point, tau_max=max(taus), tau_min=min(taus))
+        t2, env = _envelope(point, windows, clean)
         points.append((float(db), t2))
         w.trace(env, _db_suffix(db), sweep_value=float(db))
     # far-from-anti-crossing reference: same noise, double-quantum term off.

@@ -408,7 +408,7 @@ def test_dq_blocks_keep_the_frozen_bits(batch, delta_b, thermal, chunk):
     params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
     c = model.frame_coefficients(params, delta_b, True, thermal)
     with mock.patch.object(engine, "_SEGMENT_CHUNK", chunk):
-        reduced = engine._reduce(iter(paths), len(paths), DT, spans, c)
+        reduced = engine._reduce((engine._pairs(p) for p in paths), len(paths), DT, spans, c)
     assert sorted(reduced.spans) == spans
     for (k0, k1), u in reduced.spans.items():
         assert u.shape == (len(paths), 4, 4)
@@ -448,7 +448,7 @@ def frozen_reduce(paths, n, n_steps, dt, spans, c):
             if x is not None and pos.any():
                 sums[i, q, pos] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
         if dq:
-            pending.append(engine._dq_segments(path, k0, k1, c))
+            pending.append(engine._dq_segments(engine._pairs(path), k0, k1, c))
             held += pending[-1][0].size
             if held >= engine._SEGMENT_CHUNK or i + 1 == n:
                 stack[:, done : i + 1] = engine._dq_blocks(pending, c, dt).swapaxes(0, 1)
@@ -593,6 +593,9 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
     def electric_path(cfg, duration, dt, stream_id, draws=None, seed=0):
         return paths[stream_id][2]
 
+    def held_path(cfg, duration, dt, stream_id, draws=None, seed=0):
+        return engine._pairs(paths[stream_id])
+
     with mock.patch.multiple(
         engine,
         _WALK_STATES=cap,
@@ -600,6 +603,7 @@ def test_stacked_walk_keeps_the_frozen_bits(run, near_bm, delta_b, delta_temp, c
         propagate=recording,
         sample_magnetic_trajectory=magnetic_path,
         sample_electric_trajectory=electric_path,
+        held_fields=held_path,
     ):
         _, signals = engine._signals(exp)
     assert sorted(states) == list(range(len(programs)))
@@ -729,9 +733,41 @@ class TestSweep:
         assert res[1].metadata["xi"] == 1.0
 
     def test_unknown_variable(self):
-        for variable in ("frequency", "delta_b", "tau_tilde"):
+        for variable in ("frequency", "beta_rms", "tau_tilde"):
             with pytest.raises(ValueError, match="unknown sweep variable"):
                 sweep(variable, [1.0], self._zq_experiment())
+
+    def test_sweep_builds_each_program_once(self):
+        # no swept variable changes a program: one build per time, and an
+        # unknown variable is refused before any build
+        built = []
+        tau = 1.0 / (4 * J_PAR)
+        builder = lambda tt: built.append(tt) or zq_chain(tau, tt, echo=True, theta=0.0, j_par=J_PAR)
+        exp = replace(self._zq_experiment(), program_builder=builder)
+        with pytest.raises(ValueError, match="unknown sweep variable"):
+            sweep("beta_rms", [1e-6], exp)
+        assert built == []
+        for variable, values in (("xi", [0.0, 0.5, 1.0]), ("delta_b", [0.0, 2e-6]), ("eps_rms", [0.0, 1e6])):
+            built.clear()
+            assert len(sweep(variable, values, exp)) == len(values)
+            assert built == list(exp.times)
+
+    @pytest.mark.parametrize("near_bm", [False, True])
+    def test_delta_b_sweep_keeps_the_bits_of_run(self, near_bm):
+        params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
+        exp = Experiment(
+            params=params,
+            noise=FluctuatorConfig(beta_rms=1e-6, xi=0.3, switch_rate=1e5, eps_rms=1e6, electric_rate=1e5),
+            sim=SimConfig(n_trajectories=5, dt=DT, master_seed=4, near_bm=near_bm),
+            program_builder=lambda tau: hahn_echo(tau, Target.BOTH),
+            times=[0.5e-6, 1.5e-6, 4e-6],
+        )
+        values = [-8e-6, 0.0, 3e-6]
+        for value, trace in zip(values, sweep("delta_b", values, exp)):
+            alone = run(replace(exp, sim=replace(exp.sim, delta_b=value)))
+            assert trace.metadata == alone.metadata and trace.metadata["delta_b"] == value
+            assert np.array_equal(trace.signal_mean, alone.signal_mean)
+            assert np.array_equal(trace.signal_sem, alone.signal_sem)
 
     def test_eps_sweep_with_channel(self):
         exp = replace(self._zq_experiment(), noise=replace(NOISY, eps_rms=1e6, electric_rate=1e5))

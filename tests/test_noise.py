@@ -316,3 +316,113 @@ def test_stored_draw_renders_the_bits_of_a_fresh_one(
     if p_switch == 0.0:  # only the stationary start: one redraw per channel, at any length
         for _, drawn in draws._entries.values():
             assert all(starts.size == uniforms.size == 1 for starts, uniforms in drawn)
+
+
+def frozen_draw(seed, stream_id, domain, n_steps, p_switch, c):
+    """The draw as first written, from ``Generator.random`` floats, kept
+    verbatim to pin the raw-integer draw."""
+    u = noise._stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
+    out = []
+    for j in range(c):
+        starts = np.concatenate(([0], np.flatnonzero(u[1:n_steps, j] < p_switch) + 1))
+        out.append((starts, u[starts, c + j]))
+    return out
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    stream_id=st.integers(0, 2**63),
+    domain=st.sampled_from([noise._DOMAIN_MAGNETIC, noise._DOMAIN_ELECTRIC]),
+    n_steps=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)),
+    c=st.sampled_from([1, 3]),
+    p_switch=st.one_of(st.sampled_from([0.0, 2**-10, 1e-3, 0.5]), st.floats(0.0, 0.5)),
+)
+def test_raw_draw_keeps_the_bits_of_the_float_draw(seed, stream_id, domain, n_steps, c, p_switch):
+    drawn = noise._draw(seed, stream_id, domain, n_steps, p_switch, c)
+    old = frozen_draw(seed, stream_id, domain, n_steps, p_switch, c)
+    assert len(drawn) == len(old) == c
+    for (starts, uniforms), (old_starts, old_uniforms) in zip(drawn, old):
+        assert starts.dtype == old_starts.dtype and np.array_equal(starts, old_starts)
+        assert uniforms.dtype == old_uniforms.dtype and np.array_equal(uniforms, old_uniforms)
+
+
+@pytest.mark.parametrize(
+    "p_switch, integer_edge", [(2**-10, True), (0.5, True), (1e-3, False), (0.3, False), (1e-7, False)]
+)
+def test_switch_threshold_agrees_with_the_float_test_at_its_edge(p_switch, integer_edge):
+    """A raw integer x switches exactly when its uniform (x >> 11) * 2**-53
+    is below p, for x on either side of the edge m = p * 2**53, whether or
+    not that is an integer. Sampling reaches such x with probability about
+    2**-53."""
+    edge = p_switch * 2**53
+    assert (edge == math.floor(edge)) == integer_edge
+    below = noise._switch_threshold(p_switch)
+    for m in range(math.floor(edge) - 2, math.ceil(edge) + 3):
+        for r in (0, 2047):
+            x = np.uint64((m << 11) + r)
+            assert (x < below) == ((x >> np.uint64(11)) * 2.0**-53 < p_switch), (m, r)
+
+
+def test_hold_times_are_geometric():
+    """Each step redraws a channel with probability p, independently: the
+    gaps between redraws follow geometric(p), P(gap > k) = (1 - p)^k, and
+    the path's autocorrelation at lag k is (1 - p)^k. Eight streams of
+    200k steps at p = 1/64 give about 25,000 gaps. The gaps fall in 20 bins
+    of equal expected count; the chi-square must stay below its mean plus
+    six of its standard deviations, df + 6 sqrt(2 df). The autocorrelation
+    must stay within five standard errors of (1 - p)^k, the AR(1) Bartlett
+    error sqrt(((1 + q^2)(1 + q^2k) / (1 - q^2) - 2k q^2k) / N) at
+    q = 1 - p, N the total steps."""
+    p, n_steps, streams = 1.0 / 64.0, 200_000, 8
+    q = 1.0 - p
+    gaps, paths = [], []
+    for stream in range(streams):
+        ((starts, uniforms),) = noise._draw(21, stream, noise._DOMAIN_MAGNETIC, n_steps, p, 1)
+        gaps.append(np.diff(starts))
+        paths.append(noise._render(starts, uniforms, n_steps, 1.0))
+    gaps = np.concatenate(gaps)
+    # bin edges k_i with P(gap > k_i) nearest to 1 - i/20; expected counts exact
+    edges = np.unique(np.round(np.log1p(-np.arange(1, 20) / 20.0) / np.log(q)).astype(int))
+    survival = np.concatenate(([1.0], q**edges, [0.0]))
+    expected = gaps.size * -np.diff(survival)
+    observed = np.bincount(np.searchsorted(edges, gaps, side="left"), minlength=edges.size + 1)
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    df = edges.size
+    assert chi2 < df + 6.0 * math.sqrt(2.0 * df), chi2
+    n_total = streams * n_steps
+    power = sum(float(np.dot(x, x)) for x in paths)
+    for k in (1, 8, 32, 64, 128, 256):
+        r = sum(float(np.dot(x[:-k], x[k:])) for x in paths) / power
+        var = ((1 + q**2) * (1 + q ** (2 * k)) / (1 - q**2) - 2 * k * q ** (2 * k)) / n_total
+        assert abs(r - q**k) < 5.0 * math.sqrt(var), (k, r, q**k)
+
+
+def change_scan(x):
+    """The steps where a dense path takes a new value, step 0 included."""
+    return np.flatnonzero(np.diff(x, prepend=np.nan) != 0)
+
+
+@pytest.mark.parametrize("xi", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("eps_rms", [0.0, 1e6])
+@pytest.mark.parametrize("n_steps", [0, 1, 2, 57, 5000])
+def test_held_fields_are_the_rendered_paths_change_points(xi, eps_rms, n_steps):
+    """The (steps, values) pairs read from the draw store are the change
+    points of the rendered paths and their values there, bit for bit, for
+    a store drawn to this length and for one drawn longer first."""
+    dt = 1e-8
+    cfg = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=2e6, eps_rms=eps_rms, electric_rate=3e6)
+    for stream in range(3):
+        longer = noise.NoiseDraws()
+        noise.held_fields(cfg, (n_steps + 100) * dt, dt, stream, longer, seed=13)
+        traj = sample_magnetic_trajectory(cfg, n_steps * dt, dt, stream, seed=13)
+        eps_z = sample_electric_trajectory(cfg, n_steps * dt, dt, stream, seed=13) if eps_rms else None
+        for draws in (None, longer):
+            held = noise.held_fields(cfg, n_steps * dt, dt, stream, draws, seed=13)
+            for pair, x in zip(held, (traj.beta_s, traj.beta_s_prime, eps_z)):
+                if x is None:
+                    assert pair is None
+                    continue
+                steps, values = pair
+                assert np.array_equal(steps, change_scan(x))
+                assert same_bits(values, x[steps])

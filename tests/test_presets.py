@@ -245,10 +245,10 @@ class TestNoiseDraws:
             counts[seed, stream_id, domain] += 1
             return real(seed, stream_id, domain)
 
-        def signals(exp):
+        def signals(exp, *layout):
             if stores is not None:
                 stores.append(exp.draws)
-            return real_signals(exp)
+            return real_signals(exp, *layout)
 
         monkeypatch.setattr(noise, "_stream_rng", counting)
         monkeypatch.setattr(engine, "_signals", signals)
@@ -306,6 +306,70 @@ class TestNoiseDraws:
         assert body != shipped
         counts = self.draws_per_stream(tmp_path, monkeypatch, "xi_sweep", body=body)
         assert counts == {(7, 0, 0): 1, (7, 1, 0): 1}
+
+
+class TestAnchorScans:
+    """Near the anti-crossing noise is read from the draw store, and
+    field_sweep builds its anchor-scan programs once for all points."""
+
+    @pytest.mark.parametrize("name", ["echo_anticrossing", "field_sweep"])
+    def test_near_bm_runs_render_no_dense_path(self, tmp_path, monkeypatch, name):
+        from spindyad import engine, noise
+
+        near, rendered = [], Counter()
+        real_run, real_render = engine.run, noise._render
+
+        def run(exp, *layout):
+            near.append(exp.sim.near_bm)
+            try:
+                return real_run(exp, *layout)
+            finally:
+                near.pop()
+
+        def render(*args):
+            if near[-1]:
+                raise AssertionError("a near-B_m run rendered a dense path")
+            rendered[near[-1]] += 1
+            return real_render(*args)
+
+        monkeypatch.setattr(engine, "run", run)
+        monkeypatch.setattr(noise, "_render", render)
+        args = ["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "out")]
+        assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
+        # field_sweep's far reference runs off the anti-crossing and renders
+        assert rendered == ({False: 2} if name == "field_sweep" else {})
+
+    def test_field_sweep_builds_each_anchor_program_once(self, tmp_path, monkeypatch):
+        # the nine points' noise-free scans read the same delays: 9 builds of
+        # each at one scan per point
+        from spindyad import engine, protocol
+
+        scans, taus = [], []
+        real_hahn = protocol.hahn_echo
+
+        def scanning(real, position):  # of the experiment among the arguments
+            def call(*args):
+                exp = args[position]
+                scans.append(exp.sim.near_bm and exp.noise.beta_rms == 0.0)
+                try:
+                    return real(*args)
+                finally:
+                    scans.pop()
+
+            return call
+
+        def hahn_echo(tau, *args, **kwargs):
+            if scans and scans[-1]:
+                taus.append(tau)
+            return real_hahn(tau, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "run", scanning(engine.run, 0))
+        monkeypatch.setattr(engine, "sweep", scanning(engine.sweep, 2))
+        monkeypatch.setattr(protocol, "hahn_echo", hahn_echo)
+        args = ["--config", str(CONFIGS / "field_sweep.cfg"), "--out", str(tmp_path / "out")]
+        assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
+        assert len(set(taus)) > 200
+        assert len(taus) == len(set(taus))
 
 
 class TestEchoCoherenceTime:

@@ -6,8 +6,8 @@ and hands what to write to one artifact writer, which owns the output
 format: CSV traces and tables, an optional SVG plot and a summary text
 file. The CSV files are the data contract; every file
 starts with a '#'-prefixed echo of the resolved configuration and seed.
-The one table of presets, with the sweep variable each reads, is
-``_PRESETS`` at the end of this module.
+The one table of presets, with the keys and the sweep variable each
+reads, is ``_PRESETS`` at the end of this module.
 """
 
 from __future__ import annotations
@@ -404,33 +404,30 @@ def _preset_echo(cfg, exp, w, deer_mode=False):
     w.summary(summary)
 
 
-def _db_suffix(db: float) -> str:
-    """The suffix of a field_sweep point's envelope CSV."""
-    return f"_db_{db * 1e6:+.3f}uT"
-
-
 def _preset_field_sweep(cfg, exp, w):
-    taus = _tau_grid(cfg, exp.sim.dt)
+    tau_min, tau_max = (_snap(cfg.number("sweep", key), exp.sim.dt) for key in ("tau_start", "tau_stop"))
+    if not 0 < tau_min < tau_max:
+        raise ConfigError("field_sweep needs 0 < tau_start < tau_stop on the dt grid")
     values = cfg.sweep_values("field")
     if not exp.sim.near_bm:
         raise ConfigError("field_sweep expects sim.near_bm = true")
-    named: dict[str, float] = {}
+    named: dict[str, float] = {}  # each point by the suffix of its envelope CSV
     for db in values:
-        if (name := _db_suffix(db)) in named:
+        if (name := f"_db_{db * 1e6:+.3f}uT") in named:
             raise ConfigError(f"sweep delta_b values {named[name]!r} T and {db!r} T both write {w.label}{name}.csv")
         named[name] = db
-    exp = replace(exp, program_builder=_echo_program_builder(cfg, exp, deer_mode=False), times=taus)
+    exp = replace(exp, program_builder=_echo_program_builder(cfg, exp, deer_mode=False))
     # echo_coherence_time at every point: the anchor windows do not depend
     # on delta_b, so the noise-free references are one sweep over shared
     # programs; the noisy runs keep their order, so each stream is drawn once
-    windows = _anchor_windows(exp, max(taus), min(taus), _ANCHORS)
+    windows = _anchor_windows(exp, tau_max, tau_min, _ANCHORS)
     references = engine.sweep("delta_b", values, _noise_free(exp, windows))
     points = []
-    for db, clean in zip(values, references):
+    for (name, db), clean in zip(named.items(), references):
         point = replace(exp, sim=replace(exp.sim, delta_b=float(db)))
         t2, env = _envelope(point, windows, clean)
         points.append((float(db), t2))
-        w.trace(env, _db_suffix(db), sweep_value=float(db))
+        w.trace(env, name, sweep_value=float(db))
     # far-from-anti-crossing reference: same noise, double-quantum term off.
     # It runs last, on delays capped at 60 us: the points' draws then cover
     # its paths, so each stream is drawn once (a longer path would redraw)
@@ -439,7 +436,7 @@ def _preset_field_sweep(cfg, exp, w):
         sim=replace(exp.sim, near_bm=False, delta_b=0.0),
         program_builder=protocol.hahn_echo,
     )
-    t2_far, _ = echo_coherence_time(far_exp, tau_max=min(max(taus), 60e-6), tau_min=min(taus))
+    t2_far, _ = echo_coherence_time(far_exp, tau_max=min(tau_max, 60e-6), tau_min=tau_min)
     rows = [
         (db, t2, analysis.enhancement_ratio(t2, t2_far) if math.isfinite(t2) else math.inf)
         for db, t2 in points
@@ -570,36 +567,38 @@ def _preset_custom(cfg, exp, w):
 
 
 class _Preset(NamedTuple):
-    """A preset's runner and the one ``sweep.variable`` it reads, "" for
-    none; the runner parses that variable's axis in its unit and range."""
+    """A preset's runner, the keys it ``reads`` and the one sweep.variable
+    whose axis it parses, "" for none. ``run_preset`` refuses a non-default
+    [noise], [sim], tau_*, delta_temp, window or program key outside
+    ``reads``. Outside the rule: [params], one description of the dyad (the
+    rotating frame drops params.delta: physics, not a config mistake);
+    [output] and experiment.label, which say where artifacts go; the sweep
+    axis keys, which have rules of their own."""
 
     run: Callable[[ExperimentConfig, Experiment, _Writer], None]
+    reads: tuple[str, ...]
     variable: str = ""
     optional: bool = False  # it also runs with sweep.variable unset
 
 
-_PRESETS = {
-    "levels": _Preset(_preset_levels, "b_field", optional=True),
-    "echo": _Preset(_preset_echo),
-    "deer": _Preset(partial(_preset_echo, deer_mode=True)),
-    "field_sweep": _Preset(_preset_field_sweep, "delta_b"),
-    "pol_transfer": _Preset(_preset_pol_transfer),
-    "zq_decay": _Preset(_preset_zq_decay),
-    "xi_sweep": _Preset(_preset_xi_sweep, "xi"),
-    "electrometry": _Preset(_preset_electrometry, "eps_rms"),
-    "thermometry": _Preset(_preset_thermometry),
-    "custom": _Preset(_preset_custom),
-}
+# every engine run reads these, a sweep its swept key too: the axis overrides
+# it, but a config may set it (configs/electrometry.cfg sets noise.eps_rms)
+_ENGINE = tuple(f"noise.{k}" for k in ("beta_rms", "xi", "switch_rate", "eps_rms", "electric_rate"))
+_ENGINE += tuple(f"sim.{k}" for k in ("trajectories", "dt", "seed", "near_bm", "delta_b"))
+_TAU = ("sweep.tau_start", "sweep.tau_stop", "sweep.tau_count", "sweep.tau_spacing")
+_ECHO, _ZQ = (*_ENGINE, *_TAU, "sim.shared_field"), (*_ENGINE, *_TAU, "sim.noise_during")
 
-# keys only some presets read, by reader; any other preset keeps their default
-_READERS = {
-    "experiment.program": ("custom",),
-    "sweep.window": ("thermometry",),
-    "sweep.delta_temp": ("thermometry",),
-    "sim.noise_during": ("zq_decay", "xi_sweep", "electrometry", "thermometry"),
-    "sim.shared_field": ("echo", "deer", "field_sweep"),
-    **{f"sweep.tau_{k}": ("echo", "deer", "field_sweep", "zq_decay", "xi_sweep", "electrometry")
-       for k in ("start", "stop", "count", "spacing")},
+_PRESETS = {
+    "levels": _Preset(_preset_levels, ("sim.seed",), "b_field", optional=True),  # the master_seed note
+    "echo": _Preset(_preset_echo, _ECHO),
+    "deer": _Preset(partial(_preset_echo, deer_mode=True), _ECHO),
+    "field_sweep": _Preset(_preset_field_sweep, (*_ENGINE, *_TAU[:2], "sim.shared_field"), "delta_b"),
+    "pol_transfer": _Preset(_preset_pol_transfer, ("sim.dt", "sim.near_bm", "sim.delta_b")),
+    "zq_decay": _Preset(_preset_zq_decay, _ZQ),
+    "xi_sweep": _Preset(_preset_xi_sweep, _ZQ, "xi"),
+    "electrometry": _Preset(_preset_electrometry, _ZQ, "eps_rms"),
+    "thermometry": _Preset(_preset_thermometry, (*_ENGINE, "sim.noise_during", "sweep.delta_temp", "sweep.window")),
+    "custom": _Preset(_preset_custom, (*_ENGINE, "experiment.program")),
 }
 
 
@@ -635,8 +634,9 @@ def run_preset(
         raise ConfigError("sweep.values, start, stop and count need sweep.variable")
     if not ranged and not cfg.is_default("sweep", "spacing"):
         raise ConfigError("sweep.spacing is read with sweep.start, stop and count only")
-    for key, readers in _READERS.items():
-        if cfg.preset not in readers and not cfg.is_default(*key.split(".")):
+    for key in cfg.resolved:
+        readers = [name for name, other in _PRESETS.items() if key in other.reads]
+        if readers and key not in preset.reads and not cfg.is_default(*key.split(".")):
             *others, last = readers
             names = f"{', '.join(others)} and {last} presets" if others else f"{last} preset"
             raise ConfigError(f"{key} is read by the {names} only, not by {cfg.preset}")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spindyad.cli import EXIT_CONFIG, EXIT_OK, main
+from spindyad.presets import _PRESETS
 
 FAST_LEVELS = """
 schema = 1
@@ -102,6 +103,31 @@ plot = false
 """
 
 
+# one non-default value of every key that some presets read and others do not
+UNREAD_VALUE = {
+    "experiment.program": "prog.txt",
+    "noise.beta_rms": "2 uT",
+    "noise.xi": "0.5",
+    "noise.switch_rate": "50 kHz",
+    "noise.eps_rms": "1 V_per_m",
+    "noise.electric_rate": "50 kHz",
+    "sim.trajectories": "7",
+    "sim.dt": "5 ns",
+    "sim.seed": "2",
+    "sim.near_bm": "true",
+    "sim.delta_b": "1 uT",
+    "sim.shared_field": "true",
+    "sim.noise_during": "evolution",
+    "sweep.tau_start": "2 us",
+    "sweep.tau_stop": "100 us",
+    "sweep.tau_count": "9",
+    "sweep.tau_spacing": "linear",
+    "sweep.delta_temp": "1 K",
+    "sweep.window": "5 us",
+}
+UNREAD_PAIRS = [(p, k) for p, declared in _PRESETS.items() for k in UNREAD_VALUE if k not in declared.reads]
+
+
 def write(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
     path.write_text(body)
@@ -182,8 +208,11 @@ class TestExitCodes:
     )
     def test_config_error_in_the_runner_leaves_no_directory(self, tmp_path, capsys, preset, sweep, message):
         # the runner reads these after the inputs; the directory is made
-        # only when the first artifact is written
+        # only when the first artifact is written. field_sweep reads only
+        # the ends of the tau axis
         body = FAST_ZQ.replace("preset = zq_decay", f"preset = {preset}").replace("[sweep]\n", f"[sweep]\n{sweep}\n")
+        if preset == "field_sweep":
+            body = body.replace("tau_count = 9\n", "")
         out = tmp_path / "out"
         assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: config: {message}\n"
@@ -201,6 +230,7 @@ class TestExitCodes:
         # 1.0001 and 1.0002 uT both round to _db_+1.000uT: the second
         # envelope would overwrite the first
         body = FAST_ZQ.replace("preset = zq_decay", "preset = field_sweep").replace("seed = 3", "seed = 3\nnear_bm = true")
+        body = body.replace("tau_count = 9\n", "")
         body = body.replace("[sweep]\n", "[sweep]\nvariable = delta_b\nvalues = 0 uT, 1.0001 uT, 1.0002 uT\n")
         out = tmp_path / "out"
         assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
@@ -453,7 +483,43 @@ class TestExitCodes:
             ),
             (
                 FAST_POL.replace("[output]", "[sweep]\ntau_count = 50\n\n[output]"),
-                "sweep.tau_count is read by the echo, deer, field_sweep, zq_decay, xi_sweep and electrometry presets only, not by pol_transfer",
+                "sweep.tau_count is read by the echo, deer, zq_decay, xi_sweep and electrometry presets only, not by pol_transfer",
+            ),
+            # levels reads only sim.seed of these keys, pol_transfer only
+            # the frame's dt, near_bm and delta_b; field_sweep only the ends
+            # of the tau axis
+            (
+                FAST_LEVELS.replace("[sweep]", "[noise]\nbeta_rms = 2 uT\n\n[sweep]"),
+                "noise.beta_rms is read by the echo, deer, field_sweep, zq_decay, xi_sweep, electrometry,"
+                " thermometry and custom presets only, not by levels",
+            ),
+            (
+                FAST_LEVELS + "\n[sim]\ndt = 5 ns\n",
+                "sim.dt is read by the echo, deer, field_sweep, pol_transfer, zq_decay, xi_sweep, electrometry,"
+                " thermometry and custom presets only, not by levels",
+            ),
+            (
+                FAST_POL.replace("[output]", "[noise]\nxi = 0.5\n\n[output]"),
+                "noise.xi is read by the echo, deer, field_sweep, zq_decay, xi_sweep, electrometry,"
+                " thermometry and custom presets only, not by pol_transfer",
+            ),
+            (
+                FAST_POL.replace("[output]", "[sim]\nseed = 2\n\n[output]"),
+                "sim.seed is read by the levels, echo, deer, field_sweep, zq_decay, xi_sweep, electrometry,"
+                " thermometry and custom presets only, not by pol_transfer",
+            ),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = field_sweep")
+                .replace("[sweep]\n", "[sweep]\nvariable = delta_b\nvalues = 0 T\n"),
+                "sweep.tau_count is read by the echo, deer, zq_decay, xi_sweep and electrometry presets only,"
+                " not by field_sweep",
+            ),
+            (
+                FAST_ZQ.replace("preset = zq_decay", "preset = field_sweep")
+                .replace("[sweep]\n", "[sweep]\nvariable = delta_b\nvalues = 0 T\n")
+                .replace("tau_count = 9\ntau_spacing = log", "tau_spacing = linear"),
+                "sweep.tau_spacing is read by the echo, deer, zq_decay, xi_sweep and electrometry presets only,"
+                " not by field_sweep",
             ),
         ],
         ids=[
@@ -468,12 +534,34 @@ class TestExitCodes:
             "deer-shared_field-far",
             "thermometry-tau",
             "pol_transfer-tau",
+            "levels-beta_rms",
+            "levels-dt",
+            "pol_transfer-xi",
+            "pol_transfer-seed",
+            "field_sweep-tau_count",
+            "field_sweep-tau_spacing",
         ],
     )
     def test_key_the_preset_does_not_read_is_2(self, tmp_path, capsys, body, message):
         out = tmp_path / "out"
         assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: config: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset,key", UNREAD_PAIRS, ids=[f"{p}-{k}" for p, k in UNREAD_PAIRS])
+    def test_every_key_outside_what_the_preset_reads_is_2(self, tmp_path, capsys, preset, key):
+        # one non-default value of each key some presets read, on every
+        # other preset: refused before the runner, named with its readers
+        assert set(UNREAD_VALUE) == set().union(*(p.reads for p in _PRESETS.values()))
+        section, name = key.split(".")
+        variable = _PRESETS[preset].variable
+        body = f"schema = 1\n[experiment]\npreset = {preset}\n[sweep]\nvariable = {variable}\n"
+        body += f"[{section}]\n{name} = {UNREAD_VALUE[key]}\n"
+        out = tmp_path / "out"
+        assert main(["--config", write(tmp_path, body), "--out", str(out)]) == EXIT_CONFIG
+        *others, last = [p for p, declared in _PRESETS.items() if key in declared.reads]
+        names = f"{', '.join(others)} and {last} presets" if others else f"{last} preset"
+        assert capsys.readouterr().err == f"error: config: {key} is read by the {names} only, not by {preset}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -398,6 +398,42 @@ def test_hold_times_are_geometric():
         assert abs(r - q**k) < 5.0 * math.sqrt(var), (k, r, q**k)
 
 
+@pytest.mark.parametrize("p,streams", [(1e-2, 4), (1e-3, 16)])
+def test_rare_switch_gaps_and_correlation_are_geometric(p, streams):
+    """At the rare switches of real configs (p = switch_rate * dt is 1e-3
+    at 100 kHz and 10 ns) the gaps between redraws of ``noise._draw``
+    follow geometric(p) and the rendered path decorrelates as (1 - p)^k.
+    Streams of 400k steps give about 16,000 gaps at p = 1e-2; at p = 1e-3
+    sixteen streams give about 6,400. The bounds:
+
+    * the gaps' mean is 1/p within five standard errors sqrt(1 - p) / p
+      / sqrt(n);
+    * their Kolmogorov-Smirnov distance D from P(gap <= k) = 1 - (1 - p)^k,
+      taken over every integer k, has sqrt(n) D < 1.95, the 0.1 % level
+      of the continuous law (a discrete law only lowers it);
+    * the autocorrelation at lags 1, 1/(4p), 1/p and 2/p is within five
+      AR(1) Bartlett standard errors of (1 - p)^k, as in the test above.
+    """
+    n_steps, q = 400_000, 1.0 - p
+    gaps, paths = [], []
+    for stream in range(streams):
+        ((starts, uniforms),) = noise._draw(5, stream, noise._DOMAIN_MAGNETIC, n_steps, p, 1)
+        gaps.append(np.diff(starts))
+        paths.append(noise._render(starts, uniforms, n_steps, 1.0))
+    gaps = np.sort(np.concatenate(gaps))
+    n = gaps.size
+    assert abs(gaps.mean() - 1.0 / p) < 5.0 * math.sqrt(1.0 - p) / p / math.sqrt(n), gaps.mean()
+    k = np.arange(1, gaps[-1] + 1)
+    distance = np.max(np.abs(np.searchsorted(gaps, k, side="right") / n - (1.0 - q**k)))
+    assert math.sqrt(n) * distance < 1.95, math.sqrt(n) * distance
+    n_total = streams * n_steps
+    power = sum(float(np.dot(x, x)) for x in paths)
+    for lag in (1, round(0.25 / p), round(1.0 / p), round(2.0 / p)):
+        r = sum(float(np.dot(x[:-lag], x[lag:])) for x in paths) / power
+        var = ((1 + q**2) * (1 + q ** (2 * lag)) / (1 - q**2) - 2 * lag * q ** (2 * lag)) / n_total
+        assert abs(r - q**lag) < 5.0 * math.sqrt(var), (lag, r, q**lag)
+
+
 def change_scan(x):
     """The steps where a dense path takes a new value, step 0 included."""
     return np.flatnonzero(np.diff(x, prepend=np.nan) != 0)

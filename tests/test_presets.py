@@ -1,6 +1,8 @@
 """Preset orchestration: artifact generation at smoke scale."""
 
+import importlib.util
 import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -97,7 +99,7 @@ class TestEchoPresets:
             "[experiment]\npreset = field_sweep\nlabel = fs\n"
             + COMMON.format(j=750, traj=30, sim_extra="near_bm = true", plot="false")
             + "\n[sweep]\nvariable = delta_b\nvalues = 0T, 8uT\n"
-            + "tau_start = 0.5 us\ntau_stop = 120 us\ntau_count = 10\n"
+            + "tau_start = 0.5 us\ntau_stop = 120 us\n"
         )
         code, out = run_cfg(tmp_path, "schema = 1\n" + body)
         assert code == EXIT_OK
@@ -224,7 +226,8 @@ class TestZeroQuantumPresets:
         assert "# config sim.trajectories = 10" in text
 
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 
 class TestNoiseDraws:
@@ -447,6 +450,52 @@ class TestRegistry:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err == f"error: config: {preset} preset needs sweep.variable = {variable}\n"
+
+    def test_shipped_and_matrix_configs_set_only_keys_their_preset_reads(self, tmp_path):
+        # the byte matrix and the benchmark run these: none may hit the rule
+        from spindyad.config import parse_config
+        from spindyad.presets import _PRESETS
+
+        spec = importlib.util.spec_from_file_location("byte_matrix", ROOT / "tools" / "byte_matrix.py")
+        matrix = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(matrix)
+        bodies = {p.stem: p.read_text() for p in CONFIGS.glob("*.cfg")} | matrix.EXTRA_CONFIGS
+        assert len(bodies) == 11
+        declared = set().union(*(p.reads for p in _PRESETS.values()))
+        for name, body in bodies.items():
+            (tmp_path / f"{name}.cfg").write_text(body)
+            cfg = parse_config(tmp_path / f"{name}.cfg")
+            unread = declared - set(_PRESETS[cfg.preset].reads)
+            assert [k for k in sorted(unread) if not cfg.is_default(*k.split("."))] == [], name
+
+    def test_schema_doc_table_is_what_each_preset_reads(self):
+        # docs/config-schema.txt's table, its groups expanded, against _PRESETS
+        from spindyad.presets import _PRESETS
+
+        text = (ROOT / "docs" / "config-schema.txt").read_text()
+        table = text.split("\nKeys each preset reads\n")[1].split("\nArtifacts\n")[0]
+        rows, name = {}, None
+        for line in table.splitlines():
+            if row := re.match(r"  (\S+(?:, \S+)*)\s{2,}(\S.*)$", line):
+                name, items = row.group(1), row.group(2)
+                rows[name] = items
+            elif name and line.startswith(" " * 16) and line.strip():
+                rows[name] += " " + line.strip()
+            else:
+                name = None
+        groups = {k: v for k, v in rows.items() if k.isupper()}
+
+        def expand(items):
+            for item in items.split(", "):
+                yield from expand(groups[item]) if item in groups else (item,)
+
+        documented = {
+            preset: sorted(expand(items))
+            for names, items in rows.items()
+            if names not in groups
+            for preset in names.split(", ")
+        }
+        assert documented == {name: sorted(p.reads) for name, p in _PRESETS.items()}
 
 
 class TestRunPreset:

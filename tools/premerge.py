@@ -7,6 +7,9 @@ runs, from the checkout this script is in:
 * ``byte_matrix``: ``tools/byte_matrix.py OUT/matrix --against REV``; it
   passes when the seed-7 ``SHA256SUMS`` equal REV's and every preset run
   of both trees exits 0;
+* ``key_matrix``: ``tools/key_matrix.py OUT/keys``; it passes when every
+  key a preset declares it reads moves an artifact byte of every matrix
+  config, or is allowed not to, and the last line is ``key_matrix: ok``;
 * ``tier-1``: the ROADMAP Tier-1 command, ``python -m pytest -q
   --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``; it
   passes when pytest exits 0;
@@ -63,6 +66,15 @@ def byte_matrix(rev: str, out: Path, env: dict) -> tuple[int, float, str, bool]:
     return code, seconds, note, code == 0 and same and bool(exits) and not bad
 
 
+def key_matrix(out: Path, env: dict) -> tuple[int, float, str, bool]:
+    cmd = [sys.executable, str(ROOT / "tools" / "key_matrix.py"), str(out / "keys")]
+    code, seconds, text = _run(cmd, out / "key_matrix.log", ROOT, env)
+    lines = text.strip().splitlines()
+    last = lines[-1] if lines else "no output"
+    note = f"{sum(line.endswith(': moved') for line in lines)} keys moved a byte; {last}"
+    return code, seconds, note, code == 0 and last == "key_matrix: ok"
+
+
 def _pytest(args: list[str], name: str, out: Path, cwd: Path, env: dict) -> tuple[int, float, str, bool]:
     """Run pytest with ``args``, caching nothing and its temporary
     directories under ``OUT/<name>-pytest``; passes when pytest exits 0."""
@@ -108,6 +120,7 @@ def main(argv=None) -> int:
     failed = []
     for name, step in (
         ("byte_matrix", lambda: byte_matrix(args.rev, out, env)),
+        ("key_matrix", lambda: key_matrix(out, env)),
         ("tier-1", lambda: tier1(out, env)),
         ("smoke", lambda: smoke(out, env)),
         ("harness", lambda: _pytest(["perfbench/test_smoke.py"], "harness", out, out / "bench", env)),

@@ -237,8 +237,9 @@ _Z_TILDE, _Z_PRIME, _Z_ZZ = (
 )
 
 # The three fields of one noise path that the engine reads (beta_s,
-# beta_s', eps_z), None for a field that is zero: per-step arrays, or near
-# the anti-crossing (steps, values) pairs (:func:`noise.held_fields`).
+# beta_s', eps_z), None for a field that is zero: (steps, values) pairs
+# (:func:`noise.held_fields`) near the anti-crossing, their dense renders
+# (the samplers) off it.
 _Fields = tuple[Optional[NDArray | tuple], ...]
 
 

@@ -30,11 +30,18 @@ trajectory is a bit-exact extension of a shorter one with the same key
 64-bit integers: it compares them with an integer threshold and makes a
 uniform only where a channel redraws, as ``(x >> 11) * 2**-53``, which
 is how ``Generator.random`` makes its doubles, so every stream has the
-bits it had when drawn as floats. Sampling is a *draw* (each channel's
-redraw steps and raw uniforms) and a *render* (the dense path at given
-amplitudes), or, for the double-quantum engine path, the draw read as
-each field's (steps, values) pairs (:func:`held_fields`). Every draw
-goes through a :class:`NoiseDraws` store: the caller's (each
+bits it had when drawn as floats. Sampling has three stages:
+
+* the *draw* (:func:`_draw`): each of a stream's three channels' redraw
+  steps and raw uniforms;
+* the *pairs*: each field of a trajectory (beta_s, beta_s', eps_z) as a
+  (steps, values) pair, held at values[i] from steps[i] on, or None when
+  it is zero (:func:`held_fields`, which the double-quantum engine path
+  reads as they are);
+* the *render*: a pair repeated into its dense per-step path, which the
+  samplers return.
+
+Every draw goes through a :class:`NoiseDraws` store: the caller's (each
 ``spindyad.engine.Experiment`` owns one, shared by the experiments
 derived from it), or a throwaway one for a call that passes none. The
 store draws every channel of each stream once, redraws it only for a
@@ -47,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -70,6 +77,8 @@ _SQRT3 = math.sqrt(3.0)
 # given (seed, stream_id) statistically independent.
 _DOMAIN_MAGNETIC = 0
 _DOMAIN_ELECTRIC = 1
+
+_CHANNELS = 3  # per stream: global, local at S, local at S'; eps_z reads channel 2
 
 DEFAULT_SWITCH_RATE = 1e5  # Hz; comparable to |g| beta_rms at 1 uT
 
@@ -172,25 +181,25 @@ def _switch_threshold(p_switch: float) -> np.uint64:
 
 
 def _draw(
-    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int
+    seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float
 ) -> list[tuple[NDArray, NDArray]]:
     """The redraw steps and raw uniforms of every channel of one stream.
 
-    One (n_steps, 2c) block of raw Philox integers is drawn row by row
-    (step-major), so a longer draw extends a shorter one bit-exactly.
-    Channel j redraws at step 0 (stationary start) and at every later
-    step where the uniform of column j is below ``p_switch``, taking the
-    uniform of column c + j. Uniforms are made only at those steps, with
-    the bits ``Generator.random`` would give them; the block is dropped
-    on return.
+    One (n_steps, 2 * _CHANNELS) block of raw Philox integers is drawn row
+    by row (step-major), so a longer draw extends a shorter one
+    bit-exactly. Channel j redraws at step 0 (stationary start) and at
+    every later step where the uniform of column j is below ``p_switch``,
+    taking the uniform of column _CHANNELS + j. Uniforms are made only at
+    those steps, with the bits ``Generator.random`` would give them; the
+    block is dropped on return.
     """
-    x = _stream_rng(seed, stream_id, domain).bit_generator.random_raw(max(n_steps, 1) * 2 * c)
-    x = x.reshape(-1, 2 * c)
+    x = _stream_rng(seed, stream_id, domain).bit_generator.random_raw(max(n_steps, 1) * 2 * _CHANNELS)
+    x = x.reshape(-1, 2 * _CHANNELS)
     below = _switch_threshold(p_switch)
     out = []
-    for j in range(c):
+    for j in range(_CHANNELS):
         starts = np.concatenate(([0], np.flatnonzero(x[1:n_steps, j] < below) + 1))
-        out.append((starts, (x[starts, c + j] >> np.uint64(11)) * 2.0**-53))
+        out.append((starts, (x[starts, _CHANNELS + j] >> np.uint64(11)) * 2.0**-53))
     return out
 
 
@@ -202,22 +211,23 @@ def _held(starts: NDArray, uniforms: NDArray, n_steps: int, sigma: float) -> tup
     return starts[:k], (2.0 * uniforms[:k] - 1.0) * (_SQRT3 * sigma)
 
 
-def _render(starts: NDArray, uniforms: NDArray, n_steps: int, sigma: float) -> NDArray:
-    """The (n_steps,) hold/redraw path of one drawn channel at rms
-    ``sigma``, from a draw at least ``n_steps`` long."""
-    steps, values = _held(starts, uniforms, n_steps, sigma)
+def _render(pair: Optional[tuple], n_steps: int) -> NDArray:
+    """The (n_steps,) path of a (steps, values) pair; zeros for None."""
+    if pair is None:
+        return np.zeros(n_steps)
+    steps, values = pair
     return np.repeat(values, np.diff(steps, append=n_steps))
 
 
 class NoiseDraws:
-    """The draws of the streams one caller renders many times.
+    """The draws of the streams one caller reads many times.
 
-    A sweep renders the same streams at several amplitudes and lengths;
+    A sweep reads the same streams at several amplitudes and lengths;
     this store draws each stream once, every channel of it, at the
     longest length asked so far, and keeps only the channels' redraw
     steps and uniforms (about ``p_switch * n_steps`` per channel). Only a
     longer request redraws a stream: the old draw is a prefix of the new
-    one, so every render keeps the bits of a fresh draw. The store lives
+    one, so every read keeps the bits of a fresh draw. The store lives
     as long as its owner keeps it; nothing is cached between callers.
     """
 
@@ -225,45 +235,24 @@ class NoiseDraws:
         self._entries: dict[tuple, tuple[int, list[tuple[NDArray, NDArray]]]] = {}
 
     def get(
-        self, seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float, c: int
+        self, seed: int, stream_id: int, domain: int, n_steps: int, p_switch: float
     ) -> list[tuple[NDArray, NDArray]]:
-        """The draw of every channel of a c-channel stream, at least
-        ``n_steps`` long."""
-        key = (seed, domain, stream_id, p_switch, c)
+        """The draw of every channel of a stream, at least ``n_steps`` long."""
+        key = (seed, domain, stream_id, p_switch)
         length, drawn = self._entries.get(key, (-1, None))
         if length < n_steps:
-            drawn = _draw(seed, stream_id, domain, n_steps, p_switch, c)
+            drawn = _draw(seed, stream_id, domain, n_steps, p_switch)
             self._entries[key] = (n_steps, drawn)
         return drawn
 
 
-def _fluctuator_channels(
-    seed: int,
-    stream_id: int,
-    domain: int,
-    n_steps: int,
-    p_switch: float,
-    sigmas: Sequence[float],
-    draws: Optional[NoiseDraws] = None,
-) -> list[NDArray]:
-    """Sample ``len(sigmas)`` independent hold/redraw channels, one
-    (n_steps,) path each: the stream's draw from ``draws`` (a throwaway
-    store when None), rendered per channel amplitude. Amplitudes only
-    scale the redraw values. A channel with zero amplitude is all zeros
-    (one shared array) and builds no path; when no channel has amplitude,
-    nothing is drawn.
-    """
-    if not any(sigmas):
-        return [np.zeros(n_steps)] * len(sigmas)
-    store = NoiseDraws() if draws is None else draws
-    drawn = store.get(seed, stream_id, domain, n_steps, p_switch, len(sigmas))
-    zero = None if all(sigmas) else np.zeros(n_steps)  # made after the draw's block is freed
-    return [_render(*drawn[j], n_steps, s) if s else zero for j, s in enumerate(sigmas)]
+def _n_steps(duration: float, dt: float) -> int:
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    return int(round(duration / dt))
 
 
 def _check_step(switch_rate: float, dt: float) -> float:
-    if not dt > 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
     p = switch_rate * dt
     if p > 0.5:
         raise ValueError(
@@ -271,48 +260,6 @@ def _check_step(switch_rate: float, dt: float) -> float:
             f"model is under-resolved, reduce dt"
         )
     return p
-
-
-def sample_magnetic_trajectory(
-    cfg: FluctuatorConfig,
-    duration: float,
-    dt: float,
-    stream_id: int,
-    draws: Optional[NoiseDraws] = None,
-    seed: int = 0,
-) -> NoiseTrajectory:
-    """Sample beta(t), beta'(t) for one trajectory.
-
-    Three independent fluctuator channels are drawn (global, local at S,
-    local at S') and summed per site. Bit-identical for identical (seed,
-    stream_id, cfg, duration, dt), with or without ``draws``; ``seed`` is
-    the master seed in [0, 2**64), ``stream_id`` the trajectory index.
-    """
-    p = _check_step(cfg.switch_rate, dt)
-    n_steps = int(round(duration / dt))
-    sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
-    glob, loc, loc_prime = _fluctuator_channels(
-        seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, [sig_g, sig_l, sig_l], draws
-    )
-    return NoiseTrajectory(dt=dt, beta_s=glob + loc, beta_s_prime=glob + loc_prime)
-
-
-def sample_electric_trajectory(
-    cfg: FluctuatorConfig,
-    duration: float,
-    dt: float,
-    stream_id: int,
-    draws: Optional[NoiseDraws] = None,
-    seed: int = 0,
-) -> NDArray:
-    """Sample the (n_steps,) axial electric field path eps_z, keyed like
-    the magnetic path: channel 2 of a three-channel stream (switches in
-    uniform column 2, values in column 5) whose other two channels have
-    zero amplitude and build no path."""
-    p = _check_step(cfg.electric_rate, dt)
-    n_steps = int(round(duration / dt))
-    sigmas = [0.0, 0.0, cfg.eps_rms]
-    return _fluctuator_channels(seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, sigmas, draws)[2]
 
 
 def _add(x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
@@ -326,6 +273,67 @@ def _add(x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
     return steps, at(x) + at(y)
 
 
+def _magnetic(
+    cfg: FluctuatorConfig, n_steps: int, dt: float, stream_id: int, draws: Optional[NoiseDraws], seed: int
+) -> tuple[Optional[tuple], Optional[tuple]]:
+    """The pairs of beta_s and beta_s', None when beta_rms is 0: channel 0
+    of the magnetic stream (global) plus channel 1 or 2 (local at S or
+    S'). A channel with zero amplitude builds no pair."""
+    if cfg.beta_rms == 0:
+        return None, None
+    p = _check_step(cfg.switch_rate, dt)
+    drawn = (NoiseDraws() if draws is None else draws).get(seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p)
+    sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
+    glob, loc, loc_prime = (
+        _held(*d, n_steps, s) if s else None for d, s in zip(drawn, (sig_g, sig_l, sig_l))
+    )
+    return _add(glob, loc), _add(glob, loc_prime)
+
+
+def _electric(
+    cfg: FluctuatorConfig, n_steps: int, dt: float, stream_id: int, draws: Optional[NoiseDraws], seed: int
+) -> Optional[tuple]:
+    """The pair of eps_z, None when eps_rms is 0: channel 2 of the electric
+    stream (switches in uniform column 2, values in column 5)."""
+    if cfg.eps_rms == 0:
+        return None
+    p = _check_step(cfg.electric_rate, dt)
+    drawn = (NoiseDraws() if draws is None else draws).get(seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p)
+    return _held(*drawn[2], n_steps, cfg.eps_rms)
+
+
+def sample_magnetic_trajectory(
+    cfg: FluctuatorConfig,
+    duration: float,
+    dt: float,
+    stream_id: int,
+    draws: Optional[NoiseDraws] = None,
+    seed: int = 0,
+) -> NoiseTrajectory:
+    """Sample beta(t), beta'(t) for one trajectory: the rendered pairs of
+    :func:`held_fields`. Bit-identical for identical (seed, stream_id,
+    cfg, duration, dt), with or without ``draws``; ``seed`` is the master
+    seed in [0, 2**64), ``stream_id`` the trajectory index.
+    """
+    n_steps = _n_steps(duration, dt)
+    beta, beta_p = _magnetic(cfg, n_steps, dt, stream_id, draws, seed)
+    return NoiseTrajectory(dt=dt, beta_s=_render(beta, n_steps), beta_s_prime=_render(beta_p, n_steps))
+
+
+def sample_electric_trajectory(
+    cfg: FluctuatorConfig,
+    duration: float,
+    dt: float,
+    stream_id: int,
+    draws: Optional[NoiseDraws] = None,
+    seed: int = 0,
+) -> NDArray:
+    """Sample the (n_steps,) axial electric field path eps_z, keyed like
+    the magnetic path: the rendered pair of :func:`held_fields`."""
+    n_steps = _n_steps(duration, dt)
+    return _render(_electric(cfg, n_steps, dt, stream_id, draws, seed), n_steps)
+
+
 def held_fields(
     cfg: FluctuatorConfig,
     duration: float,
@@ -334,25 +342,12 @@ def held_fields(
     draws: Optional[NoiseDraws] = None,
     seed: int = 0,
 ) -> tuple[Optional[tuple], Optional[tuple], Optional[tuple]]:
-    """The fields (beta_s, beta_s', eps_z) of one trajectory, None where
-    zero, read from the draws as (steps, values) pairs without rendering a
-    path: held at values[i] from steps[i] on, steps[i] a redraw of a live
-    channel. Each value has the bits of the sampled path at its step."""
-    n_steps = int(round(duration / dt))
-    store = NoiseDraws() if draws is None else draws
-    beta = beta_p = eps_z = None
-    if cfg.beta_rms > 0:
-        p = _check_step(cfg.switch_rate, dt)
-        sig_g, sig_l = partition(cfg.xi, cfg.beta_rms)
-        drawn = store.get(seed, stream_id, _DOMAIN_MAGNETIC, n_steps, p, 3)
-        glob, loc, loc_prime = (
-            _held(*d, n_steps, s) if s else None for d, s in zip(drawn, (sig_g, sig_l, sig_l))
-        )
-        beta, beta_p = _add(glob, loc), _add(glob, loc_prime)
-    if cfg.eps_rms > 0:
-        p = _check_step(cfg.electric_rate, dt)
-        eps_z = _held(*store.get(seed, stream_id, _DOMAIN_ELECTRIC, n_steps, p, 3)[2], n_steps, cfg.eps_rms)
-    return beta, beta_p, eps_z
+    """The fields (beta_s, beta_s', eps_z) of one trajectory as (steps,
+    values) pairs, None where zero: held at values[i] from steps[i] on,
+    steps[i] a redraw of a live channel."""
+    n_steps = _n_steps(duration, dt)
+    args = (n_steps, dt, stream_id, draws, seed)
+    return (*_magnetic(cfg, *args), _electric(cfg, *args))
 
 
 def empirical_xi(traj: NoiseTrajectory) -> float:

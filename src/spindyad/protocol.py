@@ -97,8 +97,8 @@ class Delay:
     noisy: bool = True
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError(f"delay duration must be >= 0, got {self.duration}")
+        if not (math.isfinite(self.duration) and self.duration >= 0):
+            raise ValueError(f"delay duration must be finite and >= 0, got {self.duration}")
 
 
 @dataclass(frozen=True)
@@ -377,29 +377,25 @@ def program_to_text(prog: PulseProgram) -> str:
 
 def program_from_text(text: str) -> PulseProgram:
     """Parse the serialization produced by :func:`program_to_text`; the
-    result equals the program that was serialized."""
+    result equals the program that was serialized. A line with a token
+    outside that grammar, or a value its element refuses, is an error
+    naming the line."""
     elements: list[PulseElement] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        kind = parts[0].lower()
+        kind, *args = line.lower().split()
         try:
-            if kind == "rotation":
-                target = _TARGET_BY_NAME[parts[1].lower()]
-                axis = _AXIS_BY_NAME[parts[2].lower()]
-                angle = float(parts[3])
-                shared = len(parts) > 4 and parts[4].lower() == "shared"
-                elements.append(Rotation(target, axis, angle, shared))
-            elif kind == "delay":
-                duration = float(parts[1])
-                noisy = not (len(parts) > 2 and parts[2].lower() == "noisefree")
-                elements.append(Delay(duration, noisy))
-            elif kind == "repump":
+            if kind == "rotation" and len(args) in (3, 4) and args[3:] in ([], ["shared"]):
+                target, axis = _TARGET_BY_NAME[args[0]], _AXIS_BY_NAME[args[1]]
+                elements.append(Rotation(target, axis, float(args[2]), len(args) == 4))
+            elif kind == "delay" and len(args) in (1, 2) and args[1:] in ([], ["noisefree"]):
+                elements.append(Delay(float(args[0]), noisy=len(args) == 1))
+            elif kind == "repump" and not args:
                 elements.append(Repump())
             else:
                 raise KeyError(kind)
-        except (KeyError, IndexError, ValueError) as exc:
+        except (KeyError, ValueError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}") from exc
     return PulseProgram(tuple(elements))

@@ -181,6 +181,30 @@ class TestExitCodes:
         assert err == f"error: config: program file {program}: line 2: cannot parse 'delay soon'\n"
 
     @pytest.mark.parametrize(
+        "line",
+        [
+            "delay nan",
+            "delay inf",
+            "delay 5e-06 noise-free",
+            "delay 5e-06 noisefree shared",
+            "rotation both x 1.57 sharde",
+            "rotation both x 1.57 shared noisefree",
+            "repump now please",
+        ],
+    )
+    def test_custom_program_outside_the_grammar_is_2(self, tmp_path, capsys, line):
+        # a non-finite delay, or a token the grammar does not have, names its
+        # line before any run, where it used to crash (exit 1) or be dropped
+        program = tmp_path / "prog.txt"
+        program.write_text(f"rotation both x 1.5707963267948966\n{line}\n")
+        path = write(tmp_path, FAST_CUSTOM.format(program=program))
+        out = tmp_path / "out"
+        assert main(["--config", path, "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == f"error: config: program file {program}: line 2: cannot parse {line!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "preset,sweep,message",
         [
             ("xi_sweep", "variable = xi\nvalues = 0.5, 2", "sweep xi value 2 is outside [0, 1]"),

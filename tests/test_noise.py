@@ -208,24 +208,6 @@ def frozen_fluctuator_channels(seed, stream_id, domain, n_steps, p_switch, sigma
     return np.take_along_axis(draws, hold_idx, axis=0)[:n_steps]
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
-@given(
-    seed=st.integers(0, 2**64 - 1),
-    stream_id=st.integers(0, 2**63),
-    domain=st.sampled_from([0, 1]),
-    n_steps=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)),
-    p_switch=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
-    sigmas=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), min_size=1, max_size=6),
-)
-def test_sampler_keeps_the_frozen_stream(seed, stream_id, domain, n_steps, p_switch, sigmas):
-    paths = noise._fluctuator_channels(seed, stream_id, domain, n_steps, p_switch, sigmas)
-    old = frozen_fluctuator_channels(seed, stream_id, domain, n_steps, p_switch, sigmas)
-    assert len(paths) == len(sigmas) and old.shape == (n_steps, len(sigmas))
-    for j, path in enumerate(paths):
-        assert path.shape == (n_steps,)
-        assert np.array_equal(path, old[:, j])  # a zero channel may be -0.0 in the old one
-
-
 def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -256,11 +238,12 @@ def test_axial_path_is_column_2_of_the_three_axis_stream(seed, stream_id, n_step
     n_steps=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)),
     rate=st.floats(1.0, 5e7),
     beta_rms=st.one_of(st.just(0.0), st.floats(1e-12, 1e-4)),
-    xi=st.sampled_from([0.0, 1.0]),
+    xi=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
 )
 def test_magnetic_edges_keep_the_frozen_sum(seed, stream_id, n_steps, rate, beta_rms, xi):
-    """At xi = 0 and xi = 1 one channel group has zero amplitude and builds
-    no path; the site fields keep the bits of the frozen three-channel sum."""
+    """The site fields keep the bits of the frozen three-channel sum for
+    every xi, at its edges too: at xi = 0 and xi = 1 one channel group has
+    zero amplitude and builds no pair."""
     dt = 1e-8
     cfg = FluctuatorConfig(beta_rms=beta_rms, xi=xi, switch_rate=rate)
     traj = sample_magnetic_trajectory(cfg, n_steps * dt, dt, stream_id, seed=seed)
@@ -278,27 +261,27 @@ def test_magnetic_edges_keep_the_frozen_sum(seed, stream_id, n_steps, rate, beta
     lengths=st.lists(
         st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)), min_size=2, max_size=2
     ),
-    p_switch=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 0.5)),
-    sigma_sets=st.integers(1, 5).flatmap(
-        lambda c: st.lists(
-            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), min_size=c, max_size=c),
-            min_size=4,
-            max_size=4,
-        )
+    rate=st.one_of(st.sampled_from([1.0, 5e7]), st.floats(1.0, 5e7)),
+    amplitudes=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1e7)), st.floats(0.0, 1.0)),
+        min_size=4,
+        max_size=4,
     ),
-    keys=st.lists(st.sampled_from(range(6)), min_size=4, max_size=4),
+    keys=st.lists(st.sampled_from(range(5)), min_size=4, max_size=4),
 )
 def test_stored_draw_renders_the_bits_of_a_fresh_one(
-    seed, stream_id, domain, lengths, p_switch, sigma_sets, keys
+    seed, stream_id, domain, lengths, rate, amplitudes, keys
 ):
-    """Renders from one store keep the bits of a fresh draw. The store is
-    asked for two lengths in the order a, b, b, a (short then long, long
-    then short, repeated), at other amplitudes each time, for one stream
-    or for streams that differ from it in one key field."""
+    """The samplers' paths from one store keep the bits of a fresh draw.
+    The store is asked for two lengths in the order a, b, b, a (short then
+    long, long then short, repeated), at other amplitudes (rms and xi) each
+    time, for one stream or for streams that differ from it in one key
+    field: seed, stream, domain or switch rate."""
+    dt = 1e-8
     draws = noise.NoiseDraws()
     a, b = lengths
-    for n_steps, sigmas, key in zip((a, b, b, a), sigma_sets, keys):
-        s, i, d, p = [seed, stream_id, domain, p_switch]
+    for n_steps, (sigma, xi), key in zip((a, b, b, a), amplitudes, keys):
+        s, i, d, r = [seed, stream_id, domain, rate]
         if key == 1:
             s += 1
         elif key == 2:
@@ -306,21 +289,40 @@ def test_stored_draw_renders_the_bits_of_a_fresh_one(
         elif key == 3:
             d = 1 - d
         elif key == 4:
-            p /= 2
-        elif key == 5:
-            sigmas = [*sigmas, 1.0]  # one channel more
-        stored = noise._fluctuator_channels(s, i, d, n_steps, p, sigmas, draws)
-        fresh = noise._fluctuator_channels(s, i, d, n_steps, p, sigmas)
-        assert len(stored) == len(fresh) == len(sigmas)
-        assert all(same_bits(x, y) for x, y in zip(stored, fresh))
-    if p_switch == 0.0:  # only the stationary start: one redraw per channel, at any length
-        for _, drawn in draws._entries.values():
-            assert all(starts.size == uniforms.size == 1 for starts, uniforms in drawn)
+            r /= 2
+        cfg = FluctuatorConfig(beta_rms=sigma, xi=xi, switch_rate=r, eps_rms=sigma, electric_rate=r)
+
+        def sample(store):
+            if d == noise._DOMAIN_ELECTRIC:
+                return [sample_electric_trajectory(cfg, n_steps * dt, dt, i, store, s)]
+            traj = sample_magnetic_trajectory(cfg, n_steps * dt, dt, i, store, s)
+            return [traj.beta_s, traj.beta_s_prime]
+
+        stored, fresh = sample(draws), sample(None)
+        assert all(x.shape == (n_steps,) and same_bits(x, y) for x, y in zip(stored, fresh))
 
 
-def frozen_draw(seed, stream_id, domain, n_steps, p_switch, c):
+@pytest.mark.parametrize("p_switch", [0.0, 1e-2])
+def test_store_keeps_only_the_redraws(p_switch):
+    """The store keeps each channel's redraw steps and uniforms, not the
+    drawn block: at p = 0 only the stationary start, one redraw per
+    channel at any length, and about p * n_steps at p = 1e-2. A shorter
+    request keeps the longer draw."""
+    draws = noise.NoiseDraws()
+    for n_steps in (3000, 10, 3000):
+        drawn = draws.get(4, 2, noise._DOMAIN_MAGNETIC, n_steps, p_switch)
+        assert len(drawn) == noise._CHANNELS
+        for starts, uniforms in drawn:
+            assert starts.size == uniforms.size and starts[-1] < 3000
+            assert starts.size == 1 if p_switch == 0.0 else 1 < starts.size < 100
+    ((length, _),) = draws._entries.values()
+    assert length == 3000
+
+
+def frozen_draw(seed, stream_id, domain, n_steps, p_switch):
     """The draw as first written, from ``Generator.random`` floats, kept
-    verbatim to pin the raw-integer draw."""
+    verbatim to pin the raw-integer draw; a stream has three channels."""
+    c = 3
     u = noise._stream_rng(seed, stream_id, domain).random((max(n_steps, 1), 2 * c))
     out = []
     for j in range(c):
@@ -335,13 +337,12 @@ def frozen_draw(seed, stream_id, domain, n_steps, p_switch, c):
     stream_id=st.integers(0, 2**63),
     domain=st.sampled_from([noise._DOMAIN_MAGNETIC, noise._DOMAIN_ELECTRIC]),
     n_steps=st.one_of(st.sampled_from([0, 1, 2]), st.integers(0, 3000)),
-    c=st.sampled_from([1, 3]),
     p_switch=st.one_of(st.sampled_from([0.0, 2**-10, 1e-3, 0.5]), st.floats(0.0, 0.5)),
 )
-def test_raw_draw_keeps_the_bits_of_the_float_draw(seed, stream_id, domain, n_steps, c, p_switch):
-    drawn = noise._draw(seed, stream_id, domain, n_steps, p_switch, c)
-    old = frozen_draw(seed, stream_id, domain, n_steps, p_switch, c)
-    assert len(drawn) == len(old) == c
+def test_raw_draw_keeps_the_bits_of_the_float_draw(seed, stream_id, domain, n_steps, p_switch):
+    drawn = noise._draw(seed, stream_id, domain, n_steps, p_switch)
+    old = frozen_draw(seed, stream_id, domain, n_steps, p_switch)
+    assert len(drawn) == len(old) == noise._CHANNELS == 3
     for (starts, uniforms), (old_starts, old_uniforms) in zip(drawn, old):
         assert starts.dtype == old_starts.dtype and np.array_equal(starts, old_starts)
         assert uniforms.dtype == old_uniforms.dtype and np.array_equal(uniforms, old_uniforms)
@@ -364,6 +365,35 @@ def test_switch_threshold_agrees_with_the_float_test_at_its_edge(p_switch, integ
             assert (x < below) == ((x >> np.uint64(11)) * 2.0**-53 < p_switch), (m, r)
 
 
+def correlation_error(p, lag, n_total):
+    """The standard error of the autocorrelation r(k) of hold/redraw paths
+    of n_total steps in all, at switch probability p.
+
+    At lag 1 it is sqrt(2.4 p / N), from the redraw count. With x the path
+    and d_t = x_{t+1} - x_t, sum d^2 = 2 sum x^2 - 2 sum x_t x_{t+1} up to
+    end terms, so 1 - r(1) = S / (2 P) with S = sum d^2 and P = sum x^2.
+    d is nonzero only at the R ~ N p redraws, where it is the difference
+    of two independent uniforms of variance s^2: E d^2 = 2 s^2 and, with
+    E x^4 = 1.8 s^4, Var d^2 = 9.6 s^4 - 4 s^4 = 5.6 s^4. With Var R = N p,
+    Var S = N p (5.6 + 4) s^4, a relative variance of 2.4 / (N p) about
+    E S = 2 N p s^2. P = N s^2 + sum over the holds (value v, geometric
+    length L) of L (v^2 - s^2): Var P = N p E L^2 Var v^2 = N p (2 / p^2)
+    0.8 s^4, a relative variance of 1.6 / (N p) about E P = N s^2. Each
+    held v^2 enters S twice, so Cov(S, P) = N p 2 E L Var v^2 = 1.6 N s^4,
+    a relative covariance of 0.8 / (N p), and the two cancel in the
+    ratio: 1 - r(1) ~ p has variance p^2 * 2.4 / (N p) = 2.4 p / N.
+
+    At longer lags it is the AR(1) Bartlett error sqrt(((1 + q^2)
+    (1 + q^2k) / (1 - q^2) - 2k q^2k) / N) at q = 1 - p. At lag 1 that
+    is about 0.9 / p times the redraw-count error: 57 times at p = 1/64,
+    910 times at p = 1e-3.
+    """
+    if lag == 1:
+        return math.sqrt(2.4 * p / n_total)
+    q = 1.0 - p
+    return math.sqrt(((1 + q**2) * (1 + q ** (2 * lag)) / (1 - q**2) - 2 * lag * q ** (2 * lag)) / n_total)
+
+
 def test_hold_times_are_geometric():
     """Each step redraws a channel with probability p, independently: the
     gaps between redraws follow geometric(p), P(gap > k) = (1 - p)^k, and
@@ -371,16 +401,15 @@ def test_hold_times_are_geometric():
     200k steps at p = 1/64 give about 25,000 gaps. The gaps fall in 20 bins
     of equal expected count; the chi-square must stay below its mean plus
     six of its standard deviations, df + 6 sqrt(2 df). The autocorrelation
-    must stay within five standard errors of (1 - p)^k, the AR(1) Bartlett
-    error sqrt(((1 + q^2)(1 + q^2k) / (1 - q^2) - 2k q^2k) / N) at
-    q = 1 - p, N the total steps."""
+    must stay within five standard errors (:func:`correlation_error`) of
+    (1 - p)^k."""
     p, n_steps, streams = 1.0 / 64.0, 200_000, 8
     q = 1.0 - p
     gaps, paths = [], []
     for stream in range(streams):
-        ((starts, uniforms),) = noise._draw(21, stream, noise._DOMAIN_MAGNETIC, n_steps, p, 1)
+        starts, uniforms = noise._draw(21, stream, noise._DOMAIN_MAGNETIC, n_steps, p)[0]
         gaps.append(np.diff(starts))
-        paths.append(noise._render(starts, uniforms, n_steps, 1.0))
+        paths.append(noise._render(noise._held(starts, uniforms, n_steps, 1.0), n_steps))
     gaps = np.concatenate(gaps)
     # bin edges k_i with P(gap > k_i) nearest to 1 - i/20; expected counts exact
     edges = np.unique(np.round(np.log1p(-np.arange(1, 20) / 20.0) / np.log(q)).astype(int))
@@ -394,8 +423,7 @@ def test_hold_times_are_geometric():
     power = sum(float(np.dot(x, x)) for x in paths)
     for k in (1, 8, 32, 64, 128, 256):
         r = sum(float(np.dot(x[:-k], x[k:])) for x in paths) / power
-        var = ((1 + q**2) * (1 + q ** (2 * k)) / (1 - q**2) - 2 * k * q ** (2 * k)) / n_total
-        assert abs(r - q**k) < 5.0 * math.sqrt(var), (k, r, q**k)
+        assert abs(r - q**k) < 5.0 * correlation_error(p, k, n_total), (k, r, q**k)
 
 
 @pytest.mark.parametrize("p,streams", [(1e-2, 4), (1e-3, 16)])
@@ -412,14 +440,14 @@ def test_rare_switch_gaps_and_correlation_are_geometric(p, streams):
       taken over every integer k, has sqrt(n) D < 1.95, the 0.1 % level
       of the continuous law (a discrete law only lowers it);
     * the autocorrelation at lags 1, 1/(4p), 1/p and 2/p is within five
-      AR(1) Bartlett standard errors of (1 - p)^k, as in the test above.
+      standard errors (:func:`correlation_error`) of (1 - p)^k.
     """
     n_steps, q = 400_000, 1.0 - p
     gaps, paths = [], []
     for stream in range(streams):
-        ((starts, uniforms),) = noise._draw(5, stream, noise._DOMAIN_MAGNETIC, n_steps, p, 1)
+        starts, uniforms = noise._draw(5, stream, noise._DOMAIN_MAGNETIC, n_steps, p)[0]
         gaps.append(np.diff(starts))
-        paths.append(noise._render(starts, uniforms, n_steps, 1.0))
+        paths.append(noise._render(noise._held(starts, uniforms, n_steps, 1.0), n_steps))
     gaps = np.sort(np.concatenate(gaps))
     n = gaps.size
     assert abs(gaps.mean() - 1.0 / p) < 5.0 * math.sqrt(1.0 - p) / p / math.sqrt(n), gaps.mean()
@@ -430,8 +458,7 @@ def test_rare_switch_gaps_and_correlation_are_geometric(p, streams):
     power = sum(float(np.dot(x, x)) for x in paths)
     for lag in (1, round(0.25 / p), round(1.0 / p), round(2.0 / p)):
         r = sum(float(np.dot(x[:-lag], x[lag:])) for x in paths) / power
-        var = ((1 + q**2) * (1 + q ** (2 * lag)) / (1 - q**2) - 2 * lag * q ** (2 * lag)) / n_total
-        assert abs(r - q**lag) < 5.0 * math.sqrt(var), (lag, r, q**lag)
+        assert abs(r - q**lag) < 5.0 * correlation_error(p, lag, n_total), (lag, r, q**lag)
 
 
 def change_scan(x):

@@ -340,7 +340,8 @@ class TestAnchorScans:
         args = ["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "out")]
         assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
         # field_sweep's far reference runs off the anti-crossing and renders
-        assert rendered == ({False: 2} if name == "field_sweep" else {})
+        # each live field, beta_s and beta_s', of its two trajectories
+        assert rendered == ({False: 4} if name == "field_sweep" else {})
 
     def test_field_sweep_builds_each_anchor_program_once(self, tmp_path, monkeypatch):
         # the nine points' noise-free scans read the same delays: 9 builds of

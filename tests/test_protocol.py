@@ -7,6 +7,7 @@ product-operator transformation rules).
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -403,3 +404,27 @@ class TestSerialization:
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 2"):
             program_from_text("repump\nwobble 3\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "delay 5e-06 noise-free",
+            "delay 5e-06 noisefree noisefree",
+            "delay",
+            "delay nan",
+            "delay -inf",
+            "rotation both x 1.57 sharde",
+            "rotation both x 1.57 shared 2",
+            "rotation both x",
+            "rotation both x inf",
+            "repump now please",
+        ],
+    )
+    def test_token_outside_the_grammar_names_its_line(self, line):
+        with pytest.raises(ValueError, match=re.escape(f"line 2: cannot parse {line!r}")):
+            program_from_text(f"repump\n{line}\nrepump\n")
+
+    def test_delay_must_be_finite_and_nonnegative(self):
+        for duration in (math.nan, math.inf, -1e-9):
+            with pytest.raises(ValueError, match="must be finite and >= 0"):
+                Delay(duration)

@@ -24,7 +24,8 @@ error), which is what the step-halving convergence check relies on.
 noise at a time, to the end of the run's longest program, reduces it to
 what it gives each noisy delay, and drops it: the field sums of a dense
 path, or near the anti-crossing the constant-noise segments, read from
-each field's redraw steps and values with no dense path rendered. Every
+each field's redraw steps and values with no dense path rendered; a
+field both sites see (xi = 0) is rendered, summed or read once. Every
 noisy delay reads one table keyed by its (first step, end step) span.
 Near the anti-crossing the noisy-delay propagators of the whole run are
 built in one pass (a large run in chunks of paths): every segment of
@@ -38,12 +39,14 @@ left out), and :func:`propagate` walks each group once over the
 (programs, trajectories, 4, 4) stack of states, in walks of about
 ``_WALK_STATES`` states. A walk holds each of its programs' (first step,
 end step) rows, one per nonempty delay; its noise-free double-quantum
-delays are exponentiated in one call. Each state evolves exactly as it
-would alone, so the stack changes no bit. :func:`sweep` builds the
-programs and their walks once for all its runs: no variable it sweeps
-changes a program. :func:`propagate` also takes one program and one
-dense noise path, checks the path's length, and gives the final 4x4
-state.
+delays are exponentiated in one call. The elements before its first
+delay act once, on the 4x4 initial state; a rotation is one ``einsum``
+over the stack, and the state checks and the readout read only the
+entries they need. Each state evolves exactly as it would alone, so the
+stack changes no bit. :func:`sweep` builds the programs and their walks
+once for all its runs: no variable it sweeps changes a program.
+:func:`propagate` also takes one program and one dense noise path,
+checks the path's length, and gives the final 4x4 state.
 
 Noise draws: every path is read from the ``Experiment.draws`` store.
 Each experiment makes its own, and every experiment derived from it with
@@ -271,8 +274,10 @@ def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) 
     over the noisy spans [k0, k1), span by span: per-segment Tz / Pz
     coefficients (rad/s) and lengths (steps), and each span's segment
     count. A segment starts at every step after 0 where a live field is
-    redrawn, and reads each field's value at its start."""
-    steps = [f[0][1:] for f in path if f is not None]
+    redrawn, and reads each field's value at its start. A field that is
+    an earlier one (beta_s' at xi = 0) is read once."""
+    live = [f for q, f in enumerate(path) if f is not None and all(f is not g for g in path[:q])]
+    steps = [f[0][1:] for f in live]
     points = np.unique(np.concatenate(steps)) if steps else np.zeros(0, dtype=int)
     lo = np.searchsorted(points, k0, side="right")
     counts = np.searchsorted(points, k1, side="left") - lo + 1
@@ -283,13 +288,13 @@ def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) 
     starts[inner] = points[(np.repeat(lo, counts) + j - 1)[inner]]
     ends = np.append(starts[1:], 0)
     ends[first + counts - 1] = k1
-    beta, beta_p, eps_z = path
-    at = lambda f: f[1][np.searchsorted(f[0], starts, side="right") - 1]
+    values = {id(f): f[1][np.searchsorted(f[0], starts, side="right") - 1] for f in live}
+    beta, beta_p, eps_z = (values.get(id(f)) for f in path)
     zero = np.zeros(starts.size)
-    a = c.a0 + c.k_beta * (zero if beta is None else at(beta))
+    a = c.a0 + c.k_beta * (zero if beta is None else beta)
     if eps_z is not None:
-        a = a + c.k_eps * at(eps_z)
-    b = c.b0 + c.k_beta * (zero if beta_p is None else at(beta_p))
+        a = a + c.k_eps * eps_z
+    b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p)
     return a, b, ends - starts, counts
 
 
@@ -360,7 +365,9 @@ def _reduce(
 ) -> _NoiseBatch:
     """Reduce ``n`` noise paths, one at a time, to the span table of the
     noisy delays ``spans``; every path must reach the last span's end. Its
-    fields are dense arrays, or (steps, values) pairs when ``c.g != 0``."""
+    fields are dense arrays, or (steps, values) pairs when ``c.g != 0``;
+    a field that is an earlier one of its path (beta_s' at xi = 0) is
+    summed once and its column copied."""
     dq = c.g != 0.0
     k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
     table = np.zeros((len(spans), n) + ((4, 4) if dq else (3,)), dtype=complex if dq else float)
@@ -369,7 +376,8 @@ def _reduce(
         if not dq:
             for q, x in enumerate(path):
                 if x is not None:
-                    table[:, i, q] = _span_sums(x, k0, k1)
+                    r = next(r for r, y in enumerate(path) if y is x)  # the first field that is x
+                    table[:, i, q] = table[:, i, r] if r < q else _span_sums(x, k0, k1)
         elif spans:
             pending.append(_dq_segments(path, k0, k1, c))
             held += pending[-1][0].size
@@ -456,11 +464,20 @@ def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDA
     return u @ rho @ _dagger(u)
 
 
+# the six entries above the diagonal of a 4x4 state, and their mirrors
+_ABOVE, _BELOW = np.triu_indices(4, 1)
+
+
 def _check_invariants(rho: NDArray, walk: _Walk, j: int) -> None:
     """Unit trace and Hermiticity of every state of the stack after the
-    walk's element ``j``; a delay is named by the failing program's steps."""
+    walk's element ``j``; a delay is named by the failing program's steps.
+    max |rho - rho^dagger| is read from the six off-diagonal pairs and the
+    diagonal's imaginary parts (where it is 2 |Im rho_ii|); a NaN fails."""
     tr = rho.trace(axis1=-2, axis2=-1)
-    ok = (abs(tr - 1.0) <= 1e-9) & (np.abs(rho - _dagger(rho)).max(axis=(-2, -1)) <= 1e-9)
+    pairs = np.abs(rho[..., _ABOVE, _BELOW] - rho[..., _BELOW, _ABOVE].conj()).max(axis=-1)
+    diagonal = 2.0 * np.abs(rho.diagonal(axis1=-2, axis2=-1).imag).max(axis=-1)
+    trace_dev, herm_dev = abs(tr - 1.0), np.maximum(pairs, diagonal)
+    ok = (trace_dev <= 1e-9) & (herm_dev <= 1e-9)
     if not ok.all():
         p, i = np.unravel_index(np.argmin(ok), ok.shape)
         elem = walk.elements[j]
@@ -469,7 +486,8 @@ def _check_invariants(rho: NDArray, walk: _Walk, j: int) -> None:
             elem = f"Delay(steps [{k0}, {k1}), noisy={elem.noisy})"
         raise SimulationError(
             f"program {walk.index[p]}, trajectory {i}: state invariants violated after "
-            f"element {elem}: trace={tr[p, i]}"
+            f"element {elem}: |trace - 1| = {trace_dev[p, i]:.3g}, "
+            f"max |rho - rho^dagger| = {herm_dev[p, i]:.3g}"
         )
 
 
@@ -488,7 +506,8 @@ def propagate(
     at least as long as the program (checked before it is reduced), give
     the final 4x4 state; a walk (:func:`_walks`) and the batch :func:`run`
     reduces its trajectories to give the (programs, n, 4, 4) stack. The
-    skeleton is walked once over the whole stack. Delays advance through
+    skeleton is walked once over the whole stack, the elements before the
+    first delay on the one 4x4 state. Delays advance through
     the step grid (noise suppressed for noise-free delays but time still
     elapsing); rotations and repump events apply instantaneously between
     steps. With ``validate`` every state is checked after every element
@@ -515,21 +534,24 @@ def propagate(
         if batch.coeffs != coeffs:
             raise SimulationError("noise batch was reduced under other frame coefficients")
     rho0 = np.asarray(rho0, dtype=complex)
-    rho = np.broadcast_to(rho0, (len(program.index), batch.n) + rho0.shape).copy()
+    states = (len(program.index), batch.n) + rho0.shape
+    rho = rho0[None, None]  # every state is this one until the first delay
     d = 0
     for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
-            rho = _delay(rho, elem.noisy, program.steps[:, d], batch)
+            rho = _delay(np.broadcast_to(rho, states), elem.noisy, program.steps[:, d], batch)
             d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
-            rho = u @ rho @ u.conj().T
+            rho = np.einsum("ij,...jk,kl->...il", u, rho, _dagger(u), optimize=True)
         elif isinstance(elem, Repump):
             rho = _repump_state(rho)
         else:
             raise SimulationError(f"unknown program element {elem!r}")
         if validate:
             _check_invariants(rho, program, j)
+    if not d:  # no delay set the states apart
+        rho = np.broadcast_to(rho, states).copy()
     if validate:
         assert_density_matrix(rho)
     return rho[0, 0] if single else rho
@@ -617,10 +639,10 @@ def _signals(exp: Experiment, layout: Optional[tuple] = None) -> tuple[NDArray, 
         paths = (fields(i) for i in range(n_traj))
         batch = _reduce(paths, n_traj, dt, spans, coeffs)
         signals = np.empty((times.size, n_traj))
-        proj0 = reduced_operators().proj_ms0
+        proj0 = np.real(np.diagonal(reduced_operators().proj_ms0))  # Tr(rho P0) reads the diagonal
         for walk in walks:
             rho = propagate(rho0, walk, exp.params, batch, exp.sim, thermal_shift=exp.thermal_shift)
-            signals[walk.index] = np.real(np.trace(rho @ proj0, axis1=-2, axis2=-1))
+            signals[walk.index] = rho.real.diagonal(axis1=-2, axis2=-1) @ proj0
     except (ValueError, AssertionError) as exc:  # an under-resolved switch rate, a bad state
         raise SimulationError(str(exc)) from exc
     return times, signals

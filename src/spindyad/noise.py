@@ -39,7 +39,8 @@ bits it had when drawn as floats. Sampling has three stages:
   it is zero (:func:`held_fields`, which the double-quantum engine path
   reads as they are);
 * the *render*: a pair repeated into its dense per-step path, which the
-  samplers return.
+  samplers return read-only; a field the two sites share (xi = 0) is one
+  pair, rendered once and returned for both.
 
 Every draw goes through a :class:`NoiseDraws` store: the caller's (each
 ``spindyad.engine.Experiment`` owns one, shared by the experiments
@@ -212,11 +213,11 @@ def _held(starts: NDArray, uniforms: NDArray, n_steps: int, sigma: float) -> tup
 
 
 def _render(pair: Optional[tuple], n_steps: int) -> NDArray:
-    """The (n_steps,) path of a (steps, values) pair; zeros for None."""
-    if pair is None:
-        return np.zeros(n_steps)
-    steps, values = pair
-    return np.repeat(values, np.diff(steps, append=n_steps))
+    """The (n_steps,) path of a (steps, values) pair, zeros for None,
+    marked read-only."""
+    x = np.zeros(n_steps) if pair is None else np.repeat(pair[1], np.diff(pair[0], append=n_steps))
+    x.setflags(write=False)
+    return x
 
 
 class NoiseDraws:
@@ -278,7 +279,8 @@ def _magnetic(
 ) -> tuple[Optional[tuple], Optional[tuple]]:
     """The pairs of beta_s and beta_s', None when beta_rms is 0: channel 0
     of the magnetic stream (global) plus channel 1 or 2 (local at S or
-    S'). A channel with zero amplitude builds no pair."""
+    S'). A channel with zero amplitude builds no pair, so at xi = 0 both
+    are the one global pair."""
     if cfg.beta_rms == 0:
         return None, None
     p = _check_step(cfg.switch_rate, dt)
@@ -311,13 +313,17 @@ def sample_magnetic_trajectory(
     seed: int = 0,
 ) -> NoiseTrajectory:
     """Sample beta(t), beta'(t) for one trajectory: the rendered pairs of
-    :func:`held_fields`. Bit-identical for identical (seed, stream_id,
-    cfg, duration, dt), with or without ``draws``; ``seed`` is the master
-    seed in [0, 2**64), ``stream_id`` the trajectory index.
+    :func:`held_fields`, read-only. Where the two sites see one field (xi
+    = 0, or beta_rms = 0) it is rendered once and ``beta_s_prime`` is
+    ``beta_s``. Bit-identical for identical (seed, stream_id, cfg,
+    duration, dt), with or without ``draws``; ``seed`` is the master seed
+    in [0, 2**64), ``stream_id`` the trajectory index.
     """
     n_steps = _n_steps(duration, dt)
     beta, beta_p = _magnetic(cfg, n_steps, dt, stream_id, draws, seed)
-    return NoiseTrajectory(dt=dt, beta_s=_render(beta, n_steps), beta_s_prime=_render(beta_p, n_steps))
+    beta_s = _render(beta, n_steps)
+    beta_s_prime = beta_s if beta_p is beta else _render(beta_p, n_steps)
+    return NoiseTrajectory(dt=dt, beta_s=beta_s, beta_s_prime=beta_s_prime)
 
 
 def sample_electric_trajectory(
@@ -329,7 +335,7 @@ def sample_electric_trajectory(
     seed: int = 0,
 ) -> NDArray:
     """Sample the (n_steps,) axial electric field path eps_z, keyed like
-    the magnetic path: the rendered pair of :func:`held_fields`."""
+    the magnetic path: the rendered pair of :func:`held_fields`, read-only."""
     n_steps = _n_steps(duration, dt)
     return _render(_electric(cfg, n_steps, dt, stream_id, draws, seed), n_steps)
 

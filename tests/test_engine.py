@@ -267,6 +267,83 @@ class TestRun:
         with pytest.raises(SimulationError, match=message):
             propagate(initial_state(), walk, PARAMS, batch, sim)
 
+    def _rotation_walk(self):
+        """A rotation then a delay, walked over two quiet trajectories."""
+        sim = SimConfig(n_trajectories=2, dt=DT)
+        prog = PulseProgram((Rotation(Target.SPIN_S, Axis.X, math.pi / 2), Delay(10 * DT)))
+        (walk,), spans, _ = engine._walks([prog], DT, 2)
+        coeffs = model.frame_coefficients(PARAMS, sim.delta_b, False, 0.0)
+        batch = engine._reduce([(None, None, None)] * 2, 2, DT, spans, coeffs)
+        return walk, batch, sim
+
+    ROTATION_FAILED = (
+        r"^program 0, trajectory 0: state invariants violated after element "
+        r"Rotation\(target=<Target.SPIN_S: 's'>, axis=<Axis.X: 'x'>, angle=1.5707963267948966, "
+        r"shared_field=False\): "
+    )
+
+    def test_non_unitary_rotation_names_the_rotation_and_both_deviations(self, monkeypatch):
+        monkeypatch.setattr(engine, "rotation_unitary", lambda rot: 1.1 * rotation_unitary(rot))
+        walk, batch, sim = self._rotation_walk()
+        message = self.ROTATION_FAILED + r"\|trace - 1\| = 0.21, max \|rho - rho\^dagger\| = \S+$"
+        with pytest.raises(SimulationError, match=message):
+            propagate(initial_state(), walk, PARAMS, batch, sim)
+
+    @pytest.mark.parametrize(
+        "fault,deviations",
+        [
+            # imaginary diagonal entries of zero sum: the trace stays 1
+            ({(0, 0): 1e-6j, (2, 2): -1e-6j}, r"\|trace - 1\| = 0, max \|rho - rho\^dagger\| = 2e-06$"),
+            # 0 * nan is nan: the identity spreads it over row 1 and column 2
+            ({(1, 2): np.nan}, r"\|trace - 1\| = nan, max \|rho - rho\^dagger\| = nan$"),
+        ],
+    )
+    def test_state_fault_after_a_rotation_names_it(self, monkeypatch, fault, deviations):
+        # the identity rotation keeps the one fault of the walk's initial
+        # state, which propagate does not check
+        monkeypatch.setattr(engine, "rotation_unitary", lambda rot: np.eye(4))
+        rho0 = initial_state().astype(complex)
+        for at, value in fault.items():
+            rho0[at] += value
+        walk, batch, sim = self._rotation_walk()
+        with pytest.raises(SimulationError, match=self.ROTATION_FAILED + deviations):
+            propagate(rho0, walk, PARAMS, batch, sim)
+
+    def test_field_both_sites_see_is_summed_once(self, monkeypatch):
+        # an electrometry-like run at xi = 0: per trajectory one sum of the
+        # shared magnetic field, one of eps_z, and the span table of
+        # distinct copies of the shared field
+        sums, reduced = [], []
+        real_sums, real_reduce = engine._span_sums, engine._reduce
+
+        def reducing(paths, *args):
+            paths = list(paths)
+            reduced.append((paths, args))
+            return real_reduce(iter(paths), *args)
+
+        monkeypatch.setattr(engine, "_span_sums", lambda *a: sums.append(a) or real_sums(*a))
+        monkeypatch.setattr(engine, "_reduce", reducing)
+        noise = FluctuatorConfig(beta_rms=1e-6, xi=0.0, eps_rms=1e4)
+        run(self._experiment(noise=noise, n_traj=2))
+        assert len(sums) == 2 * 2
+        ((paths, args),) = reduced
+        assert all(beta is beta_p for beta, beta_p, _ in paths)
+        shared = real_reduce(iter(paths), *args)
+        distinct = real_reduce(((b, b.copy(), e) for b, _, e in paths), *args)
+        assert list(shared.spans) == list(distinct.spans)
+        assert all(np.array_equal(shared.spans[s], distinct.spans[s]) for s in shared.spans)
+
+    def test_dq_segments_read_a_shared_field_once(self):
+        # a field both sites see is one pair; its copy gives the same segments
+        glob = (np.array([0, 7, 19]), np.array([1e-6, -2e-6, 0.5e-6]))
+        eps_z = (np.array([0, 11]), np.array([3e4, -1e4]))
+        copy = tuple(x.copy() for x in glob)
+        c = model.frame_coefficients(PARAMS, 0.0, True, 0.0)
+        k0, k1 = np.array([0, 5, 10]), np.array([30, 12, 20])
+        shared = engine._dq_segments((glob, glob, eps_z), k0, k1, c)
+        distinct = engine._dq_segments((glob, copy, eps_z), k0, k1, c)
+        assert all(np.array_equal(x, y) for x, y in zip(shared, distinct))
+
     @pytest.mark.parametrize("near_bm", [False, True])
     @pytest.mark.parametrize("noisy", [False, True])
     def test_empty_delay_leaves_its_programs_states_as_they_were(self, near_bm, noisy):

@@ -55,6 +55,16 @@ class TestSampling:
         assert np.array_equal(traj.beta_s, traj.beta_s_prime)
         assert np.any(traj.beta_s != 0.0)
 
+    @pytest.mark.parametrize("beta_rms,xi,shared", [(1e-6, 0.0, True), (0.0, 0.3, True), (1e-6, 0.3, False)])
+    def test_a_field_both_sites_see_is_rendered_once(self, beta_rms, xi, shared):
+        # every render is read-only, so the one array can serve both sites
+        traj = sample_magnetic_trajectory(FluctuatorConfig(beta_rms=beta_rms, xi=xi), 1e-5, 1e-8, 2, seed=3)
+        assert (traj.beta_s is traj.beta_s_prime) == shared
+        assert not traj.beta_s.flags.writeable
+        assert not traj.beta_s_prime.flags.writeable
+        eps = sample_electric_trajectory(FluctuatorConfig(eps_rms=1e4), 1e-5, 1e-8, 2, seed=3)
+        assert not eps.flags.writeable
+
     def test_deterministic_per_stream(self):
         cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.4, switch_rate=1e5)
         a = sample_magnetic_trajectory(cfg, 5e-5, 1e-8, 9, seed=11)

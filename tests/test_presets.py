@@ -339,9 +339,10 @@ class TestAnchorScans:
         monkeypatch.setattr(noise, "_render", render)
         args = ["--config", str(CONFIGS / f"{name}.cfg"), "--out", str(tmp_path / "out")]
         assert main([*args, "--trajectories", "2", "--seed", "7", "--no-plot"]) == EXIT_OK
-        # field_sweep's far reference runs off the anti-crossing and renders
-        # each live field, beta_s and beta_s', of its two trajectories
-        assert rendered == ({False: 4} if name == "field_sweep" else {})
+        # field_sweep's far reference runs off the anti-crossing at xi = 0 and
+        # renders the one field both sites see once for each of its two
+        # trajectories
+        assert rendered == ({False: 2} if name == "field_sweep" else {})
 
     def test_field_sweep_builds_each_anchor_program_once(self, tmp_path, monkeypatch):
         # the nine points' noise-free scans read the same delays: 9 builds of

@@ -31,6 +31,8 @@ import numpy as np
 import numpy.ma  # noqa: F401  np.median imports it on first call; load it with the package
 from numpy.typing import NDArray
 
+from .model import DyadParams
+
 __all__ = [
     "FitResult",
     "FlatTraceError",
@@ -356,14 +358,9 @@ def slope_frequency(trace: _TraceLike, window: float) -> float:
     return -4.0 * slope
 
 
-def temperature_shift(delta_omega: float, params_or_sensitivity) -> float:
+def temperature_shift(delta_omega: float, params: DyadParams) -> float:
     """Temperature change from an observed frequency shift:
-    dT = d_omega / (dDelta/dT).
-
-    Accepts either a parameter object exposing ``ddelta_dT`` or the
-    sensitivity itself (rad/s per kelvin).
-    """
-    sens = getattr(params_or_sensitivity, "ddelta_dT", params_or_sensitivity)
-    if sens == 0.0:
+    dT = d_omega / (dDelta/dT), the sensitivity being ``params.ddelta_dT``."""
+    if params.ddelta_dT == 0.0:
         raise ValueError("ddelta_dT must be nonzero")
-    return delta_omega / float(sens)
+    return delta_omega / params.ddelta_dT

@@ -196,7 +196,7 @@ class ExperimentConfig:
         else:
             start = parse_quantity(start_text, expect, key="sweep.start")
             stop = parse_quantity(stop_text, expect, key="sweep.stop")
-            values = [start] if count == 1 else self.axis(start, stop, count)
+            values = self.axis(start, stop, count)
         outside = [v for v in values if not lo <= v <= hi]
         if outside:
             variable = self.text("sweep", "variable")
@@ -204,9 +204,12 @@ class ExperimentConfig:
         return values
 
     def axis(self, start: float, stop: float, count: int, prefix: str = "") -> list[float]:
-        """``count >= 2`` points from ``start`` to ``stop`` spaced as
+        """``count`` points from ``start`` to ``stop`` spaced as
         ``sweep.<prefix>spacing`` says: in equal steps, or for ``log`` in a
-        constant ratio, which needs positive bounds."""
+        constant ratio, which needs positive bounds. The one check that a
+        range has at least 2 points."""
+        if count < 2:
+            raise ConfigError(f"sweep.{prefix}count = {count}: a range needs at least 2 points")
         if self.text("sweep", f"{prefix}spacing") == "log":
             if start <= 0 or stop <= 0:
                 raise ConfigError(f"sweep.{prefix}spacing = log needs positive bounds")

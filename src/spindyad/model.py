@@ -173,18 +173,11 @@ def reduced_hamiltonian(
     secular only near the level anti-crossing; ``include_dq=False`` gives
     the far-from-anti-crossing form.
     """
-    ops = reduced_operators()
-    jpar_w = 2 * math.pi * p.j_par
-    h = (
-        (p.gamma_e * b_field - p.delta) * ops.tilde_z
-        + (p.gamma_e * b_field - math.pi * p.j_par) * ops.prime_z
-        + jpar_w * ops.zz
+    h = _generator(
+        p.gamma_e * b_field - p.delta,
+        p.gamma_e * b_field - math.pi * p.j_par,
+        frame_coefficients(p, near_bm=include_dq),
     )
-    if include_dq:
-        g = 2 * math.pi * p.j_perp * math.sqrt(2.0)
-        h = h + g * (
-            ops.tilde_plus @ ops.prime_plus + ops.tilde_minus @ ops.prime_minus
-        )
     require_hermitian(h, name="reduced Hamiltonian")
     return h
 
@@ -240,10 +233,16 @@ def sim_frame_hamiltonian(
     :func:`thermal_shift`.
     """
     c = frame_coefficients(p, delta_b, near_bm, thermal_shift)
+    return _generator(c.a0 + c.k_beta * beta + c.k_eps * eps_z, c.b0 + c.k_beta * beta_prime, c)
+
+
+def _generator(a: float, b: float, c: FrameCoefficients) -> NDArray:
+    """a Tz + b Pz + j TzPz + g (T+P+ + T-P-) with j and g from ``c``: the
+    operator form of both the lab-frame and the rotating-frame generator."""
     ops = reduced_operators()
     return (
-        (c.a0 + c.k_beta * beta + c.k_eps * eps_z) * ops.tilde_z
-        + (c.b0 + c.k_beta * beta_prime) * ops.prime_z
+        a * ops.tilde_z
+        + b * ops.prime_z
         + c.j * ops.zz
         + c.g * (ops.tilde_plus @ ops.prime_plus + ops.tilde_minus @ ops.prime_minus)
     )

@@ -189,8 +189,8 @@ def _tau_grid(cfg: ExperimentConfig, dt: float) -> list[float]:
     start = cfg.number("sweep", "tau_start")
     stop = cfg.number("sweep", "tau_stop")
     count = cfg.integer("sweep", "tau_count")
-    if count < 2 or stop <= start:
-        raise ConfigError("tau grid needs tau_start < tau_stop and tau_count >= 2")
+    if stop <= start:
+        raise ConfigError("tau grid needs tau_start < tau_stop")
     grid = sorted({_snap(t, dt) for t in cfg.axis(start, stop, count, "tau_") if _snap(t, dt) > 0})
     if len(grid) < 8:
         raise ConfigError("tau grid collapses below 8 distinct on-grid points; refine dt or bounds")

@@ -32,7 +32,7 @@ from typing import Union
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import reduced_operators
+from .linalg import expm_hermitian, reduced_operators
 
 __all__ = [
     "Target",
@@ -265,10 +265,8 @@ def coc(tau_zq: float, noisy: bool = True) -> PulseProgram:
 def coc_closed_form(tau_zq: float, j_par: float) -> NDArray:
     """Analytic conversion unitary exp(-i 2 pi J_par Ty Py 2 tau_zq)."""
     ops = reduced_operators()
-    gen = ops.tilde_y @ ops.prime_y
     angle = 2.0 * math.pi * j_par * 2.0 * tau_zq
-    evals, vecs = np.linalg.eigh(gen)
-    return (vecs * np.exp(-1j * evals * angle)) @ vecs.conj().T
+    return expm_hermitian(angle * (ops.tilde_y @ ops.prime_y), 1.0)  # t = 1: any sign of J_par
 
 
 def zq_block(

@@ -460,7 +460,7 @@ class TestCriterion7SensingModalities:
         temp_ok = True
         for sens in (PARAMS_WEAK.ddelta_dT, 2 * math.pi * 31e3):
             true_dt = d_omega / sens
-            est_dt = analysis.temperature_shift(d_omega_est, sens)
+            est_dt = analysis.temperature_shift(d_omega_est, DyadParams(ddelta_dT=sens))
             temp_ok &= abs(est_dt - true_dt) <= 0.02 * abs(true_dt)
         elapsed = time.monotonic() - start
         ok = freq_ok and temp_ok and elapsed < 600

@@ -295,15 +295,12 @@ class TestTemperatureShift:
     def test_sign_relation(self):
         # shift and temperature share sign exactly when the sensitivity
         # is positive
-        assert temperature_shift(1e4, 2e4) > 0
-        assert temperature_shift(1e4, -2e4) < 0
+        assert temperature_shift(1e4, DyadParams(ddelta_dT=2e4)) > 0
+        assert temperature_shift(1e4, DyadParams(ddelta_dT=-2e4)) < 0
 
     def test_zero_sensitivity_rejected(self):
         with pytest.raises(ValueError):
-            temperature_shift(1e4, 0.0)
-
-    def test_accepts_plain_number(self):
-        assert temperature_shift(4e4, 2e4) == pytest.approx(2.0)
+            temperature_shift(1e4, DyadParams(ddelta_dT=0.0))
 
 
 @pytest.fixture(scope="module")

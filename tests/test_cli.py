@@ -422,7 +422,7 @@ class TestExitCodes:
         "sweep,message",
         [
             ("variable = b_field\nvalues = 51 mT", "levels preset needs at least 2 b_field values, got 1"),
-            ("variable = b_field\nstart = 51 mT\nstop = 53 mT\ncount = 1", "levels preset needs at least 2 b_field values, got 1"),
+            ("variable = b_field\nstart = 51 mT\nstop = 53 mT\ncount = 1", "sweep.count = 1: a range needs at least 2 points"),
             ("variable = delta_b\nvalues = 1 uT, 2 uT", "levels preset sweeps b_field, not sweep.variable = delta_b"),
             ("start = 50 mT\nstop = 53 mT\ncount = 31", "sweep.values, start, stop and count need sweep.variable"),
         ],
@@ -449,6 +449,9 @@ class TestExitCodes:
             # spacing spaces only a start/stop/count axis
             ("xi_sweep", "variable = xi\nvalues = 0.1, 0.5\nspacing = log", "sweep.spacing is read with sweep.start, stop and count only"),
             ("zq_decay", "spacing = log", "sweep.spacing is read with sweep.start, stop and count only"),
+            # a range has at least 2 points: one would drop stop, or spacing; one point is values = X
+            ("electrometry", "variable = eps_rms\nstart = 1 V_per_m\nstop = 9 V_per_m\ncount = 1", "sweep.count = 1: a range needs at least 2 points"),
+            ("electrometry", "variable = eps_rms\nstart = 1 V_per_m\nstop = 1 V_per_m\ncount = 1\nspacing = log", "sweep.count = 1: a range needs at least 2 points"),
         ],
         ids=[
             "echo",
@@ -460,6 +463,8 @@ class TestExitCodes:
             "values-without-variable",
             "xi_sweep-values-spacing",
             "zq_decay-spacing",
+            "electrometry-count-1",
+            "electrometry-count-1-log",
         ],
     )
     def test_sweep_variable_the_preset_does_not_read_is_2(self, tmp_path, capsys, preset, sweep, message):

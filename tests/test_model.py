@@ -204,6 +204,25 @@ class TestSimFrame:
         )
 
 
+class TestFrameChange:
+    """The lab-frame generator at B_m + dB and the rotating-frame one at dB
+    differ by ((pi J_par - Delta)/2)(Tz - Pz), which commutes with the
+    frame generator: the frame change both builders rest on."""
+
+    P = DyadParams(j_coupling=0.4e6, theta=0.9)  # J_par and J_perp both nonzero
+
+    @pytest.mark.parametrize("near_bm", [False, True])
+    @pytest.mark.parametrize("delta_b", [0.0, 2e-6, -50e-6])
+    def test_lab_minus_frame_generator(self, delta_b, near_bm):
+        ops = reduced_operators()
+        lab = reduced_hamiltonian(self.P, near_bm, b_field=anticrossing_field(self.P) + delta_b)
+        frame = sim_frame_hamiltonian(self.P, delta_b, near_bm=near_bm)
+        offset = (math.pi * self.P.j_par - self.P.delta) / 2
+        z_diff = ops.tilde_z - ops.prime_z
+        assert np.max(np.abs(lab - frame - offset * z_diff)) <= 1e-12 * abs(offset)
+        assert np.max(np.abs(z_diff @ frame - frame @ z_diff)) == 0.0
+
+
 class TestCoupling:
     def test_strong_coupling_separation(self):
         assert coupling_from_distance(4e-9) == pytest.approx(0.75e6, rel=0.15)

@@ -12,6 +12,7 @@ from .analysis import (
     FitError,
     FitResult,
     FlatTraceError,
+    TimeTrace,
     coherence_time,
     enhancement_ratio,
     fit_envelope_decay,
@@ -23,7 +24,6 @@ from .engine import (
     Experiment,
     SimConfig,
     SimulationError,
-    TimeTrace,
     initial_state,
     propagate,
     run,
@@ -58,7 +58,6 @@ from .protocol import (
     Repump,
     Rotation,
     Target,
-    coc,
     coc_closed_form,
     deer,
     hahn_echo,

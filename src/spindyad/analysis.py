@@ -1,4 +1,5 @@
-"""Coherence-time fits and frequency/temperature extraction.
+"""Coherence-time fits and frequency/temperature extraction from a
+:class:`TimeTrace`, the averaged signal that :mod:`spindyad.engine` returns.
 
 Coherence times are defined through a stretched-exponential envelope
 
@@ -24,8 +25,8 @@ or into inf when the decay is not resolvable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Protocol, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import numpy.ma  # noqa: F401  np.median imports it on first call; load it with the package
@@ -34,6 +35,7 @@ from numpy.typing import NDArray
 from .model import DyadParams
 
 __all__ = [
+    "TimeTrace",
     "FitResult",
     "FlatTraceError",
     "FitError",
@@ -66,10 +68,26 @@ class FlatTraceError(FitError):
     """Trace shows no resolvable decay; the protected-state signature."""
 
 
-class _TraceLike(Protocol):
+@dataclass(frozen=True)
+class TimeTrace:
+    """Averaged readout signal versus evolution time; ``metadata`` holds the run's settings and label."""
+
     times: NDArray
     signal_mean: NDArray
     signal_sem: NDArray
+    metadata: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        m = np.asarray(self.signal_mean, dtype=float)
+        s = np.asarray(self.signal_sem, dtype=float)
+        if not (t.shape == m.shape == s.shape):
+            raise ValueError("times, signal_mean, signal_sem must have equal length")
+        if np.any(s < 0):
+            raise ValueError("signal_sem must be >= 0")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "signal_mean", m)
+        object.__setattr__(self, "signal_sem", s)
 
 
 @dataclass(frozen=True)
@@ -146,7 +164,7 @@ def _initial_t2(t: NDArray, y: NDArray) -> float:
 
 
 def _prepare(
-    trace: _TraceLike, decay: Callable[[NDArray], float]
+    trace: TimeTrace, decay: Callable[[NDArray], float]
 ) -> tuple[NDArray, NDArray, NDArray, float]:
     """Checks shared by both fitters; returns (t / t_last, signal, sem, t_last).
 
@@ -154,9 +172,7 @@ def _prepare(
     extend past zero, and :class:`FlatTraceError` when ``decay(signal)``
     stays below the resolution floor.
     """
-    t = np.asarray(trace.times, dtype=float)
-    y = np.asarray(trace.signal_mean, dtype=float)
-    sem = np.asarray(trace.signal_sem, dtype=float)
+    t, y, sem = trace.times, trace.signal_mean, trace.signal_sem
     if t.size < 8:
         raise FitError(f"need at least 8 time points, got {t.size}")
     if decay(y) < max(3.0 * float(np.median(sem)), FLAT_FLOOR):
@@ -225,7 +241,7 @@ def _minimize(objective: Callable[[NDArray], float], t2_0: float) -> tuple[float
     return t2_hat, n_hat, iterations < _MAX_ITER
 
 
-def fit_stretched_exponential(trace: _TraceLike) -> FitResult:
+def fit_stretched_exponential(trace: TimeTrace) -> FitResult:
     """Fit offset + amplitude * exp(-(t/T2)^n) to a time trace.
 
     Weighted by 1/sem^2 when every point carries a positive standard
@@ -266,7 +282,7 @@ def fit_stretched_exponential(trace: _TraceLike) -> FitResult:
     )
 
 
-def fit_envelope_decay(trace: _TraceLike) -> FitResult:
+def fit_envelope_decay(trace: TimeTrace) -> FitResult:
     """Fit exp(-(t/T2)^n) to a normalized contrast envelope.
 
     The envelope starts at one and decays toward zero by construction,
@@ -295,7 +311,7 @@ def fit_envelope_decay(trace: _TraceLike) -> FitResult:
     )
 
 
-def coherence_time(trace: _TraceLike, envelope: bool = False) -> tuple[float, Optional[FitResult]]:
+def coherence_time(trace: TimeTrace, envelope: bool = False) -> tuple[float, Optional[FitResult]]:
     """The coherence time of a trace, and the fit it was read from.
 
     Fits with :func:`fit_envelope_decay` when ``envelope`` is set and
@@ -313,7 +329,7 @@ def coherence_time(trace: _TraceLike, envelope: bool = False) -> tuple[float, Op
         fit = fitter(trace)
     except FlatTraceError:
         return math.inf, None
-    amp_floor = 3.0 * float(np.median(np.asarray(trace.signal_sem, dtype=float)))
+    amp_floor = 3.0 * float(np.median(trace.signal_sem))
     if abs(fit.amplitude) < amp_floor or fit.t2 >= _T2_RESOLVED * float(trace.times[-1]):
         return math.inf, fit
     return fit.t2, fit
@@ -327,7 +343,7 @@ def enhancement_ratio(t2_m: float, t2_sq: float) -> float:
     return t2_m / t2_sq
 
 
-def slope_frequency(trace: _TraceLike, window: float) -> float:
+def slope_frequency(trace: TimeTrace, window: float) -> float:
     """Frequency shift from the early-time slope of a sensing trace.
 
     The trace holds the fractional m_S = 0 population; it is first mapped
@@ -336,9 +352,7 @@ def slope_frequency(trace: _TraceLike, window: float) -> float:
     -4 times the weighted linear slope of Sigma. The caller must keep
     |d_omega| * window below ~0.3 for the small-angle form to hold.
     """
-    t = np.asarray(trace.times, dtype=float)
-    y = np.asarray(trace.signal_mean, dtype=float)
-    sem = np.asarray(trace.signal_sem, dtype=float)
+    t, y, sem = trace.times, trace.signal_mean, trace.signal_sem
     mask = t <= window * (1.0 + 1e-12)
     if int(np.count_nonzero(mask)) < 4:
         raise FitError(

@@ -71,7 +71,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import model
-from .analysis import FitResult
+from .analysis import FitResult, TimeTrace
 from .linalg import assert_density_matrix, reduced_operators
 from .model import DyadParams, FrameCoefficients
 from .noise import (
@@ -134,28 +134,6 @@ class SimConfig:
                 f"~100 uT regime where the static double-quantum term is valid",
                 stacklevel=2,
             )
-
-
-@dataclass(frozen=True)
-class TimeTrace:
-    """Averaged readout signal versus evolution time; ``metadata`` holds the run's settings and label."""
-
-    times: NDArray
-    signal_mean: NDArray
-    signal_sem: NDArray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        m = np.asarray(self.signal_mean, dtype=float)
-        s = np.asarray(self.signal_sem, dtype=float)
-        if not (t.shape == m.shape == s.shape):
-            raise ValueError("times, signal_mean, signal_sem must have equal length")
-        if np.any(s < 0):
-            raise ValueError("signal_sem must be >= 0")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "signal_mean", m)
-        object.__setattr__(self, "signal_sem", s)
 
 
 def initial_state() -> NDArray:

@@ -144,16 +144,14 @@ def full_hamiltonian(p: DyadParams, b_field: float) -> NDArray:
                 "projections were supplied"
             )
         return h
-    j = p.j_coupling
     th = p.theta
-    two_pi_j = 2 * math.pi * j
     flip_flop = ops.s_plus @ ops.p_minus + ops.s_minus @ ops.p_plus
     single_q = (ops.s_plus + ops.s_minus) @ ops.p_z + ops.s_z @ (ops.p_plus + ops.p_minus)
     double_q = ops.s_plus @ ops.p_plus + ops.s_minus @ ops.p_minus
-    h_d = two_pi_j * (
-        (1.0 - 3.0 * math.cos(th) ** 2) * (ops.s_z @ ops.p_z - 0.25 * flip_flop)
+    h_d = 2 * math.pi * p.j_coupling * (
+        j_par_from_geometry(1.0, th) * (ops.s_z @ ops.p_z - 0.25 * flip_flop)
         - 0.75 * math.sin(2 * th) * single_q
-        - 0.75 * math.sin(th) ** 2 * double_q
+        + j_perp_from_geometry(1.0, th) * double_q
     )
     h = h + h_d
     require_hermitian(h, name="full Hamiltonian")

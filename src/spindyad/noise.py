@@ -250,6 +250,8 @@ class NoiseDraws:
 def _n_steps(duration: float, dt: float) -> int:
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
+    if not (math.isfinite(duration) and duration >= 0):
+        raise ValueError(f"duration must be finite and >= 0, got {duration}")
     return int(round(duration / dt))
 
 

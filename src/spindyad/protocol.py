@@ -46,7 +46,6 @@ __all__ = [
     "hahn_echo",
     "deer",
     "polarization_transfer",
-    "coc",
     "coc_closed_form",
     "zq_block",
     "zq_readout",
@@ -166,19 +165,23 @@ def hahn_echo(
     tau: float,
     target: Target = Target.SPIN_S,
     shared_field: bool = False,
+    noisy: bool = True,
 ) -> PulseProgram:
     """(pi/2)x - tau - (pi)x - tau - (pi/2)x on ``target``.
 
     Away from the anti-crossing the pulses address the spin-1 alone;
     at the anti-crossing a single excitation field covers both species,
     so build with ``target=BOTH`` there (scaled by ``shared_field``).
+    ``noisy=False`` makes both delays noise-free. On both spins, unscaled,
+    it is the coherence-order conversion of :func:`zq_chain`, equal away
+    from the anti-crossing to :func:`coc_closed_form` up to a global phase.
     """
     return PulseProgram(
         (
             Rotation(target, Axis.X, math.pi / 2, shared_field),
-            Delay(tau),
+            Delay(tau, noisy),
             Rotation(target, Axis.X, math.pi, shared_field),
-            Delay(tau),
+            Delay(tau, noisy),
             Rotation(target, Axis.X, math.pi / 2, shared_field),
         )
     )
@@ -238,26 +241,6 @@ def polarization_transfer(
             Delay(tau_zq, noisy),
             Rotation(Target.SPIN_S_PRIME, Axis.X, math.pi / 2),
             Repump(),
-        )
-    )
-
-
-def coc(tau_zq: float, noisy: bool = True) -> PulseProgram:
-    """Coherence-order conversion block (pi/2)x - tau - (pi)x - tau - (pi/2)x
-    on both spins.
-
-    Away from the anti-crossing its noise-free composition equals
-    exp(-i 2 pi J_par Ty Py 2 tau_zq) up to a global phase, turning
-    longitudinal two-spin order into the zero-quantum coherence; see
-    :func:`coc_closed_form`.
-    """
-    return PulseProgram(
-        (
-            Rotation(Target.BOTH, Axis.X, math.pi / 2),
-            Delay(tau_zq, noisy),
-            Rotation(Target.BOTH, Axis.X, math.pi),
-            Delay(tau_zq, noisy),
-            Rotation(Target.BOTH, Axis.X, math.pi / 2),
         )
     )
 
@@ -333,7 +316,7 @@ def zq_chain(
     aux_noisy = noise_scope == "all"
     return (
         polarization_transfer(tau_zq, j_par, noisy=aux_noisy)
-        + coc(tau_zq, noisy=aux_noisy)
+        + hahn_echo(tau_zq, Target.BOTH, noisy=aux_noisy)
         + zq_block(tau_tilde, echo=echo, theta=theta, noisy=True)
         + zq_readout(tau_zq, noisy=aux_noisy)
     )
@@ -342,10 +325,6 @@ def zq_chain(
 # ---------------------------------------------------------------------------
 # text serialization (one element per line)
 # ---------------------------------------------------------------------------
-
-_AXIS_BY_NAME = {a.value: a for a in Axis}
-_TARGET_BY_NAME = {t.value: t for t in Target}
-
 
 def program_to_text(prog: PulseProgram) -> str:
     """Serialize as one element per line:
@@ -386,8 +365,7 @@ def program_from_text(text: str) -> PulseProgram:
         kind, *args = line.lower().split()
         try:
             if kind == "rotation" and len(args) in (3, 4) and args[3:] in ([], ["shared"]):
-                target, axis = _TARGET_BY_NAME[args[0]], _AXIS_BY_NAME[args[1]]
-                elements.append(Rotation(target, axis, float(args[2]), len(args) == 4))
+                elements.append(Rotation(Target(args[0]), Axis(args[1]), float(args[2]), len(args) == 4))
             elif kind == "delay" and len(args) in (1, 2) and args[1:] in ([], ["noisefree"]):
                 elements.append(Delay(float(args[0]), noisy=len(args) == 1))
             elif kind == "repump" and not args:

@@ -50,7 +50,6 @@ from spindyad.protocol import (
     PulseProgram,
     Rotation,
     Target,
-    coc,
     coc_closed_form,
     deer,
     hahn_echo,
@@ -142,7 +141,7 @@ class TestCriterion1ProtocolAlgebra:
         # (b) conversion block equals its closed form
         h_free = sim_frame_hamiltonian(PARAMS_WEAK)
         u = np.eye(4, dtype=complex)
-        for el in coc(TAU_ZQ).elements:
+        for el in hahn_echo(TAU_ZQ, Target.BOTH).elements:
             if isinstance(el, Delay):
                 u = expm_hermitian(h_free, el.duration) @ u
             elif isinstance(el, Rotation):

@@ -95,6 +95,14 @@ class TestSampling:
         with pytest.raises(ValueError, match="under-resolved"):
             sample_magnetic_trajectory(cfg, 1e-5, 1e-8, 0)
 
+    @pytest.mark.parametrize("duration", [-1e-6, -4e-9, math.nan, math.inf])
+    @pytest.mark.parametrize("reader", [sample_magnetic_trajectory, sample_electric_trajectory, noise.held_fields])
+    def test_bad_duration_is_a_precise_error(self, reader, duration):
+        # -4e-9 rounds to zero steps at dt = 1e-8, and is refused all the same
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.3, eps_rms=1e4)
+        with pytest.raises(ValueError, match=r"^duration must be finite and >= 0, got "):
+            reader(cfg, duration, 1e-8, 0, seed=3)
+
     def test_rms_and_switch_count(self):
         # stationary rms equals the configured amplitude and the redraw
         # count matches rate x duration, both within 5% over 100 streams

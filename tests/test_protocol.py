@@ -24,7 +24,6 @@ from spindyad.protocol import (
     Repump,
     Rotation,
     Target,
-    coc,
     coc_closed_form,
     deer,
     hahn_echo,
@@ -181,20 +180,20 @@ class TestCoherenceOrderConversion:
         return u
 
     def test_matches_closed_form(self):
-        u = self._composed_unitary(coc(TAU))
+        u = self._composed_unitary(hahn_echo(TAU, Target.BOTH))
         ref = coc_closed_form(TAU, J_PAR)
         phase = np.trace(ref.conj().T @ u)
         u_aligned = u * np.exp(-1j * np.angle(phase))
         assert np.max(np.abs(u_aligned - ref)) < 1e-10
 
     def test_initialized_state_becomes_zq_coherence(self):
-        rho = run_noise_free(STATE_INIT, coc(TAU))
+        rho = run_noise_free(STATE_INIT, hahn_echo(TAU, Target.BOTH))
         assert np.max(np.abs(rho - STATE_ZQ)) < 1e-10
         assert np.max(np.abs(rho - zq_state())) < 1e-10
 
     def test_longitudinal_order_invariant(self):
         ops = reduced_operators()
-        u = self._composed_unitary(coc(TAU))
+        u = self._composed_unitary(hahn_echo(TAU, Target.BOTH))
         moved = u @ ops.zz @ u.conj().T
         assert np.max(np.abs(moved - ops.zz)) < 1e-10
 
@@ -341,6 +340,12 @@ class TestPresetShapes:
         angles = [e.angle for e in prog.elements if isinstance(e, Rotation)]
         assert angles == [math.pi / 2, math.pi, math.pi / 2]
 
+    def test_noise_free_echo_differs_only_in_its_delays(self):
+        noisy, quiet = hahn_echo(TAU, Target.BOTH), hahn_echo(TAU, Target.BOTH, noisy=False)
+        assert [e for e in quiet.elements if isinstance(e, Delay)] == [Delay(TAU, noisy=False)] * 2
+        swap = lambda e: Delay(e.duration, noisy=False) if isinstance(e, Delay) else e
+        assert quiet.elements == tuple(map(swap, noisy.elements))
+
     def test_deer_adds_partner_inversion(self):
         prog = deer(3e-6)
         partner = [
@@ -417,6 +422,8 @@ class TestSerialization:
             "rotation both x 1.57 shared 2",
             "rotation both x",
             "rotation both x inf",
+            "rotation sideways x 1.57",
+            "rotation both w 1.57",
             "repump now please",
         ],
     )

@@ -21,6 +21,20 @@ into ``OUT/REV/out`` in a subprocess, prints every line in which the two
 hash differs, at most ``DIFF_LINES`` lines per file, and exits 1 if any
 does. Its last line gives the physical line count (``wc -l``) of
 ``src/spindyad/*.py`` in REV's tree and in this one.
+
+``--against REV --numeric`` also compares each file whose hash differs
+with REV's token by token, and exits 1 only if one is out of bounds:
+
+* a number in a trace column (``signal_mean``, ``signal_sem``) of a CSV
+  row may move by ``TRACE_ATOL`` absolute, every other number by
+  ``VALUE_RTOL`` relative; a number of an SVG, printed at fixed
+  precision, may also move by one unit of its last printed digit;
+* every other token (words, ``inf``, the text between numbers), every
+  log line's words and every exit code must match exactly, and so must
+  the set of files.
+
+Per file it prints the largest absolute and relative change of the trace
+columns and of the other numbers, and the first token out of bounds.
 """
 
 from __future__ import annotations
@@ -31,6 +45,7 @@ import difflib
 import hashlib
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -126,6 +141,74 @@ def main_matrix(out: Path) -> None:
     Path("SHA256SUMS").write_text("".join(lines))
 
 
+# --numeric bounds: one value of each is in use, so neither is an option
+TRACE_ATOL = 1e-12
+VALUE_RTOL = 1e-6
+TRACE_COLUMNS = ("signal_mean", "signal_sem")
+_TRACE_KEYS = tuple(f"{c} = " for c in TRACE_COLUMNS)
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?![\w.])")
+
+
+def _tokens(name: str, text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, line number) of every token of a file: a number is
+    ``trace`` in a trace column of a CSV row or on a summary line that
+    names one, and ``value`` elsewhere, and the text around numbers is
+    ``word``. A CSV's first line outside the ``#`` lines names its
+    columns; a log's first line, the exit code, is one word."""
+    out, columns = [], None
+    for lineno, line in enumerate(text.splitlines(keepends=True), 1):
+        if name.endswith(".log") and lineno == 1:
+            out.append(("word", line, lineno))
+            continue
+        row = name.endswith(".csv") and not line.startswith("#")
+        if row and columns is None:
+            columns, row = line.rstrip("\n").split(","), False
+        at = 0
+        for m in _NUMBER.finditer(line):
+            column = line.count(",", 0, m.start())
+            in_column = row and column < len(columns) and columns[column] in TRACE_COLUMNS
+            trace = in_column or line.startswith(_TRACE_KEYS)
+            out += [("word", line[at : m.start()], lineno), ("trace" if trace else "value", m.group(), lineno)]
+            at = m.end()
+        out.append(("word", line[at:], lineno))
+    return out
+
+
+def _last_digit(number: str) -> float:
+    """One unit of the last digit ``number`` is printed with."""
+    mantissa, _, exponent = number.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+def compare_numeric(name: str, theirs: str, ours: str) -> tuple[bool, str]:
+    """Compare REV's and this tree's text of file ``name`` token by token
+    under the ``--numeric`` bounds: (within them, one report line)."""
+    a, b = _tokens(name, theirs), _tokens(name, ours)
+    worst = {"trace": [0.0, 0.0], "value": [0.0, 0.0]}
+    last_digit, fault = 0, None
+    for (kind, x, lineno), (kind_b, y, _) in zip(a, b):
+        if kind != kind_b or kind == "word":
+            if x != y:
+                fault = f"line {lineno}: {x.strip()!r} became {y.strip()!r}"
+                break
+            continue
+        d = abs(float(x) - float(y))
+        r = d / max(abs(float(x)), abs(float(y))) if d else 0.0
+        worst[kind] = [max(worst[kind][0], d), max(worst[kind][1], r)]
+        within = d <= TRACE_ATOL if kind == "trace" else r <= VALUE_RTOL
+        if not within and name.endswith(".svg") and d <= max(_last_digit(x), _last_digit(y)) * (1 + 1e-9):
+            last_digit += 1
+        elif not within and fault is None:
+            fault = f"line {lineno}: {x} became {y}"
+    if fault is None and len(a) != len(b):
+        fault = f"{len(a)} tokens became {len(b)}"
+    (ta, tr), (va, vr) = worst["trace"], worst["value"]
+    report = f"{name}: trace max abs {ta:.2g} rel {tr:.2g}; values max abs {va:.2g} rel {vr:.2g}"
+    if last_digit:
+        report += f"; {last_digit} at their last printed digit"
+    return fault is None, report + ("; within bounds" if fault is None else f"; OUT OF BOUNDS, {fault}")
+
+
 def _lines(path: Path) -> list[str]:
     return path.read_text(errors="replace").splitlines() if path.is_file() else []
 
@@ -147,10 +230,11 @@ def src_lines(root: Path) -> int:
     return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "spindyad").glob("*.py"))
 
 
-def against(out: Path, rev: str) -> int:
+def against(out: Path, rev: str, numeric: bool = False) -> int:
     """Run REV's own matrix under ``OUT/REV`` and print the lines in which
     its ``SHA256SUMS`` and OUT's differ, then the diff of each file they
-    name; 1 if any differs, else 0."""
+    name; 1 if any differs, else 0. With ``numeric``, 1 only if a file
+    is out of the ``--numeric`` bounds or only one tree has it."""
     dest = out / rev.replace("/", "_")
     shutil.rmtree(dest, ignore_errors=True)
     archive = subprocess.run(
@@ -174,17 +258,33 @@ def against(out: Path, rev: str) -> int:
         print("\n".join(body[:DIFF_LINES]))
         if len(body) > DIFF_LINES:
             print(f"... {len(body) - DIFF_LINES} more lines of {name}'s diff")
+    bad = bool(diff)
+    if numeric:
+        bad = False
+        for name in changed:
+            theirs, ours = dest / "out" / name, out / name
+            if theirs.is_file() and ours.is_file():
+                ok, report = compare_numeric(name, theirs.read_text(), ours.read_text())
+            else:
+                ok, report = False, f"{name}: OUT OF BOUNDS, only {'here' if ours.is_file() else f'at {rev}'}"
+            print(f"numeric: {report}")
+            bad |= not ok
+        verdict = "out of bounds" if bad else "within bounds" if changed else "every file identical"
+        print(f"numeric: {verdict}")
     print(f"src/spindyad/*.py: {src_lines(dest / 'tree')} lines at {rev}, {src_lines(ROOT)} here")
-    return 1 if diff else 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="directory for artifacts, logs and SHA256SUMS")
     ap.add_argument("--against", metavar="REV", help="git revision whose matrix to compare with")
+    ap.add_argument("--numeric", action="store_true", help="with --against: hold changed files' numbers to bounds")
     args = ap.parse_args()
     out = args.out.resolve()
+    if args.numeric and not args.against:
+        ap.error("--numeric needs --against REV")
     if args.against:
         check_rev(args.against)
     main_matrix(out)
-    sys.exit(against(out, args.against) if args.against else 0)
+    sys.exit(against(out, args.against, args.numeric) if args.against else 0)

@@ -1,12 +1,13 @@
 """The checks a change reruns before it merges, as one command.
 
-    python3 tools/premerge.py REV OUT
+    python3 tools/premerge.py REV OUT [--numeric]
 
 runs, from the checkout this script is in:
 
 * ``byte_matrix``: ``tools/byte_matrix.py OUT/matrix --against REV``; it
   passes when the seed-7 ``SHA256SUMS`` equal REV's and every preset run
-  of both trees exits 0;
+  of both trees exits 0. With ``--numeric`` it passes that flag on, and
+  files whose hashes differ pass when they are within its bounds;
 * ``key_matrix``: ``tools/key_matrix.py OUT/keys``; it passes when every
   key a preset declares it reads moves an artifact byte of every matrix
   config, or is allowed not to, and the last line is ``key_matrix: ok``;
@@ -53,17 +54,19 @@ def _run(cmd: list[str], log: Path, cwd: Path, env: dict) -> tuple[int, float, s
     return proc.returncode, time.monotonic() - start, proc.stdout
 
 
-def byte_matrix(rev: str, out: Path, env: dict) -> tuple[int, float, str, bool]:
+def byte_matrix(rev: str, out: Path, env: dict, numeric: bool) -> tuple[int, float, str, bool]:
     cmd = [sys.executable, str(ROOT / "tools" / "byte_matrix.py"), str(out / "matrix"), "--against", rev]
-    code, seconds, text = _run(cmd, out / "byte_matrix.log", ROOT, env)
+    code, seconds, text = _run(cmd + ["--numeric"] * numeric, out / "byte_matrix.log", ROOT, env)
     exits = re.findall(r"^\S+: exit (-?\d+)$", text, re.M)
     bad = sum(e != "0" for e in exits)
     lines = text.strip().splitlines()
     same = any(line.startswith("SHA256SUMS identical") for line in lines)
     note = f"{'SHA256SUMS identical' if same else 'SHA256SUMS differ'}, {bad} of {len(exits)} runs exit nonzero"
+    verdict = re.search(r"^numeric: (every file identical|within bounds|out of bounds)$", text, re.M)
+    note += f"; {verdict.group()}" if verdict else ""
     if lines and lines[-1].startswith("src/spindyad"):
         note += f"; {lines[-1]}"
-    return code, seconds, note, code == 0 and same and bool(exits) and not bad
+    return code, seconds, note, code == 0 and (same or numeric) and bool(exits) and not bad
 
 
 def key_matrix(out: Path, env: dict) -> tuple[int, float, str, bool]:
@@ -113,13 +116,14 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("rev", help="git revision to compare the byte matrix with")
     ap.add_argument("out", type=Path, help="directory for every log and artifact")
+    ap.add_argument("--numeric", action="store_true", help="pass --numeric to the byte matrix")
     args = ap.parse_args(argv)
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     failed = []
     for name, step in (
-        ("byte_matrix", lambda: byte_matrix(args.rev, out, env)),
+        ("byte_matrix", lambda: byte_matrix(args.rev, out, env, args.numeric)),
         ("key_matrix", lambda: key_matrix(out, env)),
         ("tier-1", lambda: tier1(out, env)),
         ("smoke", lambda: smoke(out, env)),

@@ -15,7 +15,9 @@ grid, so the exact propagator factorizes over constant-noise segments:
   delay reduces to integrated phases, evaluated in O(1) from the noise
   path's field sums over the delay;
 * near the anti-crossing the generator has one 2x2 block coupling the
-  outer pair of states, exponentiated in closed form per segment.
+  outer pair of states, exponentiated in closed form per segment; a
+  propagator is held as its diagonal and its two entries off it, and
+  multiplied and applied to the states entry by entry.
 
 Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
@@ -28,10 +30,11 @@ each field's redraw steps and values with no dense path rendered; a
 field both sites see (xi = 0) is rendered, summed or read once. Every
 noisy delay reads one table keyed by its (first step, end step) span.
 Near the anti-crossing the noisy-delay propagators of the whole run are
-built in one pass (a large run in chunks of paths): every segment of
-every path and delay is exponentiated at once, and each delay's ordered
-product is formed in lockstep over the segment index, one stacked matmul
-per index over the delays still open.
+built in one pass (a large run in chunks of paths): every path is cut
+into its segments at once, every segment is exponentiated at once, each
+path's prefix products come from one log-depth scan, and a delay from
+step k0 to k1 is P(k1) P(k0)^dagger; the number of numpy calls does not
+grow with the number of segments.
 
 The programs of a run are then grouped by skeleton (element kinds,
 rotations and noisy flags; a zero-step delay changes no state and is
@@ -185,14 +188,14 @@ def _check_dt_bound(dt: float, omega_max: float) -> None:
 def _dq_segment_unitaries(
     a: NDArray, b: NDArray, jpar_w: float, g_dq: float, t: NDArray
 ) -> NDArray:
-    """Stacked exp(-i H t) for 4-dim generators with one 2x2 block.
+    """exp(-i H t) for 4-dim generators with one 2x2 block, compact.
 
     ``a`` and ``b`` are Tz / Pz coefficients (rad/s), per segment or one
     for all, ``t`` the segment durations; ``g_dq != 0`` (callers enter only
     then, so hypot((a + b)/2, g_dq) > 0) connects basis states 0 and 3.
-    Returns an (n, 4, 4) array.
+    Returns a (6, ...) array broadcast over the three: the diagonal of
+    each unitary, then its entries (0, 3) and (3, 0), the only ones off it.
     """
-    n = len(t)
     # diagonal energies: E(mt, mp) = a mt + b mp + jpar_w mt mp
     e1 = 0.5 * (-a + b) - 0.25 * jpar_w
     e2 = 0.5 * (a - b) - 0.25 * jpar_w
@@ -202,14 +205,40 @@ def _dq_segment_unitaries(
     phase = np.exp(-1j * mean * t)
     c = np.cos(omega * t)
     s = np.sin(omega * t) / omega
-    u = np.zeros((n, 4, 4), dtype=complex)
-    u[:, 1, 1] = np.exp(-1j * e1 * t)
-    u[:, 2, 2] = np.exp(-1j * e2 * t)
-    u[:, 0, 0] = phase * (c - 1j * half_gap * s)
-    u[:, 3, 3] = phase * (c + 1j * half_gap * s)
-    u[:, 0, 3] = phase * (-1j * g_dq * s)
-    u[:, 3, 0] = u[:, 0, 3]
-    return u
+    u00, u33 = phase * (c - 1j * half_gap * s), phase * (c + 1j * half_gap * s)
+    off = phase * (-1j * g_dq * s)
+    return np.stack(np.broadcast_arrays(u00, np.exp(-1j * e1 * t), np.exp(-1j * e2 * t), u33, off, off))
+
+
+# A compact unitary (:func:`_dq_segment_unitaries`) u is U = D + O: D holds
+# the diagonal u[:4], O the two entries (u03, u30) = u[4:]. O takes state 3
+# to 0 and 0 to 3, so rows (or columns) ::3, states 0 and 3, mix with rows
+# ::-3, the same two swapped; the products below are written out entry by
+# entry on that rule.
+_DQ_IDENTITY = np.array([1, 1, 1, 1, 0, 0], dtype=complex)
+
+
+def _dq_product(x: NDArray, y: NDArray) -> NDArray:
+    """The product x y of compact unitaries (6, ...)."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    np.multiply(x[:4], y[:4], out=out[:4])
+    out[::3] += x[4:] * y[5:3:-1]
+    np.multiply(x[::3], y[4:], out=out[4:])
+    out[4:] += x[4:] * y[3::-3]
+    return out
+
+
+def _dq_apply(u: NDArray, rho: NDArray) -> NDArray:
+    """U rho U^dagger for compact ``u`` (6, ...) over a (..., 4, 4) stack of
+    states, entry by entry: rows and then columns scaled by the diagonal,
+    rows and columns 0 and 3 mixed by the off-diagonal pair."""
+    d = np.moveaxis(u[:4], 0, -1)
+    o = np.moveaxis(u[4:], 0, -1)
+    x = d[..., :, None] * rho
+    x[..., ::3, :] += o[..., :, None] * rho[..., ::-3, :]
+    out = x * d.conj()[..., None, :]
+    out[..., :, ::3] += x[..., :, ::-3] * o.conj()[..., None, :]
+    return out
 
 
 # diagonals of Tz, Pz and TzPz in the reduced basis
@@ -222,10 +251,6 @@ _Z_TILDE, _Z_PRIME, _Z_ZZ = (
 # (:func:`noise.held_fields`) near the anti-crossing, their dense renders
 # (the samplers) off it.
 _Fields = tuple[Optional[NDArray | tuple], ...]
-
-
-def _dagger(u: NDArray) -> NDArray:
-    return u.conj().swapaxes(-1, -2)
 
 
 def _delay_steps(elem: Delay, dt: float) -> int:
@@ -247,55 +272,64 @@ def _pairs(path: tuple) -> _Fields:
     return tuple(None if x is None else pair(x) for x in path)
 
 
-def _dq_segments(path: _Fields, k0: NDArray, k1: NDArray, c: FrameCoefficients) -> tuple:
-    """The constant-noise segments of one path of (steps, values) pairs
-    over the noisy spans [k0, k1), span by span: per-segment Tz / Pz
-    coefficients (rad/s) and lengths (steps), and each span's segment
-    count. A segment starts at every step after 0 where a live field is
-    redrawn, and reads each field's value at its start. A field that is
-    an earlier one (beta_s' at xi = 0) is read once."""
-    live = [f for q, f in enumerate(path) if f is not None and all(f is not g for g in path[:q])]
-    steps = [f[0][1:] for f in live]
-    points = np.unique(np.concatenate(steps)) if steps else np.zeros(0, dtype=int)
-    lo = np.searchsorted(points, k0, side="right")
-    counts = np.searchsorted(points, k1, side="left") - lo + 1
-    first = np.cumsum(counts) - counts  # each span's first segment
-    j = np.arange(counts.sum()) - np.repeat(first, counts)  # index within its span
-    starts = np.repeat(k0, counts)
-    inner = j > 0
-    starts[inner] = points[(np.repeat(lo, counts) + j - 1)[inner]]
-    ends = np.append(starts[1:], 0)
-    ends[first + counts - 1] = k1
-    values = {id(f): f[1][np.searchsorted(f[0], starts, side="right") - 1] for f in live}
-    beta, beta_p, eps_z = (values.get(id(f)) for f in path)
+def _offset_pairs(column: Sequence, stride: int) -> tuple[NDArray, NDArray]:
+    """One field of a chunk of paths as one (steps, values) pair: path p's
+    steps offset by p x stride and cut below stride, a path without the
+    field held at 0."""
+    steps, values = zip(*((np.zeros(1, dtype=int), np.zeros(1)) if f is None else f for f in column))
+    offset = np.repeat(np.arange(len(column)) * stride, [x.size for x in steps])
+    steps, values = np.concatenate(steps), np.concatenate(values)
+    keep = steps < stride
+    return steps[keep] + offset[keep], values[keep]
+
+
+def _dq_spans(paths: Sequence[_Fields], k0: NDArray, k1: NDArray, c: FrameCoefficients, dt: float) -> NDArray:
+    """exp(-i H t) over every noisy span [k0, k1) of a chunk of paths of
+    (steps, values) pairs, compact: a (spans, paths, 6) array.
+
+    All paths are cut at once, path p's steps offset by p x stride, at
+    step 0, every span boundary and every redraw of a live field; a
+    segment reads each field at its start, a field every path shares with
+    an earlier one (beta_s' at xi = 0) once. One log-depth scan gives each
+    path's prefix products P, and a span is P(k1) P(k0)^dagger. With no
+    live field each span is one segment."""
+    n, stride = len(paths), int(k1.max()) + 1
+    columns = list(zip(*paths))
+    live = [q for q, col in enumerate(columns) if any(f is not None for f in col)]
+    if not live:
+        u = _dq_segment_unitaries(c.a0, c.b0, c.j, c.g, (k1 - k0) * dt)
+        return np.broadcast_to(u.T[:, None], (k0.size, n, 6))
+    origins = np.arange(n) * stride
+    first = {q: next(r for r in live if all(f is g for f, g in zip(columns[q], columns[r]))) for q in live}
+    pairs = {q: _offset_pairs(columns[q], stride) for q in live if first[q] == q}
+    points = [steps for steps, _ in pairs.values()]
+    points.append((origins[:, None] + np.concatenate(([0], k0, k1))).ravel())
+    cuts = np.sort(np.concatenate(points))
+    starts, lengths = cuts[:-1], np.diff(cuts)
+    # a repeated cut starts an empty segment, and a path's last span end none
+    keep = (lengths > 0) & ((starts + 1) % stride != 0)
+    starts, lengths = starts[keep], lengths[keep]
+    values = {q: v[np.searchsorted(steps, starts, side="right") - 1] for q, (steps, v) in pairs.items()}
+    beta, beta_p, eps_z = (values.get(first.get(q)) for q in range(3))
     zero = np.zeros(starts.size)
     a = c.a0 + c.k_beta * (zero if beta is None else beta)
     if eps_z is not None:
         a = a + c.k_eps * eps_z
     b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p)
-    return a, b, ends - starts, counts
-
-
-def _dq_blocks(segments: Sequence[tuple], c: FrameCoefficients, dt: float) -> NDArray:
-    """exp(-i H t) over every span of :func:`_dq_segments`' output, one
-    entry per path: a (paths, spans, 4, 4) array.
-
-    All segments are exponentiated at once. Each span's ordered product,
-    last segment leftmost, is formed in lockstep over the segment index,
-    one stacked matmul over the spans with a segment left at that index.
-    """
-    a, b, lengths, counts = (np.concatenate(x) for x in zip(*segments))
-    units = _dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
-    order = np.argsort(-counts, kind="stable")  # open spans form a prefix
-    first = (np.cumsum(counts) - counts)[order]
-    left = -counts[order]
-    total = units[first]
-    for i in range(1, counts.max()):
-        m = np.searchsorted(left, -i)  # spans with more than i segments
-        total[:m] = units[first[:m] + i] @ total[:m]
-    out = np.empty_like(total)
-    out[order] = total
-    return out.reshape(len(segments), -1, 4, 4)
+    u = _dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
+    # prefix products: after the pass at distance d, each segment holds the
+    # product of its path's last 2d segments up to it, the latest leftmost
+    pos = np.arange(starts.size) - np.searchsorted(starts, origins)[starts // stride]
+    d = 1
+    while d <= pos.max():
+        np.copyto(u[:, d:], _dq_product(u[:, d:], u[:, :-d]), where=pos[d:] >= d)
+        d *= 2
+    ends = starts + lengths
+    p1 = u[:, np.searchsorted(ends, (k1[:, None] + origins).ravel())]
+    p0 = u[:, np.searchsorted(ends, (k0[:, None] + origins).ravel())]
+    p0[:, np.repeat(k0 == 0, n)] = _DQ_IDENTITY[:, None]
+    p0_dagger = p0[[0, 1, 2, 3, 5, 4]].conj()  # u03 and u30 swap places
+    return _dq_product(p1, p0_dagger).T.reshape(k0.size, n, 6)
 
 
 @dataclass(frozen=True)
@@ -304,11 +338,12 @@ class _NoiseBatch:
 
     ``spans[(k0, k1)]`` holds it for the delay from step k0 to k1: each
     path's field sums (beta_s, beta_s', eps_z) as an (n, 3) array or, with
-    the double-quantum block active, each path's propagator as an (n, 4, 4)
-    stack built under ``coeffs`` from the paths' (steps, values) pairs
-    (:func:`_dq_segments` and :func:`_dq_blocks`, in chunks of about
-    ``_SEGMENT_CHUNK`` segments); every path covered every span. The
-    initial state is not part of the batch; :func:`run` checks it once.
+    the double-quantum block active, each path's compact propagator as an
+    (n, 6) array (:func:`_dq_segment_unitaries`) built under ``coeffs``
+    from the paths' (steps, values) pairs by :func:`_dq_spans`, in chunks
+    of at most about ``_SEGMENT_CHUNK`` segments; every path covered every
+    span. The initial state is not part of the batch; :func:`run` checks
+    it once.
     """
 
     n: int
@@ -317,9 +352,11 @@ class _NoiseBatch:
     spans: dict
 
 
-# segments whose unitaries are held at once: a 500-trajectory field_sweep run
-# then peaks no higher than with one path at a time (1 << 16 added 18 MB)
-_SEGMENT_CHUNK = 1 << 14
+# segments held at once; every path of a run has the same live fields, so a
+# chunk changes no bit. Full-size peak RSS of field_sweep / echo_anticrossing
+# on 2 vCPUs, at equal wall time: 49.3 / 45.1 MB at 1 << 12, 49.2 / 47.8 at
+# 1 << 14, 60.1 / 60.8 at 1 << 16
+_SEGMENT_CHUNK = 1 << 12
 
 # states (programs x trajectories) one walk holds: without a cap the shipped
 # full-size configs (400-500 trajectories) peaked 5-7 MB higher
@@ -343,12 +380,12 @@ def _reduce(
 ) -> _NoiseBatch:
     """Reduce ``n`` noise paths, one at a time, to the span table of the
     noisy delays ``spans``; every path must reach the last span's end. Its
-    fields are dense arrays, or (steps, values) pairs when ``c.g != 0``;
-    a field that is an earlier one of its path (beta_s' at xi = 0) is
-    summed once and its column copied."""
+    fields are dense arrays, or (steps, values) pairs when ``c.g != 0``, a
+    chunk of paths at a time; a field that is an earlier one of its path
+    (beta_s' at xi = 0) is summed once and its column copied."""
     dq = c.g != 0.0
     k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
-    table = np.zeros((len(spans), n) + ((4, 4) if dq else (3,)), dtype=complex if dq else float)
+    table = np.zeros((len(spans), n, 6 if dq else 3), dtype=complex if dq else float)
     pending, held, done = [], 0, 0
     for i, path in enumerate(paths):
         if not dq:
@@ -357,12 +394,13 @@ def _reduce(
                     r = next(r for r, y in enumerate(path) if y is x)  # the first field that is x
                     table[:, i, q] = table[:, i, r] if r < q else _span_sums(x, k0, k1)
         elif spans:
-            pending.append(_dq_segments(path, k0, k1, c))
-            held += pending[-1][0].size
+            pending.append(path)
+            redraws = {id(f): f[0].size for f in path if f is not None}  # a shared field counts once
+            held += 2 * len(spans) + sum(redraws.values())
             if held >= _SEGMENT_CHUNK or i + 1 == n:
-                table[:, done : i + 1] = _dq_blocks(pending, c, dt).swapaxes(0, 1)
+                table[:, done : i + 1] = _dq_spans(pending, k0, k1, c, dt)
                 pending, held, done = [], 0, i + 1
-        del path  # no path outlives its reduction
+        del path  # no path outlives its reduction, or its chunk's
     return _NoiseBatch(n, dt, c, dict(zip(spans, table)))
 
 
@@ -434,12 +472,12 @@ def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDA
         phases = a_int * _Z_TILDE + b_int * _Z_PRIME + c.j * n * dt * _Z_ZZ
         u_diag = np.exp(-1j * phases)
         return (u_diag[..., :, None] * rho) * u_diag.conj()[..., None, :]
-    # active double-quantum block: exponentiated per constant-noise segment
+    # active double-quantum block: compact unitaries, applied entry by entry
     if noisy:
-        u = noise
+        u = np.moveaxis(noise, -1, 0)
     else:
-        u = _dq_segment_unitaries(c.a0, c.b0, c.j, c.g, n * dt)[:, None]
-    return u @ rho @ _dagger(u)
+        u = _dq_segment_unitaries(c.a0, c.b0, c.j, c.g, n[:, None] * dt)
+    return _dq_apply(u, rho)
 
 
 # the six entries above the diagonal of a 4x4 state, and their mirrors
@@ -521,7 +559,7 @@ def propagate(
             d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
-            rho = np.einsum("ij,...jk,kl->...il", u, rho, _dagger(u), optimize=True)
+            rho = np.einsum("ij,...jk,kl->...il", u, rho, u.conj().T, optimize=True)
         elif isinstance(elem, Repump):
             rho = _repump_state(rho)
         else:

@@ -333,16 +333,23 @@ class TestRun:
         assert list(shared.spans) == list(distinct.spans)
         assert all(np.array_equal(shared.spans[s], distinct.spans[s]) for s in shared.spans)
 
-    def test_dq_segments_read_a_shared_field_once(self):
-        # a field both sites see is one pair; its copy gives the same segments
+    def test_dq_spans_read_a_shared_field_once(self, monkeypatch):
+        # a field both sites see is one pair, read once per chunk; a copy of
+        # it is read again and gives the same propagators
         glob = (np.array([0, 7, 19]), np.array([1e-6, -2e-6, 0.5e-6]))
         eps_z = (np.array([0, 11]), np.array([3e4, -1e4]))
+        other = (np.array([0, 3]), np.array([-1e-6, 2e-6]))
         copy = tuple(x.copy() for x in glob)
         c = model.frame_coefficients(PARAMS, 0.0, True, 0.0)
         k0, k1 = np.array([0, 5, 10]), np.array([30, 12, 20])
-        shared = engine._dq_segments((glob, glob, eps_z), k0, k1, c)
-        distinct = engine._dq_segments((glob, copy, eps_z), k0, k1, c)
-        assert all(np.array_equal(x, y) for x, y in zip(shared, distinct))
+        reads = []
+        real = engine._offset_pairs
+        monkeypatch.setattr(engine, "_offset_pairs", lambda *a: reads.append(a) or real(*a))
+        shared = engine._dq_spans([(glob, glob, eps_z), (other, other, eps_z)], k0, k1, c, DT)
+        assert len(reads) == 2
+        distinct = engine._dq_spans([(glob, copy, eps_z), (other, other, eps_z)], k0, k1, c, DT)
+        assert len(reads) == 2 + 3
+        assert np.array_equal(shared, distinct)
 
     @pytest.mark.parametrize("near_bm", [False, True])
     @pytest.mark.parametrize("noisy", [False, True])
@@ -426,9 +433,33 @@ class TestRun:
         assert trace.metadata["master_seed"] == 5
 
 
+def frozen_dq_segment_unitaries(a, b, jpar_w, g_dq, t):
+    """The engine's dense (n, 4, 4) segment exponential as first written,
+    kept verbatim so that the reference below reads no engine code."""
+    n = len(t)
+    # diagonal energies: E(mt, mp) = a mt + b mp + jpar_w mt mp
+    e1 = 0.5 * (-a + b) - 0.25 * jpar_w
+    e2 = 0.5 * (a - b) - 0.25 * jpar_w
+    mean = 0.25 * jpar_w  # (E0 + E3) / 2
+    half_gap = 0.5 * (a + b)  # (E0 - E3) / 2
+    omega = np.hypot(half_gap, g_dq)
+    phase = np.exp(-1j * mean * t)
+    c = np.cos(omega * t)
+    s = np.sin(omega * t) / omega
+    u = np.zeros((n, 4, 4), dtype=complex)
+    u[:, 1, 1] = np.exp(-1j * e1 * t)
+    u[:, 2, 2] = np.exp(-1j * e2 * t)
+    u[:, 0, 0] = phase * (c - 1j * half_gap * s)
+    u[:, 3, 3] = phase * (c + 1j * half_gap * s)
+    u[:, 0, 3] = phase * (-1j * g_dq * s)
+    u[:, 3, 0] = u[:, 0, 3]
+    return u
+
+
 def frozen_dq_propagator(path, k0, k1, c, dt):
-    """The per-(path, span) double-quantum propagator as first written,
-    kept verbatim to pin the bits of the batched builder."""
+    """The per-(path, span) double-quantum propagator as first written:
+    the span's constant-noise segments of a dense path, multiplied one
+    after the other as 4x4 matrices."""
     beta, beta_p, eps_z = (None if x is None else x[k0:k1] for x in path)
     change = np.zeros(k1 - k0 - 1, dtype=bool)
     for x in (beta, beta_p, eps_z):
@@ -441,11 +472,19 @@ def frozen_dq_propagator(path, k0, k1, c, dt):
     if eps_z is not None:
         a = a + c.k_eps * eps_z[starts]
     b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p[starts])
-    units = engine._dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
+    units = frozen_dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
     u_total = units[0]
     for i in range(1, units.shape[0]):
         u_total = units[i] @ u_total
     return u_total
+
+
+def dense(u):
+    """A compact (..., 6) unitary as its (..., 4, 4) matrix."""
+    out = np.zeros(u.shape[:-1] + (4, 4), dtype=complex)
+    for k, (i, j) in enumerate(((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0))):
+        out[..., i, j] = u[..., k]
+    return out
 
 
 @st.composite
@@ -473,6 +512,12 @@ def dq_batches(draw):
     return n_steps, sorted(spans), paths
 
 
+# A span of at most 80 steps has at most 80 segments; the serial product and
+# the engine's prefix products round each entry by about 1e-16 per product,
+# so they may differ by a few 1e-14 (the worst of 600 examples: 2.2e-15).
+DQ_BLOCK_TOL = 1e-13
+
+
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
     batch=dq_batches(),
@@ -480,17 +525,22 @@ def dq_batches(draw):
     thermal=st.sampled_from([0.0, 3e4]),
     chunk=st.sampled_from([1, 5, engine._SEGMENT_CHUNK]),
 )
-def test_dq_blocks_keep_the_frozen_bits(batch, delta_b, thermal, chunk):
+def test_dq_blocks_match_the_frozen_propagator(batch, delta_b, thermal, chunk):
     _, spans, paths = batch
     params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
     c = model.frame_coefficients(params, delta_b, True, thermal)
     with mock.patch.object(engine, "_SEGMENT_CHUNK", chunk):
         reduced = engine._reduce((engine._pairs(p) for p in paths), len(paths), DT, spans, c)
+    whole = engine._reduce((engine._pairs(p) for p in paths), len(paths), DT, spans, c)
+    # in a run every path has the same live fields, and then a chunk changes no bit
+    alike = len({tuple(x is None for x in p) for p in paths}) == 1
     assert sorted(reduced.spans) == spans
     for (k0, k1), u in reduced.spans.items():
-        assert u.shape == (len(paths), 4, 4)
+        assert u.shape == (len(paths), 6)
+        assert np.array_equal(u, whole.spans[(k0, k1)]) or not alike
         for i, path in enumerate(paths):
-            assert np.array_equal(u[i], frozen_dq_propagator(path, k0, k1, c, DT))
+            frozen = frozen_dq_propagator(path, k0, k1, c, DT)
+            assert np.max(np.abs(dense(u[i]) - frozen)) <= DQ_BLOCK_TOL
 
 
 def frozen_noisy_spans(programs, dt):
@@ -511,28 +561,21 @@ def frozen_noisy_spans(programs, dt):
 
 
 def frozen_reduce(paths, n, n_steps, dt, spans, c):
-    """The noise reduction with a dict of prefix sums keyed by step."""
+    """The noise reduction with a dict of prefix sums keyed by step; the
+    double-quantum blocks are the engine's, checked on their own above."""
+    paths = list(paths)
     spans = [s for s in spans if s[1] <= n_steps]
     steps = np.array(sorted({k for s in spans for k in s}) if c.g == 0.0 else [], dtype=int)
     pos = steps > 0
     sums = np.zeros((n, 3, steps.size))
-    dq = c.g != 0.0 and bool(spans)
-    k0, k1 = np.array(spans, dtype=int).reshape(-1, 2).T
-    stack = np.empty((len(spans), n, 4, 4), dtype=complex) if dq else None
-    pending, held, done = [], 0, 0
     for i, path in enumerate(paths):
         for q, x in enumerate(path):
             if x is not None and pos.any():
                 sums[i, q, pos] = np.cumsum(x[: steps[-1]])[steps[pos] - 1]
-        if dq:
-            pending.append(engine._dq_segments(engine._pairs(path), k0, k1, c))
-            held += pending[-1][0].size
-            if held >= engine._SEGMENT_CHUNK or i + 1 == n:
-                stack[:, done : i + 1] = engine._dq_blocks(pending, c, dt).swapaxes(0, 1)
-                pending, held, done = [], 0, i + 1
-        del path
     prefix = {int(k): sums[:, :, m] for m, k in enumerate(steps)}
-    blocks = dict(zip(spans, stack)) if dq else {}
+    blocks = {}
+    if c.g != 0.0 and spans:
+        blocks = engine._reduce((engine._pairs(p) for p in paths), n, dt, spans, c).spans
     return n, dt, n_steps, prefix, blocks
 
 
@@ -554,11 +597,10 @@ def frozen_delay(rho, elem, batch, k0, c):
         u_diag = np.exp(-1j * phases)
         return (u_diag[..., :, None] * rho) * u_diag.conj()[..., None, :], k1
     if elem.noisy:
-        u = blocks[(k0, k1)]
+        u = blocks[(k0, k1)].T
     else:
-        a, b = np.array([c.a0]), np.array([c.b0])
-        u = engine._dq_segment_unitaries(a, b, c.j, c.g, np.array([n * dt]))[0]
-    return u @ rho @ engine._dagger(u), k1
+        u = engine._dq_segment_unitaries(c.a0, c.b0, c.j, c.g, np.array([n * dt]))
+    return engine._dq_apply(u, rho), k1
 
 
 def frozen_propagate(rho0, program, batch, c):

@@ -132,6 +132,68 @@ def test_engine_matches_reference(
     assert np.max(np.abs(fast - slow)) < 1e-10
 
 
+def test_long_dq_spans_match_reference():
+    """Near the anti-crossing at J = 0.75 MHz, paths redrawn every few
+    steps over 1600 steps: delays and noisy spans of hundreds of segments,
+    spans that start late in a path and overlap, through ``propagate`` and
+    through ``_reduce`` of two paths at once, against the per-step
+    reference at the bound of the test above."""
+    rng = np.random.default_rng(32)
+    n = 1600
+    params = DyadParams(j_par=0.75e6, j_perp=0.75e6)
+    sim = SimConfig(n_trajectories=2, dt=DT, near_bm=True, delta_b=3e-6)
+    thermal_shift = 4e4
+    trajs = [
+        NoiseTrajectory(
+            dt=DT,
+            beta_s=held_path(rng, n, 3e-6),
+            beta_s_prime=held_path(rng, n, 3e-6),
+            eps_z=held_path(rng, n, 1e7),
+        )
+        for _ in range(2)
+    ]
+    assert all(np.count_nonzero(np.diff(t.beta_s)) > 400 for t in trajs)
+    program = PulseProgram((
+        Rotation(Target.BOTH, Axis.X, math.pi / 2),
+        Delay(700 * DT),
+        Rotation(Target.BOTH, Axis.X, math.pi),
+        Delay(800 * DT),
+        Delay(50 * DT, noisy=False),
+        Rotation(Target.SPIN_S, Axis.Y, math.pi / 2),
+    ))
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    rho0 = a @ a.conj().T
+    rho0 /= np.trace(rho0)
+    fast = propagate(rho0, program, params, trajs[0], sim, thermal_shift=thermal_shift)
+    slow = reference_propagate(rho0, program, params, trajs[0], sim, thermal_shift)
+    assert np.max(np.abs(fast - slow)) < 1e-10
+
+    spans = [(0, 1600), (900, 1600), (1000, 1500), (1200, 1600), (1499, 1500)]
+    c = frame_coefficients(params, sim.delta_b, True, thermal_shift)
+    pairs = [engine._pairs((t.beta_s, t.beta_s_prime, t.eps_z)) for t in trajs]
+    batch = engine._reduce(pairs, 2, DT, spans, c)
+    for i, traj in enumerate(trajs):
+        steps = [
+            expm_hermitian(
+                sim_frame_hamiltonian(
+                    params, sim.delta_b, traj.beta_s[k], traj.beta_s_prime[k], True,
+                    eps_z=traj.eps_z[k], thermal_shift=thermal_shift,
+                ),
+                DT,
+            )
+            for k in range(n)
+        ]
+        for k0, k1 in spans:
+            u = np.eye(4, dtype=complex)
+            for k in range(k0, k1):
+                u = steps[k] @ u
+            compact = batch.spans[(k0, k1)][i]
+            fast = np.zeros((4, 4), dtype=complex)
+            for value, (r, col) in zip(compact, ((0, 0), (1, 1), (2, 2), (3, 3), (0, 3), (3, 0))):
+                fast[r, col] = value
+            assert np.max(np.abs(fast - u)) < 1e-10
+
+
 @SETTINGS
 @given(
     beta_rms=st.floats(0.0, 20e-6),

@@ -23,12 +23,13 @@ Both paths are exact for piecewise-constant noise (no step-splitting
 error), which is what the step-halving convergence check relies on.
 
 :func:`run` checks the initial state once, then samples one trajectory's
-noise at a time, to the end of the run's longest program, reduces it to
-what it gives each noisy delay, and drops it: the field sums of a dense
-path, or near the anti-crossing the constant-noise segments, read from
-each field's redraw steps and values with no dense path rendered; a
-field both sites see (xi = 0) is rendered, summed or read once. Every
-noisy delay reads one table keyed by its (first step, end step) span.
+noise at a time (none in a run with no live channel, whose noisy delays
+are walked noise-free), to the end of the run's longest program,
+reduces it to what it gives each noisy delay, and drops it: the field
+sums of a dense path, or near the anti-crossing the constant-noise
+segments, read from each field's redraw steps and values with no dense
+path rendered; a field both sites see (xi = 0) is rendered, summed or
+read once. Every noisy delay reads one table keyed by its span.
 Near the anti-crossing the noisy-delay propagators of the whole run are
 built in one pass (a large run in chunks of paths): every path is cut
 into its segments at once, every segment is exponentiated at once, each
@@ -82,7 +83,6 @@ from .noise import (
     NoiseDraws,
     NoiseTrajectory,
     held_fields,
-    partition,
     sample_electric_trajectory,
     sample_magnetic_trajectory,
 )
@@ -100,8 +100,6 @@ __all__ = [
     "sweep",
     "trace_to_csv",
 ]
-
-_SQRT3 = math.sqrt(3.0)
 
 
 class SimulationError(RuntimeError):
@@ -168,8 +166,7 @@ def _max_eigenfrequency(c: FrameCoefficients, noise: FluctuatorConfig) -> float:
     Every eigenvalue is a diagonal energy a mt + b mp + j mt mp or, in the
     double-quantum block, j/4 +- hypot((a + b)/2, g).
     """
-    beta_max = _SQRT3 * sum(partition(noise.xi, noise.beta_rms))
-    eps_max = _SQRT3 * noise.eps_rms
+    beta_max, eps_max = noise.bounds
     a_max = abs(c.a0) + abs(c.k_beta) * beta_max + abs(c.k_eps) * eps_max
     b_max = abs(c.b0) + abs(c.k_beta) * beta_max
     return 0.5 * (a_max + b_max) + 0.25 * abs(c.j) + abs(c.g)
@@ -291,14 +288,10 @@ def _dq_spans(paths: Sequence[_Fields], k0: NDArray, k1: NDArray, c: FrameCoeffi
     step 0, every span boundary and every redraw of a live field; a
     segment reads each field at its start, a field every path shares with
     an earlier one (beta_s' at xi = 0) once. One log-depth scan gives each
-    path's prefix products P, and a span is P(k1) P(k0)^dagger. With no
-    live field each span is one segment."""
+    path's prefix products P, and a span is P(k1) P(k0)^dagger."""
     n, stride = len(paths), int(k1.max()) + 1
     columns = list(zip(*paths))
     live = [q for q, col in enumerate(columns) if any(f is not None for f in col)]
-    if not live:
-        u = _dq_segment_unitaries(c.a0, c.b0, c.j, c.g, (k1 - k0) * dt)
-        return np.broadcast_to(u.T[:, None], (k0.size, n, 6))
     origins = np.arange(n) * stride
     first = {q: next(r for r in live if all(f is g for f, g in zip(columns[q], columns[r]))) for q in live}
     pairs = {q: _offset_pairs(columns[q], stride) for q in live if first[q] == q}
@@ -310,12 +303,8 @@ def _dq_spans(paths: Sequence[_Fields], k0: NDArray, k1: NDArray, c: FrameCoeffi
     keep = (lengths > 0) & ((starts + 1) % stride != 0)
     starts, lengths = starts[keep], lengths[keep]
     values = {q: v[np.searchsorted(steps, starts, side="right") - 1] for q, (steps, v) in pairs.items()}
-    beta, beta_p, eps_z = (values.get(first.get(q)) for q in range(3))
-    zero = np.zeros(starts.size)
-    a = c.a0 + c.k_beta * (zero if beta is None else beta)
-    if eps_z is not None:
-        a = a + c.k_eps * eps_z
-    b = c.b0 + c.k_beta * (zero if beta_p is None else beta_p)
+    zero = np.zeros(starts.size)  # a field that is not live; adding k_eps * 0 keeps a's bits
+    a, b = c.ab(*(values.get(first.get(q), zero) for q in range(3)))
     u = _dq_segment_unitaries(a, b, c.j, c.g, lengths * dt)
     # prefix products: after the pass at distance d, each segment holds the
     # product of its path's last 2d segments up to it, the latest leftmost
@@ -342,14 +331,14 @@ class _NoiseBatch:
     (n, 6) array (:func:`_dq_segment_unitaries`) built under ``coeffs``
     from the paths' (steps, values) pairs by :func:`_dq_spans`, in chunks
     of at most about ``_SEGMENT_CHUNK`` segments; every path covered every
-    span. The initial state is not part of the batch; :func:`run` checks
-    it once.
+    span. With every amplitude zero no path is read, ``spans`` is None and
+    every delay is walked noise-free. :func:`run` checks the initial state.
     """
 
     n: int
     dt: float
     coeffs: FrameCoefficients
-    spans: dict
+    spans: Optional[dict]
 
 
 # segments held at once; every path of a run has the same live fields, so a
@@ -555,7 +544,8 @@ def propagate(
     d = 0
     for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
-            rho = _delay(np.broadcast_to(rho, states), elem.noisy, program.steps[:, d], batch)
+            noisy = elem.noisy and batch.spans is not None  # a zero-amplitude run read no path
+            rho = _delay(np.broadcast_to(rho, states), noisy, program.steps[:, d], batch)
             d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
@@ -625,10 +615,11 @@ def _signals(exp: Experiment, layout: Optional[tuple] = None) -> tuple[NDArray, 
     ``exp.draws``, reduced at once to what the programs' noisy delays read
     of it, and dropped; a field with zero amplitude is not sampled, and
     with the double-quantum block active none is rendered: it is read as
-    (steps, values) pairs. The programs are grouped by skeleton, and each
-    group is walked once (in walks of about ``_WALK_STATES`` states) over
-    the stack of its programs and all trajectories, with one
-    :func:`propagate` call per walk.
+    (steps, values) pairs. A run whose every amplitude is zero reads and
+    reduces no path, and walks its noisy delays noise-free. The programs
+    are grouped by skeleton, and each group is walked once (in walks of
+    about ``_WALK_STATES`` states) over the stack of its programs and all
+    trajectories, with one :func:`propagate` call per walk.
     """
     times, walks, spans, max_steps = _layout(exp) if layout is None else layout
     dt = exp.sim.dt
@@ -653,7 +644,8 @@ def _signals(exp: Experiment, layout: Optional[tuple] = None) -> tuple[NDArray, 
     try:
         assert_density_matrix(rho0)
         paths = (fields(i) for i in range(n_traj))
-        batch = _reduce(paths, n_traj, dt, spans, coeffs)
+        live = noise.beta_rms > 0 or noise.eps_rms > 0
+        batch = _reduce(paths, n_traj, dt, spans, coeffs) if live else _NoiseBatch(n_traj, dt, coeffs, None)
         signals = np.empty((times.size, n_traj))
         proj0 = np.real(np.diagonal(reduced_operators().proj_ms0))  # Tr(rho P0) reads the diagonal
         for walk in walks:

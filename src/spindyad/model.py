@@ -183,7 +183,7 @@ def reduced_hamiltonian(
 @dataclass(frozen=True)
 class FrameCoefficients:
     """The numbers (rad/s) of the frame generator H = a Tz + b Pz + j TzPz
-    + g (T+P+ + T-P-), with a = a0 + k_beta beta + k_eps eps_z, b = b0 + k_beta beta'."""
+    + g (T+P+ + T-P-), with a and b from the fields (:meth:`ab`)."""
 
     a0: float  # static Tz coefficient: |g| dB + thermal shift
     b0: float  # static Pz coefficient: |g| dB
@@ -191,6 +191,11 @@ class FrameCoefficients:
     g: float  # 2 pi J_perp sqrt(2) when near the anti-crossing, else 0
     k_beta: float  # coupling of the noise fields beta, beta' (rad/s per tesla)
     k_eps: float  # coupling of the axial electric field eps_z (rad/s per V/m)
+
+    def ab(self, beta=0.0, beta_prime=0.0, eps_z=0.0) -> tuple:
+        """a = a0 + k_beta beta + k_eps eps_z and b = b0 + k_beta beta' under
+        the fields, elementwise for arrays."""
+        return self.a0 + self.k_beta * beta + self.k_eps * eps_z, self.b0 + self.k_beta * beta_prime
 
 
 def frame_coefficients(
@@ -231,7 +236,7 @@ def sim_frame_hamiltonian(
     :func:`thermal_shift`.
     """
     c = frame_coefficients(p, delta_b, near_bm, thermal_shift)
-    return _generator(c.a0 + c.k_beta * beta + c.k_eps * eps_z, c.b0 + c.k_beta * beta_prime, c)
+    return _generator(*c.ab(beta, beta_prime, eps_z), c)
 
 
 def _generator(a: float, b: float, c: FrameCoefficients) -> NDArray:

@@ -114,6 +114,14 @@ class FluctuatorConfig:
         if not self.electric_rate > 0:
             raise ValueError(f"electric_rate must be > 0, got {self.electric_rate}")
 
+    @property
+    def bounds(self) -> tuple[float, float]:
+        """The largest |beta_s| (and |beta_s'|) and |eps_z| a draw can hold:
+        a channel's half-width sqrt(3) sigma, and a site's field the sum of
+        the global channel and its local one."""
+        glob, loc = partition(self.xi, self.beta_rms)
+        return _SQRT3 * glob + _SQRT3 * loc, _SQRT3 * self.eps_rms
+
 
 @dataclass
 class NoiseTrajectory:

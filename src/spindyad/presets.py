@@ -302,6 +302,13 @@ def _envelope(exp: Experiment, windows: list[list[float]], clean: TimeTrace) -> 
     return t2, env
 
 
+def _far_reference(exp: Experiment, tau_max: float, tau_min: float = 0.3e-6) -> float:
+    """The far single-quantum reference T2 under the noise of ``exp``: a
+    plain Hahn echo, the double-quantum term off, delays capped at 60 us."""
+    far = replace(exp, sim=replace(exp.sim, near_bm=False), program_builder=protocol.hahn_echo)
+    return echo_coherence_time(far, tau_max=min(tau_max, 60e-6), tau_min=tau_min)[0]
+
+
 def _tau_zq(cfg: ExperimentConfig, exp: Experiment) -> float:
     """The zero-quantum conversion delay 1/(4 J_par), on the dt grid."""
     j_par = exp.params.j_par
@@ -428,15 +435,9 @@ def _preset_field_sweep(cfg, exp, w):
         t2, env = _envelope(point, windows, clean)
         points.append((float(db), t2))
         w.trace(env, name, sweep_value=float(db))
-    # far-from-anti-crossing reference: same noise, double-quantum term off.
-    # It runs last, on delays capped at 60 us: the points' draws then cover
-    # its paths, so each stream is drawn once (a longer path would redraw)
-    far_exp = replace(
-        exp,
-        sim=replace(exp.sim, near_bm=False, delta_b=0.0),
-        program_builder=protocol.hahn_echo,
-    )
-    t2_far, _ = echo_coherence_time(far_exp, tau_max=min(tau_max, 60e-6), tau_min=tau_min)
+    # the far reference runs last: the points' draws then cover its paths,
+    # so each stream is drawn once (a longer path would redraw)
+    t2_far = _far_reference(replace(exp, sim=replace(exp.sim, delta_b=0.0)), tau_max, tau_min)
     rows = [
         (db, t2, analysis.enhancement_ratio(t2, t2_far) if math.isfinite(t2) else math.inf)
         for db, t2 in points
@@ -492,13 +493,7 @@ def _preset_xi_sweep(cfg, exp, w):
     values = cfg.sweep_values("none", 0.0, 1.0)
     exp = _zq_experiment(cfg, exp, echo=True)
     traces = engine.sweep("xi", values, exp)
-    far_exp = replace(
-        exp,
-        program_builder=protocol.hahn_echo,
-        sim=replace(exp.sim, near_bm=False),
-        noise=replace(exp.noise, xi=0.0),
-    )
-    t2_sq, _ = echo_coherence_time(far_exp, tau_max=60e-6)
+    t2_sq = _far_reference(replace(exp, noise=replace(exp.noise, xi=0.0)), 60e-6)
     # the decay runs over the total evolution time 2 tau~
     points = [(v, 2.0 * analysis.coherence_time(tr)[0]) for v, tr in zip(values, traces)]
     w.table(["xi", "t2_zq_s"], points, notes={"t2_sq_reference_s": t2_sq})

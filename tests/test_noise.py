@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from spindyad import noise
@@ -16,6 +16,10 @@ from spindyad.noise import (
     sample_electric_trajectory,
     sample_magnetic_trajectory,
 )
+
+# the explain phase runs only after a failure, and can report an error of
+# its own in place of the falsifying example
+NO_EXPLAIN = tuple(p for p in Phase if p is not Phase.explain)
 
 
 class TestPartition:
@@ -82,13 +86,19 @@ class TestSampling:
         long = sample_magnetic_trajectory(cfg, 6e-5, 1e-8, 9, seed=11)
         assert np.array_equal(long.beta_s[: short.n_steps], short.beta_s)
 
-    def test_values_bounded(self):
-        cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.5, switch_rate=1e5)
-        traj = sample_magnetic_trajectory(cfg, 1e-4, 1e-8, 1, seed=2)
-        g, l = partition(cfg.xi, cfg.beta_rms)
-        bound = math.sqrt(3.0) * (g + l)
-        assert np.max(np.abs(traj.beta_s)) <= bound
-        assert np.max(np.abs(traj.beta_s_prime)) <= bound
+    @pytest.mark.parametrize("xi", [0.0, 0.5, 1.0])
+    def test_values_bounded(self, xi):
+        # every drawn value lies within the bound the engine's dt check
+        # reads, and the bound is tight: the largest of some 10^5 draws
+        # comes within 2 % of it (at xi = 0.5 a site adds two channels)
+        cfg = FluctuatorConfig(beta_rms=1e-6, xi=xi, switch_rate=2e7, eps_rms=1e6, electric_rate=2e7)
+        beta_max, eps_max = cfg.bounds
+        largest = np.zeros(3)
+        for stream in range(10):
+            fields = noise.held_fields(cfg, 2e-4, 1e-8, stream, seed=2)
+            largest = np.maximum(largest, [np.max(np.abs(values)) for _, values in fields])
+        assert np.all(largest <= [beta_max, beta_max, eps_max])
+        assert np.all(largest >= 0.98 * np.array([beta_max, beta_max, eps_max]))
 
     def test_underresolved_step_rejected(self):
         cfg = FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e8)
@@ -230,7 +240,7 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, phases=NO_EXPLAIN, deadline=None, max_examples=200)
 @given(
     seed=st.integers(0, 2**64 - 1),
     stream_id=st.integers(0, 2**63),
@@ -249,7 +259,7 @@ def test_axial_path_is_column_2_of_the_three_axis_stream(seed, stream_id, n_step
     assert same_bits(eps_z, np.ascontiguousarray(three[:, 2]))
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
+@settings(derandomize=True, phases=NO_EXPLAIN, deadline=None, max_examples=100)
 @given(
     seed=st.integers(0, 2**64 - 1),
     stream_id=st.integers(0, 2**63),
@@ -271,7 +281,7 @@ def test_magnetic_edges_keep_the_frozen_sum(seed, stream_id, n_steps, rate, beta
     assert same_bits(traj.beta_s_prime, vals[:, 0] + vals[:, 2])
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, phases=NO_EXPLAIN, deadline=None, max_examples=200)
 @given(
     seed=st.integers(0, 2**64 - 2),
     stream_id=st.integers(0, 2**63),
@@ -349,7 +359,7 @@ def frozen_draw(seed, stream_id, domain, n_steps, p_switch):
     return out
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(derandomize=True, phases=NO_EXPLAIN, deadline=None, max_examples=200)
 @given(
     seed=st.integers(0, 2**64 - 1),
     stream_id=st.integers(0, 2**63),

@@ -343,14 +343,18 @@ def enhancement_ratio(t2_m: float, t2_sq: float) -> float:
     return t2_m / t2_sq
 
 
+_SEM_FLOOR = 1e-12  # a population's standard error below this is rounding residue
+
+
 def slope_frequency(trace: TimeTrace, window: float) -> float:
     """Frequency shift from the early-time slope of a sensing trace.
 
     The trace holds the fractional m_S = 0 population; it is first mapped
     to the net two-spin signal Sigma = (signal - 1/2) / 2, whose
     small-angle form is -d_omega * t / 4, and the shift is recovered as
-    -4 times the weighted linear slope of Sigma. The caller must keep
-    |d_omega| * window below ~0.3 for the small-angle form to hold.
+    -4 times the linear slope of Sigma, weighted by 1/sem^2 unless a
+    standard error in the window is below ``_SEM_FLOOR``. The caller must
+    keep |d_omega| * window below ~0.3 for the small-angle form to hold.
     """
     t, y, sem = trace.times, trace.signal_mean, trace.signal_sem
     mask = t <= window * (1.0 + 1e-12)
@@ -361,7 +365,7 @@ def slope_frequency(trace: TimeTrace, window: float) -> float:
         )
     tw = t[mask]
     sigma = (y[mask] - 0.5) / 2.0
-    if np.all(sem[mask] > 0):
+    if np.all(sem[mask] >= _SEM_FLOOR):
         w = 1.0 / sem[mask] ** 2
         w = w / np.max(w)
     else:

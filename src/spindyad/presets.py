@@ -211,6 +211,10 @@ def _echo_program_builder(
 
 _ANCHORS = 22  # anchor delays of an echo coherence time
 
+# contrasts within this of a window's largest tie, and the earliest delay
+# wins: a plain echo's noise-free reference is 1 up to rounding residue
+_CONTRAST_TIE = 1e-9
+
 
 def echo_coherence_time(
     exp: Experiment,
@@ -270,13 +274,15 @@ def _noise_free(exp: Experiment, windows: list[list[float]]) -> Experiment:
 def _envelope(exp: Experiment, windows: list[list[float]], clean: TimeTrace) -> tuple[float, TimeTrace]:
     """(t2, envelope) of :func:`echo_coherence_time` from the noise-free
     trace ``clean``: the noisy run at each window's delay of largest
-    contrast, its contrast ratio and the envelope fit."""
+    contrast (the earliest within ``_CONTRAST_TIE`` of it), its contrast
+    ratio and the envelope fit."""
     reference = dict(zip(clean.times.tolist(), clean.signal_mean.tolist()))
     selected: dict[float, float] = {}
     for cand in windows:
         signal = np.array([reference[t] for t in cand])
-        k = int(np.argmax(np.abs(signal - 0.5)))
-        if abs(signal[k] - 0.5) >= 0.3:
+        contrast = np.abs(signal - 0.5)
+        k = int(np.argmax(contrast >= contrast.max() - _CONTRAST_TIE))
+        if contrast[k] >= 0.3:
             selected[cand[k]] = float(signal[k])
     times = sorted(selected)
     contrast = np.array([selected[t] for t in times])

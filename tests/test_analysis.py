@@ -274,6 +274,17 @@ class TestSlopeFrequency:
             d_omega, rel=0.02
         )
 
+    def test_residue_sems_give_the_unweighted_fit(self):
+        # standard errors of rounding residue (1e-17 to 4e-17 where the noise
+        # cannot reach the signal) carry no weight: the slope is that of the
+        # unweighted fit, whatever residue they hold
+        rng = np.random.default_rng(3)
+        trace = self.slope_trace(2 * math.pi * 1e4)
+        y = trace.signal_mean + rng.normal(0.0, 1e-3, trace.times.size)
+        unweighted = slope_frequency(make_trace(trace.times, y), 4e-6)
+        residue = rng.uniform(1e-17, 4e-17, trace.times.size)
+        assert slope_frequency(make_trace(trace.times, y, residue), 4e-6) == unweighted
+
     def test_window_too_short(self):
         trace = self.slope_trace(2 * math.pi * 1e4)
         with pytest.raises(FitError, match="at least 4"):

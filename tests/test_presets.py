@@ -407,6 +407,34 @@ class TestEchoCoherenceTime:
             assert np.all(np.isfinite(env.signal_mean))
         assert t2["deer"] == pytest.approx(t2["hahn"], rel=0.25)
 
+    def test_a_contrast_tie_takes_the_earliest_delay(self, monkeypatch):
+        # a plain echo's noise-free reference is 1 up to rounding residue:
+        # residue that grows with the delay must not move the envelope off
+        # each window's first delay, its anchor
+        import numpy as np
+
+        from spindyad import engine, presets
+        from spindyad.engine import Experiment, SimConfig, TimeTrace
+        from spindyad.model import DyadParams
+        from spindyad.noise import FluctuatorConfig
+        from spindyad.protocol import hahn_echo
+
+        exp = Experiment(
+            params=DyadParams(j_par=0.15e6, j_perp=0.15e6),
+            noise=FluctuatorConfig(beta_rms=1e-6, xi=0.0, switch_rate=1e5),
+            sim=SimConfig(n_trajectories=4, dt=1e-8, master_seed=5),
+            program_builder=hahn_echo,
+            times=[0.0],
+        )
+        windows = presets._anchor_windows(exp, 20e-6, 0.3e-6, presets._ANCHORS)
+        times = np.array(sorted(set().union(*windows)))
+        clean = TimeTrace(times, 1.0 + np.arange(times.size) * 2.0**-52, np.zeros(times.size))
+        runs = []
+        real_run = engine.run
+        monkeypatch.setattr(engine, "run", lambda e: runs.append(list(e.times)) or real_run(e))
+        presets._envelope(exp, windows, clean)
+        assert runs == [sorted({w[0] for w in windows})]
+
     def test_anchor_scan_is_one_noise_free_run(self, monkeypatch):
         from spindyad import engine
         from spindyad.engine import Experiment, SimConfig

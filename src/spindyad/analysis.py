@@ -7,12 +7,14 @@ Coherence times are defined through a stretched-exponential envelope
 
 fitted by variable projection: for a trial (T2, n) the offset and
 amplitude follow from a closed-form weighted linear solve, and a bounded
-derivative-free simplex refines (T2, n) only. The simplex is an in-house
-Nelder-Mead (:func:`_minimize`) that reproduces SciPy 1.17's bounded
-``minimize(method="Nelder-Mead")`` bit for bit. Times are normalized to
-the last sample and the signal to its endpoint span before fitting, so
-the fit is exactly equivariant under time rescaling and affine signal
-transforms.
+derivative-free simplex refines (T2, n) only; the sums of the linear
+solve that do not depend on (T2, n) are taken once per fit. The simplex
+is an in-house Nelder-Mead (:func:`_minimize`) on Python floats, NaN
+values ordered as numpy orders them, that reproduces SciPy 1.17's
+bounded ``minimize(method="Nelder-Mead")`` bit for bit. Times are
+normalized to the last sample and the signal to its endpoint span before
+fitting, so the fit is exactly equivariant under time rescaling and
+affine signal transforms.
 
 A trace whose total signal range stays below the resolution floor (three
 times the median standard error, or an absolute 1e-6 for deterministic
@@ -56,8 +58,8 @@ _TOL = 1e-10
 # to it, both in units of the observation window
 _T2_MAX = 50.0
 _T2_RESOLVED = 49.0
-_LOWER = np.array([1e-3, STRETCH_BOUNDS[0]])
-_UPPER = np.array([_T2_MAX, STRETCH_BOUNDS[1]])
+_LOWER = (1e-3, STRETCH_BOUNDS[0])
+_UPPER = (_T2_MAX, STRETCH_BOUNDS[1])
 
 
 class FitError(RuntimeError):
@@ -116,28 +118,30 @@ class FitResult:
             raise ValueError("residual_rms must be >= 0")
 
 
-def _linear_subfit(
-    basis: NDArray, y: NDArray, w: NDArray
-) -> tuple[float, float, float]:
-    """Weighted least-squares solve of y ~ offset + amplitude * basis.
-
-    Returns (offset, amplitude, weighted residual sum of squares).
-    """
+def _projector(y: NDArray, w: NDArray) -> Callable[[NDArray], tuple[float, float, float]]:
+    """Weighted least-squares solve of y ~ offset + amplitude * basis as a
+    function of the basis, which returns (offset, amplitude, weighted
+    residual sum of squares); the sums over (y, w) alone are taken once."""
     sw = float(np.sum(w))
-    sb = float(np.sum(w * basis))
-    sbb = float(np.sum(w * basis * basis))
     sy = float(np.sum(w * y))
-    sby = float(np.sum(w * basis * y))
-    det = sw * sbb - sb * sb
-    if abs(det) < 1e-30:
-        # basis numerically constant: amplitude unidentifiable
-        offset = sy / sw
-        amp = 0.0
-    else:
-        offset = (sbb * sy - sb * sby) / det
-        amp = (sw * sby - sb * sy) / det
-    resid = y - offset - amp * basis
-    return offset, amp, float(np.sum(w * resid * resid))
+
+    def project(basis: NDArray) -> tuple[float, float, float]:
+        # ndarray.sum is np.sum's reduction without its dispatch per call
+        wb = w * basis
+        sb = float(wb.sum())
+        sbb = float((wb * basis).sum())
+        sby = float((wb * y).sum())
+        det = sw * sbb - sb * sb
+        if abs(det) < 1e-30:
+            # basis numerically constant: amplitude unidentifiable
+            offset, amp = sy / sw, 0.0
+        else:
+            offset = (sbb * sy - sb * sby) / det
+            amp = (sw * sby - sb * sy) / det
+        resid = y - offset - amp * basis
+        return offset, amp, float((w * resid * resid).sum())
+
+    return project
 
 
 def first_crossing(x: Sequence[float], y: Sequence[float], level: float) -> Optional[float]:
@@ -183,7 +187,7 @@ def _prepare(
     return t / t_scale, y, sem, t_scale
 
 
-def _minimize(objective: Callable[[NDArray], float], t2_0: float) -> tuple[float, float, bool]:
+def _minimize(objective: Callable[[tuple[float, float]], float], t2_0: float) -> tuple[float, float, bool]:
     """Bounded simplex over (T2 / t_last, n); returns (t2, n, converged).
 
     T2 is bounded to (1e-3 .. 50) x the observation window: a fit pushed
@@ -192,52 +196,53 @@ def _minimize(objective: Callable[[NDArray], float], t2_0: float) -> tuple[float
     1.17's ``_minimize_neldermead`` runs it with bounds and fixed
     coefficients (reflection 1, expansion 2, contraction and shrink 1/2),
     so fits are bit-identical to SciPy's ``optimize.minimize(...,
-    method="Nelder-Mead")``. ``converged`` means the ``xatol``/``fatol``
-    test stopped it before ``_MAX_ITER`` iterations.
+    method="Nelder-Mead")``. It runs on Python floats, term for term in
+    SciPy's order, and passes the objective a (t2, n) tuple; NaN values
+    sort last and fail the convergence test, as numpy orders them.
+    ``converged`` means the ``xatol``/``fatol`` test stopped it before
+    ``_MAX_ITER`` iterations.
     """
-    lo, hi = _LOWER, _UPPER
-    x0 = np.array([min(max(t2_0, 1e-3), _T2_MAX), 1.0])
+
+    def vertex(a: float, b: float) -> tuple[float, tuple[float, float]]:
+        x = min(max(a, _LOWER[0]), _UPPER[0]), min(max(b, _LOWER[1]), _UPPER[1])
+        return objective(x), x
+
+    def nan_last(v: tuple[float, tuple[float, float]]) -> tuple[bool, float]:
+        return v[0] != v[0], v[0]
+
+    t2 = min(max(t2_0, 1e-3), _T2_MAX)
     # default initial simplex: each coordinate in turn scaled by 1 + 0.05
     # (no coordinate can be 0), reflected into the box where it overshoots
-    sim = np.array([x0, x0, x0])
-    sim[1, 0] *= 1 + 0.05
-    sim[2, 1] *= 1 + 0.05
-    sim = np.clip(np.where(sim > hi, 2 * hi - sim, sim), lo, hi)
-    fsim = np.array([objective(v) for v in sim])
-    ind = np.argsort(fsim)
-    sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    t2_up = (1 + 0.05) * t2
+    t2_up = 2 * _T2_MAX - t2_up if t2_up > _T2_MAX else t2_up
+    sim = sorted([vertex(t2, 1.0), vertex(t2_up, 1.0), vertex(t2, 1 + 0.05)], key=nan_last)
     iterations = 1
     while iterations < _MAX_ITER:
-        if np.max(np.abs(sim[1:] - sim[0])) <= _TOL and np.max(np.abs(fsim[0] - fsim[1:])) <= _TOL:
+        (f0, (a0, b0)), (f1, (a1, b1)), (f2, (a2, b2)) = sim
+        if all(abs(d) <= _TOL for d in (a1 - a0, b1 - b0, a2 - a0, b2 - b0, f0 - f1, f0 - f2)):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / 2
-        xr = np.clip(2 * xbar - sim[-1], lo, hi)
-        fxr = objective(xr)
-        if fxr < fsim[0]:  # expand
-            xe = np.clip(3 * xbar - 2 * sim[-1], lo, hi)
-            fxe = objective(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:  # reflect
-            sim[-1], fsim[-1] = xr, fxr
+        xa, xb = (a0 + a1) / 2, (b0 + b1) / 2
+        xr = vertex(2 * xa - a2, 2 * xb - b2)
+        if xr[0] < f0:  # expand
+            xe = vertex(3 * xa - 2 * a2, 3 * xb - 2 * b2)
+            sim[2] = xe if xe[0] < xr[0] else xr
+        elif xr[0] < f1:  # reflect
+            sim[2] = xr
         else:
-            if fxr < fsim[-1]:  # contract outside
-                xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lo, hi)
-                fxc = objective(xc)
-                accept = fxc <= fxr
+            if xr[0] < f2:  # contract outside
+                xc = vertex(1.5 * xa - 0.5 * a2, 1.5 * xb - 0.5 * b2)
+                accept = xc[0] <= xr[0]
             else:  # contract inside
-                xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lo, hi)
-                fxc = objective(xc)
-                accept = fxc < fsim[-1]
+                xc = vertex(0.5 * xa + 0.5 * a2, 0.5 * xb + 0.5 * b2)
+                accept = xc[0] < f2
             if accept:
-                sim[-1], fsim[-1] = xc, fxc
+                sim[2] = xc
             else:  # shrink toward the best vertex
-                for j in (1, 2):
-                    sim[j] = np.clip(sim[0] + 0.5 * (sim[j] - sim[0]), lo, hi)
-                    fsim[j] = objective(sim[j])
+                sim[1] = vertex(a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0))
+                sim[2] = vertex(a0 + 0.5 * (a2 - a0), b0 + 0.5 * (b2 - b0))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    t2_hat, n_hat = sim[0]
+        sim.sort(key=nan_last)
+    t2_hat, n_hat = sim[0][1]
     return t2_hat, n_hat, iterations < _MAX_ITER
 
 
@@ -262,15 +267,15 @@ def fit_stretched_exponential(trace: TimeTrace) -> FitResult:
     else:
         w = np.ones_like(ys)
 
-    def objective(x: NDArray) -> float:
+    project = _projector(ys, w)
+
+    def objective(x: tuple[float, float]) -> float:
         t2, n = x
-        basis = np.exp(-np.power(ts / t2, n))
-        _, _, rss = _linear_subfit(basis, ys, w)
-        return rss
+        return project(np.exp(-np.power(ts / t2, n)))[2]
 
     t2_hat, n_hat, converged = _minimize(objective, _initial_t2(ts, ys))
     basis = np.exp(-np.power(ts / t2_hat, n_hat))
-    off_hat, amp_hat, _ = _linear_subfit(basis, ys, w)
+    off_hat, amp_hat, _ = project(basis)
     resid = ys - off_hat - amp_hat * basis
     return FitResult(
         t2=float(t2_hat * t_scale),
@@ -294,10 +299,10 @@ def fit_envelope_decay(trace: TimeTrace) -> FitResult:
     """
     ts, y, _, t_scale = _prepare(trace, lambda y: 1.0 - float(np.min(y)))
 
-    def objective(x: NDArray) -> float:
+    def objective(x: tuple[float, float]) -> float:
         t2, n = x
         resid = y - np.exp(-np.power(ts / t2, n))
-        return float(np.sum(resid * resid))
+        return float((resid * resid).sum())
 
     t2_hat, n_hat, converged = _minimize(objective, _initial_t2(ts, y))
     resid = y - np.exp(-np.power(ts / t2_hat, n_hat))
@@ -372,7 +377,7 @@ def slope_frequency(trace: TimeTrace, window: float) -> float:
         w = np.ones_like(tw)
     if np.ptp(tw) == 0:
         raise FitError("slope window has no time spread")
-    _, slope, _ = _linear_subfit(tw, sigma, w)
+    _, slope, _ = _projector(sigma, w)(tw)
     return -4.0 * slope
 
 

@@ -45,12 +45,13 @@ left out), and :func:`propagate` walks each group once over the
 end step) rows, one per nonempty delay; its noise-free double-quantum
 delays are exponentiated in one call. The elements before its first
 delay act once, on the 4x4 initial state; a rotation is one ``einsum``
-over the stack, and the state checks and the readout read only the
-entries they need. Each state evolves exactly as it would alone, so the
-stack changes no bit. :func:`sweep` builds the programs and their walks
-once for all its runs: no variable it sweeps changes a program.
-:func:`propagate` also takes one program and one dense noise path,
-checks the path's length, and gives the final 4x4 state.
+over the stack along a fixed contraction path, and the state checks and
+the readout read only the entries they need. Each state evolves exactly
+as it would alone, so the stack changes no bit. :func:`sweep` builds
+the programs and their walks once for all its runs: no variable it
+sweeps changes a program. :func:`propagate` also takes one program and
+one dense noise path, checks the path's length, and gives the final 4x4
+state.
 
 Noise draws: every path is read from the ``Experiment.draws`` store.
 Each experiment makes its own, and every experiment derived from it with
@@ -351,6 +352,10 @@ _SEGMENT_CHUNK = 1 << 12
 # full-size configs (400-500 trajectories) peaked 5-7 MB higher
 _WALK_STATES = 1 << 10
 
+# the contraction order optimize=True finds for a rotation, u rho first;
+# fixed, so that no rotation searches for it again
+_ROTATION_PATH = ["einsum_path", (0, 1), (0, 1)]
+
 
 def _span_sums(x: NDArray, k0: NDArray, k1: NDArray) -> NDArray:
     """One field's sum over each span [k0, k1), from its cumsum with a
@@ -549,7 +554,7 @@ def propagate(
             d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
-            rho = np.einsum("ij,...jk,kl->...il", u, rho, u.conj().T, optimize=True)
+            rho = np.einsum("ij,...jk,kl->...il", u, rho, u.conj().T, optimize=_ROTATION_PATH)
         elif isinstance(elem, Repump):
             rho = _repump_state(rho)
         else:

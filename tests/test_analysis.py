@@ -296,6 +296,31 @@ class TestSlopeFrequency:
             slope_frequency(trace, window=1e-6)
 
 
+class TestProjector:
+    """The weighted linear solve behind both the stretched fit and the
+    slope."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_weighted_lstsq(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 60))
+        basis, y, w = rng.uniform(0.0, 1.0, n), rng.normal(size=n), rng.uniform(0.1, 1.0, n)
+        offset, amp, rss = analysis._projector(y, w)(basis)
+        a = np.sqrt(w)[:, None] * np.column_stack([np.ones(n), basis])
+        coef, ssr, _, _ = np.linalg.lstsq(a, np.sqrt(w) * y, rcond=None)
+        assert [offset, amp, rss] == pytest.approx([coef[0], coef[1], ssr[0]], rel=1e-12)
+
+    @pytest.mark.parametrize("level", [0.0, 0.5])
+    def test_constant_basis_gives_the_weighted_mean(self, level):
+        # a constant basis of 0 or a power of two leaves det exactly 0
+        rng = np.random.default_rng(1)
+        y, w = rng.normal(size=20), rng.uniform(0.1, 1.0, 20)
+        offset, amp, rss = analysis._projector(y, w)(np.full(20, level))
+        mean = np.sum(w * y) / np.sum(w)
+        assert (offset, amp) == (pytest.approx(mean, rel=1e-12), 0.0)
+        assert rss == pytest.approx(np.sum(w * (y - mean) ** 2), rel=1e-12)
+
+
 class TestTemperatureShift:
     def test_zero_shift(self):
         assert temperature_shift(0.0, DyadParams()) == 0.0
@@ -349,14 +374,31 @@ def outcome(fitter, trace):
         return repr(exc)
 
 
+def counted(minimize, calls):
+    """``minimize`` with each call of its objective appended to ``calls``."""
+
+    def run(objective, t2_0):
+        def count(x):
+            calls.append(None)
+            return objective(x)
+
+        return minimize(count, t2_0)
+
+    return run
+
+
 def assert_fits_match_scipy(optimize, trace):
     """Both fitters give repr-identical results with the in-house simplex
-    and with scipy's; returns the in-house fits."""
+    and with scipy's, after as many objective calls; returns the in-house
+    fits."""
     fits = []
     for fitter in (fit_stretched_exponential, fit_envelope_decay):
-        ours = outcome(fitter, trace)
-        with mock.patch.object(analysis, "_minimize", scipy_simplex(optimize)):
+        ours_calls, scipy_calls = [], []
+        with mock.patch.object(analysis, "_minimize", counted(analysis._minimize, ours_calls)):
+            ours = outcome(fitter, trace)
+        with mock.patch.object(analysis, "_minimize", counted(scipy_simplex(optimize), scipy_calls)):
             assert outcome(fitter, trace) == ours
+        assert len(scipy_calls) == len(ours_calls)
         fits.append(ours)
     return fits
 
@@ -414,3 +456,17 @@ class TestSimplexMatchesScipy:
         assert isinstance(fit_envelope_decay(envelope_trace), FitResult)
         assert_fits_match_scipy(scipy_optimize, stretched_trace)
         assert_fits_match_scipy(scipy_optimize, envelope_trace)
+
+    def test_nan_objective_near_the_minimum(self, scipy_optimize):
+        # a quadratic that is NaN on about half of the points within 1e-8
+        # of its minimum: NaN vertices sort last and never pass the
+        # convergence test, as in scipy, from every start of the grid
+        def quadratic(x):
+            d = (x[0] - 3.0) ** 2 + (x[1] - 2.2) ** 2
+            return math.nan if d < 1e-16 and int(x[0] * 2**52) % 2 == 0 else d
+
+        for t2_0 in np.linspace(0.05, 60.0, 60):
+            ours_calls, scipy_calls = [], []
+            ours = counted(analysis._minimize, ours_calls)(quadratic, float(t2_0))
+            theirs = counted(scipy_simplex(scipy_optimize), scipy_calls)(quadratic, float(t2_0))
+            assert (ours, len(ours_calls)) == (theirs, len(scipy_calls)), t2_0

@@ -12,8 +12,10 @@ runs, from the checkout this script is in:
   key a preset declares it reads moves an artifact byte of every matrix
   config, or is allowed not to, and the last line is ``key_matrix: ok``;
 * ``tier-1``: the ROADMAP Tier-1 command, ``python -m pytest -q
-  --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``; it
-  passes when pytest exits 0;
+  --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``, its
+  JUnit report in ``OUT/tier-1.xml``; it passes when pytest exits 0 and
+  no test of the scipy comparisons (``SCIPY_CHECKS``) was skipped or
+  missing, and its line gives the number of skipped tests;
 * ``smoke``: ``perfbench/run.py --smoke`` in a copy of ``src``,
   ``perfbench``, ``configs`` and ``BENCHMARK.json`` under ``OUT/bench``
   (the harness writes its records next to itself); it passes when it
@@ -42,6 +44,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from xml.etree import ElementTree
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,9 +92,23 @@ def _pytest(args: list[str], name: str, out: Path, cwd: Path, env: dict) -> tupl
     return code, seconds, summary[-1] if summary else "no pytest summary", code == 0
 
 
+# the only bit-for-bit guards of the in-house simplex and level assignment;
+# they skip without scipy
+SCIPY_CHECKS = ("TestSimplexMatchesScipy", "TestAssignmentMatchesScipy")
+
+
 def tier1(out: Path, env: dict) -> tuple[int, float, str, bool]:
+    """The Tier-1 suite; fails unless every test of ``SCIPY_CHECKS`` ran,
+    and its note gives the number of skipped tests."""
     env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p))
-    return _pytest(["--continue-on-collection-errors"], "tier-1", out, ROOT, env)
+    xml = out / "tier-1.xml"
+    xml.unlink(missing_ok=True)
+    code, seconds, note, ok = _pytest(["--continue-on-collection-errors", "--junitxml", str(xml)], "tier-1", out, ROOT, env)
+    cases = ElementTree.parse(xml).iter("testcase") if xml.exists() else ()
+    cases = [(c.get("classname", "").rsplit(".", 1)[-1], c.find("skipped") is not None) for c in cases]
+    unrun = [name for name in SCIPY_CHECKS if (name, True) in cases or (name, False) not in cases]
+    note += f"; {sum(skip for _, skip in cases)} skipped" + "".join(f"; {name} did not run" for name in unrun)
+    return code, seconds, note, ok and not unrun
 
 
 def smoke(out: Path, env: dict) -> tuple[int, float, str, bool]:

@@ -5,8 +5,8 @@ under the generator of :func:`spindyad.model.sim_frame_hamiltonian`: the
 detuning from the operating point, the sampled magnetic and axial
 electric noise fields, the thermal shift, the secular dipolar coupling
 and, near the level anti-crossing, the static double-quantum term. Its
-coefficients come from :func:`spindyad.model.frame_coefficients`, once
-per run and once per walk; this module only propagates.
+coefficients come from :func:`spindyad.model.frame_coefficients` once
+per run, and its noise batch carries them; this module only propagates.
 
 During a delay the noise is piecewise constant on the trajectory's step
 grid, so the exact propagator factorizes over constant-noise segments:
@@ -43,10 +43,10 @@ left out), and :func:`propagate` walks each group once over the
 (programs, trajectories, 4, 4) stack of states, in walks of about
 ``_WALK_STATES`` states. A walk holds each of its programs' (first step,
 end step) rows, one per nonempty delay; its noise-free double-quantum
-delays are exponentiated in one call. The elements before its first
-delay act once, on the 4x4 initial state; a rotation is one ``einsum``
-over the stack along a fixed contraction path, and the state checks and
-the readout read only the entries they need. Each state evolves exactly
+delays are exponentiated in one call. Every state of the stack starts as
+the initial state; a rotation is one ``einsum`` over the stack along a
+fixed contraction path, and the state checks and the readout read only
+the entries they need. Each state evolves exactly
 as it would alone, so the stack changes no bit. :func:`sweep` builds
 the programs and their walks once for all its runs: no variable it
 sweeps changes a program. :func:`propagate` also takes one program and
@@ -333,7 +333,8 @@ class _NoiseBatch:
     from the paths' (steps, values) pairs by :func:`_dq_spans`, in chunks
     of at most about ``_SEGMENT_CHUNK`` segments; every path covered every
     span. With every amplitude zero no path is read, ``spans`` is None and
-    every delay is walked noise-free. :func:`run` checks the initial state.
+    every delay is walked noise-free. Every walk over the batch runs under
+    ``coeffs``; :func:`run` checks the initial state.
     """
 
     n: int
@@ -508,49 +509,42 @@ def propagate(
     traj: NoiseTrajectory | _NoiseBatch,
     sim: SimConfig,
     thermal_shift: float = 0.0,
-    validate: bool = True,
 ) -> NDArray:
     """Propagate a state through a pulse program under sampled noise.
 
     Two shapes: a program and one noise path, on the ``sim.dt`` grid and
     at least as long as the program (checked before it is reduced), give
-    the final 4x4 state; a walk (:func:`_walks`) and the batch :func:`run`
-    reduces its trajectories to give the (programs, n, 4, 4) stack. The
-    skeleton is walked once over the whole stack, the elements before the
-    first delay on the one 4x4 state. Delays advance through
+    the final 4x4 state under the frame of ``params``, ``sim`` and
+    ``thermal_shift``; a walk (:func:`_walks`) and the batch :func:`run`
+    reduces its trajectories to give the (programs, n, 4, 4) stack under
+    the batch's frame. Every state starts as ``rho0``. Delays advance through
     the step grid (noise suppressed for noise-free delays but time still
     elapsing); rotations and repump events apply instantaneously between
-    steps. With ``validate`` every state is checked after every element
-    and at the end, and a single path's initial state before the walk;
-    :func:`run` checks a batch's initial state once per run. A failing
-    state is named by its program's index in the run and its trajectory.
+    steps. Every state is checked after every element and at the end, a
+    single path's initial state also before the walk; :func:`run` checks
+    a batch's once per run. A failing state is named by its program's
+    index in the run and its trajectory.
     """
-    single = isinstance(traj, NoiseTrajectory)
-    coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
-    if single:
+    if isinstance(traj, NoiseTrajectory):
         if not math.isclose(traj.dt, sim.dt, rel_tol=1e-12):
             raise SimulationError(f"noise path dt = {traj.dt:.6g} s, but sim.dt = {sim.dt:.6g} s")
-        if validate:
-            assert_density_matrix(rho0)
+        assert_density_matrix(rho0)
         (program,), spans, need = _walks([program], traj.dt, 1)
         if need > traj.n_steps:
             raise SimulationError(
                 f"noise trajectory ({traj.n_steps} steps) shorter than program (needs {need})"
             )
+        coeffs = model.frame_coefficients(params, sim.delta_b, sim.near_bm, thermal_shift)
         path = (traj.beta_s, traj.beta_s_prime, traj.eps_z)
         batch = _reduce([_pairs(path) if coeffs.g != 0.0 else path], 1, traj.dt, spans, coeffs)
     else:
         batch = traj
-        if batch.coeffs != coeffs:
-            raise SimulationError("noise batch was reduced under other frame coefficients")
-    rho0 = np.asarray(rho0, dtype=complex)
-    states = (len(program.index), batch.n) + rho0.shape
-    rho = rho0[None, None]  # every state is this one until the first delay
+    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (len(program.index), batch.n, 4, 4)).copy()
     d = 0
     for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
             noisy = elem.noisy and batch.spans is not None  # a zero-amplitude run read no path
-            rho = _delay(np.broadcast_to(rho, states), noisy, program.steps[:, d], batch)
+            rho = _delay(rho, noisy, program.steps[:, d], batch)
             d += 1
         elif isinstance(elem, Rotation):
             u = rotation_unitary(elem)
@@ -559,13 +553,9 @@ def propagate(
             rho = _repump_state(rho)
         else:
             raise SimulationError(f"unknown program element {elem!r}")
-        if validate:
-            _check_invariants(rho, program, j)
-    if not d:  # no delay set the states apart
-        rho = np.broadcast_to(rho, states).copy()
-    if validate:
-        assert_density_matrix(rho)
-    return rho[0, 0] if single else rho
+        _check_invariants(rho, program, j)
+    assert_density_matrix(rho)
+    return rho if traj is batch else rho[0, 0]
 
 
 @dataclass(frozen=True)
@@ -654,7 +644,7 @@ def _signals(exp: Experiment, layout: Optional[tuple] = None) -> tuple[NDArray, 
         signals = np.empty((times.size, n_traj))
         proj0 = np.real(np.diagonal(reduced_operators().proj_ms0))  # Tr(rho P0) reads the diagonal
         for walk in walks:
-            rho = propagate(rho0, walk, exp.params, batch, exp.sim, thermal_shift=exp.thermal_shift)
+            rho = propagate(rho0, walk, exp.params, batch, exp.sim)
             signals[walk.index] = rho.real.diagonal(axis1=-2, axis2=-1) @ proj0
     except (ValueError, AssertionError) as exc:  # an under-resolved switch rate, a bad state
         raise SimulationError(str(exc)) from exc

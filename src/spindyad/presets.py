@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import replace
 from functools import partial
@@ -71,30 +72,33 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
     for key in ("j_par", "j_perp"):
         if cfg.has("params", key):
             kwargs[key] = cfg.number("params", key)
+    noise = ("beta_rms", "xi", "switch_rate", "eps_rms", "electric_rate")  # as FluctuatorConfig names them
+    return Experiment(
+        params=_built("params", model.DyadParams, **kwargs),
+        noise=_built("noise", FluctuatorConfig, **{key: cfg.number("noise", key) for key in noise}),
+        sim=_built(
+            "sim",
+            SimConfig,
+            n_trajectories=cfg.integer("sim", "trajectories"),
+            dt=cfg.number("sim", "dt"),
+            master_seed=cfg.integer("sim", "seed"),
+            near_bm=cfg.flag("sim", "near_bm"),
+            delta_b=cfg.number("sim", "delta_b"),
+        ),
+        label=label,
+    )
+
+
+def _built(section: str, cls: type, **kwargs):
+    """``cls(**kwargs)``; a value it rejects is a config error named by
+    ``section.key``, the key of the field its message starts with."""
     try:
-        return Experiment(
-            params=model.DyadParams(**kwargs),
-            noise=FluctuatorConfig(
-                beta_rms=cfg.number("noise", "beta_rms"),
-                xi=cfg.number("noise", "xi"),
-                switch_rate=cfg.number("noise", "switch_rate"),
-                eps_rms=cfg.number("noise", "eps_rms"),
-                electric_rate=cfg.number("noise", "electric_rate"),
-            ),
-            sim=SimConfig(
-                n_trajectories=cfg.integer("sim", "trajectories"),
-                dt=cfg.number("sim", "dt"),
-                master_seed=cfg.integer("sim", "seed"),
-                near_bm=cfg.flag("sim", "near_bm"),
-                delta_b=cfg.number("sim", "delta_b"),
-            ),
-            label=label,
-        )
-    except ValueError as exc:  # SimConfig names two fields unlike their config keys
+        return cls(**kwargs)
+    except ValueError as exc:
         msg = str(exc)
-        name = msg.split(" ", 1)[0]
-        key = {"master_seed": "sim.seed", "n_trajectories": "sim.trajectories"}.get(name, name)
-        raise ConfigError(key + msg[len(name) :]) from exc
+        name = re.match(r"\w*", msg).group()
+        key = {"master_seed": "seed", "n_trajectories": "trajectories"}.get(name, name)  # SimConfig's two renames
+        raise ConfigError(f"{section}.{key}{msg[len(name) :]}") from exc
 
 
 def _text(value) -> str:
@@ -461,8 +465,8 @@ def _preset_field_sweep(cfg, exp, w):
         summary["half_excess_detuning_T"] = half_excess_detuning(
             [r[0] for r in rows], [r[2] for r in rows]
         )
-    except ValueError:
-        pass
+    except ValueError as exc:  # no zero-detuning point, or no resolved peak
+        summary["half_excess_detuning"] = str(exc)
     w.summary(summary)
 
 

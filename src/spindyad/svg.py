@@ -20,9 +20,7 @@ _ML, _MR, _MT, _MB = 72, 24, 36, 56
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    """About five round ticks over [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    """About five round ticks over [lo, hi], hi > lo."""
     raw = (hi - lo) / 4
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

@@ -173,16 +173,16 @@ class TestCriterion1ProtocolAlgebra:
             - OPS.zz
         )
         dev_rot = float(np.max(np.abs(rho - expect)))
+        # I/4 + zq_sym/2 has eigenvalues 0, 1/4, 1/4 and 1/2: a state
         rho_sym = propagate(
-            np.eye(4, dtype=complex) / 4.0 + OPS.zq_sym,
+            np.eye(4, dtype=complex) / 4.0 + OPS.zq_sym / 2.0,
             PulseProgram((Delay(tau),)),
             PARAMS_WEAK,
             traj,
             sim,
-            validate=False,
         )
         expect_sym = (
-            np.eye(4) / 4.0 + math.cos(ang) * OPS.zq_sym - math.sin(ang) * OPS.zq_antisym
+            np.eye(4) / 4.0 + (math.cos(ang) * OPS.zq_sym - math.sin(ang) * OPS.zq_antisym) / 2.0
         )
         dev_rot = max(dev_rot, float(np.max(np.abs(rho_sym - expect_sym))))
         ok &= dev_rot < 1e-10

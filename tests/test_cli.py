@@ -303,8 +303,9 @@ class TestExitCodes:
             (("seed = 3", "seed = -1"), [], "sim.seed must be in [0, 2**64), got -1"),
             (None, ["--seed", "-1"], "sim.seed must be in [0, 2**64), got -1"),
             (("seed = 3", "seed = 18446744073709551616"), [], "sim.seed must be in [0, 2**64), got 18446744073709551616"),
-            (("seed = 3", "seed = 3\ndt = 0 ns"), [], "dt must be > 0"),
-            (("xi = 1.0", "xi = 2"), [], ""),
+            (("seed = 3", "seed = 3\ndt = 0 ns"), [], "sim.dt must be > 0"),
+            (("xi = 1.0", "xi = 2"), [], "noise.xi must be in [0, 1], got 2.0"),
+            (("j_par = 50 kHz", "j_par = 50 kHz\ndelta = 0 GHz"), [], "params.delta must be positive, got 0.0"),
             (("tau_count = 9", "tau_count = 9.5"), [], ""),
             (("tau_count = 9", "tau_count = 9\ntheta = 0"), [], ""),
             (("seed = 3", "seed = 3\nnoise_during = evolutoin"), [], ""),
@@ -327,6 +328,7 @@ class TestExitCodes:
             "seed-2**64",
             "dt-0",
             "xi-2",
+            "delta-0",
             "tau_count-fraction",
             "sweep-theta",
             "noise_during-unknown",
@@ -391,7 +393,7 @@ class TestExitCodes:
                 FAST_ZQ.replace("preset = zq_decay", "preset = electrometry")
                 .replace("xi = 1.0", "xi = 1.0\neps_rms = 0 V_per_m\nelectric_rate = 0 Hz")
                 .replace("[sweep]\n", "[sweep]\nvariable = eps_rms\nvalues = 0 V_per_m, 1000000 V_per_m\n"),
-                "electric_rate must be > 0, got 0.0",
+                "noise.electric_rate must be > 0, got 0.0",
             ),
             (
                 FAST_LEVELS.replace("j = 0.2 MHz\ntheta = 1.5707963267948966", "j = 0.2 MHz"),

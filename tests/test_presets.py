@@ -109,6 +109,19 @@ class TestEchoPresets:
         assert (out / "fs_db_+0.000uT.csv").exists()
         assert (out / "fs_db_+8.000uT.csv").exists()
 
+    def test_field_sweep_without_zero_point_says_why_it_has_no_half_excess_detuning(self, tmp_path):
+        body = (
+            "[experiment]\npreset = field_sweep\nlabel = fs\n"
+            + COMMON.format(j=750, traj=2, sim_extra="near_bm = true", plot="false")
+            + "\n[sweep]\nvariable = delta_b\nvalues = 2 uT, 5 uT\n"
+            + "tau_start = 0.5 us\ntau_stop = 120 us\n"
+        )
+        code, out = run_cfg(tmp_path, "schema = 1\n" + body, extra_args=["--seed", "1"])
+        assert code == EXIT_OK
+        summary = [l for l in (out / "fs_summary.txt").read_text().splitlines() if not l.startswith("#")]
+        assert [l.split(" = ", 1)[0] for l in summary] == ["t2_far_s", "points", "half_excess_detuning"]
+        assert summary[-1] == "half_excess_detuning = need a delta_b = 0 point to define the peak excess"
+
     def test_field_sweep_requires_near_bm(self, tmp_path):
         body = (
             "[experiment]\npreset = field_sweep\nlabel = fs\n"

@@ -228,19 +228,17 @@ class TestZeroQuantumBlock:
         assert np.max(np.abs(rho - expect)) < 1e-10
 
     def test_sym_quadrature_counter_rotates(self):
-        # operator probe, not a physical state: skip state validation
+        # I/4 + zq_sym/2 has eigenvalues 0, 1/4, 1/4 and 1/2: a state
         ops = reduced_operators()
         beta = 0.4e-6
         n = 1500
         tau = n * DT
-        rho0 = np.eye(4, dtype=complex) / 4.0 + ops.zq_sym
+        rho0 = np.eye(4, dtype=complex) / 4.0 + ops.zq_sym / 2.0
         traj = static_trajectory(tau, beta, 0.0)
-        rho = propagate(
-            rho0, PulseProgram((Delay(tau),)), PARAMS, traj, SIM, validate=False
-        )
+        rho = propagate(rho0, PulseProgram((Delay(tau),)), PARAMS, traj, SIM)
         ang = PARAMS.gamma_e * beta * tau
         expect = (
-            np.eye(4) / 4.0 + math.cos(ang) * ops.zq_sym - math.sin(ang) * ops.zq_antisym
+            np.eye(4) / 4.0 + (math.cos(ang) * ops.zq_sym - math.sin(ang) * ops.zq_antisym) / 2.0
         )
         assert np.max(np.abs(rho - expect)) < 1e-10
 
@@ -306,12 +304,12 @@ class TestZqReadout:
         assert float(np.real(np.trace(rho @ ops.proj_ms0))) == pytest.approx(1.0, abs=1e-9)
 
     def test_sym_quadrature_undetectable(self):
-        # operator probe, not a physical state: skip state validation
+        # I/4 + zq_sym/2 has eigenvalues 0, 1/4, 1/4 and 1/2: a state
         ops = reduced_operators()
-        rho0 = np.eye(4, dtype=complex) / 4.0 + ops.zq_sym
+        rho0 = np.eye(4, dtype=complex) / 4.0 + ops.zq_sym / 2.0
         prog = zq_readout(TAU)
         traj = quiet_trajectory(prog.total_duration)
-        rho = propagate(rho0, prog, PARAMS, traj, SIM, validate=False)
+        rho = propagate(rho0, prog, PARAMS, traj, SIM)
         signal = float(np.real(np.trace(rho @ ops.proj_ms0)))
         assert signal == pytest.approx(0.5, abs=1e-10)
 

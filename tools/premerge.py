@@ -15,7 +15,11 @@ runs, from the checkout this script is in:
   --continue-on-collection-errors`` with ``src`` on ``PYTHONPATH``, its
   JUnit report in ``OUT/tier-1.xml``; it passes when pytest exits 0 and
   no test of the scipy comparisons (``SCIPY_CHECKS``) was skipped or
-  missing, and its line gives the number of skipped tests;
+  missing, and its line gives the number of skipped tests and the number
+  of test ids ``pytest --collect-only -q`` finds in REV's tree (the one
+  ``byte_matrix`` extracted to ``OUT/matrix/<REV>/tree``, its ``src`` on
+  ``PYTHONPATH``) and not in this one; those ids go to
+  ``OUT/tier-1-removed.txt``, which reports and fails nothing;
 * ``smoke``: ``perfbench/run.py --smoke`` in a copy of ``src``,
   ``perfbench``, ``configs`` and ``BENCHMARK.json`` under ``OUT/bench``
   (the harness writes its records next to itself); it passes when it
@@ -97,9 +101,30 @@ def _pytest(args: list[str], name: str, out: Path, cwd: Path, env: dict) -> tupl
 SCIPY_CHECKS = ("TestSimplexMatchesScipy", "TestAssignmentMatchesScipy")
 
 
-def tier1(out: Path, env: dict) -> tuple[int, float, str, bool]:
-    """The Tier-1 suite; fails unless every test of ``SCIPY_CHECKS`` ran,
-    and its note gives the number of skipped tests."""
+def collected_ids(collect_output: str) -> set[str]:
+    """The test ids in the output of ``pytest --collect-only -q``: its
+    lines that start with a test file's path and ``::``."""
+    return {line for line in collect_output.splitlines() if re.match(r"[\w/.-]+\.py::", line)}
+
+
+def removed_tests(theirs: str, ours: str) -> list[str]:
+    """The sorted test ids of the collection output ``theirs`` that
+    ``ours`` does not have."""
+    return sorted(collected_ids(theirs) - collected_ids(ours))
+
+
+def _collect(tree: Path, out: Path, env: dict) -> str:
+    """What ``pytest --collect-only -q`` prints in ``tree``, with its ``src``
+    on ``PYTHONPATH``, caching nothing."""
+    env = dict(env, PYTHONPATH=str(tree / "src"), HYPOTHESIS_STORAGE_DIRECTORY=str(out / "hypothesis"))
+    cmd = [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider"]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True).stdout
+
+
+def tier1(rev: str, out: Path, env: dict) -> tuple[int, float, str, bool]:
+    """The Tier-1 suite; fails unless every test of ``SCIPY_CHECKS`` ran.
+    Its note gives the number of skipped tests and of the tests REV's tree
+    has and this one does not."""
     env = dict(env, PYTHONPATH=os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH", "")) if p))
     xml = out / "tier-1.xml"
     xml.unlink(missing_ok=True)
@@ -108,6 +133,13 @@ def tier1(out: Path, env: dict) -> tuple[int, float, str, bool]:
     cases = [(c.get("classname", "").rsplit(".", 1)[-1], c.find("skipped") is not None) for c in cases]
     unrun = [name for name in SCIPY_CHECKS if (name, True) in cases or (name, False) not in cases]
     note += f"; {sum(skip for _, skip in cases)} skipped" + "".join(f"; {name} did not run" for name in unrun)
+    theirs = out / "matrix" / rev.replace("/", "_") / "tree"
+    if theirs.is_dir():
+        removed = removed_tests(_collect(theirs, out, env), _collect(ROOT, out, env))
+        (out / "tier-1-removed.txt").write_text("".join(f"{test}\n" for test in removed))
+        note += f"; {len(removed)} tests at {rev} not here"
+    else:
+        note += f"; no tree of {rev} to compare tests with"
     return code, seconds, note, ok and not unrun
 
 
@@ -142,7 +174,7 @@ def main(argv=None) -> int:
     for name, step in (
         ("byte_matrix", lambda: byte_matrix(args.rev, out, env, args.numeric)),
         ("key_matrix", lambda: key_matrix(out, env)),
-        ("tier-1", lambda: tier1(out, env)),
+        ("tier-1", lambda: tier1(args.rev, out, env)),
         ("smoke", lambda: smoke(out, env)),
         ("harness", lambda: _pytest(["perfbench/test_smoke.py"], "harness", out, out / "bench", env)),
     ):

@@ -44,14 +44,15 @@ left out), and :func:`propagate` walks each group once over the
 ``_WALK_STATES`` states. A walk holds each of its programs' (first step,
 end step) rows, one per nonempty delay; its noise-free double-quantum
 delays are exponentiated in one call. Every state of the stack starts as
-the initial state; a rotation is one ``einsum`` over the stack along a
-fixed contraction path, and the state checks and the readout read only
-the entries they need. Each state evolves exactly
-as it would alone, so the stack changes no bit. :func:`sweep` builds
-the programs and their walks once for all its runs: no variable it
-sweeps changes a program. :func:`propagate` also takes one program and
-one dense noise path, checks the path's length, and gives the final 4x4
-state.
+the initial state; until a walk's first noisy delay every trajectory
+holds the same states, so the stack holds one, and that delay broadcasts
+it to all. A rotation is the two matrix products ``np.einsum`` makes of
+it over the whole stack; the state checks and the readout read only the
+entries they need. Each state evolves exactly as it would alone, so the
+stack changes no bit. :func:`sweep` builds the programs and their walks
+once for all its runs: no variable it sweeps changes a program.
+:func:`propagate` also takes one program and one dense noise path,
+checks the path's length, and gives the final 4x4 state.
 
 Noise draws: every path is read from the ``Experiment.draws`` store.
 Each experiment makes its own, and every experiment derived from it with
@@ -77,7 +78,7 @@ from numpy.typing import NDArray
 
 from . import model
 from .analysis import FitResult, TimeTrace
-from .linalg import assert_density_matrix, reduced_operators
+from .linalg import DENSITY_HERM_TOL, DENSITY_TRACE_TOL, assert_density_matrix, reduced_operators
 from .model import DyadParams, FrameCoefficients
 from .noise import (
     FluctuatorConfig,
@@ -150,6 +151,17 @@ def zq_state() -> NDArray:
     (I + 4(TxPy - TyPx) - 4 TzPz) / 4."""
     ops = reduced_operators()
     return np.asarray(ops.identity / 4.0 + ops.zq_antisym - ops.zz)
+
+
+def _rotate(u: NDArray, rho: NDArray) -> NDArray:
+    """u rho u^dagger for every state of a (..., 4, 4) stack, as the two
+    matrix products ``np.einsum("ij,...jk,kl->...il", u, rho, u^dagger)``
+    makes of it (numpy 2.4, along its optimized path): the states
+    transposed, as one (states x 4, 4) matrix, times u^T, then that product
+    transposed back times u^dagger. The operands keep einsum's layouts, so
+    the bits are einsum's."""
+    x = np.matmul(rho.swapaxes(-1, -2).reshape(-1, 4), u.T).reshape(rho.shape)
+    return np.matmul(x.swapaxes(-1, -2).reshape(-1, 4), u.conj().T).reshape(rho.shape)
 
 
 def _repump_state(rho: NDArray) -> NDArray:
@@ -353,10 +365,6 @@ _SEGMENT_CHUNK = 1 << 12
 # full-size configs (400-500 trajectories) peaked 5-7 MB higher
 _WALK_STATES = 1 << 10
 
-# the contraction order optimize=True finds for a rotation, u rho first;
-# fixed, so that no rotation searches for it again
-_ROTATION_PATH = ["einsum_path", (0, 1), (0, 1)]
-
 
 def _span_sums(x: NDArray, k0: NDArray, k1: NDArray) -> NDArray:
     """One field's sum over each span [k0, k1), from its cumsum with a
@@ -448,8 +456,9 @@ def _walks(programs: Sequence[PulseProgram], dt: float, n: int) -> tuple[list[_W
 
 def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDArray:
     """One delay of every program of a walk: ``rho`` is the (programs, n,
-    4, 4) stack and ``steps`` each program's (k0, k1), a key of the span
-    table; no delay of a walk is empty."""
+    4, 4) stack, or (programs, 1, 4, 4) before the walk's first noisy delay,
+    which broadcasts it to all n paths, and ``steps`` each program's (k0,
+    k1), a key of the span table; no delay of a walk is empty."""
     c, dt = batch.coeffs, batch.dt
     k0, k1 = steps.T
     n = k1 - k0
@@ -481,14 +490,16 @@ _ABOVE, _BELOW = np.triu_indices(4, 1)
 
 def _check_invariants(rho: NDArray, walk: _Walk, j: int) -> None:
     """Unit trace and Hermiticity of every state of the stack after the
-    walk's element ``j``; a delay is named by the failing program's steps.
-    max |rho - rho^dagger| is read from the six off-diagonal pairs and the
-    diagonal's imaginary parts (where it is 2 |Im rho_ii|); a NaN fails."""
+    walk's element ``j``, to the tolerances of the final check
+    (:func:`~spindyad.linalg.assert_density_matrix`); a delay is named by
+    the failing program's steps. max |rho - rho^dagger| is read from the
+    six off-diagonal pairs and the diagonal's imaginary parts (where it is
+    2 |Im rho_ii|); a NaN fails."""
     tr = rho.trace(axis1=-2, axis2=-1)
     pairs = np.abs(rho[..., _ABOVE, _BELOW] - rho[..., _BELOW, _ABOVE].conj()).max(axis=-1)
     diagonal = 2.0 * np.abs(rho.diagonal(axis1=-2, axis2=-1).imag).max(axis=-1)
     trace_dev, herm_dev = abs(tr - 1.0), np.maximum(pairs, diagonal)
-    ok = (trace_dev <= 1e-9) & (herm_dev <= 1e-9)
+    ok = (trace_dev <= DENSITY_TRACE_TOL) & (herm_dev <= DENSITY_HERM_TOL)
     if not ok.all():
         p, i = np.unravel_index(np.argmin(ok), ok.shape)
         elem = walk.elements[j]
@@ -520,10 +531,14 @@ def propagate(
     the batch's frame. Every state starts as ``rho0``. Delays advance through
     the step grid (noise suppressed for noise-free delays but time still
     elapsing); rotations and repump events apply instantaneously between
-    steps. Every state is checked after every element and at the end, a
-    single path's initial state also before the walk; :func:`run` checks
-    a batch's once per run. A failing state is named by its program's
-    index in the run and its trajectory.
+    steps, a rotation as :func:`_rotate`. The stack is (programs, 1, 4, 4)
+    until the first noisy delay broadcasts it to all n trajectories; with
+    none walked (or no path read), the final states are broadcast after
+    their check. Every state is checked after every element and at the
+    end, a single path's initial state also before the walk; :func:`run`
+    checks a batch's once per run. A failing state is named by its
+    program's index in the run and its trajectory, 0 before the first
+    noisy delay.
     """
     if isinstance(traj, NoiseTrajectory):
         if not math.isclose(traj.dt, sim.dt, rel_tol=1e-12):
@@ -539,7 +554,7 @@ def propagate(
         batch = _reduce([_pairs(path) if coeffs.g != 0.0 else path], 1, traj.dt, spans, coeffs)
     else:
         batch = traj
-    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (len(program.index), batch.n, 4, 4)).copy()
+    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (len(program.index), 1, 4, 4)).copy()
     d = 0
     for j, elem in enumerate(program.elements):
         if isinstance(elem, Delay):
@@ -547,14 +562,15 @@ def propagate(
             rho = _delay(rho, noisy, program.steps[:, d], batch)
             d += 1
         elif isinstance(elem, Rotation):
-            u = rotation_unitary(elem)
-            rho = np.einsum("ij,...jk,kl->...il", u, rho, u.conj().T, optimize=_ROTATION_PATH)
+            rho = _rotate(rotation_unitary(elem), rho)
         elif isinstance(elem, Repump):
             rho = _repump_state(rho)
         else:
             raise SimulationError(f"unknown program element {elem!r}")
         _check_invariants(rho, program, j)
     assert_density_matrix(rho)
+    if rho.shape[1] < batch.n:  # no noisy delay was walked
+        rho = np.broadcast_to(rho, (rho.shape[0], batch.n, 4, 4)).copy()
     return rho if traj is batch else rho[0, 0]
 
 

@@ -237,15 +237,27 @@ def expm_hermitian(h: NDArray, t: float) -> NDArray:
 def assert_density_matrix(rho: NDArray) -> None:
     """Check Hermiticity, unit trace, and positive semidefiniteness of a
     density matrix or of every matrix of a (..., n, n) stack to the fixed
-    ``DENSITY_*_TOL``, naming the first failing entry. NaN entries fail."""
+    ``DENSITY_*_TOL``, naming the first failing entry. NaN entries fail.
+
+    Positivity is first one Cholesky factorization of H + DENSITY_PSD_TOL I
+    over the stack, H = (rho + rho^dagger)/2, which exists when every
+    smallest eigenvalue of H lies above -DENSITY_PSD_TOL. Only when it fails
+    does ``eigvalsh`` run: it decides the verdict and names the first entry
+    whose smallest eigenvalue is below -DENSITY_PSD_TOL. So the two can
+    disagree only where rounding puts a smallest eigenvalue on the other
+    side of the bound, within 1e-15 of it for a unit-trace 4x4 state."""
     rho = np.asarray(rho)
     dag = np.swapaxes(rho.conj(), -1, -2)
     dev = np.abs(rho - dag).max(axis=(-2, -1))
     _require(dev <= DENSITY_HERM_TOL, dev, "not Hermitian: {:.3e}")
     tr = rho.trace(axis1=-2, axis2=-1)
     _require(abs(tr - 1.0) <= DENSITY_TRACE_TOL, tr, "trace {} deviates from 1")
-    lo = np.linalg.eigvalsh((rho + dag) / 2).min(axis=-1)
-    _require(lo >= -DENSITY_PSD_TOL, lo, "has negative eigenvalue {:.3e}")
+    h = (rho + dag) / 2
+    try:
+        np.linalg.cholesky(h + DENSITY_PSD_TOL * np.eye(h.shape[-1]))
+    except np.linalg.LinAlgError:
+        lo = np.linalg.eigvalsh(h).min(axis=-1)
+        _require(lo >= -DENSITY_PSD_TOL, lo, "has negative eigenvalue {:.3e}")
 
 
 def _require(ok: NDArray, values: NDArray, what: str) -> None:

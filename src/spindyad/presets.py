@@ -55,15 +55,13 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
     channel off. Values the model classes reject (``xi = 2``, ``dt = 0 ns``,
     a seed outside [0, 2**64), no trajectories) are config errors, named by
     config key. ``params.j`` and ``params.theta`` are a pair: one alone is
-    an error.
+    an error. :class:`~spindyad.model.DyadParams` checks its four
+    frequencies as the config gives them, in Hz (2 pi changes no sign), so
+    a rejected one is named in the config's unit; the experiment holds them
+    in rad/s.
     """
-    two_pi = 2.0 * math.pi
-    kwargs = dict(
-        delta=two_pi * cfg.number("params", "delta"),
-        gamma_e=two_pi * cfg.number("params", "gamma_e"),
-        d_par=two_pi * cfg.number("params", "d_par"),
-        ddelta_dT=two_pi * cfg.number("params", "ddelta_dt"),
-    )
+    angular = ("delta", "gamma_e", "d_par", "ddelta_dT")
+    kwargs = dict(zip(angular, (cfg.number("params", key.lower()) for key in angular)))
     if cfg.has("params", "j") != cfg.has("params", "theta"):
         raise ConfigError("params.j and params.theta are a pair: set both or neither")
     if cfg.has("params", "j"):
@@ -73,8 +71,9 @@ def _experiment(cfg: ExperimentConfig, label: str) -> Experiment:
         if cfg.has("params", key):
             kwargs[key] = cfg.number("params", key)
     noise = ("beta_rms", "xi", "switch_rate", "eps_rms", "electric_rate")  # as FluctuatorConfig names them
+    params = _built("params", model.DyadParams, **kwargs)
     return Experiment(
-        params=_built("params", model.DyadParams, **kwargs),
+        params=replace(params, **{key: 2.0 * math.pi * getattr(params, key) for key in angular}),
         noise=_built("noise", FluctuatorConfig, **{key: cfg.number("noise", key) for key in noise}),
         sim=_built(
             "sim",

@@ -306,6 +306,8 @@ class TestExitCodes:
             (("seed = 3", "seed = 3\ndt = 0 ns"), [], "sim.dt must be > 0"),
             (("xi = 1.0", "xi = 2"), [], "noise.xi must be in [0, 1], got 2.0"),
             (("j_par = 50 kHz", "j_par = 50 kHz\ndelta = 0 GHz"), [], "params.delta must be positive, got 0.0"),
+            (("j_par = 50 kHz", "j_par = 50 kHz\ndelta = -1 GHz"), [], "params.delta must be positive, got -1000000000.0"),
+            (("j_par = 50 kHz", "j_par = 50 kHz\ngamma_e = -2 Hz"), [], "params.gamma_e must be positive, got -2.0"),
             (("tau_count = 9", "tau_count = 9.5"), [], ""),
             (("tau_count = 9", "tau_count = 9\ntheta = 0"), [], ""),
             (("seed = 3", "seed = 3\nnoise_during = evolutoin"), [], ""),
@@ -329,6 +331,8 @@ class TestExitCodes:
             "dt-0",
             "xi-2",
             "delta-0",
+            "delta-negative",
+            "gamma_e-negative",
             "tau_count-fraction",
             "sweep-theta",
             "noise_during-unknown",

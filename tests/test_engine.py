@@ -263,6 +263,29 @@ class TestRun:
         run(self._experiment(n_traj=20))
         assert calls == [(3, 20, 4, 4)]
 
+    @pytest.mark.parametrize("noise", [NOISY, QUIET], ids=["noisy", "zero-amplitude"])
+    def test_trajectory_axis_starts_at_the_first_noisy_delay(self, monkeypatch, noise):
+        # the 15 elements before the noisy delay walk one trajectory's
+        # states; that delay spreads them over all four, or with no path
+        # read the walk's end does
+        prefix = (Rotation(Target.SPIN_S, Axis.X, math.pi / 2), Delay(3 * DT, noisy=False), Repump()) * 5
+        rotation = Rotation(Target.BOTH, Axis.Y, math.pi / 2)
+        shapes, final = [], []
+        check, real = engine._check_invariants, engine.propagate
+
+        def walking(*args):
+            rho = real(*args)
+            final.append(rho.shape)
+            return rho
+
+        monkeypatch.setattr(engine, "_check_invariants", lambda rho, *a: shapes.append(rho.shape) or check(rho, *a))
+        monkeypatch.setattr(engine, "propagate", walking)
+        exp = self._experiment(noise=noise, n_traj=4, times=(1e-6, 2e-6))
+        run(replace(exp, program_builder=lambda tau: PulseProgram(prefix + (Delay(tau), rotation))))
+        spread = (2, 4, 4, 4) if noise is NOISY else (2, 1, 4, 4)
+        assert shapes == [(2, 1, 4, 4)] * 15 + [spread] * 2
+        assert final == [(2, 4, 4, 4)]
+
     @pytest.mark.parametrize("near_bm", [False, True])
     def test_walk_checks_every_trajectory(self, near_bm):
         sim = SimConfig(n_trajectories=5, dt=DT, near_bm=near_bm)
@@ -296,11 +319,14 @@ class TestRun:
     )
 
     def test_non_unitary_rotation_names_the_rotation_and_both_deviations(self, monkeypatch):
-        monkeypatch.setattr(engine, "rotation_unitary", lambda rot: 1.1 * rotation_unitary(rot))
+        # a trace 5e-10 off passed a per-element check at 1e-9 and failed
+        # only the final one, which names no element
         walk, batch, sim = self._rotation_walk()
-        message = self.ROTATION_FAILED + r"\|trace - 1\| = 0.21, max \|rho - rho\^dagger\| = \S+$"
-        with pytest.raises(SimulationError, match=message):
-            propagate(initial_state(), walk, PARAMS, batch, sim)
+        for scale, trace_dev in ((1.1, "0.21"), (1 + 2.5e-10, "5e-10")):
+            monkeypatch.setattr(engine, "rotation_unitary", lambda rot: scale * rotation_unitary(rot))
+            message = self.ROTATION_FAILED + rf"\|trace - 1\| = {trace_dev}, max \|rho - rho\^dagger\| = \S+$"
+            with pytest.raises(SimulationError, match=message):
+                propagate(initial_state(), walk, PARAMS, batch, sim)
 
     @pytest.mark.parametrize(
         "fault,deviations",
@@ -641,6 +667,17 @@ ROTATIONS = (
 )
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (3, 7), (250, 1), (18, 50), (2, 512)])
+def test_rotation_keeps_the_bits_of_einsum(shape):
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(size=shape + (4, 4)) + 1j * rng.normal(size=shape + (4, 4))
+    rho = a @ np.swapaxes(a.conj(), -1, -2)
+    for rot in ROTATIONS:
+        u = rotation_unitary(rot)
+        expected = np.einsum("ij,...jk,kl->...il", u, rho, u.conj().T, optimize=["einsum_path", (0, 1), (0, 1)])
+        assert np.array_equal(engine._rotate(u, rho), expected)
+
+
 @st.composite
 def mixed_runs(draw):
     """Programs of one to three skeletons (noisy and noise-free delays,
@@ -665,7 +702,7 @@ def mixed_runs(draw):
     picks = draw(st.lists(st.integers(0, len(skeletons) - 1), min_size=3, max_size=8))
     programs = [program(skeletons[i]) for i in picks]
     n_steps = frozen_noisy_spans(programs, DT)[1]
-    n_traj = draw(st.integers(1, 3))
+    n_traj = draw(st.integers(1, 5))
     level = st.one_of(st.just(0.0), st.floats(-1, 1))
 
     def field(scale):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spindyad.linalg import (
+    DENSITY_PSD_TOL,
     SpinKind,
     assert_density_matrix,
     expm_hermitian,
@@ -157,6 +158,47 @@ class TestExpmHermitian:
             assert_density_matrix(stack)
         with pytest.raises(AssertionError, match=r"density matrix\[4\] trace"):
             assert_density_matrix(stack[:5])
+
+
+def states_with_smallest_eigenvalue(rng, lowest):
+    """One Hermitian unit-trace 4x4 state per entry of ``lowest``, with that
+    smallest eigenvalue, in a random eigenbasis."""
+    n = len(lowest)
+    v, _ = np.linalg.qr(rng.normal(size=(n, 4, 4)) + 1j * rng.normal(size=(n, 4, 4)))
+    rest = rng.uniform(0.05, 1.0, size=(n, 3))
+    rest *= ((1.0 - lowest) / rest.sum(axis=1))[:, None]
+    rho = (v * np.column_stack((lowest, rest))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return (rho + rho.conj().swapaxes(-1, -2)) / 2
+
+
+class TestPositivity:
+    def test_names_the_state_below_the_bound(self):
+        stack = states_with_smallest_eigenvalue(np.random.default_rng(11), np.array([-2e-9, -5e-10]))
+        with pytest.raises(AssertionError, match=r"^density matrix\[0\] has negative eigenvalue -2.000e-09$"):
+            assert_density_matrix(stack)
+        assert_density_matrix(stack[1])
+
+    @pytest.mark.parametrize(
+        "low,high", [(-3e-9, 1e-9), (-DENSITY_PSD_TOL - 1e-13, -DENSITY_PSD_TOL + 1e-13)], ids=["range", "bound"]
+    )
+    def test_verdict_matches_eigvalsh_off_the_bound(self, low, high):
+        # the Cholesky factorization that passes a stack first may disagree
+        # with eigvalsh only within rounding of -DENSITY_PSD_TOL
+        rng = np.random.default_rng(12)
+        stacks = states_with_smallest_eigenvalue(rng, rng.uniform(low, high, size=4000)).reshape(1000, 4, 4, 4)
+        lowest = np.linalg.eigvalsh(stacks).min(axis=-1)
+        compared = 0
+        for stack, lo in zip(stacks, lowest):
+            if np.abs(lo + DENSITY_PSD_TOL).min() <= 1e-15:
+                continue
+            try:
+                assert_density_matrix(stack)
+                passed = True
+            except AssertionError:
+                passed = False
+            assert passed == (lo >= -DENSITY_PSD_TOL).all()
+            compared += 1
+        assert compared >= 900
 
 
 class TestExpectation:

@@ -28,6 +28,12 @@ runs, from the checkout this script is in:
   perfbench/test_smoke.py``, in that same ``OUT/bench`` copy; it passes
   when pytest exits 0.
 
+Before the steps one line lists the files under ``perfbench/``, and
+``BENCHMARK.json``, in which this checkout differs from REV (changed,
+deleted, or new and not ignored). It reports and fails nothing: a change
+that claims a speed-up leaves the benchmark's files as they are, and a
+change to them is a change of its own.
+
 Each step's output goes to ``OUT/<step>.log``; pytest's temporary
 directories, the Hypothesis example database and the smoke copy's
 bytecode go under ``OUT`` too, and the other steps cache no bytecode, so
@@ -143,6 +149,23 @@ def tier1(rev: str, out: Path, env: dict) -> tuple[int, float, str, bool]:
     return code, seconds, note, ok and not unrun
 
 
+# what the benchmark runs from, besides the package
+BENCHMARK_FILES = ("perfbench", "BENCHMARK.json")
+
+
+def benchmark_changes(rev: str, root: Path = ROOT) -> list[str]:
+    """The sorted files of ``BENCHMARK_FILES`` in which the checkout at
+    ``root`` differs from ``rev``: changed, deleted (a renamed file under
+    both names), or new and not ignored."""
+
+    def git(*args: str) -> list[str]:
+        cmd = ["git", *args, "--", *BENCHMARK_FILES]
+        return subprocess.run(cmd, cwd=root, stdout=subprocess.PIPE, text=True, check=True).stdout.splitlines()
+
+    changed = git("diff", "--name-only", "--no-renames", rev)
+    return sorted({*changed, *git("ls-files", "--others", "--exclude-standard")})
+
+
 def smoke(out: Path, env: dict) -> tuple[int, float, str, bool]:
     bench = out / "bench"
     shutil.rmtree(bench, ignore_errors=True)
@@ -170,6 +193,11 @@ def main(argv=None) -> int:
     out = args.out.resolve()
     out.mkdir(parents=True, exist_ok=True)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    try:
+        changed = ", ".join(benchmark_changes(args.rev)) or "none"
+    except subprocess.CalledProcessError:
+        changed = "git could not compare them"
+    print(f"benchmark files that differ from {args.rev}: {changed}", flush=True)
     failed = []
     for name, step in (
         ("byte_matrix", lambda: byte_matrix(args.rev, out, env, args.numeric)),

@@ -14,7 +14,8 @@ values ordered as numpy orders them, that reproduces SciPy 1.17's
 bounded ``minimize(method="Nelder-Mead")`` bit for bit. Times are
 normalized to the last sample and the signal to its endpoint span before
 fitting, so the fit is exactly equivariant under time rescaling and
-affine signal transforms.
+affine signal transforms. This fit and :func:`slope_frequency` weight by
+1/sem^2 only when no SEM is below the residue floor ``_SEM_FLOOR``.
 
 A trace whose total signal range stays below the resolution floor (three
 times the median standard error, or an absolute 1e-6 for deterministic
@@ -60,6 +61,7 @@ _T2_MAX = 50.0
 _T2_RESOLVED = 49.0
 _LOWER = (1e-3, STRETCH_BOUNDS[0])
 _UPPER = (_T2_MAX, STRETCH_BOUNDS[1])
+_SEM_FLOOR = 1e-12  # a population's standard error below this is rounding residue
 
 
 class FitError(RuntimeError):
@@ -249,10 +251,10 @@ def _minimize(objective: Callable[[tuple[float, float]], float], t2_0: float) ->
 def fit_stretched_exponential(trace: TimeTrace) -> FitResult:
     """Fit offset + amplitude * exp(-(t/T2)^n) to a time trace.
 
-    Weighted by 1/sem^2 when every point carries a positive standard
-    error, unweighted otherwise. Raises :class:`FlatTraceError` when the
-    total signal range is below the resolution floor and
-    :class:`FitError` for fewer than 8 points.
+    Weighted by 1/sem^2 when no standard error is below ``_SEM_FLOOR``,
+    the rounding-residue floor, unweighted otherwise. Raises
+    :class:`FlatTraceError` when the total signal range is below the
+    resolution floor and :class:`FitError` for fewer than 8 points.
     """
     ts, y, sem, t_scale = _prepare(trace, lambda y: float(np.max(y) - np.min(y)))
     # normalize the signal by its endpoint span
@@ -261,7 +263,7 @@ def fit_stretched_exponential(trace: TimeTrace) -> FitResult:
     if y_span == 0.0:
         y_span = float(np.max(y) - np.min(y))
     ys = (y - y_off) / y_span
-    if np.all(sem > 0):
+    if np.all(sem >= _SEM_FLOOR):
         w = (y_span / sem) ** 2
         w = w / np.max(w)
     else:
@@ -346,9 +348,6 @@ def enhancement_ratio(t2_m: float, t2_sq: float) -> float:
     if not (t2_m > 0 and t2_sq > 0):
         raise ValueError("coherence times must be positive")
     return t2_m / t2_sq
-
-
-_SEM_FLOOR = 1e-12  # a population's standard error below this is rounding residue
 
 
 def slope_frequency(trace: TimeTrace, window: float) -> float:

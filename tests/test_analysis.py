@@ -114,6 +114,17 @@ class TestStretchedFit:
         fit = fit_stretched_exponential(make_trace(t, noisy, sem))
         assert fit.t2 == pytest.approx(20e-6, rel=0.1)
 
+    def test_residue_sems_give_the_unweighted_fit(self):
+        # standard errors of rounding residue (a shared-noise trace carries
+        # 4e-18 to 1.2e-17) carry no weight: the fit is the unweighted one,
+        # bit for bit, whatever residue they hold
+        rng = np.random.default_rng(3)
+        t = np.linspace(0.5e-6, 80e-6, 30)
+        y = stretched(t, 20e-6, 1.5) + rng.normal(0.0, 1e-3, t.size)
+        unweighted = fit_stretched_exponential(make_trace(t, y))
+        residue = rng.uniform(1e-17, 4e-17, t.size)
+        assert fit_stretched_exponential(make_trace(t, y, residue)) == unweighted
+
     def test_result_validation(self):
         from spindyad.analysis import FitResult
 

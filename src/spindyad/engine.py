@@ -47,10 +47,14 @@ delays are exponentiated in one call. Every state of the stack starts as
 the initial state; until a walk's first noisy delay every trajectory
 holds the same states, so the stack holds one, and that delay broadcasts
 it to all. A rotation is the two matrix products ``np.einsum`` makes of
-it over the whole stack; the state checks and the readout read only the
-entries they need. Each state evolves exactly as it would alone, so the
-stack changes no bit. :func:`sweep` builds the programs and their walks
-once for all its runs: no variable it sweeps changes a program.
+it over the whole stack; the readout reads only the diagonal. After every
+element the walk checks every state's trace and Hermiticity, and after
+its last element their positivity, by the one rule of
+:func:`spindyad.linalg.density_failure`; a failing state is named by its
+program's index in the run, its trajectory and the element. Each state
+evolves exactly as it would alone, so the stack changes no bit.
+:func:`sweep` builds the programs and their walks once for all its runs:
+no variable it sweeps changes a program.
 :func:`propagate` also takes one program and one dense noise path,
 checks the path's length, and gives the final 4x4 state.
 
@@ -78,7 +82,7 @@ from numpy.typing import NDArray
 
 from . import model
 from .analysis import FitResult, TimeTrace
-from .linalg import DENSITY_HERM_TOL, DENSITY_TRACE_TOL, assert_density_matrix, reduced_operators
+from .linalg import assert_density_matrix, density_failure, reduced_operators
 from .model import DyadParams, FrameCoefficients
 from .noise import (
     FluctuatorConfig,
@@ -112,7 +116,7 @@ class SimulationError(RuntimeError):
 class SimConfig:
     """Monte-Carlo execution settings.
 
-    ``delta_b`` is the static detuning from the operating field (tesla);
+    ``delta_b``, finite, is the static detuning from the operating field (tesla);
     ``near_bm`` keeps the double-quantum coupling active, valid for
     detunings of at most ~100 uT from the anti-crossing. ``master_seed``,
     in [0, 2**64), keys every noise stream of a run.
@@ -131,6 +135,8 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if not 0 <= self.master_seed < 2**64:
             raise ValueError(f"master_seed must be in [0, 2**64), got {self.master_seed}")
+        if not math.isfinite(self.delta_b):
+            raise ValueError(f"delta_b must be finite, got {self.delta_b}")
         if self.near_bm and abs(self.delta_b) > 100e-6:
             warnings.warn(
                 f"near_bm with |delta_b| = {abs(self.delta_b):.3g} T exceeds the "
@@ -484,32 +490,21 @@ def _delay(rho: NDArray, noisy: bool, steps: NDArray, batch: _NoiseBatch) -> NDA
     return _dq_apply(u, rho)
 
 
-# the six entries above the diagonal of a 4x4 state, and their mirrors
-_ABOVE, _BELOW = np.triu_indices(4, 1)
-
-
 def _check_invariants(rho: NDArray, walk: _Walk, j: int) -> None:
     """Unit trace and Hermiticity of every state of the stack after the
-    walk's element ``j``, to the tolerances of the final check
-    (:func:`~spindyad.linalg.assert_density_matrix`); a delay is named by
-    the failing program's steps. max |rho - rho^dagger| is read from the
-    six off-diagonal pairs and the diagonal's imaginary parts (where it is
-    2 |Im rho_ii|); a NaN fails."""
-    tr = rho.trace(axis1=-2, axis2=-1)
-    pairs = np.abs(rho[..., _ABOVE, _BELOW] - rho[..., _BELOW, _ABOVE].conj()).max(axis=-1)
-    diagonal = 2.0 * np.abs(rho.diagonal(axis1=-2, axis2=-1).imag).max(axis=-1)
-    trace_dev, herm_dev = abs(tr - 1.0), np.maximum(pairs, diagonal)
-    ok = (trace_dev <= DENSITY_TRACE_TOL) & (herm_dev <= DENSITY_HERM_TOL)
-    if not ok.all():
-        p, i = np.unravel_index(np.argmin(ok), ok.shape)
+    walk's element ``j`` and, after its last, positivity
+    (:func:`~spindyad.linalg.density_failure`); a failing state is named
+    by its program's index in the run, its trajectory and the element, a
+    delay by the failing program's steps."""
+    failure = density_failure(rho, positivity=j == len(walk.elements) - 1)
+    if failure is not None:
+        (p, i), what = failure
         elem = walk.elements[j]
         if isinstance(elem, Delay):
             k0, k1 = walk.steps[p, sum(isinstance(e, Delay) for e in walk.elements[:j])]
             elem = f"Delay(steps [{k0}, {k1}), noisy={elem.noisy})"
         raise SimulationError(
-            f"program {walk.index[p]}, trajectory {i}: state invariants violated after "
-            f"element {elem}: |trace - 1| = {trace_dev[p, i]:.3g}, "
-            f"max |rho - rho^dagger| = {herm_dev[p, i]:.3g}"
+            f"program {walk.index[p]}, trajectory {i}: state invariants violated after element {elem}: {what}"
         )
 
 
@@ -534,11 +529,14 @@ def propagate(
     steps, a rotation as :func:`_rotate`. The stack is (programs, 1, 4, 4)
     until the first noisy delay broadcasts it to all n trajectories; with
     none walked (or no path read), the final states are broadcast after
-    their check. Every state is checked after every element and at the
-    end, a single path's initial state also before the walk; :func:`run`
-    checks a batch's once per run. A failing state is named by its
-    program's index in the run and its trajectory, 0 before the first
-    noisy delay.
+    their check. Every state's trace and Hermiticity are checked after
+    every element, and its positivity once, after the last
+    (:func:`_check_invariants`); a walk with no element checks nothing,
+    its states being ``rho0``. A single path's ``rho0`` is checked before
+    the walk (an ``AssertionError``), and :func:`run` checks a batch's
+    once per run. A failing state in the walk is a
+    :class:`SimulationError` that names its program's index in the run,
+    its trajectory (0 before the first noisy delay) and the element.
     """
     if isinstance(traj, NoiseTrajectory):
         if not math.isclose(traj.dt, sim.dt, rel_tol=1e-12):
@@ -568,7 +566,6 @@ def propagate(
         else:
             raise SimulationError(f"unknown program element {elem!r}")
         _check_invariants(rho, program, j)
-    assert_density_matrix(rho)
     if rho.shape[1] < batch.n:  # no noisy delay was walked
         rho = np.broadcast_to(rho, (rho.shape[0], batch.n, 4, 4)).copy()
     return rho if traj is batch else rho[0, 0]

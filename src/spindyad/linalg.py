@@ -42,6 +42,9 @@ __all__ = [
     "eye",
     "require_hermitian",
     "expm_hermitian",
+    "density_deviations",
+    "lowest_eigenvalues",
+    "density_failure",
     "assert_density_matrix",
 ]
 
@@ -234,34 +237,77 @@ def expm_hermitian(h: NDArray, t: float) -> NDArray:
     return (vecs * phases) @ vecs.conj().T
 
 
-def assert_density_matrix(rho: NDArray) -> None:
-    """Check Hermiticity, unit trace, and positive semidefiniteness of a
-    density matrix or of every matrix of a (..., n, n) stack to the fixed
-    ``DENSITY_*_TOL``, naming the first failing entry. NaN entries fail.
+@lru_cache(maxsize=None)
+def _mirrored(n: int) -> tuple[NDArray, NDArray]:
+    """Flat indices of the entries on and above an n x n diagonal, and of
+    their mirrors, made once: ``np.triu_indices`` takes tens of us."""
+    row, col = np.triu_indices(n)
+    return row * n + col, col * n + row
 
-    Positivity is first one Cholesky factorization of H + DENSITY_PSD_TOL I
-    over the stack, H = (rho + rho^dagger)/2, which exists when every
-    smallest eigenvalue of H lies above -DENSITY_PSD_TOL. Only when it fails
-    does ``eigvalsh`` run: it decides the verdict and names the first entry
-    whose smallest eigenvalue is below -DENSITY_PSD_TOL. So the two can
-    disagree only where rounding puts a smallest eigenvalue on the other
-    side of the bound, within 1e-15 of it for a unit-trace 4x4 state."""
-    rho = np.asarray(rho)
-    dag = np.swapaxes(rho.conj(), -1, -2)
-    dev = np.abs(rho - dag).max(axis=(-2, -1))
-    _require(dev <= DENSITY_HERM_TOL, dev, "not Hermitian: {:.3e}")
-    tr = rho.trace(axis1=-2, axis2=-1)
-    _require(abs(tr - 1.0) <= DENSITY_TRACE_TOL, tr, "trace {} deviates from 1")
-    h = (rho + dag) / 2
+
+def density_deviations(rho: NDArray) -> tuple[NDArray, NDArray]:
+    """|trace - 1| and max |rho - rho^dagger| of every matrix of a (..., n,
+    n) stack; the latter reads only the entries on and above the diagonal,
+    with the bits of the whole difference's maximum, NaN and inf included."""
+    upper, lower = _mirrored(rho.shape[-1])
+    flat = rho.reshape(rho.shape[:-2] + (rho.shape[-1] ** 2,))
+    herm = np.abs(flat[..., upper] - flat[..., lower].conj()).max(axis=-1)
+    return abs(rho.trace(axis1=-2, axis2=-1) - 1.0), herm
+
+
+def lowest_eigenvalues(rho: NDArray) -> NDArray | None:
+    """None when one Cholesky factorization of H + DENSITY_PSD_TOL I over a
+    (..., n, n) stack, H = (rho + rho^dagger)/2, exists, which it does when
+    every smallest eigenvalue of H lies above -DENSITY_PSD_TOL; else, from
+    ``eigvalsh``, every H's smallest eigenvalue, which decides the verdict.
+    So the two disagree only where rounding puts a smallest eigenvalue on
+    the other side of the bound, within 1e-15 of it for a unit-trace 4x4
+    state."""
+    h = (rho + np.swapaxes(rho.conj(), -1, -2)) / 2
     try:
         np.linalg.cholesky(h + DENSITY_PSD_TOL * np.eye(h.shape[-1]))
     except np.linalg.LinAlgError:
-        lo = np.linalg.eigvalsh(h).min(axis=-1)
+        return np.linalg.eigvalsh(h).min(axis=-1)
+    return None
+
+
+def density_failure(rho: NDArray, positivity: bool) -> tuple[tuple[int, ...], str] | None:
+    """The first matrix of a (..., n, n) stack that is not a density
+    matrix, as its index and what it fails, or None. Unit trace and
+    Hermiticity are checked to ``DENSITY_TRACE_TOL`` and
+    ``DENSITY_HERM_TOL`` (a NaN fails); then, with ``positivity``, positive
+    semidefiniteness to ``DENSITY_PSD_TOL`` (:func:`lowest_eigenvalues`)."""
+    trace_dev, herm_dev = density_deviations(rho)
+    ok = (trace_dev <= DENSITY_TRACE_TOL) & (herm_dev <= DENSITY_HERM_TOL)
+    if not ok.all():
+        i = _first(ok)
+        return i, f"|trace - 1| = {trace_dev[i]:.3g}, max |rho - rho^dagger| = {herm_dev[i]:.3g}"
+    lo = lowest_eigenvalues(rho) if positivity else None
+    if lo is None or (ok := lo >= -DENSITY_PSD_TOL).all():
+        return None
+    i = _first(ok)
+    return i, f"smallest eigenvalue = {lo[i]:.3g}"
+
+
+def assert_density_matrix(rho: NDArray) -> None:
+    """Check Hermiticity, unit trace, and then positive semidefiniteness of
+    a density matrix or of every matrix of a (..., n, n) stack to the fixed
+    ``DENSITY_*_TOL``, naming the first failing entry. NaN entries fail."""
+    rho = np.asarray(rho)
+    trace_dev, herm_dev = density_deviations(rho)
+    _require(herm_dev <= DENSITY_HERM_TOL, herm_dev, "not Hermitian: {:.3e}")
+    _require(trace_dev <= DENSITY_TRACE_TOL, rho.trace(axis1=-2, axis2=-1), "trace {} deviates from 1")
+    lo = lowest_eigenvalues(rho)
+    if lo is not None:
         _require(lo >= -DENSITY_PSD_TOL, lo, "has negative eigenvalue {:.3e}")
+
+
+def _first(ok: NDArray) -> tuple[int, ...]:
+    return tuple(int(k) for k in np.unravel_index(np.argmin(ok), np.shape(ok)))
 
 
 def _require(ok: NDArray, values: NDArray, what: str) -> None:
     if not ok.all():
-        i = np.unravel_index(np.argmin(ok), np.shape(ok))
-        where = "".join(f"[{int(k)}]" for k in i)
+        i = _first(ok)
+        where = "".join(f"[{k}]" for k in i)
         raise AssertionError(f"density matrix{where} {what.format(values[i])}")

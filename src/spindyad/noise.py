@@ -89,10 +89,10 @@ class FluctuatorConfig:
     """Settings of every noise channel; the samplers take the seed.
 
     Attributes:
-        beta_rms: total per-site rms magnetic field (tesla), >= 0.
+        beta_rms: total per-site rms magnetic field (tesla), finite and >= 0.
         xi: fraction of the magnetic noise power that is site-local, in [0, 1].
         switch_rate: magnetic fluctuator redraw rate (Hz), > 0.
-        eps_rms: rms axial electric field eps_z (V/m), >= 0; 0 is off.
+        eps_rms: rms axial electric field eps_z (V/m), finite and >= 0; 0 is off.
         electric_rate: electric fluctuator redraw rate (Hz), > 0.
     """
 
@@ -103,14 +103,14 @@ class FluctuatorConfig:
     electric_rate: float = DEFAULT_SWITCH_RATE
 
     def __post_init__(self):
-        if self.beta_rms < 0:
-            raise ValueError(f"beta_rms must be >= 0, got {self.beta_rms}")
+        if not 0 <= self.beta_rms < math.inf:
+            raise ValueError(f"beta_rms must be finite and >= 0, got {self.beta_rms}")
         if not 0.0 <= self.xi <= 1.0:
             raise ValueError(f"xi must be in [0, 1], got {self.xi}")
         if not self.switch_rate > 0:
             raise ValueError(f"switch_rate must be > 0, got {self.switch_rate}")
-        if self.eps_rms < 0:
-            raise ValueError(f"eps_rms must be >= 0, got {self.eps_rms}")
+        if not 0 <= self.eps_rms < math.inf:
+            raise ValueError(f"eps_rms must be finite and >= 0, got {self.eps_rms}")
         if not self.electric_rate > 0:
             raise ValueError(f"electric_rate must be > 0, got {self.electric_rate}")
 
@@ -148,14 +148,15 @@ class NoiseTrajectory:
             raise ValueError(f"eps_z must have shape ({self.n_steps},)")
 
     def refined(self, factor: int) -> "NoiseTrajectory":
-        """Same physical noise path represented on a grid dt/factor.
+        """Same physical noise path represented on a grid dt/factor, for an
+        integer factor >= 1 (each step becomes ``factor`` steps).
 
         Values are held constant across the finer steps, so propagating
         the refined trajectory must reproduce the original signal; this
         is the step-size convergence check.
         """
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
+        if not (isinstance(factor, (int, np.integer)) and factor >= 1):
+            raise ValueError(f"factor must be an integer >= 1, got {factor!r}")
         rep = lambda a: np.repeat(a, factor, axis=0)
         return NoiseTrajectory(
             dt=self.dt / factor,

@@ -252,24 +252,22 @@ def coc_closed_form(tau_zq: float, j_par: float) -> NDArray:
     return expm_hermitian(angle * (ops.tilde_y @ ops.prime_y), 1.0)  # t = 1: any sign of J_par
 
 
-def zq_block(
-    tau_tilde: float, echo: bool = False, theta: float = 0.0, noisy: bool = True
-) -> PulseProgram:
+def zq_block(tau_tilde: float, echo: bool = False, theta: float = 0.0) -> PulseProgram:
     """Zero-quantum free evolution, optionally echoed and phase-rotated.
 
     An optional z rotation of the spin-1 by ``theta`` first (the
     composite-pulse phase shift used to switch between relaxometry and
-    frequency-sensing variants), then a free delay of ``tau_tilde``;
-    with ``echo`` a pi pulse on both spins and a second identical delay
-    follow, refocusing static site imbalance.
+    frequency-sensing variants), then a noisy free delay of
+    ``tau_tilde``; with ``echo`` a pi pulse on both spins and a second
+    identical delay follow, refocusing static site imbalance.
     """
     elements: list[PulseElement] = []
     if theta != 0.0:
         elements.append(Rotation(Target.SPIN_S, Axis.Z, theta))
-    elements.append(Delay(tau_tilde, noisy))
+    elements.append(Delay(tau_tilde))
     if echo:
         elements.append(Rotation(Target.BOTH, Axis.X, math.pi))
-        elements.append(Delay(tau_tilde, noisy))
+        elements.append(Delay(tau_tilde))
     return PulseProgram(tuple(elements))
 
 
@@ -317,7 +315,7 @@ def zq_chain(
     return (
         polarization_transfer(tau_zq, j_par, noisy=aux_noisy)
         + hahn_echo(tau_zq, Target.BOTH, noisy=aux_noisy)
-        + zq_block(tau_tilde, echo=echo, theta=theta, noisy=True)
+        + zq_block(tau_tilde, echo=echo, theta=theta)
         + zq_readout(tau_zq, noisy=aux_noisy)
     )
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from spindyad import engine, model
+from spindyad import engine, linalg, model
 from spindyad.analysis import FitResult
 from spindyad.engine import (
     Experiment,
@@ -348,6 +348,49 @@ class TestRun:
         with pytest.raises(SimulationError, match=self.ROTATION_FAILED + deviations):
             propagate(rho0, walk, PARAMS, batch, sim)
 
+    REPUMP_FAILED = r"state invariants violated after element Repump\(\): "
+
+    def test_positivity_failure_names_program_trajectory_and_element(self, monkeypatch):
+        # program 0 (its delay empty) walks alone, programs 1 and 2 together;
+        # a Hermitian unit-trace state with eigenvalue -0.75 at program 2,
+        # trajectory 2 passes every check but the one after the last element
+        real = engine._repump_state
+
+        def repump(rho):
+            out = real(rho)
+            if out.shape[0] == 2:
+                out[1, 2] = np.diag([1.75, -0.75, 0.0, 0.0])
+            return out
+
+        monkeypatch.setattr(engine, "_repump_state", repump)
+        prefix = (Rotation(Target.SPIN_S, Axis.X, math.pi / 2),)
+        exp = self._experiment(n_traj=3, times=(0.0, 1e-6, 2e-6))
+        exp = replace(exp, program_builder=lambda tau: PulseProgram(prefix + (Delay(tau), Repump())))
+        message = rf"^program 2, trajectory 2: {self.REPUMP_FAILED}smallest eigenvalue = -0.75$"
+        with pytest.raises(SimulationError, match=message):
+            run(exp)
+
+    def test_positivity_is_checked_once_per_walk_after_its_last_element(self, monkeypatch):
+        # the initial state's check, then one per nonempty walk
+        checked = []
+        real = linalg.lowest_eigenvalues
+        monkeypatch.setattr(linalg, "lowest_eigenvalues", lambda rho: checked.append(rho.copy()) or real(rho))
+        sim = SimConfig(n_trajectories=1, dt=DT)
+        rho = propagate(initial_state(), hahn_echo(1e-6), PARAMS, quiet_traj(2e-6), sim)
+        assert len(checked) == 2 and np.array_equal(checked[1][0, 0], rho)
+        checked.clear()
+        exp = self._experiment(n_traj=4, times=(0.0, 1e-6, 2e-6))
+        run(replace(exp, program_builder=lambda tau: PulseProgram((Delay(tau),))))  # program 0 walks no element
+        assert [c.shape for c in checked] == [(4, 4), (2, 4, 4, 4)]
+
+    def test_one_path_positivity_failure_is_a_simulation_error(self, monkeypatch):
+        bad = np.diag([1.75, -0.75, 0.0, 0.0]).astype(complex)
+        monkeypatch.setattr(engine, "_repump_state", lambda rho: np.broadcast_to(bad, rho.shape).copy())
+        sim = SimConfig(n_trajectories=1, dt=DT)
+        message = rf"^program 0, trajectory 0: {self.REPUMP_FAILED}smallest eigenvalue = -0.75$"
+        with pytest.raises(SimulationError, match=message):
+            propagate(initial_state(), PulseProgram((Delay(DT), Repump())), PARAMS, quiet_traj(DT), sim)
+
     def test_field_both_sites_see_is_summed_once(self, monkeypatch):
         # an electrometry-like run at xi = 0: per trajectory one sum of the
         # shared magnetic field, one of eps_z, and the span table of
@@ -440,8 +483,8 @@ class TestRun:
             counts.clear()
             exp = self._experiment(n_traj=n_traj, times=np.arange(1, n_times + 1) * 0.25e-6)
             run(replace(exp, sim=replace(exp.sim, near_bm=True)))
-            # one check of rho0 and one of the final stack of the one walk
-            assert counts == {"_dq_segment_unitaries": 1, "assert_density_matrix": 2}
+            # one check of rho0; the walk checks its states itself
+            assert counts == {"_dq_segment_unitaries": 1, "assert_density_matrix": 1}
 
     def test_near_bm_without_j_perp_never_forms_a_dq_block(self, monkeypatch):
         # g = 2 pi j_perp sqrt(2) = 0 sends every delay, noisy or not, down

@@ -7,6 +7,7 @@ from spindyad.linalg import (
     DENSITY_PSD_TOL,
     SpinKind,
     assert_density_matrix,
+    density_deviations,
     expm_hermitian,
     eye,
     full_operators,
@@ -158,6 +159,27 @@ class TestExpmHermitian:
             assert_density_matrix(stack)
         with pytest.raises(AssertionError, match=r"density matrix\[4\] trace"):
             assert_density_matrix(stack[:5])
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_deviations_have_the_bits_of_the_whole_matrix(self, n):
+        # random stacks, then entries set to NaN, +-inf and pure-imaginary
+        # values on and off the diagonal
+        rng = np.random.default_rng(13)
+        stack = rng.normal(size=(400, n, n)) + 1j * rng.normal(size=(400, n, n))
+        stack[:100] = (stack[:100] + stack[:100].conj().swapaxes(-1, -2)) / 2
+        specials = [np.nan, np.inf, -np.inf, complex(np.nan, 1.0), complex(1.0, np.inf), complex(np.inf, np.nan)]
+        specials += [2.5j, -1e-300j]
+        for k in range(100, 400):
+            for _ in range(rng.integers(1, 3)):
+                i, j = rng.integers(n, size=2)
+                stack[k, i, i if k < 250 else j] = specials[rng.integers(len(specials))]
+        with np.errstate(invalid="ignore"):
+            trace_dev, herm_dev = density_deviations(stack)
+            whole = np.abs(stack - stack.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+            trace = abs(np.trace(stack, axis1=-2, axis2=-1) - 1.0)
+        assert np.array_equal(herm_dev, whole, equal_nan=True)
+        assert np.array_equal(trace_dev, trace, equal_nan=True)
+        assert np.isnan(herm_dev).any() and np.isinf(herm_dev).any()
 
 
 def states_with_smallest_eigenvalue(rng, lowest):

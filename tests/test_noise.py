@@ -193,6 +193,14 @@ class TestTrajectoryUtilities:
         assert np.array_equal(fine.beta_s[::4], traj.beta_s)
         assert np.array_equal(fine.beta_s[1::4], traj.beta_s)
 
+    @pytest.mark.parametrize("factor", [2.5, 2.0, 0, -1])
+    def test_refined_takes_only_an_integer_factor_of_at_least_one(self, factor):
+        # at 2.5 a 4-step path at 10 ns became 8 steps at 4 ns: 32 ns, not 40
+        traj = NoiseTrajectory(1e-8, np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError, match="factor must be an integer >= 1"):
+            traj.refined(factor)
+        assert traj.refined(np.int64(1)).n_steps == 4
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FluctuatorConfig(beta_rms=-1e-6)

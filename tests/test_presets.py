@@ -8,7 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from spindyad import presets
 from spindyad.cli import EXIT_CONFIG, EXIT_OK, main
+from spindyad.config import ConfigError
+from spindyad.engine import SimConfig
+from spindyad.noise import FluctuatorConfig
 from spindyad.presets import half_excess_detuning
 
 COMMON = """
@@ -48,6 +52,24 @@ DEER_FAR = (
     + COMMON.format(j=150, traj=24, sim_extra="", plot="true")
     + "\n[sweep]\ntau_start = 0.5 us\ntau_stop = 30 us\ntau_count = 10\n"
 )
+
+
+@pytest.mark.parametrize(
+    "section,cls,key,value",
+    [
+        ("noise", FluctuatorConfig, "beta_rms", math.nan),
+        ("noise", FluctuatorConfig, "beta_rms", math.inf),
+        ("noise", FluctuatorConfig, "eps_rms", math.nan),
+        ("noise", FluctuatorConfig, "eps_rms", math.inf),
+        ("sim", SimConfig, "delta_b", math.nan),
+        ("sim", SimConfig, "delta_b", -math.inf),
+    ],
+)
+def test_non_finite_setting_is_a_config_error_named_by_its_key(section, cls, key, value):
+    # a NaN passed a "< 0" check and failed only later, as a state check
+    # that named no setting
+    with pytest.raises(ConfigError, match=rf"^{section}\.{key} must be finite"):
+        presets._built(section, cls, **{key: value})
 
 
 class TestEchoPresets:
